@@ -250,19 +250,6 @@ func TestQuartilesMatchPython(t *testing.T) {
 	}
 }
 
-func TestSamplesThinEvenly(t *testing.T) {
-	s := newSamples(64)
-	for i := 0; i < 10000; i++ {
-		s.add(float64(i))
-	}
-	if len(s.v) > 64 || len(s.v) < 32 {
-		t.Fatalf("kept %d samples, want 32..64", len(s.v))
-	}
-	if med := s.quantile(0.5); med < 4000 || med > 6000 {
-		t.Errorf("median of thinned 0..9999 = %v", med)
-	}
-}
-
 // writeRecords writes one record per value of update_p50_ms, seeds 1..n.
 func writeRecords(t *testing.T, path string, vals []float64, mutate func(*record)) {
 	t.Helper()
@@ -287,10 +274,7 @@ func writeRecords(t *testing.T, path string, vals []float64, mutate func(*record
 
 func TestCompare(t *testing.T) {
 	dir := t.TempDir()
-	spec := filepath.Join(dir, "BENCHMARK.json")
-	if err := os.WriteFile(spec, []byte(`{"end_to_end":[{"name":"update_p50_ms","unit":"ms","better":"lower","bound":0.1}],"per_layer":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	spec := &benchSpec{EndToEnd: []specMetric{{Name: "update_p50_ms", Unit: "ms", Better: "lower", Bound: 0.1}}}
 	parent := []float64{100, 101, 99, 100.5, 99.5, 100, 101, 99, 100.2, 99.8}
 	shift := func(d float64) []float64 {
 		v := slices.Clone(parent)
@@ -320,12 +304,16 @@ func TestCompare(t *testing.T) {
 			a, b := filepath.Join(dir, c.name+"-a.jsonl"), filepath.Join(dir, c.name+"-b.jsonl")
 			writeRecords(t, a, parent, nil)
 			writeRecords(t, b, c.change, c.mutate)
-			var stdout, stderr bytes.Buffer
-			args := []string{"-compare", "-bench-json", spec}
-			if c.claim != "" {
-				args = append(args, "-claim", c.claim)
+			recsA, err := loadRecords(a)
+			if err != nil {
+				t.Fatal(err)
 			}
-			code := realMain(append(args, a, b), &stdout, &stderr)
+			recsB, err := loadRecords(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			code := compareRecords(spec, recsA, recsB, c.claim, &stdout, &stderr)
 			if code != c.code || !strings.Contains(stdout.String(), c.verdict) {
 				t.Errorf("exit %d (want %d), output lacks %q:\n%s%s", code, c.code, c.verdict, stdout.String(), stderr.String())
 			}

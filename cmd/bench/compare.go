@@ -16,17 +16,16 @@ import (
 
 // benchSpec is the part of BENCHMARK.json that -compare reads.
 type benchSpec struct {
-	EndToEnd []struct {
-		Name   string  `json:"name"`
-		Unit   string  `json:"unit"`
-		Better string  `json:"better"`
-		Bound  float64 `json:"bound"`
-	} `json:"end_to_end"`
-	PerLayer []struct {
-		Name   string `json:"name"`
-		Unit   string `json:"unit"`
-		Better string `json:"better"`
-	} `json:"per_layer"`
+	EndToEnd []specMetric `json:"end_to_end"`
+	PerLayer []specMetric `json:"per_layer"`
+}
+
+// specMetric is one metric entry; per-layer entries have no bound.
+type specMetric struct {
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"`
 }
 
 func loadSpec(path string) (*benchSpec, error) {
@@ -199,12 +198,13 @@ func values(recs []record, metric string) ([]float64, bool) {
 }
 
 // runCompare prints, per workload and metric, each side's median and
-// quartiles and a verdict, and tests an optional claim by the rule of
-// at least 9 wins in 10 pairs with a median gap beyond the parent's
-// own quartile distance. Exit code 1 on a regression or an unmet
-// claim, 2 when the runs cannot be compared.
-func runCompare(patA, patB, specPath, claim string, stdout, stderr io.Writer) int {
-	spec, err := loadSpec(specPath)
+// quartiles and a verdict against the bounds in BENCHMARK.json (read
+// from the working directory, the repository root), and tests an
+// optional claim by the rule of at least 9 wins in 10 pairs with a
+// median gap beyond the parent's own quartile distance. Exit code 1 on
+// a regression or an unmet claim, 2 when the runs cannot be compared.
+func runCompare(patA, patB, claim string, stdout, stderr io.Writer) int {
+	spec, err := loadSpec("BENCHMARK.json")
 	if err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
 		return 2

@@ -70,7 +70,7 @@ type fleetStats struct {
 	dirty       int64
 	rowsChanged int64
 	late        time.Duration
-	lat         *samples // ms, from the due time
+	lat         []float64 // ms, from the due time
 }
 
 func newFleet(r *run, parent int) *fleet {
@@ -91,13 +91,13 @@ func newFleet(r *run, parent int) *fleet {
 	r.tr.add("dynamic.new", 0, t1, t2, parent, false)
 	r.tr.add("routing.new_store", 0, t2, t3, parent, false)
 	r.tr.add("replica.new_cluster", 0, t3, t4, parent, false)
-	return &fleet{tr: tr, c: c, st: st, s: fleetStats{lat: newSamples(1 << 12)}}
+	return &fleet{tr: tr, c: c, st: st, s: fleetStats{lat: make([]float64, 0, 1<<12)}}
 }
 
 // setupFleet builds the fleet, records its spanner size, and in the
 // traced run builds the shadow copies from the same initial graph.
 func setupFleet(r *run) *fleet {
-	f := setupMedian(r, func(parent int) *fleet { return newFleet(r, parent) })
+	f, _ := setup(r, func(parent int) *fleet { return newFleet(r, parent) })
 	r.e2e["spanner_edges"] = float64(f.st.Maintainer().Spanner().Len())
 	if r.tr.on {
 		g := f.tr.Graph()
@@ -122,8 +122,7 @@ func diff(tr *mobility.Tracker, buf []dynamic.Change) []dynamic.Change {
 }
 
 func (f *fleet) resetStats() {
-	f.s.lat.reset()
-	f.s = fleetStats{lat: f.s.lat, words: f.c.W.DeltaWords}
+	f.s = fleetStats{lat: f.s.lat[:0], words: f.c.W.DeltaWords}
 }
 
 // tick runs one update from the topology diff until every replica has
@@ -296,7 +295,7 @@ func runFleetChurn(r *run) {
 		for time.Since(armStart) < r.budget {
 			start := time.Now()
 			end := f.tick(r, k, start)
-			f.s.lat.add(ms(end.Sub(start)))
+			f.s.lat = append(f.s.lat, ms(end.Sub(start)))
 			for j := 0; j < r.p.Queries; j++ {
 				q.query(f.c)
 			}
@@ -306,6 +305,7 @@ func runFleetChurn(r *run) {
 		ops[cpu] = f.s.ticks
 	})
 	r.heapLive()
+	timeSetups(r, func(parent int) *fleet { return newFleet(r, parent) })
 	r.count(q.queries, q.cl.SLO.Failed+q.cl.SLO.Degraded)
 
 	f.metrics(r, q, ops, measured)
@@ -349,7 +349,7 @@ func runFleetRead(r *run) {
 			begin := time.Now()
 			end := f.tick(r, k, begin)
 			f.s.late += begin.Sub(due)
-			f.s.lat.add(ms(end.Sub(due)))
+			f.s.lat = append(f.s.lat, ms(end.Sub(due)))
 			k++
 		}
 		stop.Store(true)
@@ -358,6 +358,7 @@ func runFleetRead(r *run) {
 		ops[cpu] = f.s.ticks
 	})
 	r.heapLive()
+	timeSetups(r, func(parent int) *fleet { return newFleet(r, parent) })
 	r.count(q.queries, q.cl.SLO.Failed+q.cl.SLO.Degraded)
 
 	r.layer["bench.tick_late_frac"] = share(f.s.late, every*time.Duration(f.s.ticks))
@@ -370,8 +371,8 @@ func runFleetRead(r *run) {
 // fleet-read's generator lateness counts against it.
 func (f *fleet) metrics(r *run, q *reader, ops map[int]int, measured time.Duration) {
 	ticks := float64(f.s.ticks)
-	r.e2e["update_p50_ms"] = f.s.lat.quantile(0.5)
-	r.e2e["update_p90_ms"] = f.s.lat.quantile(0.9)
+	r.e2e["update_p50_ms"] = quantile(f.s.lat, 0.5)
+	r.e2e["update_p90_ms"] = quantile(f.s.lat, 0.9)
 	r.e2e["updates_per_s"] = ticks / (f.s.busy + f.s.late).Seconds()
 	r.e2e["words_per_update"] = ratio(float64(f.c.W.DeltaWords-f.s.words), float64(len(f.c.Replicas))*ticks)
 

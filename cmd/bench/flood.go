@@ -37,7 +37,7 @@ type flood struct {
 	refloods int64
 	trees    int64
 	alloc    float64
-	lat      *samples
+	lat      []float64 // tick latencies, ms
 }
 
 func newFlood(r *run, parent int) *flood {
@@ -55,12 +55,11 @@ func newFlood(r *run, parent int) *flood {
 	r.tr.add("mobility.new_tracker", 0, t0, t1, parent, false)
 	r.tr.add("distsim.new_engine", 0, t1, t2, parent, false)
 	r.tr.add("distsim.cold_run", 0, t2, t3, parent, false)
-	return &flood{tr: tr, e: e, lat: newSamples(1 << 12)}
+	return &flood{tr: tr, e: e, lat: make([]float64, 0, 1<<12)}
 }
 
 func (f *flood) resetStats() {
-	f.lat.reset()
-	*f = flood{tr: f.tr, e: f.e, buf: f.buf, sm: f.sm, lat: f.lat}
+	*f = flood{tr: f.tr, e: f.e, buf: f.buf, sm: f.sm, lat: f.lat[:0]}
 }
 
 // tick runs one update from the topology diff until the re-flood has
@@ -86,7 +85,7 @@ func (f *flood) tick(r *run, k int) {
 		f.dirty += int64(st.DirtyRoots)
 		f.refloods += int64(st.Refloods)
 		f.alloc += a1 - a0
-		f.lat.add(ms(end.Sub(start)))
+		f.lat = append(f.lat, ms(end.Sub(start)))
 		tick = r.tr.add("tick", k, start, end, -1, false)
 		r.tr.add("mobility.tick", k, start, t1, tick, false)
 		r.tr.add("distsim.reflood", k, t2, end, tick, false)
@@ -107,7 +106,8 @@ func (f *flood) tick(r *run, k int) {
 }
 
 func runFlood(r *run) {
-	f := setupMedian(r, func(parent int) *flood { return newFlood(r, parent) })
+	build := func(parent int) *flood { return newFlood(r, parent) }
+	f, _ := setup(r, build)
 	r.e2e["spanner_edges"] = float64(f.e.Spanner().Len())
 	if r.tr.on {
 		b := dynamic.Builders()[0]
@@ -133,10 +133,11 @@ func runFlood(r *run) {
 		ops[cpu] = f.ticks
 	})
 	r.heapLive()
+	timeSetups(r, build)
 
 	ticks := float64(f.ticks)
-	r.e2e["update_p50_ms"] = f.lat.quantile(0.5)
-	r.e2e["update_p90_ms"] = f.lat.quantile(0.9)
+	r.e2e["update_p50_ms"] = quantile(f.lat, 0.5)
+	r.e2e["update_p90_ms"] = quantile(f.lat, 0.9)
 	r.e2e["updates_per_s"] = ticks / f.busy.Seconds()
 	r.e2e["words_per_update"] = ratio(float64(f.words), ticks)
 

@@ -113,7 +113,8 @@ type runContext struct {
 	Params     params  `json:"params"`
 }
 
-// record is one run as written by -out and read by -compare.
+// record is one run as printed on the first output line and read by
+// -compare.
 type record struct {
 	Context  runContext `json:"context"`
 	Workload string     `json:"workload"`
@@ -133,10 +134,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	cpus := fs.String("cpu", "", "traced run: comma-separated GOMAXPROCS arms (default 1,nproc)")
 	smoke := fs.Bool("smoke", false, "tiny inputs for tests")
 	spansOut := fs.String("spans", "", "traced run: write the spans as JSON to this file")
-	out := fs.String("out", "", "append each run's record (context + result) to this file")
 	compare := fs.Bool("compare", false, "compare two sets of records: bench -compare 'A/*.jsonl' 'B/*.jsonl'")
 	claim := fs.String("claim", "", "with -compare: metric:workload to test by the 9-of-10 pairs rule")
-	benchJSON := fs.String("bench-json", "BENCHMARK.json", "with -compare: file holding the metric bounds")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -145,7 +144,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "bench: -compare needs two record sets (files or quoted globs)")
 			return 2
 		}
-		return runCompare(fs.Arg(0), fs.Arg(1), *benchJSON, *claim, stdout, stderr)
+		return runCompare(fs.Arg(0), fs.Arg(1), *claim, stdout, stderr)
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "bench: unexpected arguments %q\n", fs.Args())
@@ -197,12 +196,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			fmt.Fprintln(stderr, "bench:", err)
 			return 1
-		}
-		if *out != "" {
-			if err := appendLine(*out, line); err != nil {
-				fmt.Fprintln(stderr, "bench: writing record:", err)
-				return 1
-			}
 		}
 		res, err := json.Marshal(rec.Result)
 		if err != nil {
@@ -260,16 +253,4 @@ func gitCommit() string {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(b))
-}
-
-func appendLine(path string, line []byte) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -9,51 +9,13 @@ import (
 	"time"
 )
 
-// samples keeps an evenly thinned record of latencies in fixed memory:
-// when the buffer fills, every second sample is dropped and the stride
-// doubles. Quantiles then still cover the whole run, and the measured
-// loop never pays for slice growth (appending every one of ~10M query
-// latencies moved the read-heavy workload by ~20%).
-type samples struct {
-	v      []float64
-	stride int
-	skip   int
-}
-
-func newSamples(capacity int) *samples {
-	return &samples{v: make([]float64, 0, capacity), stride: 1}
-}
-
-func (s *samples) reset() {
-	s.v = s.v[:0]
-	s.stride, s.skip = 1, 0
-}
-
-func (s *samples) add(x float64) {
-	if s.skip > 0 {
-		s.skip--
-		return
-	}
-	if len(s.v) == cap(s.v) {
-		k := 0
-		for i := 1; i < len(s.v); i += 2 {
-			s.v[k] = s.v[i]
-			k++
-		}
-		s.v = s.v[:k]
-		s.stride *= 2
-	}
-	s.v = append(s.v, x)
-	s.skip = s.stride - 1
-}
-
-// quantile returns the q-quantile of the recorded values by linear
-// interpolation between order statistics (0 when empty).
-func (s *samples) quantile(q float64) float64 {
-	if len(s.v) == 0 {
+// quantile returns the q-quantile of v by linear interpolation between
+// order statistics (0 when v is empty); v itself is left as it was.
+func quantile(v []float64, q float64) float64 {
+	if len(v) == 0 {
 		return 0
 	}
-	v := slices.Clone(s.v)
+	v = slices.Clone(v)
 	slices.Sort(v)
 	pos := q * float64(len(v)-1)
 	i := int(pos)
@@ -193,10 +155,7 @@ func heapLiveMB() float64 {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-func median(v []float64) float64 {
-	s := &samples{v: v}
-	return s.quantile(0.5)
-}
+func median(v []float64) float64 { return quantile(v, 0.5) }
 
 // share returns part/whole, 0 when whole is 0.
 func share(part, whole time.Duration) float64 {

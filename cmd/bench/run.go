@@ -33,9 +33,17 @@ var workloads = []workload{
 	{"static-build", staticParams, runStatic},
 }
 
-// setupRuns is how many cold set-ups a run times; setup_s is their
-// median (the median of 3 still moved 10–25% between runs).
-const setupRuns = 5
+// After its measured window a run builds its system again and again,
+// until it has timed at least setupMin builds and setupWindow has
+// passed; setup_s is their median. The first set-ups of a process pay
+// for growing the heap and for a start-up transient that lasted up to
+// ~1 s: they ran 1.2–2.5× slower than later ones, by an amount that
+// differed from process to process, and the median of the first 5
+// moved 27–54% between runs.
+const (
+	setupMin    = 5
+	setupWindow = 2 * time.Second
+)
 
 // run is one benchmark run of one workload.
 type run struct {
@@ -45,7 +53,6 @@ type run struct {
 	budget    time.Duration // measured time per CPU arm
 	arms      []int
 	tr        *tracer
-	heapBase  float64 // live heap before the kept set-up, MB
 	attempted int64
 	failed    int64
 	failures  []string
@@ -121,38 +128,42 @@ func (r *run) execute(w workload) record {
 	}
 }
 
-// setupMedian builds the system setupRuns times from the same seed,
-// keeps the last build, and sets setup_s to the median build time.
-// build receives the index of its "setup" span to parent its stages.
-// The live heap just before the kept build is the base heapLive
-// subtracts: a distsim.Engine whose pool has started a helper
-// goroutine is never collected, so discarded set-ups stay live.
-func setupMedian[T any](r *run, build func(parent int) T) T {
-	var sys T
-	times := make([]float64, setupRuns)
-	for i := range times {
-		if i == len(times)-1 {
-			r.heapBase = heapLiveMB()
-		} else {
-			runtime.GC()
-		}
-		start := time.Now()
-		parent := r.tr.add("setup", i, start, start, -1, false)
-		sys = build(parent)
-		end := time.Now()
-		if parent >= 0 {
-			r.tr.spans[parent].End = end.Sub(r.tr.epoch).Nanoseconds()
-		}
-		times[i] = end.Sub(start).Seconds()
+// setup builds the system once from the run's seed under a "setup"
+// span, whose index build receives to parent its stages, and returns
+// it with the build time.
+func setup[T any](r *run, build func(parent int) T) (T, time.Duration) {
+	start := time.Now()
+	parent := r.tr.add("setup", 0, start, start, -1, false)
+	sys := build(parent)
+	end := time.Now()
+	if parent >= 0 {
+		r.tr.spans[parent].End = end.Sub(r.tr.epoch).Nanoseconds()
 	}
-	r.e2e["setup_s"] = median(times)
-	return sys
+	return sys, end.Sub(start)
 }
 
-// heapLive sets heap_live_mb: the live heap now, after a forced GC,
-// less the base recorded before the kept set-up.
+// timeSetups sets setup_s to the median time of cold set-ups, each
+// discarded, timed until setupMin of them and setupWindow have passed.
+// It runs after the measured window and after heapLive: a
+// distsim.Engine whose pool has started a helper goroutine is never
+// collected, so discarded set-ups stay live.
+func timeSetups[T any](r *run, build func(parent int) T) {
+	window := setupWindow
+	if r.smoke {
+		window = 0
+	}
+	var times []float64
+	for began := time.Now(); len(times) < setupMin || time.Since(began) < window; {
+		runtime.GC()
+		_, d := setup(r, build)
+		times = append(times, d.Seconds())
+	}
+	r.e2e["setup_s"] = median(times)
+}
+
+// heapLive sets heap_live_mb: the live heap now, after a forced GC.
 func (r *run) heapLive() {
-	r.e2e["heap_live_mb"] = heapLiveMB() - r.heapBase
+	r.e2e["heap_live_mb"] = heapLiveMB()
 }
 
 // setupShare sets a per-layer metric to the share of set-up time the

@@ -46,7 +46,7 @@ type static struct {
 var staticStages = [...]string{"spanner.exact", "spanner.kconn3", "spanner.twoconn", "spanner.lowstretch", "distsim.run", "spanner.check"}
 
 func runStatic(r *run) {
-	s := setupMedian(r, func(parent int) *static {
+	build := func(parent int) *static {
 		t0 := time.Now()
 		g := udg(r.p.N, r.p.Degree, r.seed)
 		gc := udg(r.p.CheckN, r.p.Degree, r.seed+1)
@@ -63,12 +63,13 @@ func runStatic(r *run) {
 		r.tr.add("spanner.exact_check_input", 0, t1, t2, parent, false)
 		r.tr.add("distsim.new_engine", 0, t2, t3, parent, false)
 		return &static{g: g, e: e, gc: gc, hc: hc}
-	})
+	}
+	s, _ := setup(r, build)
 	var rounds int
 	var busy time.Duration
 	var words int64
 	var alloc float64
-	lat := newSamples(1 << 10)
+	lat := make([]float64, 0, 1<<10) // round latencies, ms
 
 	// round runs one construction-and-certification round; k < 0 marks
 	// an unrecorded warm-up round.
@@ -99,7 +100,7 @@ func runStatic(r *run) {
 		busy += t[6].Sub(t[0])
 		words += res.Words
 		alloc += a1 - a0
-		lat.add(ms(t[6].Sub(t[0])))
+		lat = append(lat, ms(t[6].Sub(t[0])))
 		parent := r.tr.add("round", k, t[0], t[6], -1, false)
 		for i, name := range staticStages {
 			r.tr.add(name, k, t[i], t[i+1], parent, false)
@@ -116,7 +117,7 @@ func runStatic(r *run) {
 			round(-1)
 		}
 		rounds, busy, words, alloc = 0, 0, 0, 0
-		lat.reset()
+		lat = lat[:0]
 		armStart := time.Now()
 		for time.Since(armStart) < r.budget {
 			round(k)
@@ -126,8 +127,9 @@ func runStatic(r *run) {
 		ops[cpu] = rounds
 	})
 	r.heapLive()
-	r.e2e["update_p50_ms"] = lat.quantile(0.5)
-	r.e2e["update_p90_ms"] = lat.quantile(0.9)
+	timeSetups(r, build)
+	r.e2e["update_p50_ms"] = quantile(lat, 0.5)
+	r.e2e["update_p90_ms"] = quantile(lat, 0.9)
 	r.e2e["updates_per_s"] = float64(rounds) / busy.Seconds()
 	r.e2e["words_per_update"] = ratio(float64(words), float64(rounds))
 
