@@ -59,10 +59,9 @@ func BFSTree(g *Graph, src int) (parent, dist []int32) {
 // BFSScratch holds reusable buffers for bounded BFS so that repeated
 // per-vertex traversals do not pay an O(n) reset each call.
 type BFSScratch struct {
-	dist    []int32
-	parent  []int32
-	queue   []int32
-	touched []int32
+	dist   []int32
+	parent []int32
+	queue  []int32 // the last run's reached vertices: what the next run resets
 
 	// Epoch-stamped accumulator for unions of bounded sweeps (the dirty
 	// sets of incremental maintenance): membership is "stamp equals the
@@ -101,16 +100,17 @@ func (s *BFSScratch) Bounded(g *Graph, src, maxDist int) (dist, parent, visited 
 //
 //remspan:hotpath
 func (s *BFSScratch) BoundedView(c View, src, maxDist int) (dist, parent, visited []int32) {
-	// Reset only the vertices touched by the previous run.
-	for _, v := range s.touched {
+	// Reset only the vertices the previous run reached. The queue holds
+	// exactly those and is sized n up front, so no run grows a buffer:
+	// a scratch first used mid-pin (a pool helper that stole its first
+	// shard) allocates nothing.
+	for _, v := range s.queue {
 		s.dist[v] = Unreached
 		s.parent[v] = -1
 	}
-	s.touched = s.touched[:0]
 	s.queue = s.queue[:0]
 
 	s.dist[src] = 0
-	s.touched = append(s.touched, int32(src))
 	s.queue = append(s.queue, int32(src))
 	for head := 0; head < len(s.queue); head++ {
 		u := s.queue[head]
@@ -121,7 +121,6 @@ func (s *BFSScratch) BoundedView(c View, src, maxDist int) (dist, parent, visite
 			if s.dist[v] == Unreached {
 				s.dist[v] = s.dist[u] + 1
 				s.parent[v] = u
-				s.touched = append(s.touched, v)
 				s.queue = append(s.queue, v)
 			}
 		}

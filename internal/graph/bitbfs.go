@@ -457,6 +457,7 @@ func NewBatchOrderScratch() *BatchOrderScratch {
 // Order is BatchOrder into the scratch's pooled storage.
 func (s *BatchOrderScratch) Order(view View) (order, starts []int32) {
 	n := view.N()
+	//remspan:coldpath stamp arrays grow to the largest view seen, then are reused
 	if cap(s.assignedMark) < n {
 		s.assignedMark = make([]uint32, n)
 		s.mark = make([]uint32, n)

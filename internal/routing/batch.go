@@ -48,7 +48,11 @@ import (
 // Owners are grouped by graph.BatchOrder's ball clustering, not by id:
 // a bit-packed sweep costs O(edges × distinct wavefront levels), so 64
 // scattered owners on a high-diameter graph would forfeit the word
-// parallelism (see graph.BatchOrder).
+// parallelism (see graph.BatchOrder). Every batched build — the full
+// table set, a Store's cold build, its RebuildAll and each churn tick's
+// dirty owners — runs through one tableEnv.build: the full-graph ball
+// order, filtered down to the owners to rebuild, is cut into groups of
+// 64 that sched workers take, one builder per worker.
 
 // halfWidthMaxN is the largest vertex count the uint32-packed engine
 // serves: next hop and BFS level each live in a 16-bit half, so every
@@ -253,19 +257,25 @@ type tableWorker struct {
 	b *BatchBuilder
 }
 
-// tableEnv is the reusable environment of BuildTablesBatchedInto's
-// shard fan-out over owner groups, mirroring spanner's build env: one
-// shared instance, transient fallback when busy.
+// tableEnv is the reusable environment of the batched table fan-out:
+// the sched pool, one builder slot per worker, the ball-clustering
+// scratch and the per-run job the prebound shard body reads. Every
+// batched build runs through one: each Store owns its own for its
+// whole life (its writer lock serializes the runs), and
+// BuildTablesBatchedInto borrows the package's shared one, falling
+// back to a transient env when that is busy.
 type tableEnv struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the shared instance; a Store's env relies on Store.mu
 	pool    sched.Pool
 	order   *graph.BatchOrderScratch
 	workers []*tableWorker
+	pick    []uint64 // owners of the run as a bitmap, cleared after use
+	picked  []int32  // the run's owners in ball-clustered order
 
-	// Per-run job, set under mu.
-	g, h             graph.View
-	tables           []Table
-	srcOrder, starts []int32
+	// Per-run job.
+	g, h   graph.View
+	tables []Table
+	owners []int32
 
 	body func(w, lo, hi int)
 }
@@ -278,24 +288,88 @@ func newTableEnv() *tableEnv {
 
 var sharedTableEnv = newTableEnv()
 
+// shard builds groups [lo, hi) — owners[64·lo : 64·hi] — on worker w's
+// builder. Every owner sits in exactly one group, so each worker writes
+// only its own owners' rows.
+//
 //remspan:hotpath
 func (e *tableEnv) shard(w, lo, hi int) {
-	tw := e.workers[w]
-	for b := lo; b < hi; b++ {
-		tw.b.BuildInto(e.g, e.h, e.tables, e.srcOrder[e.starts[b]:e.starts[b+1]])
+	lo, hi = lo*64, hi*64
+	if hi > len(e.owners) {
+		hi = len(e.owners)
 	}
+	e.workers[w].b.BuildInto(e.g, e.h, e.tables, e.owners[lo:hi])
 }
 
+// acquire readies width builder slots for graphs of n vertices. Slots
+// grow lazily to the widest run seen and are then reused.
 func (e *tableEnv) acquire(width, n int) {
 	for len(e.workers) < width {
-		e.workers = append(e.workers, &tableWorker{})
+		e.workers = append(e.workers, &tableWorker{}) //remspan:coldpath worker slots grow to the widest run seen, then are reused
 	}
 	for _, tw := range e.workers[:width] {
 		if tw.b == nil || tw.n < n || (tw.n > halfWidthMaxN && n <= halfWidthMaxN) {
-			tw.b = NewBatchBuilder(n)
+			tw.b = NewBatchBuilder(n) //remspan:coldpath one O(64·n) builder per slot, rebuilt only when the vertex count outgrows it
 			tw.n = n
 		}
 	}
+}
+
+// cluster returns owners in graph.BatchOrder's ball-clustered order
+// over g: the full-graph order filtered by an owner bitmap, O(n+m).
+// Consecutive runs of 64 then come from a few neighbouring balls
+// rather than from all over the graph, as id order would on a
+// geometric graph.
+func (e *tableEnv) cluster(g graph.View, owners []int32) []int32 {
+	order, _ := e.order.Order(g)
+	if owners == nil {
+		return order
+	}
+	words := (g.N() + 63) / 64
+	if cap(e.pick) < words {
+		e.pick = make([]uint64, words) //remspan:coldpath bitmap grows to the largest graph seen, then is reused
+	}
+	pick := e.pick[:words]
+	for _, u := range owners {
+		pick[u>>6] |= 1 << uint(u&63)
+	}
+	e.picked = e.picked[:0]
+	for _, u := range order {
+		if pick[u>>6]&(1<<uint(u&63)) != 0 {
+			e.picked = append(e.picked, u)
+		}
+	}
+	clear(pick)
+	return e.picked
+}
+
+// build constructs the rows of owners (nil: every vertex) into tables
+// — indexed by owner id, rows pre-sized — in ball-clustered groups of
+// 64 spread over width workers (≤ 0: sched.Workers of the group
+// count). A row depends only on (g, h, owner), so the result is
+// bit-identical to BuildTables at every width and for any owner
+// subset.
+//
+//remspan:hotpath
+func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32, width int) {
+	owners = e.cluster(g, owners)
+	groups := (len(owners) + 63) / 64
+	if groups == 0 {
+		return
+	}
+	if width <= 0 {
+		width = sched.Workers(groups)
+	}
+	e.acquire(width, g.N())
+	e.g, e.h, e.tables, e.owners = g, h, tables, owners
+	// One item is a 64-owner sweep: heavy, so shards shrink to single
+	// groups rather than sched's vertex-grained floor.
+	span := groups / (width * 8)
+	if span < 1 {
+		span = 1
+	}
+	e.pool.RunSpan(groups, width, span, e.body)
+	e.g, e.h, e.tables, e.owners = nil, nil, nil, nil
 }
 
 // BuildTablesBatchedInto is BuildTablesBatched into caller-provided
@@ -306,9 +380,7 @@ func BuildTablesBatchedInto(g, h graph.View, tables []Table) {
 
 // buildTablesBatchedWidth is BuildTablesBatchedInto with an explicit
 // worker count (width ≤ 0 means sized to the group count) — the
-// determinism tests' entry point. Each group writes only its own
-// owners' table rows, so the result is bit-identical to BuildTables
-// at every width.
+// determinism tests' entry point.
 func buildTablesBatchedWidth(g, h graph.View, tables []Table, width int) {
 	env := sharedTableEnv
 	if !env.mu.TryLock() {
@@ -316,20 +388,5 @@ func buildTablesBatchedWidth(g, h graph.View, tables []Table, width int) {
 		env.mu.Lock()
 	}
 	defer env.mu.Unlock()
-	n := g.N()
-	env.srcOrder, env.starts = env.order.Order(g)
-	nb := len(env.starts) - 1
-	if width <= 0 {
-		width = sched.Workers(nb)
-	}
-	env.acquire(width, n)
-	env.g, env.h, env.tables = g, h, tables
-	// One item is a 64-owner sweep: heavy, so shards shrink to single
-	// groups rather than sched's vertex-grained floor.
-	span := nb / (width * 8)
-	if span < 1 {
-		span = 1
-	}
-	env.pool.RunSpan(nb, width, span, env.body)
-	env.g, env.h, env.tables, env.srcOrder, env.starts = nil, nil, nil, nil, nil
+	env.build(g, h, tables, nil, width)
 }

@@ -21,6 +21,13 @@ import (
 // lookups lock-free from whichever epoch they entered, unperturbed by
 // in-flight batches (race-pinned by TestStoreConcurrentReaders).
 //
+// Rows are built on the store's own table env (a sched pool and one
+// builder per worker), on the path the cold build uses: the dirty
+// owners in ball-clustered groups of 64, spread over sched.Workers
+// workers. The cold build, RebuildAll and every batch share that path,
+// and the rows are bit-identical at every GOMAXPROCS
+// (TestStorePublishWidths).
+//
 // Reclamation is reader-announced: every Reader publishes the epoch
 // seq it is inside (or idle) in a private atomic slot, and the writer
 // recycles an epoch's replaced rows only once every announced seq has
@@ -41,10 +48,10 @@ import (
 // in the next batch (re-resolution off the hot path). RebuildAll
 // restores global exactness on demand.
 type Store struct {
-	m  *dynamic.Maintainer
-	n  int
-	bb *BatchBuilder
-	h  *SpannerMirror
+	m   *dynamic.Maintainer
+	n   int
+	env *tableEnv // the store's own batched-build env (pool + builders)
+	h   *SpannerMirror
 
 	cur atomic.Pointer[Epoch] //remspan:atomic
 
@@ -64,8 +71,7 @@ type Store struct {
 	rowPool  [][]int32
 	rowsPool [][][]int32
 
-	dirtyBuf             []int32
-	groupNext, groupDist [][]int32
+	dirtyBuf []int32
 }
 
 // Epoch is one published table set. Tables and their rows must not be
@@ -118,21 +124,19 @@ const maxRetired = 32
 func NewStore(m *dynamic.Maintainer) *Store {
 	n := m.Graph().N()
 	st := &Store{
-		m:         m,
-		n:         n,
-		bb:        NewBatchBuilder(n),
-		h:         NewSpannerMirror(n),
-		stale:     make([]atomic.Uint32, (n+31)/32),
-		dirtyBuf:  make([]int32, 0, 256),
-		groupNext: make([][]int32, 0, 64),
-		groupDist: make([][]int32, 0, 64),
+		m:        m,
+		n:        n,
+		env:      newTableEnv(),
+		h:        NewSpannerMirror(n),
+		stale:    make([]atomic.Uint32, (n+31)/32),
+		dirtyBuf: make([]int32, 0, 256),
 	}
 	for u := 0; u < n; u++ {
 		st.h.UpdateTree(u, m.TreeOf(u))
 	}
 	st.h.Freeze()
 	tables := NewTables(n)
-	BuildTablesBatchedInto(m.View(), st.h.View(), tables)
+	st.env.build(m.View(), st.h.View(), tables, nil, 0)
 	ep := &Epoch{tables: tables}
 	ep.seq.Store(1)
 	st.cur.Store(ep)
@@ -241,7 +245,10 @@ func (st *Store) drainStale() {
 }
 
 // publish rebuilds the given owners' rows (sorted, unique) into a new
-// epoch and swaps it in.
+// epoch and swaps it in. The row bookkeeping is serial: each owner
+// takes pooled rows and its old ones retire with the previous epoch.
+// The rows are then built on the store's env — the cold build's path:
+// ball-clustered 64-owner groups spread over sched workers.
 //
 //remspan:hotpath
 func (st *Store) publish(owners []int32) {
@@ -250,24 +257,11 @@ func (st *Store) publish(owners []int32) {
 	ep := st.takeEpoch()
 	copy(ep.tables, cur.tables)
 	ret := retiredEpoch{ep: cur, rows: st.takeRows()}
-	g, h := st.m.View(), st.h.View()
-	for start := 0; start < len(owners); start += 64 {
-		end := start + 64
-		if end > len(owners) {
-			end = len(owners)
-		}
-		group := owners[start:end]
-		st.groupNext = st.groupNext[:0]
-		st.groupDist = st.groupDist[:0]
-		for _, u := range group {
-			next, dist := st.takeRow(), st.takeRow()
-			ret.rows = append(ret.rows, ep.tables[u].Next, ep.tables[u].Dist)
-			ep.tables[u] = Table{Owner: int(u), Next: next, Dist: dist}
-			st.groupNext = append(st.groupNext, next)
-			st.groupDist = append(st.groupDist, dist)
-		}
-		st.bb.buildGroup(g, h, group, st.groupNext, st.groupDist)
+	for _, u := range owners {
+		ret.rows = append(ret.rows, ep.tables[u].Next, ep.tables[u].Dist)
+		ep.tables[u] = Table{Owner: int(u), Next: st.takeRow(), Dist: st.takeRow()}
 	}
+	st.env.build(st.m.View(), st.h.View(), ep.tables, owners, 0)
 	ep.seq.Store(cur.Seq() + 1)
 	ret.seq = ep.Seq()
 	st.cur.Store(ep)

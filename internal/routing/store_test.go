@@ -1,13 +1,18 @@
 package routing
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"remspan/internal/dynamic"
 	"remspan/internal/graph"
+	"remspan/internal/mobility"
 	"remspan/internal/testutil"
 )
 
@@ -19,6 +24,31 @@ func storeFixture(n, extra int, seed int64) (*graph.Graph, *Store) {
 	spec := dynamic.Builders()[0] // kgreedy1
 	m := dynamic.New(g, spec.Radius, spec.Build)
 	return g, NewStore(m)
+}
+
+// mobilityStore builds a kgreedy1 store over a random-waypoint fleet of
+// n nodes on a unit-disk graph of mean degree 8 (the geometry of the
+// cmd/bench fleets), with per-tick speeds in [minSpeed, maxSpeed].
+func mobilityStore(n int, minSpeed, maxSpeed float64, seed int64) (*mobility.Tracker, *Store) {
+	side := math.Sqrt(math.Pi * float64(n) / 8)
+	w := mobility.NewWaypoint(n, side, minSpeed, maxSpeed, rand.New(rand.NewSource(seed)))
+	tr := mobility.NewTracker(w, 1)
+	spec := dynamic.Builders()[0]
+	return tr, NewStore(dynamic.New(tr.Graph(), spec.Radius, spec.Build))
+}
+
+// trackerBatch turns the tracker's next tick into a change batch,
+// reusing buf.
+func trackerBatch(tr *mobility.Tracker, buf []dynamic.Change) []dynamic.Change {
+	added, removed := tr.Tick()
+	buf = buf[:0]
+	for _, p := range removed {
+		buf = append(buf, dynamic.Change{Kind: dynamic.RemoveEdge, U: int(p[0]), V: int(p[1])})
+	}
+	for _, p := range added {
+		buf = append(buf, dynamic.Change{Kind: dynamic.AddEdge, U: int(p[0]), V: int(p[1])})
+	}
+	return buf
 }
 
 // churnPool returns distinct candidate pairs for toggling.
@@ -263,31 +293,138 @@ func TestStoreConcurrentReaders(t *testing.T) {
 }
 
 // TestStoreApplyBatchZeroAlloc pins the warm-tick writer path
-// allocation-free: a closed add+remove toggle batch (net-zero change,
-// full dirty-ball rebuild) with prompt/idle readers must recycle every
-// buffer through the reclamation pools.
+// allocation-free: a closed batch of add+remove toggles (net-zero
+// change) whose dirty balls fill more than one 64-owner group, with
+// prompt/idle readers, must recycle every buffer through the
+// reclamation pools — serially at GOMAXPROCS 1 and on the parallel
+// publish fan-out at GOMAXPROCS 2.
 func TestStoreApplyBatchZeroAlloc(t *testing.T) {
 	g, st := storeFixture(90, 140, 6)
-	// A closed batch: add a fresh edge, then remove it again.
-	u, v := -1, -1
-	for a := 0; a < g.N() && u < 0; a++ {
-		for b := a + 2; b < g.N(); b++ {
-			if !g.HasEdge(a, b) {
-				u, v = a, b
-				break
-			}
+	// A closed batch: add fresh edges across the graph, then remove them
+	// again.
+	var batch []dynamic.Change
+	for a := 0; a < g.N() && len(batch) < 12; a += 7 {
+		if b := (a + g.N()/2) % g.N(); !g.HasEdge(a, b) {
+			batch = append(batch, dynamic.Change{Kind: dynamic.AddEdge, U: a, V: b})
 		}
 	}
-	batch := []dynamic.Change{
-		{Kind: dynamic.AddEdge, U: u, V: v},
-		{Kind: dynamic.RemoveEdge, U: u, V: v},
+	for i := len(batch) - 1; i >= 0; i-- {
+		batch = append(batch, dynamic.Change{Kind: dynamic.RemoveEdge, U: batch[i].U, V: batch[i].V})
 	}
 	for i := 0; i < 6; i++ { // warm pools, delta rows, map buckets
 		st.ApplyBatch(batch)
 	}
+	if k := len(st.DirtyOwners()); k <= 64 {
+		t.Fatalf("batch dirties %d owners, want more than one group of 64", k)
+	}
 	testutil.PinAllocs(t, "warm ApplyBatch", 10, func() {
 		st.ApplyBatch(batch)
 	})
+	testutil.PinAllocsAt(t, "warm parallel ApplyBatch", 2, 10, func() {
+		st.ApplyBatch(batch)
+	})
+}
+
+// TestStorePublishWidths pins the publish fan-out at GOMAXPROCS 1, 2
+// and 7 on mobility churn whose batches dirty more than two groups of
+// owners: every dirty row is bit-identical to the scalar builder, every
+// clean row is carried over by reference, and DirtyOwners — owners
+// marked stale through MarkStale included — is sorted, unique and the
+// same at every width.
+func TestStorePublishWidths(t *testing.T) {
+	const n, ticks = 500, 6
+	var want [][]int32 // DirtyOwners per tick at the first width
+	for _, procs := range []int{1, 2, 7} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tr, st := mobilityStore(n, 0.01, 0.05, 21)
+			m := st.Maintainer()
+			tablesEqual(t, fmt.Sprintf("GOMAXPROCS=%d cold", procs),
+				BuildTables(m.Graph(), m.Spanner().Graph()), st.Epoch().Tables())
+			scratch := NewTableScratch(n)
+			next, dist := make([]int32, n), make([]int32, n)
+			var batch []dynamic.Change
+			most := 0
+			for tick := 0; tick < ticks; tick++ {
+				var marked []int32
+				if tick%2 == 1 {
+					for u := tick; u < n; u += 37 {
+						st.MarkStale(u)
+						marked = append(marked, int32(u))
+					}
+				}
+				batch = trackerBatch(tr, batch)
+				if tick == ticks-1 {
+					batch = batch[:0] // the stale marks alone must republish
+				}
+				prev := st.Epoch()
+				expect := marked
+				if st.ApplyBatch(batch) > 0 {
+					expect = append(expect, m.DirtyRoots()...)
+				}
+				slices.Sort(expect)
+				expect = slices.Compact(expect)
+				owners := st.DirtyOwners()
+				ctx := fmt.Sprintf("GOMAXPROCS=%d tick %d", procs, tick)
+				if !slices.Equal(owners, expect) {
+					t.Fatalf("%s: DirtyOwners is not the sorted union of dirty roots and stale marks", ctx)
+				}
+				most = max(most, len(owners))
+				ep := st.Epoch()
+				dirty := make([]bool, n)
+				for _, u := range owners {
+					dirty[u] = true
+				}
+				for u := 0; u < n; u++ {
+					tab, old := ep.Tables()[u], prev.Tables()[u]
+					if !dirty[u] {
+						if &tab.Next[0] != &old.Next[0] || &tab.Dist[0] != &old.Dist[0] {
+							t.Fatalf("%s: clean owner %d was rebuilt or copied", ctx, u)
+						}
+						continue
+					}
+					scratch.BuildTableInto(m.Graph(), st.h.g, u, next, dist)
+					if tab.Owner != u || !slices.Equal(tab.Next, next) || !slices.Equal(tab.Dist, dist) {
+						t.Fatalf("%s: dirty owner %d differs from the scalar build", ctx, u)
+					}
+				}
+				if procs == 1 {
+					want = append(want, slices.Clone(owners))
+				} else if !slices.Equal(owners, want[tick]) {
+					t.Fatalf("%s: dirty owners differ from GOMAXPROCS=1", ctx)
+				}
+			}
+			if most <= 128 {
+				t.Fatalf("GOMAXPROCS=%d: largest batch dirtied %d owners, want > 128", procs, most)
+			}
+		}()
+	}
+}
+
+// BenchmarkStoreApplyBatch times one writer tick (one op) of mobility
+// churn at the cmd/bench fleet-churn geometry — n=1000, mean degree 8,
+// speeds 0.01–0.05, ~900 dirty owners a tick — through
+// Store.ApplyBatch: maintainer repair plus publish. The tracker's diff
+// runs outside the timer. Run it with -cpu 1,2 to see the publish
+// fan-out scale.
+func BenchmarkStoreApplyBatch(b *testing.B) {
+	tr, st := mobilityStore(1000, 0.01, 0.05, 1)
+	var batch []dynamic.Change
+	for i := 0; i < 3; i++ { // warm pools and builders
+		batch = trackerBatch(tr, batch)
+		st.ApplyBatch(batch)
+	}
+	dirty := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch = trackerBatch(tr, batch)
+		b.StartTimer()
+		st.ApplyBatch(batch)
+		dirty += len(st.DirtyOwners())
+	}
+	b.ReportMetric(float64(dirty)/float64(b.N), "dirty/tick")
 }
 
 // TestStoreReclamationUnderReaderStall pins safety over throughput: a

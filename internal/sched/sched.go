@@ -60,6 +60,15 @@
 // parallel run and then park on a channel; each subsystem owns its
 // pool (a shared pool would serialize independent subsystems, because
 // Run is mutually exclusive per pool).
+//
+// # Pool lifetime
+//
+// A Pool needs no Close. Its helpers reach only the pool's core, a
+// separate allocation, never the Pool itself, so a parked helper does
+// not keep the Pool — or the struct it is embedded in — alive. A
+// finalizer on a sentinel that only the Pool references closes the
+// helpers' wake channels once the Pool is unreachable, and the helpers
+// exit (pinned by TestPoolOwnerCollected).
 package sched
 
 import (
@@ -140,11 +149,19 @@ type cursor struct {
 // ready to use. Helper goroutines are spawned lazily up to the widest
 // run seen and then park between runs; Run is mutually exclusive per
 // pool (concurrent callers queue), so give independent subsystems
-// independent pools.
+// independent pools. Dropping a Pool stops its helpers (see the
+// package comment on pool lifetime).
 type Pool struct {
-	mu sync.Mutex // serializes runs; guards helper spawning
+	mu   sync.Mutex // serializes runs; guards helper spawning
+	c    *core      // job and helpers, allocated on the first parallel run
+	stop *stopper   // finalizer sentinel: reachable only through the Pool
+}
 
-	// Current job, written under mu before helpers are woken.
+// core is the part of a Pool its helper goroutines reach. It lives in
+// its own allocation so that a parked helper pins the core, not the
+// Pool or its owner.
+type core struct {
+	// Current job, written under Pool.mu before helpers are woken.
 	body     func(w, lo, hi int)
 	items    int
 	span     int
@@ -154,6 +171,17 @@ type Pool struct {
 
 	wake []chan struct{} // helper i serves worker id i+1 when signaled
 	wg   sync.WaitGroup
+}
+
+// stopper is the Pool's finalizer sentinel. Helpers never reach it, so
+// it becomes unreachable together with the Pool; its finalizer then
+// closes every wake channel and the parked helpers return.
+type stopper struct{ c *core }
+
+func (s *stopper) release() {
+	for _, ch := range s.c.wake {
+		close(ch)
+	}
 }
 
 // Run executes body over the item range [0, items), partitioned into
@@ -185,43 +213,54 @@ func (p *Pool) RunSpan(items, width, span int, body func(w, lo, hi int)) {
 		return
 	}
 	p.mu.Lock()
-	p.body, p.items, p.span, p.width = body, items, span, width
-	//remspan:coldpath cursor arrays grow to the widest width seen, then are reused
-	if cap(p.cursors) < width {
-		p.cursors = make([]cursor, width)
-		p.blockEnd = make([]int64, width)
+	//remspan:coldpath the core and its sentinel are allocated once per pool, on its first parallel run
+	if p.c == nil {
+		p.c = &core{}
+		p.stop = &stopper{c: p.c}
+		runtime.SetFinalizer(p.stop, (*stopper).release)
 	}
-	p.cursors = p.cursors[:width]
-	p.blockEnd = p.blockEnd[:width]
+	p.c.run(items, width, span, shards, body)
+	p.mu.Unlock() // p stays live past run, so the sentinel cannot be finalized mid-job
+}
+
+// run executes one parallel job; the caller holds Pool.mu.
+func (c *core) run(items, width, span, shards int, body func(w, lo, hi int)) {
+	c.body, c.items, c.span, c.width = body, items, span, width
+	//remspan:coldpath cursor arrays grow to the widest width seen, then are reused
+	if cap(c.cursors) < width {
+		c.cursors = make([]cursor, width)
+		c.blockEnd = make([]int64, width)
+	}
+	c.cursors = c.cursors[:width]
+	c.blockEnd = c.blockEnd[:width]
 	for w := 0; w < width; w++ {
-		p.cursors[w].pos.Store(int64(w * shards / width))
-		p.blockEnd[w] = int64((w + 1) * shards / width)
+		c.cursors[w].pos.Store(int64(w * shards / width))
+		c.blockEnd[w] = int64((w + 1) * shards / width)
 	}
 	//remspan:coldpath helper goroutines spawn once per pool lifetime, then park between runs
-	for len(p.wake) < width-1 {
-		id := len(p.wake) + 1
+	for len(c.wake) < width-1 {
+		id := len(c.wake) + 1
 		ch := make(chan struct{}, 1)
-		p.wake = append(p.wake, ch)
-		go p.serve(id, ch)
+		c.wake = append(c.wake, ch)
+		go c.serve(id, ch)
 	}
-	p.wg.Add(width - 1)
+	c.wg.Add(width - 1)
 	for i := 0; i < width-1; i++ {
-		p.wake[i] <- struct{}{}
+		c.wake[i] <- struct{}{}
 	}
-	p.work(0)
-	p.wg.Wait()
-	p.body = nil // release the closure between runs
-	p.mu.Unlock()
+	c.work(0)
+	c.wg.Wait()
+	c.body = nil // release the closure between runs
 }
 
 // serve is a parked helper goroutine: each wake signal is one run it
-// participates in as worker id.
-func (p *Pool) serve(id int, ch chan struct{}) {
+// participates in as worker id. It returns when the stopper closes ch.
+func (c *core) serve(id int, ch chan struct{}) {
 	for range ch {
-		if id < p.width {
-			p.work(id)
+		if id < c.width {
+			c.work(id)
 		}
-		p.wg.Done()
+		c.wg.Done()
 	}
 }
 
@@ -229,10 +268,10 @@ func (p *Pool) serve(id int, ch chan struct{}) {
 // blocks in ring order until every cursor is exhausted.
 //
 //remspan:hotpath
-func (p *Pool) work(w int) {
-	p.drain(w, w)
-	for off := 1; off < p.width; off++ {
-		p.drain(w, (w+off)%p.width)
+func (c *core) work(w int) {
+	c.drain(w, w)
+	for off := 1; off < c.width; off++ {
+		c.drain(w, (w+off)%c.width)
 	}
 }
 
@@ -242,18 +281,18 @@ func (p *Pool) work(w int) {
 // workers scan past them).
 //
 //remspan:hotpath
-func (p *Pool) drain(w, v int) {
-	end := p.blockEnd[v]
-	for p.cursors[v].pos.Load() < end {
-		s := p.cursors[v].pos.Add(1) - 1
+func (c *core) drain(w, v int) {
+	end := c.blockEnd[v]
+	for c.cursors[v].pos.Load() < end {
+		s := c.cursors[v].pos.Add(1) - 1
 		if s >= end {
 			return
 		}
-		lo := int(s) * p.span
-		hi := lo + p.span
-		if hi > p.items {
-			hi = p.items
+		lo := int(s) * c.span
+		hi := lo + c.span
+		if hi > c.items {
+			hi = c.items
 		}
-		p.body(w, lo, hi)
+		c.body(w, lo, hi)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"remspan/internal/testutil"
 )
@@ -170,5 +171,41 @@ func TestRunsAreReusableAcrossWidths(t *testing.T) {
 	var p Pool
 	for _, width := range []int{5, 1, 3, 8, 2} {
 		coverage(t, &p, 5000, width, 64)
+	}
+}
+
+// poolOwner stands for any struct that embeds a Pool by value (a
+// maintainer, an engine, a pooled env).
+type poolOwner struct {
+	pool Pool
+	rows []int32
+}
+
+// TestPoolOwnerCollected pins the pool lifetime rule: a struct embedding
+// a Pool that ran a parallel job is collected once unreachable, and the
+// pool's parked helpers exit with it.
+func TestPoolOwnerCollected(t *testing.T) {
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	collected := make(chan struct{})
+	func() {
+		o := &poolOwner{rows: make([]int32, 1024)}
+		runtime.SetFinalizer(o, func(*poolOwner) { close(collected) })
+		o.pool.Run(4096, 2, func(w, lo, hi int) {})
+	}()
+	// The owner's finalizer keeps what it reaches alive for one more
+	// cycle, so the pool's own sentinel is finalized a cycle later.
+	deadline := time.Now().Add(10 * time.Second)
+	for done := false; !done || runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("owner collected %v; goroutines %d, want <= %d", done, runtime.NumGoroutine(), before)
+		}
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		default:
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
