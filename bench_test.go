@@ -284,6 +284,10 @@ func BenchmarkAblationGreedyVsMIS(b *testing.B) {
 	})
 }
 
+// snapshotSink keeps the snapshot ablation arm's re-snapshot live, so
+// the compiler cannot drop it.
+var snapshotSink *graph.CSR
+
 // Incremental spanner maintenance per change: the snapshot-free delta
 // path (single and batched) vs the snapshot-per-change ablation vs full
 // recomputation.
@@ -293,16 +297,15 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	build := func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
 		return domtree.KGreedyCSR(c, s, u, 1)
 	}
-	toggle := func(m *dynamic.Maintainer, rng *rand.Rand) {
+	toggle := func(m *dynamic.Maintainer, rng *rand.Rand) bool {
 		u, v := rng.Intn(g.N()), rng.Intn(g.N())
 		if u == v {
-			return
+			return false
 		}
 		if m.Graph().HasEdge(u, v) {
-			m.RemoveEdge(u, v)
-		} else {
-			m.AddEdge(u, v)
+			return m.RemoveEdge(u, v)
 		}
+		return m.AddEdge(u, v)
 	}
 	b.Run("incremental-delta", func(b *testing.B) {
 		m := dynamic.New(g, 1, build)
@@ -337,13 +340,17 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		}
 	})
 	b.Run("incremental-snapshot", func(b *testing.B) {
+		// The pre-delta baseline: every applied change also pays the
+		// O(n+m) CSR re-snapshot the maintainer took before it patched
+		// a delta in place.
 		m := dynamic.New(g, 1, build)
-		m.SetSnapshotPerChange(true)
 		rng := rand.New(rand.NewSource(2))
 		b.ResetTimer()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			toggle(m, rng)
+			if toggle(m, rng) {
+				snapshotSink = graph.NewCSR(m.Graph())
+			}
 		}
 	})
 	b.Run("full-rebuild", func(b *testing.B) {

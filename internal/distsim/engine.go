@@ -1,32 +1,28 @@
 package distsim
 
 import (
-	"fmt"
-	"runtime"
 	"slices"
 
-	"remspan/internal/domtree"
 	"remspan/internal/dynamic"
 	"remspan/internal/graph"
-	"remspan/internal/sched"
 )
 
 // TreeBuilder builds the dominating tree for a root on a graph.View —
-// the production domtree *CSR builders. The engine hands each builder
-// the ball-extracted local view of its root (what the node learned from
-// flooding), so the build is exactly the node-local computation of
-// Algorithm 3; the locality contract guarantees it equals the
-// centralized result (pinned by FuzzDistsimEquivalence). The signature
-// matches dynamic.TreeBuilder, so dynamic.Builders() parameterizes both
-// pipelines.
-type TreeBuilder func(c graph.View, s *domtree.Scratch, u int) *graph.Tree
+// the production domtree *CSR builders. It is dynamic.TreeBuilder, so
+// dynamic.Builders() parameterizes both pipelines. The engine's
+// maintainer runs it on the global patched snapshot; the locality
+// contract makes that tree equal to the node-local computation of
+// Algorithm 3 on the root's flooded ball (the locality oracle of
+// FuzzDistsimEquivalence).
+type TreeBuilder = dynamic.TreeBuilder
 
 // Result summarizes a RemSpan run (either engine). A fast-engine
-// Result shares the engine's tree storage and topology view rather
-// than copying them, so it — in particular CheckIncidentKnowledge on
-// it — is valid only until the engine's next Run or Reflood (H and
-// TreeEdges are snapshots and stay valid). RunRemSpan results are
-// never invalidated: the helper's engine is not retained.
+// Result shares the engine's maintainer — its tree storage and
+// topology view — rather than copying them, so it, in particular
+// CheckIncidentKnowledge on it, is valid only until the engine's next
+// Run or Reflood (H and TreeEdges are snapshots and stay valid).
+// RunRemSpan results are never invalidated: the helper's engine is not
+// retained.
 type Result struct {
 	Rounds    int            // total synchronous rounds: 2(r−1+β)+1
 	Messages  int64          // point-to-point messages sent
@@ -35,238 +31,92 @@ type Result struct {
 	TreeEdges []int          // per-root tree sizes
 
 	// Fast-engine state for incident-knowledge verification.
-	view   graph.View
-	radius int
-	trees  [][]int32 // per-root (child, parent) pairs
+	m *dynamic.Maintainer
 
 	// Reference-engine state: per node, the spanner edges it learned it
 	// belongs to, gathered message by message.
 	incident []*graph.EdgeSet
 }
 
-// engineWorker is the per-goroutine state of the fan-out passes: ball
-// extraction, tree construction, bounded traffic sweeps and local
-// message/word tallies, merged once per pass.
-type engineWorker struct {
-	ball    *graph.BallScratch
-	scratch *domtree.Scratch
-	bfs     *graph.BFSScratch
-	treeBuf []int32
-	msgs    int64
-	words   int64
-}
-
-func newEngineWorker(n int) *engineWorker {
-	return &engineWorker{
-		ball:    graph.NewBallScratch(n),
-		scratch: domtree.NewScratch(n),
-		bfs:     graph.NewBFSScratch(n),
-	}
-}
-
-// Engine is the allocation-conscious RemSpan simulation engine: flat
-// per-root tree storage, pooled per-worker scratch (ball sub-CSR
-// extraction, domtree scratch, bounded-BFS traffic sweeps), and a
-// patched CSRDelta view of the live topology. A fresh engine runs the
-// full protocol (Run); a live network then feeds it topology diffs
-// (Reflood) and only the dirty roots recompute and re-advertise.
+// Engine is the RemSpan traffic accountant over one
+// dynamic.Maintainer. The maintainer owns the topology (mutable mirror
+// plus patched CSRDelta), the per-root trees and the dirty-root
+// repair; the engine turns what the maintainer did into protocol
+// traffic. A fresh engine runs the full protocol (Run); a live network
+// then feeds it topology diffs (Reflood) and only the dirty roots
+// recompute and re-advertise.
 //
 // Traffic is not counted by materializing messages: synchronous
 // flooding with duplicate suppression is fully determined by the ball
 // structure — node u forwards the neighbor list (and later the tree) of
-// every source within distance R−1 exactly once — so the per-node
-// tallies are computed from bounded BFS sweeps. The message-level
-// reference engine (RunRemSpanReference) pins the equality.
+// every source within distance R−1 exactly once — so the tallies are
+// computed from bounded BFS sweeps. The message-level reference engine
+// (RunRemSpanReference) pins the equality.
 type Engine struct {
-	g      *graph.Graph    // mutable mirror (dirty sweeps, API reads)
-	delta  *graph.CSRDelta // patched snapshot the builders and sweeps read
-	base   *graph.CSR      // the initial snapshot (EdgeMarks fast path)
+	clone  *graph.Graph // NewEngine's copy of the input, until it seeds m
 	radius int
 	build  TreeBuilder
-
-	trees   [][]int32 // per-root (child, parent) pairs, capacity reused
-	dirty   *graph.BFSScratch
-	workers []*engineWorker
-	patched bool // any change applied since the base snapshot
-
-	// Reusable live-tick state.
-	readv      []int32 // vertices whose adjacency changed this tick
-	readvMark  []uint32
-	readvEpoch uint32
-	refloods   []int32 // dirty roots whose tree actually changed
-	changedBuf []bool  // per-dirty-root rebuild results, capacity reused
+	m      *dynamic.Maintainer // created, with every tree, by the first Run or Reflood
+	bfs    *graph.BFSScratch   // flood-cost sweeps
 
 	// Lossy re-flood state: roots whose re-advertisement was dropped,
 	// retransmitted (rebuilt against the then-current topology) next
 	// tick. Buffers reused across ticks.
 	pend, pendNext []int32
 	rootsBuf       []int32
-
-	// Shard-scheduler fan-out state.
-	pool       sched.Pool
-	job        func(w *engineWorker, i int) // per-run job the shard body reads
-	fanBody    func(w, lo, hi int)          // prebound shard body
-	forceWidth int                          // test hook: >0 overrides the worker count
 }
 
 // NewEngine returns an engine over a clone of g. radius is the
-// protocol's flooding radius R = r−1+β.
+// protocol's flooding radius R = r−1+β. No tree is built until the
+// first Run or Reflood.
 func NewEngine(g *graph.Graph, radius int, build TreeBuilder) *Engine {
 	if radius < 1 {
 		panic("distsim: flooding radius must be >= 1")
 	}
-	n := g.N()
-	e := &Engine{
-		g:         g.Clone(),
-		base:      graph.NewCSR(g),
-		radius:    radius,
-		build:     build,
-		trees:     make([][]int32, n),
-		dirty:     graph.NewBFSScratch(n),
-		readvMark: make([]uint32, n),
+	return &Engine{clone: g.Clone(), radius: radius, build: build}
+}
+
+// start creates the maintainer from the engine's clone — building
+// every root's tree — unless it exists, and reports whether it did.
+func (e *Engine) start() bool {
+	if e.m != nil {
+		return false
 	}
-	e.delta = graph.NewCSRDelta(e.base)
-	return e
+	e.m = dynamic.New(e.clone, e.radius, e.build)
+	e.clone = nil
+	e.bfs = graph.NewBFSScratch(e.m.Graph().N())
+	return true
 }
 
 // Graph returns the engine's current topology (do not mutate directly —
 // feed changes through Reflood).
-func (e *Engine) Graph() *graph.Graph { return e.g }
+func (e *Engine) Graph() *graph.Graph {
+	if e.m == nil {
+		return e.clone
+	}
+	return e.m.Graph()
+}
 
 // Radius returns the flooding radius R.
 func (e *Engine) Radius() int { return e.radius }
 
-// TreeOf returns root u's current tree as flat (child, parent) pairs
-// (shared slice, valid until the next Run/Reflood).
-func (e *Engine) TreeOf(u int) []int32 { return e.trees[u] }
+// TreeOf returns root u's current tree as (child, parent) pairs
+// (shared slice, valid until the next Run/Reflood; nil before the
+// first).
+func (e *Engine) TreeOf(u int) [][2]int32 {
+	if e.m == nil {
+		return nil
+	}
+	return e.m.TreeOf(u)
+}
 
-// Spanner materializes the current union-of-trees spanner.
+// Spanner materializes the current union-of-trees spanner (empty before
+// the first Run/Reflood).
 func (e *Engine) Spanner() *graph.EdgeSet {
-	es := graph.NewEdgeSet(e.g.N())
-	for _, pairs := range e.trees {
-		for i := 0; i+1 < len(pairs); i += 2 {
-			es.Add(int(pairs[i]), int(pairs[i+1]))
-		}
+	if e.m == nil {
+		return graph.NewEdgeSet(e.clone.N())
 	}
-	return es
-}
-
-func (e *Engine) ensureWorkers(k int) []*engineWorker {
-	for len(e.workers) < k {
-		e.workers = append(e.workers, newEngineWorker(e.g.N()))
-	}
-	return e.workers[:k]
-}
-
-// workerCount sizes a fan-out over jobs roots: serial below the batch
-// threshold (the dynamic.ApplyBatch pattern), one worker per core
-// otherwise.
-func workerCount(jobs int) int {
-	const parallelThreshold = 32
-	if jobs < parallelThreshold {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > jobs {
-		w = jobs
-	}
-	return w
-}
-
-// fanShard runs the per-run job over indices [lo, hi) on worker w's
-// pooled engineWorker. Jobs write per-index slots or worker-local
-// tallies, so the stealing schedule cannot affect results.
-//
-//remspan:hotpath
-func (e *Engine) fanShard(w, lo, hi int) {
-	wrk := e.workers[w]
-	for i := lo; i < hi; i++ {
-		e.job(wrk, i)
-	}
-}
-
-// fanOut runs job(worker, index) for every index in [0, jobs) across
-// the engine's worker pool on the shard scheduler, serially when the
-// batch is small (the steady-state live-tick path — zero allocations,
-// no synchronization).
-func (e *Engine) fanOut(jobs int, job func(w *engineWorker, i int)) {
-	nw := workerCount(jobs)
-	if e.forceWidth > 0 && jobs > 0 {
-		if nw = e.forceWidth; nw > jobs {
-			nw = jobs
-		}
-	}
-	workers := e.ensureWorkers(nw)
-	if nw == 1 {
-		w := workers[0]
-		for i := 0; i < jobs; i++ {
-			job(w, i)
-		}
-		return
-	}
-	if e.fanBody == nil {
-		e.fanBody = e.fanShard
-	}
-	e.job = job
-	// Ball extraction + tree build per index: heavy items, fine shards.
-	span := jobs / (nw * 8)
-	if span < 1 {
-		span = 1
-	}
-	e.pool.RunSpan(jobs, nw, span, e.fanBody)
-	e.job = nil
-}
-
-// rebuildRoot recomputes root u's tree from its ball-extracted local
-// view and stores the (child, parent) pairs in global ids, reporting
-// whether the tree changed. The depth check enforces the protocol
-// invariant the tree-flooding accounting and incident-knowledge
-// argument rest on: a flooded tree never outgrows the flooding radius.
-func (w *engineWorker) rebuildRoot(e *Engine, u int) bool {
-	local, root, members := w.ball.Extract(e.delta, u, e.radius)
-	t := e.build(local, w.scratch, root)
-	buf := w.treeBuf[:0]
-	for _, lv := range t.Nodes() {
-		if int(t.Depth(int(lv))) > e.radius {
-			panic(fmt.Sprintf("distsim: tree of root %d deeper than flooding radius %d", u, e.radius))
-		}
-		if lp := t.Parent(int(lv)); lp >= 0 {
-			buf = append(buf, members[lv], members[lp])
-		}
-	}
-	w.treeBuf = buf
-	if slices.Equal(buf, e.trees[u]) {
-		return false
-	}
-	e.trees[u] = append(e.trees[u][:0], buf...)
-	return true
-}
-
-// tallyRoot adds node u's share of the protocol traffic: one hello
-// broadcast, plus one forward of the neighbor list and one of the tree
-// of every source within distance R−1 (the sources u has learned by the
-// round it still has forwarding rounds left for — synchronous flooding
-// with duplicate suppression forwards each item exactly once).
-func (w *engineWorker) tallyRoot(e *Engine, u int) {
-	degU := int64(e.delta.Degree(u))
-	if degU == 0 {
-		return
-	}
-	w.msgs += degU      // hello broadcast
-	w.words += 3 * degU // [id] + 2 framing words
-	if e.radius == 1 {
-		// B(u, 0) = {u}: forward own list and own tree only.
-		w.msgs += 2 * degU
-		w.words += degU * (degU + 4)
-		w.words += degU * (2*int64(len(e.trees[u])/2) + 4)
-		return
-	}
-	_, _, visited := w.bfs.BoundedView(e.delta, u, e.radius-1)
-	for _, src := range visited {
-		w.msgs += 2 * degU
-		w.words += degU * (int64(e.delta.Degree(int(src))) + 4)
-		w.words += degU * (2*int64(len(e.trees[src])/2) + 4)
-	}
+	return e.m.Spanner()
 }
 
 // Run executes the full protocol on the current topology: every root
@@ -274,49 +124,33 @@ func (w *engineWorker) tallyRoot(e *Engine, u int) {
 // union, and the traffic of the hello round, R topology-flooding rounds
 // and R tree-flooding rounds is tallied. Rounds = 2R+1 independent of
 // the graph — the paper's headline claim.
+//
+// The tally is summed per source rather than per forwarding node: node
+// u forwards the list and tree of x exactly when x ∈ B(u, R−1), which
+// holds exactly when u ∈ B(x, R−1), so each source x contributes its
+// hello plus one flood of its list (deg(x)+4 words) and tree
+// (2|T_x|+4 words), two messages per forwarding link.
 func (e *Engine) Run() *Result {
-	n := e.g.N()
-	e.fanOut(n, func(w *engineWorker, u int) {
-		w.rebuildRoot(e, u)
-	})
-	for _, w := range e.workers {
-		w.msgs, w.words = 0, 0
+	if !e.start() {
+		e.m.RebuildAll()
 	}
-	e.fanOut(n, func(w *engineWorker, u int) {
-		w.tallyRoot(e, u)
-	})
+	n := e.m.Graph().N()
 	res := &Result{
 		Rounds:    2*e.radius + 1,
-		H:         e.spannerSet(),
+		H:         e.m.Spanner(),
 		TreeEdges: make([]int, n),
-		view:      e.delta,
-		radius:    e.radius,
-		trees:     e.trees,
+		m:         e.m,
 	}
-	for u := 0; u < n; u++ {
-		res.TreeEdges[u] = len(e.trees[u]) / 2
-	}
-	for _, w := range e.workers {
-		res.Messages += w.msgs
-		res.Words += w.words
+	view := e.m.View()
+	for x := 0; x < n; x++ {
+		degX := int64(view.Degree(x))
+		treeX := len(e.m.TreeOf(x))
+		res.TreeEdges[x] = treeX
+		fm, fw := e.floodCost(x, (degX+4)+(2*int64(treeX)+4))
+		res.Messages += degX + 2*fm // hello broadcast, then list and tree
+		res.Words += 3*degX + fw    // hello: [id] + 2 framing words
 	}
 	return res
-}
-
-// spannerSet unions the trees — via allocation-free CSR edge marks
-// while the engine still sits on its base snapshot, via the edge set
-// directly once the topology has been patched.
-func (e *Engine) spannerSet() *graph.EdgeSet {
-	if e.patched {
-		return e.Spanner()
-	}
-	marks := graph.NewEdgeMarks(e.base)
-	for _, pairs := range e.trees {
-		for i := 0; i+1 < len(pairs); i += 2 {
-			marks.Add(int(pairs[i]), int(pairs[i+1]))
-		}
-	}
-	return marks.EdgeSet()
 }
 
 // RunRemSpan executes Algorithm 3 on every node of g simultaneously
@@ -351,16 +185,15 @@ func CheckIncidentKnowledge(res *Result) int {
 	bfs := graph.NewBFSScratch(n)
 	var heard []int32
 	for u := 0; u < n; u++ {
-		_, _, roots := bfs.BoundedView(res.view, u, res.radius)
+		_, _, roots := bfs.BoundedView(res.m.View(), u, res.m.Radius())
 		heard = heard[:0]
 		for _, w := range roots {
-			for pairs, i := res.trees[w], 0; i+1 < len(pairs); i += 2 {
-				a, b := pairs[i], pairs[i+1]
+			for _, e := range res.m.TreeOf(int(w)) {
 				switch {
-				case int(a) == u:
-					heard = append(heard, b)
-				case int(b) == u:
-					heard = append(heard, a)
+				case int(e[0]) == u:
+					heard = append(heard, e[1])
+				case int(e[1]) == u:
+					heard = append(heard, e[0])
 				}
 			}
 		}
@@ -427,33 +260,13 @@ type TickStats struct {
 	FullWords  int64
 }
 
-// beginTick starts a new epoch of the changed-vertex accumulator.
-func (e *Engine) beginTick() {
-	if e.readvEpoch >= 1<<31 {
-		for i := range e.readvMark {
-			e.readvMark[i] = 0
-		}
-		e.readvEpoch = 0
-	}
-	e.readvEpoch++
-	e.readv = e.readv[:0]
-	e.refloods = e.refloods[:0]
-}
-
-func (e *Engine) noteReadv(x int) {
-	if e.readvMark[x] != e.readvEpoch {
-		e.readvMark[x] = e.readvEpoch
-		e.readv = append(e.readv, int32(x))
-	}
-}
-
 // Reflood applies a batch of topology changes and simulates the
 // incremental re-advertisement a live RemSpan deployment performs:
-// vertices whose adjacency changed re-flood their neighbor lists to
-// radius R, and the dirty roots — accumulated by the exact radius-R
-// (R+1 for vertex failures) dirty-ball rule of dynamic.ApplyChange —
-// recompute their trees from their refreshed local views and re-flood
-// only the trees that changed. Non-dirty roots keep their trees by the
+// vertices whose adjacency changed (the maintainer's Touched set)
+// re-flood their neighbor lists to radius R, and the dirty roots —
+// accumulated by the maintainer's exact radius-R (R+1 for vertex
+// failures) dirty-ball rule — recompute their trees and re-flood only
+// the trees that changed. Non-dirty roots keep their trees by the
 // locality argument, so after every tick the engine's spanner is
 // bit-identical to a full recomputation (pinned against
 // dynamic.Maintainer ground truth in tests).
@@ -475,35 +288,18 @@ func (e *Engine) Reflood(changes []dynamic.Change) TickStats {
 // counted in TickStats.Lost and merged into the next tick's due set,
 // so once the loss stops the spanner reconverges to the maintainer
 // ground truth within one tick (pinned by
-// TestRefloodLossyConvergence). A nil drop is exactly Reflood.
+// TestRefloodLossyConvergence). A dropped root keeps its old tree in
+// the maintainer until it retransmits, so the engine's spanner stays
+// the network's view of it. A nil drop is exactly Reflood.
 func (e *Engine) RefloodLossy(changes []dynamic.Change, drop func(root int32) bool) TickStats {
-	e.beginTick()
-	e.dirty.ResetUnion()
+	e.start()
 	var st TickStats
-	for _, ch := range changes {
-		if ch.Kind == dynamic.FailVertex {
-			// Capture the pre-change neighborhood: those vertices lose a
-			// link and must re-advertise too.
-			for _, v := range e.g.Neighbors(ch.U) {
-				e.noteReadv(int(v))
-			}
-		}
-		if dynamic.ApplyChange(e.g, e.delta, e.dirty, e.radius, ch) {
-			st.Applied++
-			e.noteReadv(ch.U)
-			if ch.Kind != dynamic.FailVertex {
-				e.noteReadv(ch.V)
-			}
-		}
-	}
+	st.Applied = e.m.Apply(changes)
 	if st.Applied == 0 && len(e.pend) == 0 {
 		return st
 	}
-	if st.Applied > 0 {
-		e.patched = true
-	}
 
-	roots := e.dirty.UnionSorted()
+	roots := e.m.DirtyRoots()
 	if len(e.pend) > 0 || drop != nil {
 		// Work on an engine-owned copy: merge in last tick's lost
 		// roots, then carve out this tick's losses. The scratch-owned
@@ -529,53 +325,26 @@ func (e *Engine) RefloodLossy(changes []dynamic.Change, drop func(root int32) bo
 	} else {
 		st.DirtyRoots = len(roots)
 	}
-	if workerCount(len(roots)) == 1 {
-		// Direct loop — the steady-state zero-allocation path (even the
-		// fan-out closure would allocate; pinned by TestEngineTickZeroAlloc).
-		w := e.ensureWorkers(1)[0]
-		for _, u := range roots {
-			if w.rebuildRoot(e, int(u)) {
-				e.refloods = append(e.refloods, u)
-			}
-		}
-	} else {
-		// changed is written per index by exactly one fan-out worker
-		// (the atomic counter hands each index out once) and read only
-		// after the barrier, so plain bools in a reusable engine-owned
-		// buffer suffice. Large ticks allocate only the fan-out's
-		// goroutine startup — never anything proportional to n.
-		if cap(e.changedBuf) < len(roots) {
-			e.changedBuf = make([]bool, len(roots))
-		}
-		changed := e.changedBuf[:len(roots)]
-		e.fanOut(len(roots), func(w *engineWorker, i int) {
-			changed[i] = w.rebuildRoot(e, int(roots[i]))
-		})
-		for i, u := range roots {
-			if changed[i] {
-				e.refloods = append(e.refloods, u)
-			}
-		}
-	}
-	st.Refloods = len(e.refloods)
+	refloods := e.m.Rebuild(roots)
+	st.Refloods = len(refloods)
 
 	// Traffic. Incremental RemSpan: changed vertices hello + re-flood
 	// their lists to radius R; changed trees re-flood to radius R. Full
 	// link-state: every changed vertex's LSA re-floods network-wide.
-	w := e.ensureWorkers(1)[0]
-	twoM := int64(2 * e.delta.M())
-	for _, x := range e.readv {
-		degX := int64(e.delta.Degree(int(x)))
+	view := e.m.View()
+	twoM := int64(2 * view.M())
+	for _, x := range e.m.Touched() {
+		degX := int64(view.Degree(int(x)))
 		st.Messages += degX // hello broadcast on the new links
 		st.Words += 3 * degX
-		fm, fw := e.floodCost(w, int(x), degX+4)
+		fm, fw := e.floodCost(int(x), degX+4)
 		st.Messages += fm
 		st.Words += fw
 		st.FullMsgs += degX + twoM
 		st.FullWords += 3*degX + twoM*(degX+4)
 	}
-	for _, u := range e.refloods {
-		fm, fw := e.floodCost(w, int(u), 2*int64(len(e.trees[u])/2)+4)
+	for _, u := range refloods {
+		fm, fw := e.floodCost(int(u), 2*int64(len(e.m.TreeOf(int(u))))+4)
 		st.Messages += fm
 		st.Words += fw
 	}
@@ -587,14 +356,15 @@ func (e *Engine) RefloodLossy(changes []dynamic.Change, drop func(root int32) bo
 // distance R−1 retransmits it once on all its links.
 //
 //remspan:hotpath
-func (e *Engine) floodCost(w *engineWorker, src int, payload int64) (msgs, words int64) {
+func (e *Engine) floodCost(src int, payload int64) (msgs, words int64) {
+	view := e.m.View()
 	if e.radius == 1 {
-		d := int64(e.delta.Degree(src))
+		d := int64(view.Degree(src))
 		return d, d * payload
 	}
-	_, _, visited := w.bfs.BoundedView(e.delta, src, e.radius-1)
+	_, _, visited := e.bfs.BoundedView(view, src, e.radius-1)
 	for _, y := range visited {
-		d := int64(e.delta.Degree(int(y)))
+		d := int64(view.Degree(int(y)))
 		msgs += d
 		words += d * payload
 	}

@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"remspan/internal/domtree"
@@ -122,11 +123,44 @@ func TestWordsBelowFullLinkState(t *testing.T) {
 	}
 }
 
+// localTree is the locality oracle: root u's tree built the node-local
+// way of Algorithm 3 — the production builder runs on u's radius-R
+// ball, extracted from view into a sub-CSR (everything u learns from
+// R flooding rounds), and the tree is mapped back to global ids.
+func localTree(ball *graph.BallScratch, s *domtree.Scratch, view graph.View, radius int, build TreeBuilder, u int) [][2]int32 {
+	local, root, members := ball.Extract(view, u, radius)
+	t := build(local, s, root)
+	var out [][2]int32
+	for _, lv := range t.Nodes() {
+		if lp := t.Parent(int(lv)); lp >= 0 {
+			out = append(out, [2]int32{members[lv], members[lp]})
+		}
+	}
+	return out
+}
+
+// checkLocality pins every root's engine tree — built by the
+// maintainer on the global patched snapshot — against the locality
+// oracle on the engine's current topology.
+func checkLocality(t *testing.T, what string, e *Engine, build TreeBuilder) {
+	t.Helper()
+	n := e.Graph().N()
+	ball, s := graph.NewBallScratch(n), domtree.NewScratch(n)
+	for u := 0; u < n; u++ {
+		if want := localTree(ball, s, e.m.View(), e.Radius(), build, u); !slices.Equal(e.TreeOf(u), want) {
+			t.Fatalf("%s: tree of root %d differs from its ball-local build", what, u)
+		}
+	}
+}
+
 // FuzzDistsimEquivalence: RunRemSpan over every gen family (UDG, ER,
 // grid, star — connected and disconnected) must produce an edge set
 // identical to the centralized CSR builders for all four tree
 // algorithms, with full incident knowledge at every node, and agree
-// with the message-level reference engine on traffic.
+// with the message-level reference engine on traffic. It is also the
+// locality oracle's pin: every root's engine tree, after the run and
+// after a churn tick, equals the builder run on the root's extracted
+// radius-R ball (the node-local computation of Algorithm 3).
 func FuzzDistsimEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(7), uint8(1))
@@ -150,7 +184,9 @@ func FuzzDistsimEquivalence(f *testing.F) {
 			g = gen.Star(n)
 		}
 		for _, p := range enginePairs() {
-			fast := RunRemSpan(g, p.radius, p.build)
+			e := NewEngine(g, p.radius, p.build)
+			fast := e.Run()
+			checkLocality(t, p.name, e, p.build)
 			if want := centralizedSpanner(g, p.build); !edgeSetsEqual(fast.H, want) {
 				t.Fatalf("%s: distributed spanner differs from centralized (%d vs %d edges)",
 					p.name, fast.H.Len(), want.Len())
@@ -164,8 +200,32 @@ func FuzzDistsimEquivalence(f *testing.F) {
 					p.name, fast.Messages, fast.Words, fast.Rounds,
 					ref.Messages, ref.Words, ref.Rounds)
 			}
+			e.Reflood(randomBatch(e, rng, 4))
+			checkLocality(t, p.name+" after churn", e, p.build)
 		}
 	})
+}
+
+// randomBatch draws size changes over e's graph: edge toggles and, one
+// time in eight, a vertex failure.
+func randomBatch(e *Engine, rng *rand.Rand, size int) []dynamic.Change {
+	n := e.Graph().N()
+	batch := make([]dynamic.Change, 0, size)
+	for len(batch) < size {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		kind := dynamic.AddEdge
+		if e.Graph().HasEdge(u, v) {
+			kind = dynamic.RemoveEdge
+		}
+		if rng.Intn(8) == 0 {
+			kind = dynamic.FailVertex
+		}
+		batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})
+	}
+	return batch
 }
 
 // TestRefloodMatchesMaintainer drives the engine through random change
@@ -200,20 +260,88 @@ func TestRefloodMatchesMaintainer(t *testing.T) {
 				t.Fatalf("%s step %d: engine spanner diverged from maintainer", spec.Name, step)
 			}
 			for u := 0; u < g.N(); u++ {
-				pairs, want := e.TreeOf(u), m.TreeOf(u)
-				if len(pairs) != 2*len(want) {
-					t.Fatalf("%s step %d root %d: tree size %d vs %d",
-						spec.Name, step, u, len(pairs)/2, len(want))
-				}
-				for i, p := range want {
-					if pairs[2*i] != p[0] || pairs[2*i+1] != p[1] {
-						t.Fatalf("%s step %d root %d: tree edge %d differs", spec.Name, step, u, i)
-					}
+				if !slices.Equal(e.TreeOf(u), m.TreeOf(u)) {
+					t.Fatalf("%s step %d root %d: tree differs from the maintainer's", spec.Name, step, u)
 				}
 			}
 			if st.Applied > 0 && st.DirtyRoots == 0 {
 				t.Fatalf("%s step %d: applied %d changes but no dirty roots", spec.Name, step, st.Applied)
 			}
+		}
+	}
+}
+
+// TestRunAfterRefloodMatchesRunRemSpan: after several Reflood ticks
+// (vertex failures and a lossy tick included), Run on the live engine
+// reports the same rounds, messages, words, tree sizes and spanner as
+// a fresh RunRemSpan on the final graph — the per-source tally over
+// the maintainer's patched topology equals a cold run.
+func TestRunAfterRefloodMatchesRunRemSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for _, p := range enginePairs() {
+		g := randomConnected(60, 110, rng)
+		e := NewEngine(g, p.radius, p.build)
+		e.Run()
+		dropRng := rand.New(rand.NewSource(36))
+		for tick := 0; tick < 6; tick++ {
+			if tick == 3 {
+				e.RefloodLossy(randomBatch(e, rng, 8), func(int32) bool { return dropRng.Intn(4) == 0 })
+				continue
+			}
+			e.Reflood(randomBatch(e, rng, 8))
+		}
+		live := e.Run()
+		cold := RunRemSpan(e.Graph(), p.radius, p.build)
+		if live.Rounds != cold.Rounds || live.Messages != cold.Messages || live.Words != cold.Words {
+			t.Fatalf("%s: live run (%d,%d,%d) vs cold run (%d,%d,%d)", p.name,
+				live.Rounds, live.Messages, live.Words, cold.Rounds, cold.Messages, cold.Words)
+		}
+		if !slices.Equal(live.TreeEdges, cold.TreeEdges) {
+			t.Fatalf("%s: live tree sizes differ from the cold run's", p.name)
+		}
+		if !edgeSetsEqual(live.H, cold.H) {
+			t.Fatalf("%s: live spanner differs from the cold run's", p.name)
+		}
+	}
+}
+
+// TestRefloodsCountChangedTrees: TickStats.Refloods is the number of
+// due roots whose tree differs from a copy taken before the tick. Roots
+// that are not due — clean, or dropped by the lossy channel — keep
+// their trees, so the count runs over every root.
+func TestRefloodsCountChangedTrees(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, p := range enginePairs() {
+		g := randomConnected(50, 90, rng)
+		e := NewEngine(g, p.radius, p.build)
+		e.Run()
+		dropRng := rand.New(rand.NewSource(38))
+		drop := func(int32) bool { return dropRng.Intn(5) == 0 }
+		total := 0
+		for tick := 0; tick < 8; tick++ {
+			before := make([][][2]int32, g.N())
+			for u := range before {
+				before[u] = slices.Clone(e.TreeOf(u))
+			}
+			var st TickStats
+			if tick%2 == 1 {
+				st = e.RefloodLossy(randomBatch(e, rng, 6), drop)
+			} else {
+				st = e.Reflood(randomBatch(e, rng, 6))
+			}
+			changed := 0
+			for u := range before {
+				if !slices.Equal(before[u], e.TreeOf(u)) {
+					changed++
+				}
+			}
+			if st.Refloods != changed {
+				t.Fatalf("%s tick %d: Refloods %d, but %d trees changed", p.name, tick, st.Refloods, changed)
+			}
+			total += changed
+		}
+		if total == 0 {
+			t.Fatalf("%s: no tick changed a tree — vacuous run", p.name)
 		}
 	}
 }
@@ -268,7 +396,8 @@ func TestEngineTickZeroAlloc(t *testing.T) {
 }
 
 // TestBallDepthInvariant: the engine panics if a builder emits a tree
-// deeper than the flooding radius (the protocol could not deliver it).
+// deeper than the flooding radius (the protocol could not deliver it);
+// the check lives in the maintainer the engine's first Run creates.
 func TestBallDepthInvariant(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -338,14 +467,8 @@ func TestRefloodLossyConvergence(t *testing.T) {
 			t.Fatal("spanner did not reconverge to maintainer after channel healed")
 		}
 		for u := 0; u < g.N(); u++ {
-			pairs, want := e.TreeOf(u), m.TreeOf(u)
-			if len(pairs) != 2*len(want) {
-				t.Fatalf("root %d: tree size %d vs %d after heal", u, len(pairs)/2, len(want))
-			}
-			for i, p := range want {
-				if pairs[2*i] != p[0] || pairs[2*i+1] != p[1] {
-					t.Fatalf("root %d: tree edge %d differs after heal", u, i)
-				}
+			if !slices.Equal(e.TreeOf(u), m.TreeOf(u)) {
+				t.Fatalf("root %d: tree differs from the maintainer's after heal", u)
 			}
 		}
 

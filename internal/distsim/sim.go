@@ -9,15 +9,19 @@
 //
 // Two engines implement the protocol (DESIGN.md §3d):
 //
-//   - Engine / RunRemSpan: the production engine. Each node's local
-//     view is extracted into a reusable sub-CSR (graph.BallScratch),
-//     its tree is built by the production domtree *CSR builders on
-//     pooled per-worker scratch, and traffic is tallied from the ball
-//     structure — synchronous flooding with duplicate suppression
-//     forwards each item exactly once per node within distance R−1, so
-//     the counts are exact without materializing a single message. It
-//     also runs live: Reflood applies topology diffs and re-advertises
-//     only dirty roots (LiveRun drives it from the mobility model).
+//   - Engine / RunRemSpan: the production engine, a traffic
+//     accountant over one dynamic.Maintainer. The maintainer owns the
+//     topology, builds every root's tree with the production domtree
+//     *CSR builders on its global patched snapshot (equal to the
+//     node-local build on the root's flooded ball by the locality
+//     contract; graph.BallScratch extracts that ball only as the test
+//     oracle), and repairs dirty roots after changes. The engine
+//     tallies traffic from the ball structure — synchronous flooding
+//     with duplicate suppression forwards each item exactly once per
+//     node within distance R−1, so the counts are exact without
+//     materializing a single message. It also runs live: Reflood
+//     applies topology diffs and re-advertises only dirty roots
+//     (LiveRun drives it from the mobility model).
 //   - RunRemSpanReference: the message-level reference — per-node map
 //     state, real payload slices, the Sim round runtime. Differential
 //     tests pin the engines against each other on rounds, messages,

@@ -2,64 +2,70 @@ package distsim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
-
-	"remspan/internal/dynamic"
 )
 
-// TestEngineWidthDeterminism pins the engine's fan-out: a full
-// simulated run and a sequence of reflood ticks produce identical
-// traffic accounting, spanners and trees at forced worker widths 1, 2
-// and 7. Traffic counters are per-node slots merged after the fan-out,
-// so the stealing schedule must be invisible in every total.
-func TestEngineWidthDeterminism(t *testing.T) {
-	for fam, g := range testFamilies(60, 31) {
-		for _, p := range enginePairs() {
-			widths := []int{1, 2, 7}
-			engines := make([]*Engine, len(widths))
-			results := make([]*Result, len(widths))
-			for i, w := range widths {
-				engines[i] = NewEngine(g.Clone(), p.radius, p.build)
-				engines[i].forceWidth = w
-				results[i] = engines[i].Run()
-			}
-			ref := results[0]
-			for i, res := range results[1:] {
-				if res.Rounds != ref.Rounds || res.Messages != ref.Messages || res.Words != ref.Words {
-					t.Fatalf("%s/%s width=%d: traffic (%d,%d,%d) differs from serial (%d,%d,%d)",
-						fam, p.name, widths[i+1], res.Rounds, res.Messages, res.Words,
-						ref.Rounds, ref.Messages, ref.Words)
-				}
-				if !edgeSetsEqual(res.H, ref.H) {
-					t.Fatalf("%s/%s width=%d: spanner differs from serial", fam, p.name, widths[i+1])
-				}
-			}
+// widthRun is what one GOMAXPROCS arm of the engine width test
+// records: the full run, every tick's stats, and every final tree.
+type widthRun struct {
+	res   *Result
+	ticks []TickStats
+	trees [][][2]int32
+}
 
-			// Churn ticks: identical change batches must reflood the same
-			// words at every width.
-			rng := rand.New(rand.NewSource(32))
-			n := g.N()
-			for tick := 0; tick < 4; tick++ {
-				batch := make([]dynamic.Change, 0, 10)
-				for len(batch) < 10 {
-					u, v := rng.Intn(n), rng.Intn(n)
-					if u == v {
-						continue
+// TestEngineWidthDeterminism pins the engine at GOMAXPROCS 1, 2 and 7:
+// a full simulated run and a sequence of reflood ticks produce
+// identical traffic accounting, spanners and trees at every width. The
+// maintainer's full build and every compared tick rebuild at least the
+// 32-root serial threshold, so above one proc the sharded rebuild is
+// what runs.
+func TestEngineWidthDeterminism(t *testing.T) {
+	for fam, g := range testFamilies(120, 31) {
+		for _, p := range enginePairs() {
+			var ref *widthRun
+			for _, procs := range []int{1, 2, 7} {
+				run := func() *widthRun {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					e := NewEngine(g, p.radius, p.build)
+					r := &widthRun{res: e.Run()}
+					// Churn ticks: identical change batches must reflood
+					// the same words at every width.
+					rng := rand.New(rand.NewSource(32))
+					for tick := 0; tick < 4; tick++ {
+						st := e.Reflood(randomBatch(e, rng, 24))
+						if st.DirtyRoots < 32 {
+							t.Fatalf("%s/%s tick %d: %d dirty roots is below the serial threshold",
+								fam, p.name, tick, st.DirtyRoots)
+						}
+						r.ticks = append(r.ticks, st)
 					}
-					kind := dynamic.AddEdge
-					if engines[0].Graph().HasEdge(u, v) && rng.Intn(2) == 0 {
-						kind = dynamic.RemoveEdge
+					for u := 0; u < g.N(); u++ {
+						r.trees = append(r.trees, slices.Clone(e.TreeOf(u)))
 					}
-					batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})
+					return r
+				}()
+				if ref == nil {
+					ref = run
+					continue
 				}
-				stats := make([]TickStats, len(widths))
-				for i, e := range engines {
-					stats[i] = e.Reflood(batch)
+				res, want := run.res, ref.res
+				if res.Rounds != want.Rounds || res.Messages != want.Messages || res.Words != want.Words {
+					t.Fatalf("%s/%s GOMAXPROCS=%d: traffic (%d,%d,%d) differs from GOMAXPROCS=1 (%d,%d,%d)",
+						fam, p.name, procs, res.Rounds, res.Messages, res.Words,
+						want.Rounds, want.Messages, want.Words)
 				}
-				for i := 1; i < len(widths); i++ {
-					if stats[i] != stats[0] {
-						t.Fatalf("%s/%s tick %d width=%d: stats %+v differ from serial %+v",
-							fam, p.name, tick, widths[i], stats[i], stats[0])
+				if !edgeSetsEqual(res.H, want.H) || !slices.Equal(res.TreeEdges, want.TreeEdges) {
+					t.Fatalf("%s/%s GOMAXPROCS=%d: spanner differs from GOMAXPROCS=1", fam, p.name, procs)
+				}
+				if !slices.Equal(run.ticks, ref.ticks) {
+					t.Fatalf("%s/%s GOMAXPROCS=%d: tick stats %+v differ from GOMAXPROCS=1 %+v",
+						fam, p.name, procs, run.ticks, ref.ticks)
+				}
+				for u := range ref.trees {
+					if !slices.Equal(run.trees[u], ref.trees[u]) {
+						t.Fatalf("%s/%s GOMAXPROCS=%d: tree of %d differs from GOMAXPROCS=1", fam, p.name, procs, u)
 					}
 				}
 			}

@@ -15,20 +15,26 @@
 // work is therefore a function of the locality radius and the local
 // degree, not of the graph, and on large graphs with localized churn
 // the maintainer sustains throughput independent of n (measured by the
-// BENCH_churn.json suite; the old snapshot-per-change behavior is kept
-// behind SetSnapshotPerChange as the ablation baseline).
+// BENCH_churn.json suite, whose snapshot-per-change baseline arm pays
+// the re-snapshot in the benchmark itself).
 //
-// Batches: ApplyBatch applies a whole slice of changes, unions their
-// dirty sets, and rebuilds each dirty root exactly once, fanning the
-// rebuilds across a worker pool with one domtree.Scratch per worker
-// (the spanner.buildParallel pattern). Rebuilding the union against the
+// Batches: Apply applies a whole slice of changes and unions their
+// dirty sets; Rebuild then rebuilds each given root exactly once,
+// fanning the rebuilds across a worker pool with one domtree.Scratch
+// per worker (the spanner.buildParallel pattern). ApplyBatch is the two
+// in sequence over the dirty union. Rebuilding the union against the
 // final graph is exact: a root outside every per-change dirty set has,
 // by the locality argument, an R-ball whose adjacency never changed at
 // any point of the batch, so its stored tree is already the tree a full
-// recomputation would build.
+// recomputation would build. Callers that defer some roots (the
+// distributed simulator's lossy re-advertisement channel) pass Rebuild
+// a subset; the deferred roots keep their old trees until rebuilt.
 package dynamic
 
 import (
+	"fmt"
+	"slices"
+
 	"remspan/internal/domtree"
 	"remspan/internal/graph"
 	"remspan/internal/sched"
@@ -96,85 +102,70 @@ type Change struct {
 type Maintainer struct {
 	g      *graph.Graph    // mutable mirror (dirty-set sweeps, API reads)
 	delta  *graph.CSRDelta // patched snapshot the builders read
-	view   graph.View      // delta, or a fresh CSR in snapshot-ablation mode
 	build  TreeBuilder
 	radius int          // locality radius R of the tree construction
 	trees  [][][2]int32 // per-root tree edges as (child, parent) pairs
 
-	scratch   *domtree.Scratch   // serial rebuilds
-	workers   []*domtree.Scratch // pooled per-worker scratches for batches
-	dirty     *graph.BFSScratch  // bounded sweeps + dirty-union accumulator
-	rebuilt   int64              // cumulative trees rebuilt (ablation metric)
-	snapshots bool               // ablation: re-snapshot per applied change
+	workers []*domtree.Scratch // per-worker scratch; worker 0's serves serial rebuilds
+	dirty   *graph.BFSScratch  // bounded sweeps + dirty-union accumulator
+	touched []int32            // vertices whose neighbor list the last Apply changed
+	changed []int32            // roots whose stored tree the last Rebuild changed
+	flags   []bool             // per-index changed flags of a sharded Rebuild
+	rebuilt int64              // cumulative trees rebuilt (ablation metric)
 
 	pool        sched.Pool          // shard scheduler for batch repairs
-	roots       []int32             // per-run dirty roots the shard body reads
+	roots       []int32             // per-run roots the shard body reads
 	rebuildBody func(w, lo, hi int) // prebound shard body
-	forceWidth  int                 // test hook: >0 overrides the worker count
 }
 
 // New computes the initial spanner over a clone of g. radius is the
 // construction's locality radius R = r−1+β (1 for Algorithm 4, 2 for
-// Algorithm 5 with β=1, r for Algorithm 2).
+// Algorithm 5 with β=1, r for Algorithm 2). It panics if the builder
+// emits a tree deeper than radius (see Rebuild).
 func New(g *graph.Graph, radius int, build TreeBuilder) *Maintainer {
 	if radius < 1 {
 		panic("dynamic: radius must be >= 1")
 	}
 	m := &Maintainer{
-		g:       g.Clone(),
-		build:   build,
-		radius:  radius,
-		trees:   make([][][2]int32, g.N()),
-		scratch: domtree.NewScratch(g.N()),
-		dirty:   graph.NewBFSScratch(g.N()),
+		g:      g.Clone(),
+		build:  build,
+		radius: radius,
+		trees:  make([][][2]int32, g.N()),
+		dirty:  graph.NewBFSScratch(g.N()),
 	}
 	m.delta = graph.NewCSRDelta(graph.NewCSR(m.g))
-	m.view = m.delta
-	for u := 0; u < g.N(); u++ {
-		m.rebuildTree(u)
-	}
+	m.RebuildAll()
 	return m
 }
 
-// SetSnapshotPerChange toggles the pre-delta behavior of rebuilding a
-// full CSR snapshot after every applied change. It exists solely as the
-// baseline arm of the churn ablation benchmarks; the result is
-// identical either way, only the per-change cost regains its O(n+m)
-// floor.
-func (m *Maintainer) SetSnapshotPerChange(on bool) {
-	m.snapshots = on
-	if on {
-		m.view = graph.NewCSR(m.g)
-	} else {
-		m.view = m.delta
-	}
-}
-
-// refresh re-snapshots the view in snapshot-ablation mode (no-op on the
-// delta path, where the view was already patched in place).
-func (m *Maintainer) refresh() {
-	if m.snapshots {
-		m.view = graph.NewCSR(m.g) //remspan:coldpath snapshot-per-change ablation arm; the production delta path is a no-op here
-	}
-}
-
 // storeTree replaces root u's stored edge list with a compact copy of
-// t's edges, reusing the previous copy's capacity.
-func (m *Maintainer) storeTree(u int, t *graph.Tree) {
-	buf := m.trees[u][:0]
+// t's edges, overwriting the previous copy in place, and reports
+// whether the edges differ from it. Each edge is compared against the
+// old slot it is about to overwrite, so no second buffer is needed.
+//
+// A tree deeper than the locality radius panics: its members would lie
+// outside the R-ball the dirty-root rule and the distributed
+// simulator's tree flooding both assume.
+//
+//remspan:hotpath
+func (m *Maintainer) storeTree(u int, t *graph.Tree) bool {
+	old := m.trees[u]
+	buf := old[:0]
+	changed := false
 	for _, v := range t.Nodes() {
+		if t.Depth(int(v)) > m.radius {
+			panic(fmt.Sprintf("dynamic: tree of root %d deeper than locality radius %d", u, m.radius))
+		}
 		if p := t.Parent(int(v)); p >= 0 {
-			buf = append(buf, [2]int32{v, int32(p)})
+			e := [2]int32{v, int32(p)}
+			if len(buf) >= len(old) || old[len(buf)] != e {
+				changed = true
+			}
+			buf = append(buf, e)
 		}
 	}
 	m.trees[u] = buf
-}
-
-// rebuildTree reconstructs root u's tree on the current view and stores
-// its edges.
-func (m *Maintainer) rebuildTree(u int) {
-	m.storeTree(u, m.build(m.view, m.scratch, u))
-	m.rebuilt++
+	return changed || len(buf) != len(old)
 }
 
 // Graph returns the maintained graph (do not mutate directly — use
@@ -194,24 +185,32 @@ func (m *Maintainer) Spanner() *graph.EdgeSet {
 
 // TreeOf returns root u's stored dominating-tree edges as (child,
 // parent) pairs. The slice is shared with the maintainer and valid
-// until the next applied change — it is the per-root ground truth the
-// distributed simulator's live runs are pinned against.
+// until the next rebuild — it is the per-root ground truth the
+// distributed simulator accounts its traffic over.
 func (m *Maintainer) TreeOf(u int) [][2]int32 { return m.trees[u] }
 
-// View returns the graph.View the maintainer's builders read (the
-// patched CSRDelta, or a fresh CSR in snapshot-ablation mode). Shared
-// state: valid for reads between applied changes, never across them.
-func (m *Maintainer) View() graph.View { return m.view }
+// View returns the patched CSRDelta the maintainer's builders read.
+// Shared state: valid for reads between applied changes, never across
+// them.
+func (m *Maintainer) View() graph.View { return m.delta }
 
 // Radius returns the construction's locality radius R.
 func (m *Maintainer) Radius() int { return m.radius }
 
 // DirtyRoots returns the sorted dirty-root union of the most recent
-// applied change or batch — exactly the roots whose trees were
-// rebuilt. The slice is scratch-owned and valid until the next applied
-// change. Downstream incremental consumers (the routing.Store's
+// Apply (or applied change or batch) — the roots whose trees the
+// change can have invalidated, and exactly the roots ApplyBatch
+// rebuilds. The slice is scratch-owned and valid until the next
+// applied change. Downstream incremental consumers (the routing.Store's
 // dirty-owner table rebuild) key their own repairs off this set.
 func (m *Maintainer) DirtyRoots() []int32 { return m.dirty.UnionSorted() }
+
+// Touched returns the sorted vertices whose neighbor list the most
+// recent Apply (or applied change or batch) changed: both endpoints of
+// every effective edge change, and a failed vertex together with every
+// former neighbor. Empty when the batch had no effect. The slice is
+// maintainer-owned and valid until the next applied change.
+func (m *Maintainer) Touched() []int32 { return m.touched }
 
 // TreesRebuilt returns the cumulative number of tree constructions
 // (including the initial build). The dirty-root set is accumulated in
@@ -221,37 +220,26 @@ func (m *Maintainer) DirtyRoots() []int32 { return m.dirty.UnionSorted() }
 // affect results).
 func (m *Maintainer) TreesRebuilt() int64 { return m.rebuilt }
 
-// applyOne applies one change to the graph and the delta, accumulating
-// the roots it dirties into the scratch union.
-func (m *Maintainer) applyOne(ch Change) bool {
-	return ApplyChange(m.g, m.delta, m.dirty, m.radius, ch)
-}
-
-// ApplyChange applies one topology change to the mutable mirror g and
-// its patched delta in lockstep, accumulating every root whose
-// radius-R tree input the change touches into dirty's union
-// accumulator (call dirty.ResetUnion to start a batch). Reports
-// whether the change had any effect. Dirty sweeps run on the state the
-// locality argument needs: post-change for insertions (new vertices
-// become reachable through the edge), pre-change for deletions (roots
-// that could reach the edge before it vanished).
-//
-// It is exported so other views of the same maintenance problem — the
-// distributed protocol simulator's live re-advertisement driver — share
-// the exact dirty-ball rule the Maintainer's equivalence proofs cover,
-// rather than approximating it.
+// applyChange applies one topology change to the mutable mirror g and
+// the patched delta in lockstep, accumulating every root whose radius-R
+// tree input the change touches into the dirty union and every vertex
+// whose neighbor list it changes into touched. Reports whether the
+// change had any effect. Dirty sweeps run on the state the locality
+// argument needs: post-change for insertions (new vertices become
+// reachable through the edge), pre-change for deletions (roots that
+// could reach the edge before it vanished).
 //
 //remspan:hotpath
-func ApplyChange(g *graph.Graph, delta *graph.CSRDelta, dirty *graph.BFSScratch, radius int, ch Change) bool {
+func (m *Maintainer) applyChange(ch Change) bool {
+	g, dirty, radius := m.g, m.dirty, m.radius
 	switch ch.Kind {
 	case AddEdge:
 		if !g.AddEdge(ch.U, ch.V) {
 			return false
 		}
-		delta.AddEdge(ch.U, ch.V)
+		m.delta.AddEdge(ch.U, ch.V)
 		dirty.UnionBounded(g, ch.U, radius)
 		dirty.UnionBounded(g, ch.V, radius)
-		return true
 	case RemoveEdge:
 		if !g.HasEdge(ch.U, ch.V) {
 			return false
@@ -259,8 +247,7 @@ func ApplyChange(g *graph.Graph, delta *graph.CSRDelta, dirty *graph.BFSScratch,
 		dirty.UnionBounded(g, ch.U, radius)
 		dirty.UnionBounded(g, ch.V, radius)
 		g.RemoveEdge(ch.U, ch.V)
-		delta.RemoveEdge(ch.U, ch.V)
-		return true
+		m.delta.RemoveEdge(ch.U, ch.V)
 	case FailVertex:
 		x := ch.U
 		nbrs := g.Neighbors(x)
@@ -273,86 +260,131 @@ func ApplyChange(g *graph.Graph, delta *graph.CSRDelta, dirty *graph.BFSScratch,
 		// reaches x through some neighbor v with d(w,v) = R, so the two
 		// sets are equal (pinned by TestFailVertexDirtySweepEqualsUnion).
 		dirty.UnionBounded(g, x, radius+1)
+		m.touched = append(m.touched, int32(x))
 		for len(nbrs) > 0 {
 			v := int(nbrs[len(nbrs)-1])
+			m.touched = append(m.touched, int32(v))
 			g.RemoveEdge(x, v)
-			delta.RemoveEdge(x, v)
+			m.delta.RemoveEdge(x, v)
 			nbrs = g.Neighbors(x)
 		}
 		return true
 	default:
 		panic("dynamic: unknown change kind")
 	}
+	m.touched = append(m.touched, int32(ch.U), int32(ch.V))
+	return true
 }
 
-// rebuildShard rebuilds the dirty roots indexed [lo, hi) on worker w's
-// pooled scratch. Each root writes only its own trees slot, so the
-// stealing schedule cannot affect the stored trees.
+// Apply applies the changes in order to the graph and the patched
+// delta without rebuilding any tree, and returns the number that had
+// an effect. Afterwards DirtyRoots holds the union of their dirty sets
+// and Touched the vertices whose neighbor lists changed; the caller
+// rebuilds (a subset of) the dirty roots with Rebuild.
+//
+//remspan:hotpath
+func (m *Maintainer) Apply(changes []Change) int {
+	m.dirty.ResetUnion()
+	m.touched = m.touched[:0]
+	applied := 0
+	for _, ch := range changes {
+		if m.applyChange(ch) {
+			applied++
+		}
+	}
+	slices.Sort(m.touched)
+	m.touched = slices.Compact(m.touched)
+	return applied
+}
+
+// rebuildShard rebuilds the roots indexed [lo, hi) on worker w's
+// pooled scratch. Each root writes only its own trees slot and its own
+// changed flag, so the stealing schedule cannot affect the results.
 //
 //remspan:hotpath
 func (m *Maintainer) rebuildShard(w, lo, hi int) {
 	scratch := m.workers[w]
 	for i := lo; i < hi; i++ {
 		u := int(m.roots[i])
-		m.storeTree(u, m.build(m.view, scratch, u))
+		m.flags[i] = m.storeTree(u, m.build(m.delta, scratch, u))
 	}
 }
 
-// rebuildDirty rebuilds every root in the accumulated dirty union —
-// serially in ascending id order for small unions, or fanned out over
-// the shard scheduler (per-root results are independent and land in
-// per-root slots, so the stored trees are identical at every width).
-func (m *Maintainer) rebuildDirty() {
-	roots := m.dirty.UnionSorted()
+// Rebuild rebuilds exactly the given roots (distinct) against the
+// current graph and returns, in the given order, those whose stored
+// tree changed. Small root sets rebuild serially on worker 0's
+// scratch; larger ones fan out over the shard scheduler (per-root
+// results are independent and land in per-root slots, so the stored
+// trees are identical at every width). The returned slice is
+// maintainer-owned and valid until the next Rebuild. It panics if the
+// builder emits a tree deeper than the locality radius.
+//
+//remspan:hotpath
+func (m *Maintainer) Rebuild(roots []int32) []int32 {
 	const parallelThreshold = 32
 	width := sched.Workers(len(roots))
-	if m.forceWidth > 0 {
-		width = m.forceWidth
-	} else if len(roots) < parallelThreshold {
+	if len(roots) < parallelThreshold {
 		width = 1
-	}
-	if width <= 1 {
-		for _, u := range roots {
-			m.rebuildTree(int(u))
-		}
-		return
 	}
 	for len(m.workers) < width {
 		m.workers = append(m.workers, domtree.NewScratch(m.g.N())) //remspan:coldpath worker scratch warm-up, pool reused across batches
 	}
-	if m.rebuildBody == nil {
-		m.rebuildBody = m.rebuildShard //remspan:coldpath one-time method-value binding, cached across batches
+	m.changed = m.changed[:0]
+	if width <= 1 {
+		for _, u := range roots {
+			if m.storeTree(int(u), m.build(m.delta, m.workers[0], int(u))) {
+				m.changed = append(m.changed, u)
+			}
+		}
+	} else {
+		if m.rebuildBody == nil {
+			m.rebuildBody = m.rebuildShard //remspan:coldpath one-time method-value binding, cached across batches
+		}
+		if cap(m.flags) < len(roots) {
+			m.flags = make([]bool, len(roots)) //remspan:coldpath flag buffer grows to the largest root set, then is reused
+		}
+		m.flags = m.flags[:len(roots)]
+		m.roots = roots
+		// Tree rebuilds are heavy items (a bounded BFS each), so shards
+		// shrink well below sched's vertex-grained floor.
+		span := len(roots) / (width * 8)
+		if span < 1 {
+			span = 1
+		}
+		m.pool.RunSpan(len(roots), width, span, m.rebuildBody)
+		m.roots = nil
+		for i, u := range roots {
+			if m.flags[i] {
+				m.changed = append(m.changed, u)
+			}
+		}
 	}
-	m.roots = roots
-	// Tree rebuilds are heavy items (a bounded BFS each), so shards
-	// shrink well below sched's vertex-grained floor.
-	span := len(roots) / (width * 8)
-	if span < 1 {
-		span = 1
-	}
-	m.pool.RunSpan(len(roots), width, span, m.rebuildBody)
-	m.roots = nil
 	m.rebuilt += int64(len(roots))
+	return m.changed
+}
+
+// RebuildAll rebuilds every root's tree against the current graph, on
+// the same sharded path as Rebuild.
+func (m *Maintainer) RebuildAll() {
+	roots := make([]int32, m.g.N())
+	for u := range roots {
+		roots[u] = int32(u)
+	}
+	m.Rebuild(roots)
 }
 
 // ApplyBatch applies the changes in order, unions their dirty sets, and
 // rebuilds each dirty root exactly once against the final graph, fanned
-// out across a worker pool. It returns the number of changes that had
-// an effect. For large or overlapping batches this does strictly less
-// work than applying the changes one by one (shared dirty balls rebuild
-// once instead of once per change).
+// out across a worker pool: Apply followed by Rebuild(DirtyRoots()).
+// It returns the number of changes that had an effect. For large or
+// overlapping batches this does strictly less work than applying the
+// changes one by one (shared dirty balls rebuild once instead of once
+// per change).
+//
+//remspan:hotpath
 func (m *Maintainer) ApplyBatch(changes []Change) int {
-	m.dirty.ResetUnion()
-	applied := 0
-	for _, ch := range changes {
-		if m.applyOne(ch) {
-			applied++
-		}
-	}
-	if applied > 0 {
-		m.refresh()
-		m.rebuildDirty()
-	}
+	applied := m.Apply(changes)
+	m.Rebuild(m.DirtyRoots())
 	return applied
 }
 
@@ -381,11 +413,6 @@ func (m *Maintainer) FailVertex(x int) int {
 }
 
 func (m *Maintainer) applySingle(ch Change) bool {
-	m.dirty.ResetUnion()
-	if !m.applyOne(ch) {
-		return false
-	}
-	m.refresh()
-	m.rebuildDirty()
-	return true
+	one := [1]Change{ch}
+	return m.ApplyBatch(one[:]) == 1
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"remspan/internal/domtree"
@@ -346,65 +347,254 @@ func TestApplyBatchRebuildsUnionOnce(t *testing.T) {
 // TestChurnEquivalenceAllBuilders is the randomized churn-equivalence
 // driver: mixed AddEdge/RemoveEdge/FailVertex/ApplyBatch against a
 // from-scratch rebuild after every step, for all four tree builders,
-// in both delta and snapshot-ablation modes.
+// on the patched-delta view (the maintainer's only view; the
+// snapshot-per-change ablation arm lives in the benchmarks).
 func TestChurnEquivalenceAllBuilders(t *testing.T) {
 	for _, bb := range allBuilders() {
-		for _, snapshots := range []bool{false, true} {
-			name := bb.Name + "/delta"
-			if snapshots {
-				name = bb.Name + "/snapshot"
+		t.Run(bb.Name+"/delta", func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			g := gen.RandomTree(36, rng)
+			for i := 0; i < 60; i++ {
+				u, v := rng.Intn(36), rng.Intn(36)
+				if u != v {
+					g.AddEdge(u, v)
+				}
 			}
-			t.Run(name, func(t *testing.T) {
-				rng := rand.New(rand.NewSource(31))
-				g := gen.RandomTree(36, rng)
-				for i := 0; i < 60; i++ {
-					u, v := rng.Intn(36), rng.Intn(36)
+			m := New(g, bb.Radius, bb.Build)
+			for step := 0; step < 18; step++ {
+				u, v := rng.Intn(36), rng.Intn(36)
+				switch rng.Intn(4) {
+				case 0:
 					if u != v {
-						g.AddEdge(u, v)
+						m.AddEdge(u, v)
 					}
-				}
-				m := New(g, bb.Radius, bb.Build)
-				m.SetSnapshotPerChange(snapshots)
-				steps := 18
-				if snapshots {
-					steps = 8 // ablation arm: fewer, it pays O(n+m) per change
-				}
-				for step := 0; step < steps; step++ {
-					u, v := rng.Intn(36), rng.Intn(36)
-					switch rng.Intn(4) {
-					case 0:
-						if u != v {
-							m.AddEdge(u, v)
-						}
-					case 1:
-						if u != v {
-							m.RemoveEdge(u, v)
-						}
-					case 2:
-						m.FailVertex(u)
-					default:
-						batch := make([]Change, 0, 6)
-						for i := 0; i < 6; i++ {
-							a, b := rng.Intn(36), rng.Intn(36)
-							if a == b {
-								continue
-							}
-							kind := AddEdge
-							if m.Graph().HasEdge(a, b) && rng.Intn(2) == 0 {
-								kind = RemoveEdge
-							}
-							batch = append(batch, Change{Kind: kind, U: a, V: b})
-						}
-						m.ApplyBatch(batch)
+				case 1:
+					if u != v {
+						m.RemoveEdge(u, v)
 					}
-					want := fullSpanner(m.Graph(), bb.Build)
-					if !edgesEqual(m.Spanner(), want) {
-						t.Fatalf("step %d: spanner diverged from full recomputation", step)
+				case 2:
+					m.FailVertex(u)
+				default:
+					batch := make([]Change, 0, 6)
+					for i := 0; i < 6; i++ {
+						a, b := rng.Intn(36), rng.Intn(36)
+						if a == b {
+							continue
+						}
+						kind := AddEdge
+						if m.Graph().HasEdge(a, b) && rng.Intn(2) == 0 {
+							kind = RemoveEdge
+						}
+						batch = append(batch, Change{Kind: kind, U: a, V: b})
 					}
+					m.ApplyBatch(batch)
 				}
-			})
+				want := fullSpanner(m.Graph(), bb.Build)
+				if !edgesEqual(m.Spanner(), want) {
+					t.Fatalf("step %d: spanner diverged from full recomputation", step)
+				}
+			}
+		})
+	}
+}
+
+// churnBatch draws a mixed batch over m's graph: edge toggles, repeated
+// pairs, no-op adds and removes, and one vertex failure.
+func churnBatch(m *Maintainer, rng *rand.Rand, size int) []Change {
+	n := m.Graph().N()
+	batch := make([]Change, 0, size+2)
+	for len(batch) < size {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v {
+			continue
+		}
+		kind := AddEdge
+		if m.Graph().HasEdge(u, v) && rng.Intn(2) == 0 {
+			kind = RemoveEdge
+		}
+		batch = append(batch, Change{Kind: kind, U: u, V: v})
+	}
+	batch = append(batch, batch[0]) // repeated pair: the second is a no-op
+	return append(batch, Change{Kind: FailVertex, U: rng.Intn(n)})
+}
+
+// TestApplyRebuildMatchesApplyBatch pins ApplyBatch's decomposition:
+// Apply followed by Rebuild(DirtyRoots()) leaves the same trees,
+// spanner and TreesRebuilt as ApplyBatch, for every builder.
+func TestApplyRebuildMatchesApplyBatch(t *testing.T) {
+	for _, bb := range allBuilders() {
+		rng := rand.New(rand.NewSource(41))
+		g := gen.RandomTree(80, rng)
+		for i := 0; i < 140; i++ {
+			g.AddEdge(rng.Intn(80), rng.Intn(80))
+		}
+		whole, split := New(g, bb.Radius, bb.Build), New(g, bb.Radius, bb.Build)
+		crng := rand.New(rand.NewSource(42))
+		for round := 0; round < 8; round++ {
+			batch := churnBatch(whole, crng, 10)
+			a := whole.ApplyBatch(batch)
+			b := split.Apply(batch)
+			split.Rebuild(split.DirtyRoots())
+			if a != b {
+				t.Fatalf("%s round %d: ApplyBatch applied %d, Apply %d", bb.Name, round, a, b)
+			}
+			if whole.TreesRebuilt() != split.TreesRebuilt() {
+				t.Fatalf("%s round %d: TreesRebuilt %d vs %d", bb.Name, round, whole.TreesRebuilt(), split.TreesRebuilt())
+			}
+			if !edgesEqual(whole.Spanner(), split.Spanner()) {
+				t.Fatalf("%s round %d: spanners differ", bb.Name, round)
+			}
+			for u := 0; u < g.N(); u++ {
+				if !slices.Equal(whole.TreeOf(u), split.TreeOf(u)) {
+					t.Fatalf("%s round %d: tree of %d differs", bb.Name, round, u)
+				}
+			}
 		}
 	}
+}
+
+// TestRebuildReturnsChangedRoots: Rebuild returns exactly the roots it
+// rebuilt whose tree differs from a copy taken before the batch, in the
+// order given, and roots left out keep their old trees. The dirty union
+// is rebuilt in two halves, the way a lossy re-advertisement channel
+// defers some roots, and the maintainer still ends at the full
+// recomputation.
+func TestRebuildReturnsChangedRoots(t *testing.T) {
+	for _, bb := range allBuilders() {
+		rng := rand.New(rand.NewSource(43))
+		g := gen.RandomTree(70, rng)
+		for i := 0; i < 110; i++ {
+			g.AddEdge(rng.Intn(70), rng.Intn(70))
+		}
+		m := New(g, bb.Radius, bb.Build)
+		crng := rand.New(rand.NewSource(44))
+		sawChange := false
+		for round := 0; round < 6; round++ {
+			before := treesOf(m)
+			m.Apply(churnBatch(m, crng, 8))
+			dirty := slices.Clone(m.DirtyRoots())
+			halves := [][]int32{dirty[:len(dirty)/2], dirty[len(dirty)/2:]}
+			for h, roots := range halves {
+				got := slices.Clone(m.Rebuild(roots))
+				var want []int32
+				for _, u := range roots {
+					if !slices.Equal(before[u], m.TreeOf(int(u))) {
+						want = append(want, u)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s round %d half %d: Rebuild returned %v, want %v", bb.Name, round, h, got, want)
+				}
+				sawChange = sawChange || len(got) > 0
+				if h == 0 {
+					for _, u := range halves[1] {
+						if !slices.Equal(before[u], m.TreeOf(int(u))) {
+							t.Fatalf("%s round %d: root %d rebuilt before it was passed to Rebuild", bb.Name, round, u)
+						}
+					}
+				}
+			}
+			if !edgesEqual(m.Spanner(), fullSpanner(m.Graph(), bb.Build)) {
+				t.Fatalf("%s round %d: spanner diverged from full recomputation", bb.Name, round)
+			}
+		}
+		if !sawChange {
+			t.Fatalf("%s: no rebuild changed a tree — vacuous run", bb.Name)
+		}
+	}
+}
+
+// TestTouchedIsChangedNeighborLists: after Apply, Touched lists exactly
+// the vertices whose neighbor list some change of the batch changed —
+// both endpoints of every effective edge change, a failed vertex and
+// every former neighbor of it — sorted and unique. A batch with no
+// effect leaves it empty.
+func TestTouchedIsChangedNeighborLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	g := gen.RandomTree(60, rng)
+	for i := 0; i < 90; i++ {
+		g.AddEdge(rng.Intn(60), rng.Intn(60))
+	}
+	m := New(g, 1, kgreedyBuilder(1))
+	crng := rand.New(rand.NewSource(46))
+	for round := 0; round < 10; round++ {
+		batch := churnBatch(m, crng, 6)
+		// Replay the batch on a copy, one change at a time, and record
+		// every vertex whose neighbor list the change altered.
+		shadow := m.Graph().Clone()
+		changed := make(map[int32]bool)
+		for _, ch := range batch {
+			before := make([][]int32, shadow.N())
+			for v := range before {
+				before[v] = slices.Clone(shadow.Neighbors(v))
+			}
+			switch ch.Kind {
+			case AddEdge:
+				shadow.AddEdge(ch.U, ch.V)
+			case RemoveEdge:
+				shadow.RemoveEdge(ch.U, ch.V)
+			case FailVertex:
+				for _, v := range slices.Clone(shadow.Neighbors(ch.U)) {
+					shadow.RemoveEdge(ch.U, int(v))
+				}
+			}
+			for v := range before {
+				if !slices.Equal(before[v], shadow.Neighbors(v)) {
+					changed[int32(v)] = true
+				}
+			}
+		}
+		want := make([]int32, 0, len(changed))
+		for v := range changed {
+			want = append(want, v)
+		}
+		slices.Sort(want)
+		m.Apply(batch)
+		if got := m.Touched(); !slices.Equal(got, want) {
+			t.Fatalf("round %d: Touched %v, want %v", round, got, want)
+		}
+		m.Rebuild(m.DirtyRoots())
+	}
+
+	// A no-op batch: re-add an existing edge, remove an absent one,
+	// fail an isolated vertex (each round above failed one).
+	x, iso := 0, 0
+	for m.Graph().Degree(x) == 0 {
+		x++
+	}
+	for m.Graph().Degree(iso) > 0 {
+		iso++
+	}
+	y := (x + 1) % g.N()
+	for m.Graph().HasEdge(x, y) || y == x {
+		y = (y + 1) % g.N()
+	}
+	noop := []Change{
+		{Kind: AddEdge, U: x, V: int(m.Graph().Neighbors(x)[0])},
+		{Kind: RemoveEdge, U: x, V: y},
+		{Kind: FailVertex, U: iso},
+	}
+	if m.Apply(noop) != 0 {
+		t.Fatal("no-op batch applied changes")
+	}
+	if len(m.Touched()) != 0 || len(m.DirtyRoots()) != 0 {
+		t.Fatalf("no-op batch touched %v and dirtied %v", m.Touched(), m.DirtyRoots())
+	}
+}
+
+// TestNewRejectsTreeDeeperThanRadius: New panics when the builder's
+// trees are deeper than the locality radius — their members would lie
+// outside the R-ball the dirty-root rule repairs. MIS with r=3 needs
+// radius 3; the gadget (the distributed simulator's depth-invariant
+// graph) forces a depth-3 tree member at root 0 under radius 2.
+func TestNewRejectsTreeDeeperThanRadius(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a tree deeper than the locality radius")
+		}
+	}()
+	g := graph.FromEdges(5, [][2]int{{0, 1}, {1, 2}, {1, 3}, {2, 3}, {3, 4}})
+	New(g, 2, misBuilder(3))
 }
 
 // TestMaintainerTraceDeterministic: the same change sequence must yield

@@ -2,70 +2,88 @@ package dynamic
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"remspan/internal/gen"
 )
 
-// TestRebuildDirtyWidthDeterminism pins the churn rebuild fan-out:
-// identical change streams applied at forced worker widths 1, 2 and 7
-// leave bit-identical spanners and per-root trees. The forceWidth hook
-// drives the parallel path even below the small-union serial threshold,
-// so the shard scheduler — not batch sizing — is what's under test.
+// treesOf copies every stored tree of m.
+func treesOf(m *Maintainer) [][][2]int32 {
+	out := make([][][2]int32, m.Graph().N())
+	for u := range out {
+		out[u] = slices.Clone(m.TreeOf(u))
+	}
+	return out
+}
+
+// widthRun is what one GOMAXPROCS arm of the width test records: every
+// tree after New and after each round, each round's changed roots, and
+// the final rebuild count.
+type widthRun struct {
+	trees   [][][][2]int32
+	changed [][]int32
+	rebuilt int64
+}
+
+// TestRebuildDirtyWidthDeterminism pins the sharded rebuild: the
+// initial build of New and identical change streams applied at
+// GOMAXPROCS 1, 2 and 7 leave bit-identical per-root trees, changed-
+// root lists and rebuild counts. New's n=120 roots and every compared
+// batch's dirty union reach the 32-root serial threshold, so above one
+// proc the shard scheduler — not the serial loop — is what runs.
 func TestRebuildDirtyWidthDeterminism(t *testing.T) {
+	const n, rounds = 120, 6
 	for _, bb := range Builders() {
 		rng := rand.New(rand.NewSource(61))
-		g := gen.RandomTree(120, rng)
+		g := gen.RandomTree(n, rng)
 		for i := 0; i < 260; i++ {
-			u, v := rng.Intn(120), rng.Intn(120)
+			u, v := rng.Intn(n), rng.Intn(n)
 			if u != v {
 				g.AddEdge(u, v)
 			}
 		}
 
-		widths := []int{1, 2, 7}
-		ms := make([]*Maintainer, len(widths))
-		for i, w := range widths {
-			ms[i] = New(g.Clone(), bb.Radius, bb.Build)
-			ms[i].forceWidth = w
-		}
-
-		crng := rand.New(rand.NewSource(62))
-		for round := 0; round < 6; round++ {
-			batch := make([]Change, 0, 24)
-			for len(batch) < 24 {
-				u, v := crng.Intn(120), crng.Intn(120)
-				if u == v {
-					continue
-				}
-				kind := AddEdge
-				if ms[0].Graph().HasEdge(u, v) && crng.Intn(2) == 0 {
-					kind = RemoveEdge
-				}
-				batch = append(batch, Change{Kind: kind, U: u, V: v})
-			}
-			for _, m := range ms {
-				m.ApplyBatch(batch)
-			}
-			ref := ms[0]
-			for i, m := range ms[1:] {
-				if !edgesEqual(ref.Spanner(), m.Spanner()) {
-					t.Fatalf("%s round %d: spanner at width %d differs from width 1",
-						bb.Name, round, widths[i+1])
-				}
-				for u := 0; u < g.N(); u++ {
-					a, b := ref.TreeOf(u), m.TreeOf(u)
-					if len(a) != len(b) {
-						t.Fatalf("%s round %d: tree of %d differs at width %d",
-							bb.Name, round, u, widths[i+1])
+		var ref *widthRun
+		for _, procs := range []int{1, 2, 7} {
+			run := func() *widthRun {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				m := New(g, bb.Radius, bb.Build)
+				r := &widthRun{trees: [][][][2]int32{treesOf(m)}}
+				crng := rand.New(rand.NewSource(62))
+				for round := 0; round < rounds; round++ {
+					m.Apply(churnBatch(m, crng, 24))
+					if d := len(m.DirtyRoots()); d < 32 {
+						t.Fatalf("%s round %d: dirty union of %d roots is below the serial threshold", bb.Name, round, d)
 					}
-					for j := range a {
-						if a[j] != b[j] {
-							t.Fatalf("%s round %d: tree of %d differs at width %d",
-								bb.Name, round, u, widths[i+1])
-						}
+					r.changed = append(r.changed, slices.Clone(m.Rebuild(m.DirtyRoots())))
+					r.trees = append(r.trees, treesOf(m))
+				}
+				r.rebuilt = m.TreesRebuilt()
+				return r
+			}()
+			if ref == nil {
+				ref = run
+				continue
+			}
+			for step := range ref.trees {
+				for u := range ref.trees[step] {
+					if !slices.Equal(ref.trees[step][u], run.trees[step][u]) {
+						t.Fatalf("%s GOMAXPROCS=%d step %d: tree of %d differs from GOMAXPROCS=1",
+							bb.Name, procs, step, u)
 					}
 				}
+			}
+			for round := range ref.changed {
+				if !slices.Equal(ref.changed[round], run.changed[round]) {
+					t.Fatalf("%s GOMAXPROCS=%d round %d: changed roots differ from GOMAXPROCS=1",
+						bb.Name, procs, round)
+				}
+			}
+			if run.rebuilt != ref.rebuilt {
+				t.Fatalf("%s GOMAXPROCS=%d: %d trees rebuilt, %d at GOMAXPROCS=1",
+					bb.Name, procs, run.rebuilt, ref.rebuilt)
 			}
 		}
 	}

@@ -81,6 +81,6 @@ func LiveNetwork(cfg Config) (*stats.Table, error) {
 	t.AddRow("sampled spanners satisfy (1,0)", valid, verdict(valid))
 	t.AddNote("random waypoint on √(πn/8)-side square, unit disk radius 1, speeds [%.2f, %.2f]/tick",
 		live.MinSpeed, live.MaxSpeed)
-	t.AddNote("dirty-root rule: radius-(R+1) dirty balls of dynamic.ApplyChange; only changed trees re-flood")
+	t.AddNote("dirty-root rule: radius-(R+1) dirty balls of dynamic.Maintainer.Apply; only changed trees re-flood")
 	return t, nil
 }

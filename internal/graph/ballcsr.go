@@ -12,8 +12,10 @@ import "slices"
 // sorted and every id-based tie-break of the domtree builders (heap
 // order, MIS processing order) is preserved: a builder run on the
 // extracted view produces exactly the tree it would produce on the full
-// graph, which is the paper's locality property the distributed
-// simulation exercises.
+// graph, which is the paper's locality property. It is the locality
+// oracle of the distributed simulation's tests (FuzzDistsimEquivalence
+// pins every root's tree, built on the global view in production,
+// against the builder run on its extracted ball).
 //
 // All returned data is owned by the scratch and valid only until the
 // next Extract. A BallScratch is not safe for concurrent use; give each

@@ -46,15 +46,17 @@ func NewCluster(st *routing.Store, nrep int, plan FaultPlan) *Cluster {
 // ships the published diff, the transport advances one tick and
 // delivers everything due, and each replica's protocol clock runs —
 // any resync request is answered immediately (the answer rides the
-// same faulty transport, due next tick at the earliest).
-func (c *Cluster) Tick(changes []dynamic.Change) {
-	c.W.ApplyBatch(changes)
+// same faulty transport, due next tick at the earliest). It returns
+// the number of changes that had an effect at the writer.
+func (c *Cluster) Tick(changes []dynamic.Change) int {
+	applied := c.W.ApplyBatch(changes)
 	c.Inj.Tick()
 	for _, r := range c.Replicas {
 		if r.Tick() {
 			c.W.Resync(r.ID)
 		}
 	}
+	return applied
 }
 
 // MaxLag returns the largest epoch lag any live replica currently has

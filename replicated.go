@@ -49,9 +49,9 @@ func (rr *ReplicatedRouter) Update(added, removed [][2]int) int {
 	for _, e := range added {
 		changes = append(changes, dynamic.Change{Kind: dynamic.AddEdge, U: e[0], V: e[1]})
 	}
-	rr.c.Tick(changes)
+	applied := rr.c.Tick(changes)
 	rr.cl.Tick()
-	return len(changes)
+	return applied
 }
 
 // Route serves one s→t query through the failover client. reason is

@@ -73,3 +73,29 @@ func TestReplicatedRouterBasic(t *testing.T) {
 		t.Fatalf("writer never published past bootstrap: epoch %d", rr.Epoch())
 	}
 }
+
+// TestReplicatedRouterUpdateCountsApplied: Update returns the number
+// of changes that had an effect, not the number submitted — adding an
+// existing edge and removing an absent one applies nothing.
+func TestReplicatedRouterUpdateCountsApplied(t *testing.T) {
+	g := RandomUDG(60, 3, 5)
+	rr, err := NewReplicatedRouter(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := 0
+	for g.Degree(u) == 0 {
+		u++
+	}
+	present := [2]int{u, g.Neighbors(u)[0]}
+	absent := [2]int{u, (u + 1) % g.N()}
+	for g.HasEdge(absent[0], absent[1]) || absent[1] == u {
+		absent[1] = (absent[1] + 1) % g.N()
+	}
+	if got := rr.Update([][2]int{present}, [][2]int{absent}); got != 0 {
+		t.Fatalf("no-op update reported %d applied changes", got)
+	}
+	if got := rr.Update(nil, [][2]int{present}); got != 1 {
+		t.Fatalf("removing an existing edge reported %d applied changes, want 1", got)
+	}
+}
