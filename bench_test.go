@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"remspan"
@@ -202,13 +203,12 @@ func BenchmarkAblationParallel(b *testing.B) {
 	gg := remspan.RandomUDG(500, 4, 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
 	b.Run("serial", func(b *testing.B) {
-		// Snapshot inside the loop to mirror spanner.Exact, which
-		// snapshots per construction — both arms then differ only in
-		// the worker pool.
+		// At GOMAXPROCS 1 the construction fan-out runs its shard body
+		// as one plain loop on the caller, so both arms run the same
+		// code and differ only in the worker count.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		for i := 0; i < b.N; i++ {
-			spanner.UnionSerialCSR(graph.NewCSR(g), func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
-				return domtree.KGreedyCSR(c, s, u, 1)
-			})
+			spanner.Exact(g)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
@@ -232,11 +232,10 @@ func BenchmarkAblationPipeline(b *testing.B) {
 		}
 	})
 	b.Run("csr-scratch", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // serial, like the reference arm
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spanner.UnionSerialCSR(graph.NewCSR(g), func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
-				return domtree.KGreedyCSR(c, s, u, 1)
-			})
+			spanner.Exact(g)
 		}
 	})
 }

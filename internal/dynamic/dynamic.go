@@ -20,12 +20,12 @@
 //
 // Batches: Apply applies a whole slice of changes and unions their
 // dirty sets; Rebuild then rebuilds each given root exactly once,
-// fanning the rebuilds across a worker pool with one domtree.Scratch
-// per worker (the spanner.buildParallel pattern). ApplyBatch is the two
-// in sequence over the dirty union. Rebuilding the union against the
-// final graph is exact: a root outside every per-change dirty set has,
-// by the locality argument, an R-ball whose adjacency never changed at
-// any point of the batch, so its stored tree is already the tree a full
+// fanning the rebuilds over a sched.Env with one domtree.Scratch per
+// worker slot. ApplyBatch is the two in sequence over the dirty
+// union. Rebuilding the union against the final graph is exact: a
+// root outside every per-change dirty set has, by the locality
+// argument, an R-ball whose adjacency never changed at any point of
+// the batch, so its stored tree is already the tree a full
 // recomputation would build. Callers that defer some roots (the
 // distributed simulator's lossy re-advertisement channel) pass Rebuild
 // a subset; the deferred roots keep their old trees until rebuilt.
@@ -106,16 +106,21 @@ type Maintainer struct {
 	radius int          // locality radius R of the tree construction
 	trees  [][][2]int32 // per-root tree edges as (child, parent) pairs
 
-	workers []*domtree.Scratch // per-worker scratch; worker 0's serves serial rebuilds
-	dirty   *graph.BFSScratch  // bounded sweeps + dirty-union accumulator
-	touched []int32            // vertices whose neighbor list the last Apply changed
-	changed []int32            // roots whose stored tree the last Rebuild changed
-	flags   []bool             // per-index changed flags of a sharded Rebuild
-	rebuilt int64              // cumulative trees rebuilt (ablation metric)
+	dirty   *graph.BFSScratch // bounded sweeps + dirty-union accumulator
+	touched []int32           // vertices whose neighbor list the last Apply changed
+	changed []int32           // roots whose stored tree the last Rebuild changed
+	flags   []bool            // per-index changed flags of a Rebuild
+	rebuilt int64             // cumulative trees rebuilt (ablation metric)
 
-	pool        sched.Pool          // shard scheduler for batch repairs
-	roots       []int32             // per-run roots the shard body reads
-	rebuildBody func(w, lo, hi int) // prebound shard body
+	env         sched.Env[rebuildWorker] // shard scheduler + per-worker scratch
+	roots       []int32                  // per-run roots the shard body reads
+	rebuildBody func(w, lo, hi int)      // prebound shard body
+}
+
+// rebuildWorker is one worker slot of the rebuild fan-out: a domtree
+// scratch sized to the graph once and reused by every later Rebuild.
+type rebuildWorker struct {
+	scratch *domtree.Scratch
 }
 
 // New computes the initial spanner over a clone of g. radius is the
@@ -303,7 +308,7 @@ func (m *Maintainer) Apply(changes []Change) int {
 //
 //remspan:hotpath
 func (m *Maintainer) rebuildShard(w, lo, hi int) {
-	scratch := m.workers[w]
+	scratch := m.env.Slot(w).scratch
 	for i := lo; i < hi; i++ {
 		u := int(m.roots[i])
 		m.flags[i] = m.storeTree(u, m.build(m.delta, scratch, u))
@@ -312,12 +317,13 @@ func (m *Maintainer) rebuildShard(w, lo, hi int) {
 
 // Rebuild rebuilds exactly the given roots (distinct) against the
 // current graph and returns, in the given order, those whose stored
-// tree changed. Small root sets rebuild serially on worker 0's
-// scratch; larger ones fan out over the shard scheduler (per-root
-// results are independent and land in per-root slots, so the stored
-// trees are identical at every width). The returned slice is
-// maintainer-owned and valid until the next Rebuild. It panics if the
-// builder emits a tree deeper than the locality radius.
+// tree changed. The rebuilds fan out over the shard scheduler, each a
+// heavy item (a bounded BFS); below 32 roots the same shard body runs
+// at width 1, a plain loop on the caller. Per-root results are
+// independent and land in per-root slots, so the stored trees are
+// identical at every width. The returned slice is maintainer-owned and
+// valid until the next Rebuild. It panics if the builder emits a tree
+// deeper than the locality radius.
 //
 //remspan:hotpath
 func (m *Maintainer) Rebuild(roots []int32) []int32 {
@@ -326,37 +332,25 @@ func (m *Maintainer) Rebuild(roots []int32) []int32 {
 	if len(roots) < parallelThreshold {
 		width = 1
 	}
-	for len(m.workers) < width {
-		m.workers = append(m.workers, domtree.NewScratch(m.g.N())) //remspan:coldpath worker scratch warm-up, pool reused across batches
+	for _, rw := range m.env.Slots(width) {
+		if rw.scratch == nil {
+			rw.scratch = domtree.NewScratch(m.g.N()) //remspan:coldpath worker scratch warm-up, reused across batches
+		}
 	}
+	if m.rebuildBody == nil {
+		m.rebuildBody = m.rebuildShard //remspan:coldpath one-time method-value binding, cached across batches
+	}
+	if cap(m.flags) < len(roots) {
+		m.flags = make([]bool, len(roots)) //remspan:coldpath flag buffer grows to the largest root set, then is reused
+	}
+	m.flags = m.flags[:len(roots)]
+	m.roots = roots
+	m.env.RunHeavy(len(roots), width, m.rebuildBody)
+	m.roots = nil
 	m.changed = m.changed[:0]
-	if width <= 1 {
-		for _, u := range roots {
-			if m.storeTree(int(u), m.build(m.delta, m.workers[0], int(u))) {
-				m.changed = append(m.changed, u)
-			}
-		}
-	} else {
-		if m.rebuildBody == nil {
-			m.rebuildBody = m.rebuildShard //remspan:coldpath one-time method-value binding, cached across batches
-		}
-		if cap(m.flags) < len(roots) {
-			m.flags = make([]bool, len(roots)) //remspan:coldpath flag buffer grows to the largest root set, then is reused
-		}
-		m.flags = m.flags[:len(roots)]
-		m.roots = roots
-		// Tree rebuilds are heavy items (a bounded BFS each), so shards
-		// shrink well below sched's vertex-grained floor.
-		span := len(roots) / (width * 8)
-		if span < 1 {
-			span = 1
-		}
-		m.pool.RunSpan(len(roots), width, span, m.rebuildBody)
-		m.roots = nil
-		for i, u := range roots {
-			if m.flags[i] {
-				m.changed = append(m.changed, u)
-			}
+	for i, u := range roots {
+		if m.flags[i] {
+			m.changed = append(m.changed, u)
 		}
 	}
 	m.rebuilt += int64(len(roots))

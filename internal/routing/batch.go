@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math/bits"
-	"sync"
 
 	"remspan/internal/graph"
 	"remspan/internal/sched"
@@ -258,19 +257,16 @@ type tableWorker struct {
 }
 
 // tableEnv is the reusable environment of the batched table fan-out:
-// the sched pool, one builder slot per worker, the ball-clustering
-// scratch and the per-run job the prebound shard body reads. Every
-// batched build runs through one: each Store owns its own for its
-// whole life (its writer lock serializes the runs), and
-// BuildTablesBatchedInto borrows the package's shared one, falling
-// back to a transient env when that is busy.
+// one builder slot per worker, the ball-clustering scratch and the
+// per-run job the prebound shard body reads. Every batched build runs
+// through one: each Store owns its own for its whole life (its writer
+// lock serializes the runs), and BuildTablesBatchedInto borrows the
+// package's shared one through a sched.Shared.
 type tableEnv struct {
-	mu      sync.Mutex // guards the shared instance; a Store's env relies on Store.mu
-	pool    sched.Pool
-	order   *graph.BatchOrderScratch
-	workers []*tableWorker
-	pick    []uint64 // owners of the run as a bitmap, cleared after use
-	picked  []int32  // the run's owners in ball-clustered order
+	sched.Env[tableWorker]
+	order  graph.BatchOrderScratch
+	pick   []uint64 // owners of the run as a bitmap, cleared after use
+	picked []int32  // the run's owners in ball-clustered order
 
 	// Per-run job.
 	g, h   graph.View
@@ -280,13 +276,7 @@ type tableEnv struct {
 	body func(w, lo, hi int)
 }
 
-func newTableEnv() *tableEnv {
-	e := &tableEnv{order: graph.NewBatchOrderScratch()}
-	e.body = e.shard
-	return e
-}
-
-var sharedTableEnv = newTableEnv()
+var sharedTableEnv sched.Shared[tableEnv]
 
 // shard builds groups [lo, hi) — owners[64·lo : 64·hi] — on worker w's
 // builder. Every owner sits in exactly one group, so each worker writes
@@ -298,21 +288,7 @@ func (e *tableEnv) shard(w, lo, hi int) {
 	if hi > len(e.owners) {
 		hi = len(e.owners)
 	}
-	e.workers[w].b.BuildInto(e.g, e.h, e.tables, e.owners[lo:hi])
-}
-
-// acquire readies width builder slots for graphs of n vertices. Slots
-// grow lazily to the widest run seen and are then reused.
-func (e *tableEnv) acquire(width, n int) {
-	for len(e.workers) < width {
-		e.workers = append(e.workers, &tableWorker{}) //remspan:coldpath worker slots grow to the widest run seen, then are reused
-	}
-	for _, tw := range e.workers[:width] {
-		if tw.b == nil || tw.n < n || (tw.n > halfWidthMaxN && n <= halfWidthMaxN) {
-			tw.b = NewBatchBuilder(n) //remspan:coldpath one O(64·n) builder per slot, rebuilt only when the vertex count outgrows it
-			tw.n = n
-		}
-	}
+	e.Slot(w).b.BuildInto(e.g, e.h, e.tables, e.owners[lo:hi])
 }
 
 // cluster returns owners in graph.BatchOrder's ball-clustered order
@@ -345,48 +321,37 @@ func (e *tableEnv) cluster(g graph.View, owners []int32) []int32 {
 
 // build constructs the rows of owners (nil: every vertex) into tables
 // — indexed by owner id, rows pre-sized — in ball-clustered groups of
-// 64 spread over width workers (≤ 0: sched.Workers of the group
-// count). A row depends only on (g, h, owner), so the result is
-// bit-identical to BuildTables at every width and for any owner
-// subset.
+// 64 spread over sched.Workers workers, one builder each. A row
+// depends only on (g, h, owner), so the result is bit-identical to
+// BuildTables at every GOMAXPROCS and for any owner subset.
 //
 //remspan:hotpath
-func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32, width int) {
+func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32) {
 	owners = e.cluster(g, owners)
 	groups := (len(owners) + 63) / 64
 	if groups == 0 {
 		return
 	}
-	if width <= 0 {
-		width = sched.Workers(groups)
+	width := sched.Workers(groups)
+	n := g.N()
+	for _, tw := range e.Slots(width) {
+		if tw.b == nil || tw.n < n || (tw.n > halfWidthMaxN && n <= halfWidthMaxN) {
+			tw.b = NewBatchBuilder(n) //remspan:coldpath one O(64·n) builder per slot, rebuilt only when the vertex count outgrows it
+			tw.n = n
+		}
 	}
-	e.acquire(width, g.N())
+	if e.body == nil {
+		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
+	}
 	e.g, e.h, e.tables, e.owners = g, h, tables, owners
-	// One item is a 64-owner sweep: heavy, so shards shrink to single
-	// groups rather than sched's vertex-grained floor.
-	span := groups / (width * 8)
-	if span < 1 {
-		span = 1
-	}
-	e.pool.RunSpan(groups, width, span, e.body)
+	e.RunHeavy(groups, width, e.body)
 	e.g, e.h, e.tables, e.owners = nil, nil, nil, nil
 }
 
 // BuildTablesBatchedInto is BuildTablesBatched into caller-provided
 // tables (len n, rows pre-sized).
 func BuildTablesBatchedInto(g, h graph.View, tables []Table) {
-	buildTablesBatchedWidth(g, h, tables, 0)
-}
-
-// buildTablesBatchedWidth is BuildTablesBatchedInto with an explicit
-// worker count (width ≤ 0 means sized to the group count) — the
-// determinism tests' entry point.
-func buildTablesBatchedWidth(g, h graph.View, tables []Table, width int) {
-	env := sharedTableEnv
-	if !env.mu.TryLock() {
-		env = newTableEnv()
-		env.mu.Lock()
-	}
-	defer env.mu.Unlock()
-	env.build(g, h, tables, nil, width)
+	e := sharedTableEnv.Acquire()
+	defer sharedTableEnv.Release(e)
+	e.build(g, h, tables, nil)
 }

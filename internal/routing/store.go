@@ -21,7 +21,7 @@ import (
 // lookups lock-free from whichever epoch they entered, unperturbed by
 // in-flight batches (race-pinned by TestStoreConcurrentReaders).
 //
-// Rows are built on the store's own table env (a sched pool and one
+// Rows are built on the store's own table env (a sched.Env with one
 // builder per worker), on the path the cold build uses: the dirty
 // owners in ball-clustered groups of 64, spread over sched.Workers
 // workers. The cold build, RebuildAll and every batch share that path,
@@ -50,7 +50,7 @@ import (
 type Store struct {
 	m   *dynamic.Maintainer
 	n   int
-	env *tableEnv // the store's own batched-build env (pool + builders)
+	env tableEnv // the store's own batched-build env (builders per worker); mu serializes its runs
 	h   *SpannerMirror
 
 	cur atomic.Pointer[Epoch] //remspan:atomic
@@ -126,7 +126,6 @@ func NewStore(m *dynamic.Maintainer) *Store {
 	st := &Store{
 		m:        m,
 		n:        n,
-		env:      newTableEnv(),
 		h:        NewSpannerMirror(n),
 		stale:    make([]atomic.Uint32, (n+31)/32),
 		dirtyBuf: make([]int32, 0, 256),
@@ -136,7 +135,7 @@ func NewStore(m *dynamic.Maintainer) *Store {
 	}
 	st.h.Freeze()
 	tables := NewTables(n)
-	st.env.build(m.View(), st.h.View(), tables, nil, 0)
+	st.env.build(m.View(), st.h.View(), tables, nil)
 	ep := &Epoch{tables: tables}
 	ep.seq.Store(1)
 	st.cur.Store(ep)
@@ -261,7 +260,7 @@ func (st *Store) publish(owners []int32) {
 		ret.rows = append(ret.rows, ep.tables[u].Next, ep.tables[u].Dist)
 		ep.tables[u] = Table{Owner: int(u), Next: st.takeRow(), Dist: st.takeRow()}
 	}
-	st.env.build(st.m.View(), st.h.View(), ep.tables, owners, 0)
+	st.env.build(st.m.View(), st.h.View(), ep.tables, owners)
 	ep.seq.Store(cur.Seq() + 1)
 	ret.seq = ep.Seq()
 	st.cur.Store(ep)

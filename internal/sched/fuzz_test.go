@@ -1,14 +1,13 @@
 package sched
 
 import (
-	"sync/atomic"
 	"testing"
 )
 
 // FuzzShardCoverage drives the scheduler over adversarial (items,
-// width, span) triples and asserts the two load-bearing invariants:
-// every index runs exactly once, and a deterministic ordered fold over
-// per-shard results equals the serial fold.
+// width, span) triples and asserts the load-bearing invariant of both
+// shard sizings, the explicit span and RunHeavy's: every index runs
+// exactly once, on a worker id below width.
 func FuzzShardCoverage(f *testing.F) {
 	f.Add(100, 4, 7)
 	f.Add(1, 16, 1)
@@ -21,37 +20,12 @@ func FuzzShardCoverage(f *testing.F) {
 		}
 		width = (width%17+17)%17 + 1
 		if span < 1 || span > items+1 {
-			span = SpanFor(items, width)
+			span = spanFor(items, width)
 		}
 		var p Pool
-		seen := make([]int32, items)
-		p.RunSpan(items, width, span, func(w, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
+		coverage(t, &p, items, width, span)
+		covers(t, "heavy", items, width, func(body func(w, lo, hi int)) {
+			p.RunHeavy(items, width, body)
 		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("items=%d width=%d span=%d: index %d visited %d times", items, width, span, i, c)
-			}
-		}
-
-		var r Reducer[int]
-		var got int
-		r.Map(&p, items, width,
-			func(w, lo, hi int) int { return hi - lo },
-			func(v int) { got = got*1000003 + v })
-		autoSpan := SpanFor(items, width)
-		want := 0
-		for lo := 0; lo < items; lo += autoSpan {
-			hi := lo + autoSpan
-			if hi > items {
-				hi = items
-			}
-			want = want*1000003 + (hi - lo)
-		}
-		if got != want {
-			t.Fatalf("items=%d width=%d: ordered reduce %d, want %d", items, width, got, want)
-		}
 	})
 }

@@ -9,7 +9,7 @@
 // from a single shared atomic counter. Every claim then bounced one
 // cache line between every core — at n = 1M roots that ping-pong is
 // the dominant cost of the distribution itself. Here the item range
-// [0, n) is cut into contiguous vertex-range shards (SpanFor: sized so
+// [0, n) is cut into contiguous vertex-range shards (spanFor: sized so
 // the per-item caller state of a shard — a few int32 rows — stays
 // cache-resident, with enough shards per worker to steal), the shard
 // index space is block-partitioned across workers, and each worker
@@ -30,31 +30,35 @@
 //
 // # Per-worker scratch lifecycle
 //
-// Run's body receives the executing worker's index w < width. Call
-// sites keep their per-worker scratch (domtree.Scratch, BitScratch,
-// TableScratch, EdgeMarks, …) in worker-indexed slots that live across
-// runs — acquire is indexing by w, reset is the call site's per-run
-// epoch/stamp discipline, release is a no-op (slots are retained) —
-// so steady-state fan-outs allocate nothing (testutil.PinAllocs pins
-// the contract at the call sites).
+// Run's body receives the executing worker's index w < width. An Env
+// pairs a Pool with one slot of per-worker state (domtree.Scratch,
+// BitScratch, a table builder, EdgeMarks, …) per worker, kept across
+// runs: acquire is Env.Slots(width), which grows the slot table to
+// the widest run seen; reset is the call site's own rule over those
+// slots, written inline before the run (grow a scratch to the graph,
+// rebind a per-snapshot accumulator, zero a sum); the shard body
+// reads Env.Slot(w); release is a no-op, because slots are retained.
+// So steady-state fan-outs allocate nothing (testutil.PinAllocsAt pins
+// the contract at the call sites). A package-level env is held
+// through a Shared, which hands it to one caller at a time and gives a
+// concurrent caller a fresh transient env; the TryLock behind that
+// policy lives there and nowhere else.
 //
-// # Deterministic ordered reduce
+// # Deterministic results under stealing
 //
 // Workers may execute shards in any interleaving, so a result must
-// never depend on completion order. Two sanctioned shapes:
+// never depend on completion order. Three sanctioned shapes:
 //
-//   - Reduce collects one result per shard and folds the slots in
-//     ascending shard order after the barrier — bit-identical to the
-//     serial fold whatever the stealing pattern (the spanner
-//     verification witness uses this: first non-nil shard violation in
-//     shard order IS the global lexicographic minimum).
+//   - Per-item slots: results[i] written by exactly one claim, which
+//     commutes trivially (trees, table rows, tree sizes).
 //   - Per-worker accumulators merged in ascending worker order after
 //     the barrier, valid only when the merge is order-independent by
 //     construction (integer-bucketed sums, set unions, max) — the
 //     stretch-profile and edge-mark unions use this.
-//
-// Everything else writes per-item slots (results[i] written by exactly
-// one claim), which commutes trivially.
+//   - A CAS-decreasing bound for the verification witness: every item
+//     is claimed exactly once and the bound only moves down to a
+//     recorded violation, so every item below the final bound is fully
+//     processed and the lexicographically smallest witness is exact.
 //
 // A Pool is cheap: helper goroutines are spawned lazily on first
 // parallel run and then park on a channel; each subsystem owns its
@@ -94,9 +98,8 @@ const (
 
 // Workers returns the worker count a fan-out over items should use:
 // GOMAXPROCS clamped to the item count, at least 1. Call sites size
-// their per-worker scratch slots with it and pass it to Run (tests
-// pass explicit widths to pin parallel == serial regardless of the
-// host's core count).
+// their per-worker slots with it and pass it to Run; tests pin
+// parallel == serial by sweeping GOMAXPROCS.
 func Workers(items int) int {
 	w := runtime.GOMAXPROCS(0)
 	if w > items {
@@ -108,11 +111,10 @@ func Workers(items int) int {
 	return w
 }
 
-// SpanFor returns the shard span Run uses for items over width
+// spanFor returns the shard span Run uses for items over width
 // workers: items/(width·stealShards) clamped to [minSpan, maxSpan],
-// and to the whole range when width <= 1. Exposed so Reduce can size
-// its per-shard slot table to match Run's geometry exactly.
-func SpanFor(items, width int) int {
+// and to the whole range when width <= 1.
+func spanFor(items, width int) int {
 	if width <= 1 || items <= minSpan {
 		if items < 1 {
 			return 1
@@ -127,14 +129,6 @@ func SpanFor(items, width int) int {
 		span = maxSpan
 	}
 	return span
-}
-
-// Shards returns the shard count of an items-range at the given span.
-func Shards(items, span int) int {
-	if items <= 0 {
-		return 0
-	}
-	return (items + span - 1) / span
 }
 
 // cursor is one worker block's claim position, padded so neighboring
@@ -185,18 +179,17 @@ func (s *stopper) release() {
 }
 
 // Run executes body over the item range [0, items), partitioned into
-// contiguous [lo, hi) shards (span chosen by SpanFor), across width
+// contiguous [lo, hi) shards (span chosen by spanFor), across width
 // workers. body(w, lo, hi) runs on worker w in [0, width); the same w
 // never runs two shards concurrently, so w safely indexes per-worker
 // scratch. width <= 1 runs serially on the calling goroutine with no
 // synchronization at all — the steady-state zero-allocation path.
 func (p *Pool) Run(items, width int, body func(w, lo, hi int)) {
-	p.RunSpan(items, width, SpanFor(items, width), body)
+	p.RunSpan(items, width, spanFor(items, width), body)
 }
 
-// RunSpan is Run with an explicit shard span — for item domains where
-// one item is itself a large work unit (a 64-source batch sweep) and
-// the default vertex-sized span would under-split the range.
+// RunSpan is Run with an explicit shard span; RunHeavy is its sizing
+// for items that are each a large unit of work.
 func (p *Pool) RunSpan(items, width, span int, body func(w, lo, hi int)) {
 	if items <= 0 {
 		return
@@ -204,7 +197,7 @@ func (p *Pool) RunSpan(items, width, span int, body func(w, lo, hi int)) {
 	if span < 1 {
 		span = 1
 	}
-	shards := Shards(items, span)
+	shards := (items + span - 1) / span
 	if width > shards {
 		width = shards
 	}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,24 +15,41 @@ import (
 // every index is visited exactly once, by a worker id within range.
 func coverage(t *testing.T, p *Pool, items, width, span int) {
 	t.Helper()
-	seen := make([]int32, items)
+	covers(t, fmt.Sprintf("span=%d", span), items, width, func(body func(w, lo, hi int)) {
+		p.RunSpan(items, width, span, body)
+	})
+}
+
+// covers hands run a body recording each shard it is called on, per
+// worker, and asserts the shards tile [0, items) exactly — so every
+// index was visited exactly once — on worker ids below width.
+func covers(t *testing.T, what string, items, width int, run func(body func(w, lo, hi int))) {
+	t.Helper()
+	perWorker := make([][][2]int, width)
 	var badWorker atomic.Int32
 	badWorker.Store(-1)
-	p.RunSpan(items, width, span, func(w, lo, hi int) {
+	run(func(w, lo, hi int) {
 		if w < 0 || w >= width {
 			badWorker.Store(int32(w))
+			return
 		}
-		for i := lo; i < hi; i++ {
-			atomic.AddInt32(&seen[i], 1)
-		}
+		perWorker[w] = append(perWorker[w], [2]int{lo, hi})
 	})
 	if bw := badWorker.Load(); bw >= 0 {
-		t.Fatalf("items=%d width=%d span=%d: worker id %d out of range", items, width, span, bw)
+		t.Fatalf("items=%d width=%d %s: worker id %d out of range", items, width, what, bw)
 	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("items=%d width=%d span=%d: index %d visited %d times, want 1", items, width, span, i, c)
+	shards := slices.Concat(perWorker...)
+	slices.SortFunc(shards, func(a, b [2]int) int { return a[0] - b[0] })
+	next := 0
+	for _, sh := range shards {
+		if sh[0] != next || sh[1] <= sh[0] {
+			t.Fatalf("items=%d width=%d %s: shard [%d, %d) after index %d, want a non-empty shard from %d",
+				items, width, what, sh[0], sh[1], next, next)
 		}
+		next = sh[1]
+	}
+	if next != items {
+		t.Fatalf("items=%d width=%d %s: shards end at %d, want %d", items, width, what, next, items)
 	}
 }
 
@@ -52,9 +71,9 @@ func TestRunAutoSpan(t *testing.T) {
 	var p Pool
 	for _, items := range []int{0, 1, 500, 65536} {
 		for _, width := range []int{1, 2, 7, Workers(items)} {
-			span := SpanFor(items, width)
+			span := spanFor(items, width)
 			if items > 0 && span < 1 {
-				t.Fatalf("SpanFor(%d,%d) = %d", items, width, span)
+				t.Fatalf("spanFor(%d,%d) = %d", items, width, span)
 			}
 			coverage(t, &p, items, width, span)
 		}
@@ -82,30 +101,6 @@ func TestSameWorkerNeverConcurrent(t *testing.T) {
 	}
 }
 
-// TestReduceOrderedFold pins the determinism contract: the fold sees
-// shard results in ascending shard order regardless of stealing, so a
-// non-commutative fold is bit-identical to the serial one.
-func TestReduceOrderedFold(t *testing.T) {
-	var p Pool
-	var r Reducer[int]
-	const items = 100000
-	for _, width := range []int{1, 2, 7, runtime.GOMAXPROCS(0)} {
-		// Non-commutative fold: acc = acc*31 + firstIndexOfShard.
-		var got int
-		r.Map(&p, items, width,
-			func(w, lo, hi int) int { return lo },
-			func(v int) { got = got*31 + v })
-		span := SpanFor(items, width)
-		want := 0
-		for lo := 0; lo < items; lo += span {
-			want = want*31 + lo
-		}
-		if got != want {
-			t.Fatalf("width=%d: ordered fold %d, want %d", width, got, want)
-		}
-	}
-}
-
 func TestWorkersClamp(t *testing.T) {
 	if w := Workers(0); w != 1 {
 		t.Fatalf("Workers(0) = %d, want 1", w)
@@ -119,16 +114,16 @@ func TestWorkersClamp(t *testing.T) {
 }
 
 func TestSpanForBounds(t *testing.T) {
-	if s := SpanFor(10, 1); s != 10 {
+	if s := spanFor(10, 1); s != 10 {
 		t.Fatalf("serial span = %d, want whole range", s)
 	}
-	if s := SpanFor(0, 4); s != 1 {
+	if s := spanFor(0, 4); s != 1 {
 		t.Fatalf("empty span = %d, want 1", s)
 	}
-	if s := SpanFor(1<<20, 4); s != maxSpan {
+	if s := spanFor(1<<20, 4); s != maxSpan {
 		t.Fatalf("huge span = %d, want cap %d", s, maxSpan)
 	}
-	if s := SpanFor(1000, 4); s != minSpan {
+	if s := spanFor(1000, 4); s != minSpan {
 		t.Fatalf("small span = %d, want floor %d", s, minSpan)
 	}
 }

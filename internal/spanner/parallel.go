@@ -1,8 +1,6 @@
 package spanner
 
 import (
-	"sync"
-
 	"remspan/internal/domtree"
 	"remspan/internal/graph"
 	"remspan/internal/sched"
@@ -19,7 +17,7 @@ type CSRBuilder func(c graph.View, s *domtree.Scratch, u int) *graph.Tree
 // across builds: the domtree scratch is reused for any graph up to its
 // size, and the local edge-mark accumulator is reused whenever the
 // snapshot is the same one as the previous run (the steady-state
-// repeated-build case PinAllocs covers) and rebuilt otherwise.
+// repeated-build case PinAllocsAt covers) and rebuilt otherwise.
 type buildWorker struct {
 	n       int
 	scratch *domtree.Scratch
@@ -27,17 +25,14 @@ type buildWorker struct {
 	local   *graph.EdgeMarks
 }
 
-// buildEnv is the reusable environment of the parallel construction
-// fan-out: the sched pool, the per-worker scratch slots, and the
-// per-run parameters the prebound shard body reads. One env serves
-// the package; a concurrent build that finds it busy runs on a
-// transient env instead (correctness never depends on the pooling).
+// buildEnv is the reusable environment of the construction fan-out:
+// the worker slots and the per-run parameters the prebound shard body
+// reads. One env serves the package; a concurrent build that finds it
+// busy runs on a transient env instead (sched.Shared).
 type buildEnv struct {
-	mu      sync.Mutex
-	pool    sched.Pool
-	workers []*buildWorker
+	sched.Env[buildWorker]
 
-	// Per-run job, set under mu.
+	// Per-run job.
 	c       *graph.CSR
 	builder CSRBuilder
 	sizes   []int
@@ -45,13 +40,7 @@ type buildEnv struct {
 	body func(w, lo, hi int) // prebound shard body
 }
 
-func newBuildEnv() *buildEnv {
-	e := &buildEnv{}
-	e.body = e.shard
-	return e
-}
-
-var sharedBuildEnv = newBuildEnv()
+var sharedBuildEnv sched.Shared[buildEnv]
 
 // shard builds the trees of roots [lo, hi) on worker w's pooled
 // scratch, accumulating edges into the worker-local marks. Per-root
@@ -61,7 +50,7 @@ var sharedBuildEnv = newBuildEnv()
 //
 //remspan:hotpath
 func (e *buildEnv) shard(w, lo, hi int) {
-	bw := e.workers[w]
+	bw := e.Slot(w)
 	for u := lo; u < hi; u++ {
 		t := e.builder(e.c, bw.scratch, u)
 		e.sizes[u] = t.EdgeCount()
@@ -69,15 +58,23 @@ func (e *buildEnv) shard(w, lo, hi int) {
 	}
 }
 
-// acquire readies width worker slots for a run over c: scratches are
-// grown to the snapshot's size once and then reused; local marks are
-// reset in place when the snapshot is unchanged and rebound otherwise.
-func (e *buildEnv) acquire(width int, c *graph.CSR) {
-	for len(e.workers) < width {
-		e.workers = append(e.workers, &buildWorker{})
-	}
+// unionParallelCSR fans the per-root tree builds over the shard
+// scheduler with sched.Workers workers and merges the worker-local
+// edge marks into marks in ascending worker order (set union commutes,
+// so the merge order is a determinism convention, not a load-bearing
+// one). sizes[u] receives each root's tree edge count. Worker slots
+// are readied first: scratches are grown to the snapshot's size once
+// and then reused; local marks are reset in place when the snapshot is
+// unchanged and rebound otherwise. A warm env run over an unchanged
+// snapshot performs no steady-state heap allocations
+// (TestUnionParallelZeroAlloc).
+func unionParallelCSR(c *graph.CSR, builder CSRBuilder, marks *graph.EdgeMarks, sizes []int) {
+	e := sharedBuildEnv.Acquire()
+	defer sharedBuildEnv.Release(e)
 	n := c.N()
-	for _, bw := range e.workers[:width] {
+	width := sched.Workers(n)
+	slots := e.Slots(width)
+	for _, bw := range slots {
 		if bw.scratch == nil || bw.n < n {
 			bw.scratch = domtree.NewScratch(n)
 			bw.n = n
@@ -89,27 +86,13 @@ func (e *buildEnv) acquire(width int, c *graph.CSR) {
 			bw.csr = c
 		}
 	}
-}
-
-// unionParallelCSR fans the per-root tree builds over the shard
-// scheduler with width workers and merges the worker-local edge marks
-// into marks in ascending worker order (set union commutes, so the
-// merge order is a determinism convention, not a load-bearing one).
-// sizes[u] receives each root's tree edge count. A warm env run over
-// an unchanged snapshot performs no steady-state heap allocations
-// (TestUnionParallelZeroAlloc).
-func unionParallelCSR(c *graph.CSR, builder CSRBuilder, width int, marks *graph.EdgeMarks, sizes []int) {
-	env := sharedBuildEnv
-	if !env.mu.TryLock() {
-		env = newBuildEnv()
-		env.mu.Lock()
+	if e.body == nil {
+		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
 	}
-	defer env.mu.Unlock()
-	env.acquire(width, c)
-	env.c, env.builder, env.sizes = c, builder, sizes
-	env.pool.Run(c.N(), width, env.body)
-	env.c, env.builder, env.sizes = nil, nil, nil
-	for _, bw := range env.workers[:width] {
+	e.c, e.builder, e.sizes = c, builder, sizes
+	e.Run(n, width, e.body)
+	e.c, e.builder, e.sizes = nil, nil, nil
+	for _, bw := range slots {
 		marks.Union(bw.local)
 	}
 }
@@ -119,34 +102,14 @@ func unionParallelCSR(c *graph.CSR, builder CSRBuilder, width int, marks *graph.
 // the paper's algorithms need no synchronization between node
 // decisions), merging the edges into a single set. Each worker slot
 // owns one pooled domtree.Scratch and local accumulator, so the
-// per-root hot loop allocates nothing. The output is bit-identical to
-// UnionSerialCSR at every worker count (TestBuildParallelDeterminism)
+// per-root hot loop allocates nothing; at one worker the scheduler
+// runs the same shard body as a plain loop on the caller. The output
+// is bit-identical at every GOMAXPROCS (TestBuildParallelDeterminism)
 // and to the map-based UnionSerial reference.
 func buildParallel(g *graph.Graph, builder CSRBuilder) *Result {
 	c := graph.NewCSR(g)
-	n := c.N()
-	width := sched.Workers(n)
-	if width <= 1 {
-		return UnionSerialCSR(c, builder)
-	}
 	marks := graph.NewEdgeMarks(c)
-	sizes := make([]int, n)
-	unionParallelCSR(c, builder, width, marks, sizes)
-	return &Result{H: marks.EdgeSet(), TreeEdges: sizes, marks: marks}
-}
-
-// UnionSerialCSR builds the union of builder(u) over all roots serially
-// on a prebuilt snapshot — the single-worker fallback and the serial
-// arm of the parallel-vs-serial ablation benchmark.
-func UnionSerialCSR(c *graph.CSR, builder CSRBuilder) *Result {
-	n := c.N()
-	marks := graph.NewEdgeMarks(c)
-	sizes := make([]int, n)
-	scratch := domtree.NewScratch(n)
-	for u := 0; u < n; u++ {
-		t := builder(c, scratch, u)
-		sizes[u] = t.EdgeCount()
-		marks.AddTree(t)
-	}
+	sizes := make([]int, c.N())
+	unionParallelCSR(c, builder, marks, sizes)
 	return &Result{H: marks.EdgeSet(), TreeEdges: sizes, marks: marks}
 }

@@ -12,20 +12,26 @@ import (
 )
 
 // The shard scheduler must be invisible in every output: any worker
-// count — including widths far above GOMAXPROCS, which maximize
-// stealing — produces results bit-identical to the serial path. These
-// tests drive the internal width entry points directly because the
-// public ones pick the width from the host CPU count.
+// count — including widths far above the host's cores, which maximize
+// stealing — produces results bit-identical to GOMAXPROCS 1, where
+// every fan-out runs its shard body as one plain loop. The fan-outs
+// size their width from GOMAXPROCS, so these tests sweep it.
 
-// schedWidths returns the worker counts the determinism pins sweep:
+// schedProcs returns the GOMAXPROCS values the determinism pins sweep:
 // serial, minimal parallel, a prime that never divides the shard count
 // evenly, and the host width.
-func schedWidths() []int {
-	ws := []int{1, 2, 7}
+func schedProcs() []int {
+	ps := []int{1, 2, 7}
 	if p := runtime.GOMAXPROCS(0); p != 1 && p != 2 && p != 7 {
-		ws = append(ws, p)
+		ps = append(ps, p)
 	}
-	return ws
+	return ps
+}
+
+// atProcs runs fn at GOMAXPROCS procs.
+func atProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
 }
 
 var schedBuilders = []struct {
@@ -48,8 +54,8 @@ var schedBuilders = []struct {
 
 // TestBuildParallelDeterminism pins the construction fan-out: all four
 // production builders, across gen families and random graphs, produce
-// the same edge set and the same per-root tree sizes at every worker
-// count as the serial union.
+// the same edge set and the same per-root tree sizes at every
+// GOMAXPROCS as at 1.
 func TestBuildParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	families := []struct {
@@ -61,26 +67,22 @@ func TestBuildParallelDeterminism(t *testing.T) {
 		{"erdos-renyi", gen.ErdosRenyi(160, 0.05, rng)},
 		{"quick", quickGraph(33, 150, 320)},
 	}
+	procs := schedProcs()
 	for _, f := range families {
-		c := graph.NewCSR(f.g)
-		n := c.N()
 		for _, bb := range schedBuilders {
-			want := UnionSerialCSR(c, bb.b)
-			for _, width := range schedWidths() {
-				if width <= 1 {
-					continue // want IS the width-1 path
+			var want *Result
+			atProcs(1, func() { want = buildParallel(f.g, bb.b) })
+			for _, p := range procs[1:] {
+				var got *Result
+				atProcs(p, func() { got = buildParallel(f.g, bb.b) })
+				if !edgeSetsEqual(want.H, got.H) {
+					t.Fatalf("%s/%s GOMAXPROCS=%d: edge set differs from GOMAXPROCS=1",
+						f.name, bb.name, p)
 				}
-				marks := graph.NewEdgeMarks(c)
-				sizes := make([]int, n)
-				unionParallelCSR(c, bb.b, width, marks, sizes)
-				if !edgeSetsEqual(want.H, marks.EdgeSet()) {
-					t.Fatalf("%s/%s width=%d: parallel edge set differs from serial",
-						f.name, bb.name, width)
-				}
-				for u := range sizes {
-					if sizes[u] != want.TreeEdges[u] {
-						t.Fatalf("%s/%s width=%d: tree size mismatch at root %d: %d vs %d",
-							f.name, bb.name, width, u, sizes[u], want.TreeEdges[u])
+				for u := range got.TreeEdges {
+					if got.TreeEdges[u] != want.TreeEdges[u] {
+						t.Fatalf("%s/%s GOMAXPROCS=%d: tree size mismatch at root %d: %d vs %d",
+							f.name, bb.name, p, u, got.TreeEdges[u], want.TreeEdges[u])
 					}
 				}
 			}
@@ -91,29 +93,30 @@ func TestBuildParallelDeterminism(t *testing.T) {
 // TestUnionParallelZeroAlloc pins the steady-state allocation guarantee
 // of the construction fan-out: a warm shared env rebuilding the same
 // snapshot allocates nothing — scratches, edge marks, shard cursors and
-// worker goroutines are all pooled.
+// worker goroutines are all pooled — serially and in parallel.
 func TestUnionParallelZeroAlloc(t *testing.T) {
 	g := quickGraph(5, 400, 900)
 	c := graph.NewCSR(g)
 	builder := schedBuilders[0].b // kgreedy1
-	const width = 4
 	marks := graph.NewEdgeMarks(c)
 	sizes := make([]int, c.N())
 	run := func() {
 		marks.Reset()
-		unionParallelCSR(c, builder, width, marks, sizes)
+		unionParallelCSR(c, builder, marks, sizes)
 	}
-	run() // warm-up: allocate worker slots, scratches, park helpers
-	testutil.PinAllocs(t, "warm unionParallelCSR", 10, run)
+	for _, procs := range []int{1, 4} {
+		testutil.PinAllocsAt(t, "warm unionParallelCSR", procs, 10, run)
+	}
 }
 
 // TestCheckScalarWidthDeterminism pins the early-stopping verification
 // fan-out: the lexicographically first violation witness — or the
-// absence of one — is identical at every worker count, exact spanners,
+// absence of one — is identical at every GOMAXPROCS, exact spanners,
 // broken spanners and empty spanners alike.
 func TestCheckScalarWidthDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	stretches := []Stretch{NewStretch(1, 0), NewStretch(2, -1), LowStretchOf(3)}
+	procs := schedProcs()
 	for name, g := range verifyFamilies() {
 		cg := graph.NewCSR(g)
 		for hname, h := range map[string]*graph.Graph{
@@ -123,16 +126,18 @@ func TestCheckScalarWidthDeterminism(t *testing.T) {
 		} {
 			ch := graph.NewCSR(h)
 			for _, st := range stretches {
-				want := checkScalarCSRWidth(cg, ch, st, 1)
-				for _, width := range schedWidths()[1:] {
-					got := checkScalarCSRWidth(cg, ch, st, width)
+				var want *Violation
+				atProcs(1, func() { want = checkScalarCSR(cg, ch, st) })
+				for _, p := range procs[1:] {
+					var got *Violation
+					atProcs(p, func() { got = checkScalarCSR(cg, ch, st) })
 					if (want == nil) != (got == nil) {
-						t.Fatalf("%s/%s %v width=%d: serial %v, parallel %v",
-							name, hname, st, width, want, got)
+						t.Fatalf("%s/%s %v GOMAXPROCS=%d: serial %v, parallel %v",
+							name, hname, st, p, want, got)
 					}
 					if want != nil && *want != *got {
-						t.Fatalf("%s/%s %v width=%d: witness differs: serial %+v, parallel %+v",
-							name, hname, st, width, want, got)
+						t.Fatalf("%s/%s %v GOMAXPROCS=%d: witness differs: serial %+v, parallel %+v",
+							name, hname, st, p, want, got)
 					}
 				}
 			}
@@ -140,10 +145,19 @@ func TestCheckScalarWidthDeterminism(t *testing.T) {
 	}
 }
 
+// judgeResult is one JudgeViews outcome.
+type judgeResult struct {
+	u, v int
+	dg   int32
+	ok   bool
+}
+
 // TestJudgeViewsWidthDeterminism pins the batched judge fan-out: the
-// lexicographically first deadline miss is identical at every width.
+// lexicographically first deadline miss is identical at every
+// GOMAXPROCS.
 func TestJudgeViewsWidthDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	procs := schedProcs()
 	for name, g := range verifyFamilies() {
 		cg := graph.NewCSR(g)
 		for hname, h := range map[string]*graph.Graph{
@@ -153,12 +167,15 @@ func TestJudgeViewsWidthDeterminism(t *testing.T) {
 		} {
 			ch := graph.NewCSR(h)
 			st := NewStretch(1, 0)
-			wu, wv, wdg, wok := judgeViewsWidth(cg, ch, st, 1)
-			for _, width := range schedWidths()[1:] {
-				gu, gv, gdg, gok := judgeViewsWidth(cg, ch, st, width)
-				if wu != gu || wv != gv || wdg != gdg || wok != gok {
-					t.Fatalf("%s/%s width=%d: judge witness (%d,%d,%d,%v) differs from serial (%d,%d,%d,%v)",
-						name, hname, width, gu, gv, gdg, gok, wu, wv, wdg, wok)
+			judge := func(p int) (r judgeResult) {
+				atProcs(p, func() { r.u, r.v, r.dg, r.ok = JudgeViews(cg, ch, st) })
+				return r
+			}
+			want := judge(1)
+			for _, p := range procs[1:] {
+				if got := judge(p); got != want {
+					t.Fatalf("%s/%s GOMAXPROCS=%d: judge witness %+v differs from serial %+v",
+						name, hname, p, got, want)
 				}
 			}
 		}
@@ -166,10 +183,11 @@ func TestJudgeViewsWidthDeterminism(t *testing.T) {
 }
 
 // TestMeasureBatchedWidthDeterminism pins bit-identical Profile output
-// — floats included — at every worker count: the per-worker
-// accumulators merge order-independent sums.
+// — floats included — at every GOMAXPROCS: the per-worker accumulators
+// merge order-independent sums.
 func TestMeasureBatchedWidthDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
+	procs := schedProcs()
 	for name, g := range verifyFamilies() {
 		cg := graph.NewCSR(g)
 		for hname, h := range map[string]*graph.Graph{
@@ -177,12 +195,14 @@ func TestMeasureBatchedWidthDeterminism(t *testing.T) {
 			"broken": dropEdges(Exact(g).Graph(), 0.5, rng),
 		} {
 			ch := graph.NewCSR(h)
-			want := measureBatchedCSRWidth(cg, ch, 1)
-			for _, width := range schedWidths()[1:] {
-				got := measureBatchedCSRWidth(cg, ch, width)
+			var want Profile
+			atProcs(1, func() { want = measureBatchedCSR(cg, ch) })
+			for _, p := range procs[1:] {
+				var got Profile
+				atProcs(p, func() { got = measureBatchedCSR(cg, ch) })
 				if want != got {
-					t.Fatalf("%s/%s width=%d: profile %+v differs from serial %+v",
-						name, hname, width, got, want)
+					t.Fatalf("%s/%s GOMAXPROCS=%d: profile %+v differs from serial %+v",
+						name, hname, p, got, want)
 				}
 			}
 		}
@@ -192,15 +212,18 @@ func TestMeasureBatchedWidthDeterminism(t *testing.T) {
 // TestCheckScalarWidthZeroAlloc pins the warm scalar verification
 // fan-out allocation-free on the no-violation path (a found witness
 // escapes by design — the caller receives a fresh *Violation — so the
-// pin runs where the guarantee holds everywhere).
+// pin runs where the guarantee holds everywhere), serially and in
+// parallel.
 func TestCheckScalarWidthZeroAlloc(t *testing.T) {
 	g := quickGraph(9, 300, 700)
 	cg := graph.NewCSR(g)
-	st := NewStretch(1, 0)                                 // H = G: every distance matches exactly
-	if v := checkScalarCSRWidth(cg, cg, st, 4); v != nil { // warm env + pool
+	st := NewStretch(1, 0)                         // H = G: every distance matches exactly
+	if v := checkScalarCSR(cg, cg, st); v != nil { // warm env
 		t.Fatalf("H = G must verify clean, got %+v", *v)
 	}
-	testutil.PinAllocs(t, "warm checkScalarCSRWidth", 5, func() {
-		checkScalarCSRWidth(cg, cg, st, 4)
-	})
+	for _, procs := range []int{1, 4} {
+		testutil.PinAllocsAt(t, "warm checkScalarCSR", procs, 5, func() {
+			checkScalarCSR(cg, cg, st)
+		})
+	}
 }

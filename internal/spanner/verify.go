@@ -115,14 +115,11 @@ type scalarVerifyWorker struct {
 }
 
 // scalarVerifyEnv is the reusable environment of checkScalarCSR's
-// shard fan-out, mirroring buildEnv: one shared instance, transient
-// fallback when busy.
+// shard fan-out, held like buildEnv through a sched.Shared.
 type scalarVerifyEnv struct {
-	mu      sync.Mutex
-	pool    sched.Pool
-	workers []*scalarVerifyWorker
+	sched.Env[scalarVerifyWorker]
 
-	// Per-run job, set under mu.
+	// Per-run job.
 	cg, ch *graph.CSR
 	st     Stretch
 	// stop is the smallest source known to violate: once set, workers
@@ -139,17 +136,11 @@ type scalarVerifyEnv struct {
 	body func(w, lo, hi int)
 }
 
-func newScalarVerifyEnv() *scalarVerifyEnv {
-	e := &scalarVerifyEnv{}
-	e.body = e.shard
-	return e
-}
-
-var sharedScalarVerifyEnv = newScalarVerifyEnv()
+var sharedScalarVerifyEnv sched.Shared[scalarVerifyEnv]
 
 //remspan:hotpath
 func (e *scalarVerifyEnv) shard(w, lo, hi int) {
-	sw := e.workers[w]
+	sw := e.Slot(w)
 	for u := lo; u < hi; u++ {
 		if int64(u) >= e.stop.Load() {
 			continue
@@ -187,42 +178,31 @@ func (e *scalarVerifyEnv) shard(w, lo, hi int) {
 	}
 }
 
-func (e *scalarVerifyEnv) acquire(width, n int) {
-	for len(e.workers) < width {
-		e.workers = append(e.workers, &scalarVerifyWorker{})
-	}
-	for _, sw := range e.workers[:width] {
+func checkScalarCSR(cg, ch *graph.CSR, st Stretch) *Violation {
+	e := sharedScalarVerifyEnv.Acquire()
+	defer sharedScalarVerifyEnv.Release(e)
+	n := cg.N()
+	width := sched.Workers(n)
+	for _, sw := range e.Slots(width) {
 		if sw.vs == nil || sw.n < n {
 			sw.vs = NewViewScratch(n)
 			sw.gs = graph.NewBFSScratch(n)
 			sw.n = n
 		}
 	}
-}
-
-func checkScalarCSR(cg, ch *graph.CSR, st Stretch) *Violation {
-	return checkScalarCSRWidth(cg, ch, st, sched.Workers(cg.N()))
-}
-
-func checkScalarCSRWidth(cg, ch *graph.CSR, st Stretch, width int) *Violation {
-	env := sharedScalarVerifyEnv
-	if !env.mu.TryLock() {
-		env = newScalarVerifyEnv()
-		env.mu.Lock()
+	if e.body == nil {
+		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
 	}
-	defer env.mu.Unlock()
-	n := cg.N()
-	env.acquire(width, n)
-	env.cg, env.ch, env.st = cg, ch, st
-	env.stop.Store(int64(n))
-	env.hasBest = false
-	env.pool.Run(n, width, env.body)
+	e.cg, e.ch, e.st = cg, ch, st
+	e.stop.Store(int64(n))
+	e.hasBest = false
+	e.Run(n, width, e.body)
 	var best *Violation
-	if env.hasBest {
-		v := env.best
+	if e.hasBest {
+		v := e.best
 		best = &v
 	}
-	env.cg, env.ch = nil, nil
+	e.cg, e.ch = nil, nil
 	return best
 }
 

@@ -121,18 +121,6 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// batchSpan sizes shards for batch-grained fan-outs: one item is a
-// 64-source sweep (orders of magnitude heavier than one vertex), so
-// shards shrink to single batches rather than sched's vertex-grained
-// floor, keeping stealable slack even when batches are few.
-func batchSpan(batches, width int) int {
-	span := batches / (width * 8)
-	if span < 1 {
-		span = 1
-	}
-	return span
-}
-
 // delivery is one buffered G-sweep first-visit event awaiting its
 // stretch deadline.
 type delivery struct {
@@ -276,15 +264,13 @@ type judgeWorker struct {
 }
 
 // judgeEnv is the reusable environment of JudgeViews' shard fan-out
-// over ball-clustered batches, mirroring buildEnv: one shared
-// instance, transient fallback when busy.
+// over ball-clustered batches, held like buildEnv through a
+// sched.Shared.
 type judgeEnv struct {
-	mu      sync.Mutex
-	pool    sched.Pool
-	order   *graph.BatchOrderScratch
-	workers []*judgeWorker
+	sched.Env[judgeWorker]
+	order graph.BatchOrderScratch
 
-	// Per-run job, set under mu.
+	// Per-run job.
 	cg, ch           *graph.CSR
 	srcOrder, starts []int32
 	minU, thr        []int32
@@ -299,17 +285,11 @@ type judgeEnv struct {
 	body func(w, lo, hi int)
 }
 
-func newJudgeEnv() *judgeEnv {
-	e := &judgeEnv{order: graph.NewBatchOrderScratch()}
-	e.body = e.shard
-	return e
-}
-
-var sharedJudgeEnv = newJudgeEnv()
+var sharedJudgeEnv sched.Shared[judgeEnv]
 
 //remspan:hotpath
 func (e *judgeEnv) shard(w, lo, hi int) {
-	jw := e.workers[w]
+	jw := e.Slot(w)
 	for b := lo; b < hi; b++ {
 		if int64(e.minU[b]) > e.bestU.Load() {
 			continue
@@ -335,21 +315,6 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 	}
 }
 
-func (e *judgeEnv) acquire(width, n int) {
-	for len(e.workers) < width {
-		e.workers = append(e.workers, &judgeWorker{})
-	}
-	for _, jw := range e.workers[:width] {
-		if jw.judge == nil || jw.n < n {
-			jw.judge = NewViewJudge(n)
-			jw.n = n
-		}
-		if jw.miss == nil {
-			jw.miss = jw.cs.miss
-		}
-	}
-}
-
 // JudgeViews runs the deadline-lockstep judge over every
 // ball-clustered 64-source batch on the shard scheduler and returns
 // the lexicographically smallest pair violating the stretch in the
@@ -360,34 +325,32 @@ func (e *judgeEnv) acquire(width, n int) {
 // guard and fall back to a scalar pass. The shared engine behind both
 // spanner.Check and oracle.Validate.
 func JudgeViews(cg, ch *graph.CSR, st Stretch) (u, v int, dg int32, ok bool) {
-	return judgeViewsWidth(cg, ch, st, 0)
-}
-
-// judgeViewsWidth is JudgeViews with an explicit worker count
-// (width ≤ 0 means sized to the batch count) — the determinism tests'
-// entry point.
-func judgeViewsWidth(cg, ch *graph.CSR, st Stretch, width int) (u, v int, dg int32, ok bool) {
-	env := sharedJudgeEnv
-	if !env.mu.TryLock() {
-		env = newJudgeEnv()
-		env.mu.Lock()
-	}
-	defer env.mu.Unlock()
+	e := sharedJudgeEnv.Acquire()
+	defer sharedJudgeEnv.Release(e)
 	n := cg.N()
-	env.srcOrder, env.starts = env.order.Order(cg)
-	nb := len(env.starts) - 1
-	if width <= 0 {
-		width = sched.Workers(nb)
+	e.srcOrder, e.starts = e.order.Order(cg)
+	nb := len(e.starts) - 1
+	width := sched.Workers(nb)
+	for _, jw := range e.Slots(width) {
+		if jw.judge == nil || jw.n < n {
+			jw.judge = NewViewJudge(n)
+			jw.n = n
+		}
+		if jw.miss == nil {
+			jw.miss = jw.cs.miss
+		}
 	}
-	env.acquire(width, n)
-	env.cg, env.ch = cg, ch
-	env.minU = batchMinSource(env.srcOrder, env.starts)
-	env.thr = StretchThresholds(st, n)
-	env.bestU.Store(int64(n))
-	env.bu, env.bv, env.bdg = -1, -1, 0
-	env.pool.RunSpan(nb, width, batchSpan(nb, width), env.body)
-	u, v, dg = env.bu, env.bv, env.bdg
-	env.cg, env.ch, env.srcOrder, env.starts, env.minU, env.thr = nil, nil, nil, nil, nil, nil
+	if e.body == nil {
+		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
+	}
+	e.cg, e.ch = cg, ch
+	e.minU = batchMinSource(e.srcOrder, e.starts)
+	e.thr = StretchThresholds(st, n)
+	e.bestU.Store(int64(n))
+	e.bu, e.bv, e.bdg = -1, -1, 0
+	e.RunHeavy(nb, width, e.body)
+	u, v, dg = e.bu, e.bv, e.bdg
+	e.cg, e.ch, e.srcOrder, e.starts, e.minU, e.thr = nil, nil, nil, nil, nil, nil
 	return u, v, dg, u >= 0
 }
 
@@ -410,37 +373,28 @@ type measureWorker struct {
 	n     int
 	gbs   *graph.BitScratch
 	hbs   *graph.BitScratch
-	acc   *profAcc
+	acc   profAcc
 	visit func(v int32, newBits uint64, dg int32)
 }
 
 // measureEnv is the reusable environment of measureBatchedCSR's shard
-// fan-out, mirroring buildEnv: one shared instance, transient
-// fallback when busy.
+// fan-out, held like buildEnv through a sched.Shared.
 type measureEnv struct {
-	mu      sync.Mutex
-	pool    sched.Pool
-	order   *graph.BatchOrderScratch
-	workers []*measureWorker
+	sched.Env[measureWorker]
+	order graph.BatchOrderScratch
 
-	// Per-run job, set under mu.
+	// Per-run job.
 	cg, ch           *graph.CSR
 	srcOrder, starts []int32
 
 	body func(w, lo, hi int)
 }
 
-func newMeasureEnv() *measureEnv {
-	e := &measureEnv{order: graph.NewBatchOrderScratch()}
-	e.body = e.shard
-	return e
-}
-
-var sharedMeasureEnv = newMeasureEnv()
+var sharedMeasureEnv sched.Shared[measureEnv]
 
 //remspan:hotpath
 func (e *measureEnv) shard(w, lo, hi int) {
-	mw := e.workers[w]
+	mw := e.Slot(w)
 	for b := lo; b < hi; b++ {
 		sources := e.srcOrder[e.starts[b]:e.starts[b+1]]
 		SweepViewBatch(mw.hbs, e.cg, e.ch, sources)
@@ -448,16 +402,26 @@ func (e *measureEnv) shard(w, lo, hi int) {
 	}
 }
 
-func (e *measureEnv) acquire(width, n int) {
-	for len(e.workers) < width {
-		e.workers = append(e.workers, &measureWorker{acc: &profAcc{}})
-	}
-	for _, mw := range e.workers[:width] {
+// measureBatchedCSR is MeasureProfile on the word-parallel engine. The
+// H-sweep records distance rows (the profile needs the values); the
+// G-sweep streams first visits into a per-worker profAcc. Accumulation
+// is order-independent and the merge runs in ascending worker order,
+// so the result is bit-identical to the scalar reference at every
+// width.
+func measureBatchedCSR(cg, ch *graph.CSR) Profile {
+	e := sharedMeasureEnv.Acquire()
+	defer sharedMeasureEnv.Release(e)
+	n := cg.N()
+	e.srcOrder, e.starts = e.order.Order(cg)
+	nb := len(e.starts) - 1
+	width := sched.Workers(nb)
+	slots := e.Slots(width)
+	for _, mw := range slots {
 		if mw.gbs == nil || mw.n < n {
 			mw.gbs = graph.NewBitScratchMasks(n)
 			mw.hbs = graph.NewBitScratch(n)
 			mw.n = n
-			hbs, acc := mw.hbs, mw.acc
+			hbs, acc := mw.hbs, &mw.acc
 			mw.visit = func(v int32, newBits uint64, dg int32) {
 				if dg < 2 {
 					return
@@ -471,41 +435,15 @@ func (e *measureEnv) acquire(width, n int) {
 		}
 		mw.acc.reset(n)
 	}
-}
-
-// measureBatchedCSR is MeasureProfile on the word-parallel engine. The
-// H-sweep records distance rows (the profile needs the values); the
-// G-sweep streams first visits into a per-worker profAcc. Accumulation
-// is order-independent and the merge runs in ascending worker order,
-// so the result is bit-identical to the scalar reference at every
-// width.
-func measureBatchedCSR(cg, ch *graph.CSR) Profile {
-	return measureBatchedCSRWidth(cg, ch, 0)
-}
-
-// measureBatchedCSRWidth is measureBatchedCSR with an explicit worker
-// count (width ≤ 0 means sized to the batch count) — the determinism
-// tests' entry point.
-func measureBatchedCSRWidth(cg, ch *graph.CSR, width int) Profile {
-	env := sharedMeasureEnv
-	if !env.mu.TryLock() {
-		env = newMeasureEnv()
-		env.mu.Lock()
+	if e.body == nil {
+		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
 	}
-	defer env.mu.Unlock()
-	n := cg.N()
-	env.srcOrder, env.starts = env.order.Order(cg)
-	nb := len(env.starts) - 1
-	if width <= 0 {
-		width = sched.Workers(nb)
-	}
-	env.acquire(width, n)
-	env.cg, env.ch = cg, ch
-	env.pool.RunSpan(nb, width, batchSpan(nb, width), env.body)
-	env.cg, env.ch, env.srcOrder, env.starts = nil, nil, nil, nil
-	total := env.workers[0].acc
-	for _, mw := range env.workers[1:width] {
-		total.merge(mw.acc)
+	e.cg, e.ch = cg, ch
+	e.RunHeavy(nb, width, e.body)
+	e.cg, e.ch, e.srcOrder, e.starts = nil, nil, nil, nil
+	total := &slots[0].acc
+	for _, mw := range slots[1:] {
+		total.merge(&mw.acc)
 	}
 	return total.profile()
 }

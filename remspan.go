@@ -232,6 +232,9 @@ func radiusFor(eps float64) (int, float64) { return spanner.RadiusFor(eps) }
 // its edges as (child, parent) pairs. greedy selects Algorithm 1
 // (greedy set cover, β ∈ {0, 1}) over Algorithm 2 (MIS, β = 1).
 func DominatingTree(g *Graph, u, r, beta int, greedy bool) ([][2]int, error) {
+	if u < 0 || u >= g.N() {
+		return nil, fmt.Errorf("remspan: dominating tree root %d outside [0, %d)", u, g.N())
+	}
 	if r < 2 {
 		return nil, fmt.Errorf("remspan: dominating tree radius must be >= 2")
 	}

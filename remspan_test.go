@@ -250,6 +250,13 @@ func TestDominatingTreeFacade(t *testing.T) {
 	if _, err := DominatingTree(g, 0, 3, 0, false); err == nil {
 		t.Fatal("MIS beta=0 accepted")
 	}
+	for _, u := range []int{-1, g.N()} {
+		for _, greedy := range []bool{true, false} {
+			if _, err := DominatingTree(g, u, 3, 1, greedy); err == nil {
+				t.Fatalf("root %d accepted (greedy=%v)", u, greedy)
+			}
+		}
+	}
 	mis, err := DominatingTree(g, 0, 3, 1, false)
 	if err != nil || len(mis) == 0 {
 		t.Fatalf("MIS tree: %v", err)
