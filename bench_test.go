@@ -108,6 +108,29 @@ func BenchmarkConstructLowStretch(b *testing.B) {
 	b.ReportMetric(float64(edges), "edges")
 }
 
+// BenchmarkConstructExactScale builds the (1,0) exact remote-spanner
+// (spanner.Exact, per-node k-greedy trees on the shard-parallel
+// fan-out) on constant-degree-8 UDGs at production sizes, the
+// graph-layer scaling cells. They skip under -short.
+func BenchmarkConstructExactScale(b *testing.B) {
+	if testing.Short() {
+		b.Skip("scale cells skip under -short")
+	}
+	for _, n := range []int{200_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			gg := remspan.RandomUDG(n, math.Sqrt(math.Pi*float64(n)/8), 1)
+			g := graph.FromEdges(gg.N(), gg.Edges())
+			b.ReportAllocs()
+			b.ResetTimer()
+			var edges int
+			for i := 0; i < b.N; i++ {
+				edges = spanner.Exact(g).H.Len()
+			}
+			b.ReportMetric(float64(edges), "edges")
+		})
+	}
+}
+
 func BenchmarkConstructBaswanaSen(b *testing.B) {
 	gg := remspan.RandomUDG(400, 4, 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
@@ -149,35 +172,41 @@ func BenchmarkDistributedProtocol(b *testing.B) {
 
 // BenchmarkDistsim measures the distributed simulation engine
 // (DESIGN.md §3d) on a constant-degree UDG: the flat-state engine vs
-// the message-level reference statically, and the incremental live
-// tick (mobility diff → dirty-root reflood) that the 50k-scale
-// BENCH_distsim.json suite extends.
+// the message-level reference statically, for the (1,0) construction
+// (kgreedy1, R = 1) and the 2-connecting one (kmis2, R = 2), and the
+// incremental live tick (one edge toggle → dirty-root reflood). The
+// flood-50k workload of cmd/bench runs the live path at scale.
 func BenchmarkDistsim(b *testing.B) {
 	const n, deg = 2000, 8
 	side := math.Sqrt(math.Pi * n / deg)
 	gg := remspan.RandomUDG(n, side, 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
-	build := func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
-		return domtree.KGreedyCSR(c, s, u, 1)
+	// The reference runs the map-based twin of each production builder
+	// on every node's local view.
+	refs := map[string]distsim.TreeAlgo{
+		"kgreedy1": func(local *graph.Graph, u int) *graph.Tree { return domtree.KGreedy(local, u, 1) },
+		"kmis2":    func(local *graph.Graph, u int) *graph.Tree { return domtree.KMIS(local, u, 2) },
 	}
-	b.Run("engine-static", func(b *testing.B) {
-		b.ReportAllocs()
-		var words int64
-		for i := 0; i < b.N; i++ {
-			words = distsim.RunRemSpan(g, 1, build).Words
-		}
-		b.ReportMetric(float64(words), "words")
-	})
-	b.Run("reference-static", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			distsim.RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
-				return domtree.KGreedy(local, u, 1)
-			})
-		}
-	})
+	for _, bb := range dynamic.Builders()[:2] { // kgreedy1 (R = 1), kmis2 (R = 2)
+		b.Run("engine-static/"+bb.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var words int64
+			for i := 0; i < b.N; i++ {
+				words = distsim.RunRemSpan(g, bb.Radius, bb.Build).Words
+			}
+			b.ReportMetric(float64(words), "words")
+		})
+		b.Run("reference-static/"+bb.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			var words int64
+			for i := 0; i < b.N; i++ {
+				words = distsim.RunRemSpanReference(g, bb.Radius, refs[bb.Name]).Words
+			}
+			b.ReportMetric(float64(words), "words")
+		})
+	}
 	b.Run("live-tick", func(b *testing.B) {
-		e := distsim.NewEngine(g, 1, build)
+		e := distsim.NewEngine(g, 1, dynamic.Builders()[0].Build) // kgreedy1
 		e.Run()
 		add := []dynamic.Change{{Kind: dynamic.AddEdge, U: 0, V: 1}}
 		del := []dynamic.Change{{Kind: dynamic.RemoveEdge, U: 0, V: 1}}

@@ -134,6 +134,9 @@ func runCentralized(g *remspan.Graph, algo string, k int, eps float64) (*remspan
 	case "exact":
 		return remspan.Exact(g), nil
 	case "kconn":
+		if k < 1 {
+			return nil, kconnError(k)
+		}
 		return remspan.KConnecting(g, k), nil
 	case "2conn":
 		return remspan.TwoConnecting(g), nil
@@ -152,6 +155,9 @@ func runDistributed(g *remspan.Graph, algo string, k int, eps float64) (*remspan
 	case "exact":
 		a, sp = remspan.AlgoExact, remspan.Exact(g)
 	case "kconn":
+		if k < 1 {
+			return nil, kconnError(k)
+		}
 		a, sp = remspan.AlgoKConnecting, remspan.KConnecting(g, k)
 	case "2conn":
 		a, sp = remspan.AlgoTwoConnecting, remspan.TwoConnecting(g)
@@ -174,6 +180,9 @@ func runDistributed(g *remspan.Graph, algo string, k int, eps float64) (*remspan
 	sp.H = res.H
 	return sp, nil
 }
+
+// kconnError rejects a k-connecting request with k < 1.
+func kconnError(k int) error { return fmt.Errorf("need k >= 1 for kconn, got %d", k) }
 
 func toPairs(g *graph.Graph) [][2]int {
 	var out [][2]int

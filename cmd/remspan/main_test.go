@@ -60,6 +60,18 @@ func TestRunCentralizedAlgorithms(t *testing.T) {
 	if _, err := runCentralized(g, "nope", 2, 0.5); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
+	for _, k := range []int{0, -1} {
+		if _, err := runCentralized(g, "kconn", k, 0.5); err == nil || !strings.Contains(err.Error(), "k >= 1") {
+			t.Fatalf("kconn k=%d: got %v, want a k >= 1 error", k, err)
+		}
+		if _, err := runDistributed(g, "kconn", k, 0.5); err == nil || !strings.Contains(err.Error(), "k >= 1") {
+			t.Fatalf("distributed kconn k=%d: got %v, want a k >= 1 error", k, err)
+		}
+	}
+	want, _ := runCentralized(g, "kconn", 2, 0.5)
+	if got, err := runDistributed(g, "kconn", 2, 0.5); err != nil || got.Edges() != want.Edges() {
+		t.Fatalf("distributed kconn k=2: err %v, want the centralized build's %d edges", err, want.Edges())
+	}
 }
 
 func TestWriteDOTAndEdgeList(t *testing.T) {

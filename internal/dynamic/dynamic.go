@@ -14,8 +14,8 @@
 // rebuilds, with no O(n+m) re-snapshot anywhere on the path. Per-change
 // work is therefore a function of the locality radius and the local
 // degree, not of the graph, and on large graphs with localized churn
-// the maintainer sustains throughput independent of n (measured by the
-// BENCH_churn.json suite, whose snapshot-per-change baseline arm pays
+// the maintainer sustains throughput independent of n (measured by
+// BenchmarkMaintainerChurn, whose snapshot-per-change baseline arm pays
 // the re-snapshot in the benchmark itself).
 //
 // Batches: Apply applies a whole slice of changes and unions their
@@ -60,8 +60,9 @@ type BuilderSpec struct {
 // Builders returns the canonical table of the four production tree
 // builders at their benchmark parameterizations (Exact k=1, Algorithm 5
 // k=2, and the two r=3 low-stretch families). The churn benchmarks
-// (cmd/benchjson, bench_test.go) and the equivalence tests consume this
-// one table so builder and radius can never fall out of sync.
+// (BenchmarkMaintainerChurn, bench_test.go) and the equivalence tests
+// consume this one table so builder and radius can never fall out of
+// sync.
 func Builders() []BuilderSpec {
 	return []BuilderSpec{
 		{"kgreedy1", 1, func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {

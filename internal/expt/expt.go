@@ -8,7 +8,8 @@
 // word-parallel 64-source verification engine of DESIGN.md §3c; its
 // results are bit-identical to the scalar reference, so the reproduced
 // numbers are unchanged while the all-pairs passes scale to
-// production-size inputs (BENCH_verify.json).
+// production-size inputs (BenchmarkCheckScalar/Batched and
+// BenchmarkMeasureProfileScalar/Batched in internal/spanner).
 package expt
 
 import (

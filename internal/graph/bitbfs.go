@@ -374,9 +374,9 @@ func (s *BitScratch) SweepSources(view View, sources []int32) {
 // SweepSourcesVisit is SweepSources in streaming form: visit is called
 // once per (vertex, new source bits, distance) first-visit event, in
 // level order. On a masks-only scratch no distance rows exist — after
-// the sweep only Visited/Reached are meaningful, not Row/Dist. The
-// sources themselves (distance 0) are not reported. The callback runs
-// inside the sweep's collect phase: it must not call back into this
+// the sweep only Visited is meaningful, not Row/Dist. The sources
+// themselves (distance 0) are not reported. The callback runs inside
+// the sweep's collect phase: it must not call back into this
 // BitScratch.
 //
 //remspan:hotpath
@@ -406,11 +406,6 @@ func (s *BitScratch) Dist(i uint, v int) int32 {
 	}
 	return s.dist[v<<6|int(i)]
 }
-
-// Reached lists the vertices reached by at least one source of the
-// current batch, in discovery order. Shared scratch — valid until the
-// next Begin, and safe to reorder in place (Begin only needs the set).
-func (s *BitScratch) Reached() []int32 { return s.touched }
 
 // ballBudget caps the vertices one clustering ball may traverse while
 // hunting for unassigned sources, so pathological inputs (a nearly

@@ -246,20 +246,3 @@ func (c *Client) Route(s, t int) Outcome {
 		Replica: -1, Hedged: hedged,
 	}
 }
-
-// MergeSLO folds other's counters into s (per-goroutine clients under
-// concurrent load).
-func (s *SLOStats) MergeSLO(other *SLOStats) {
-	s.Fresh += other.Fresh
-	for i := range s.LagHist {
-		s.LagHist[i] += other.LagHist[i]
-	}
-	s.LagSum += other.LagSum
-	if other.LagMax > s.LagMax {
-		s.LagMax = other.LagMax
-	}
-	s.Degraded += other.Degraded
-	s.Failed += other.Failed
-	s.Hedges += other.Hedges
-	s.Backoffs += other.Backoffs
-}

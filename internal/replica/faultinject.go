@@ -111,7 +111,3 @@ func (in *Injector) Tick() {
 	}
 	in.queue = kept
 }
-
-// Pending returns the number of shipments still in flight (delayed
-// past the current tick).
-func (in *Injector) Pending() int { return len(in.queue) }

@@ -238,8 +238,9 @@ func (b *BatchBuilder) BuildInto(g, h graph.View, tables []Table, owners []int32
 
 // BuildTablesBatched computes every router's table on the
 // word-parallel engine — bit-identical to BuildTables, with the
-// speedup tracked in BENCH_routing.json — fanning ball-clustered
-// 64-owner groups across a worker pool with one builder per worker.
+// speedup measured by BenchmarkBuildTablesScalar/Batched — fanning
+// ball-clustered 64-owner groups across a worker pool with one builder
+// per worker.
 func BuildTablesBatched(g, h graph.View) []Table {
 	out := NewTables(g.N())
 	BuildTablesBatchedInto(g, h, out)

@@ -146,11 +146,6 @@ func NewStore(m *dynamic.Maintainer) *Store {
 // through Store.ApplyBatch).
 func (st *Store) Maintainer() *dynamic.Maintainer { return st.m }
 
-// Mirror returns the store's incrementally maintained spanner mirror
-// (reads only). The replica writer reads dirty owners' trees off it
-// when assembling shipments.
-func (st *Store) Mirror() *SpannerMirror { return st.h }
-
 // DirtyOwners returns the owners whose rows the last ApplyBatch or
 // RebuildAll rebuilt (sorted, unique) — exactly the rows a downstream
 // replicator must re-ship to keep a remote copy in lockstep. The slice

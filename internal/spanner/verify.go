@@ -371,6 +371,3 @@ func checkKPair(g, h *graph.Graph, k int, st Stretch, s, t int) *Violation {
 	}
 	return nil
 }
-
-// Subset verifies h ⊆ g (every spanner edge is a graph edge).
-func Subset(g *graph.Graph, h *graph.EdgeSet) bool { return h.SubsetOf(g) }

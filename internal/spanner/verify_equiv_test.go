@@ -225,6 +225,14 @@ func BenchmarkCheckBatched(b *testing.B) {
 	}
 }
 
+func BenchmarkMeasureProfileScalar(b *testing.B) {
+	cg, ch := benchVerifyInput(b, 2000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measureScalarCSR(cg, ch)
+	}
+}
+
 func BenchmarkMeasureProfileBatched(b *testing.B) {
 	cg, ch := benchVerifyInput(b, 2000)
 	b.ResetTimer()

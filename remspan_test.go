@@ -3,6 +3,10 @@ package remspan
 import (
 	"strings"
 	"testing"
+
+	"remspan/internal/graph"
+	"remspan/internal/routing"
+	"remspan/internal/spanner"
 )
 
 func TestGraphFacadeBasics(t *testing.T) {
@@ -97,6 +101,66 @@ func TestLowStretchFacade(t *testing.T) {
 	}
 }
 
+// TestConstructionEdgeCounts pins the edge counts of the four
+// constructions on the dense construction workload (the n=400, side-4
+// UDG of the BenchmarkConstruct* cells: n = 381, m = 11,500). The
+// constructions are deterministic, so any drift is a behavior change.
+func TestConstructionEdgeCounts(t *testing.T) {
+	g := RandomUDG(400, 4, 1)
+	if g.N() != 381 || g.M() != 11500 {
+		t.Fatalf("workload graph n=%d m=%d, want n=381 m=11500", g.N(), g.M())
+	}
+	low, err := LowStretch(g, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		s    *Spanner
+		want int
+	}{
+		{"Exact", Exact(g), 1968},
+		{"KConnecting(3)", KConnecting(g, 3), 4215},
+		{"TwoConnecting", TwoConnecting(g), 4300},
+		{"LowStretch(0.5)", low, 2356},
+	} {
+		if got := c.s.Edges(); got != c.want {
+			t.Errorf("%s: %d edges, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestForwardingTablesFacade checks the facade tables against the
+// scalar per-owner builder, and that table routing delivers every pair
+// of a connected UDG within d_{H_s}(s, t) hops (§1).
+func TestForwardingTablesFacade(t *testing.T) {
+	g := RandomUDG(150, 3, 5)
+	if !g.Connected() {
+		t.Fatal("workload UDG not connected")
+	}
+	h := Exact(g).H
+	ft := BuildForwardingTables(g, h)
+	want := routing.BuildTables(g.raw(), h.raw())
+	for s := 0; s < g.N(); s++ {
+		dhs := graph.BFS(spanner.View(g.raw(), h.raw(), s), s)
+		for tt := 0; tt < g.N(); tt++ {
+			if got, w := ft.NextHop(s, tt), int(want[s].Next[tt]); got != w {
+				t.Fatalf("NextHop(%d,%d) = %d, BuildTables says %d", s, tt, got, w)
+			}
+			if got, w := ft.Dist(s, tt), int(want[s].Dist[tt]); got != w {
+				t.Fatalf("Dist(%d,%d) = %d, BuildTables says %d", s, tt, got, w)
+			}
+			path, reason, ok := ft.RouteTable(s, tt)
+			if !ok || reason != "delivered" {
+				t.Fatalf("RouteTable(%d,%d): %s", s, tt, reason)
+			}
+			if path[0] != s || path[len(path)-1] != tt || len(path)-1 > int(dhs[tt]) {
+				t.Fatalf("RouteTable(%d,%d) = %v, want a %d→%d route of at most d_{H_s} = %d hops", s, tt, path, s, tt, dhs[tt])
+			}
+		}
+	}
+}
+
 func TestVerifyDetectsBadSpanner(t *testing.T) {
 	g := Ring(10)
 	empty := NewGraph(10)
@@ -106,6 +170,38 @@ func TestVerifyDetectsBadSpanner(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "pair") {
 		t.Fatalf("unhelpful error: %v", err)
+	}
+
+	// Bad input is an error that names it, never a panic or a pass.
+	full := g.Clone()
+	bad := []struct {
+		name string
+		err  func() error
+		want string
+	}{
+		{"fewer spanner vertices", func() error { return Verify(g, NewGraph(9), IntStretch(1, 0)) }, "9 vertices, graph has 10"},
+		{"more spanner vertices", func() error { return Verify(g, NewGraph(12), IntStretch(1, 0)) }, "12 vertices, graph has 10"},
+		{"spanner size", func() error {
+			return VerifySpanner(g, &Spanner{H: NewGraph(4), Guarantee: IntStretch(1, 0)})
+		}, "4 vertices, graph has 10"},
+		{"k-connecting size", func() error { return VerifyKConnecting(g, NewGraph(4), 2, IntStretch(1, 0), nil) }, "4 vertices, graph has 10"},
+		{"pair out of range", func() error {
+			return VerifyKConnecting(g, full, 2, IntStretch(1, 0), [][2]int{{0, 999}})
+		}, "pair (0, 999) outside [0, 10)"},
+		{"negative pair", func() error {
+			return VerifyKConnecting(g, full, 2, IntStretch(1, 0), [][2]int{{-1, 3}})
+		}, "pair (-1, 3) outside [0, 10)"},
+		{"k = 0", func() error { return VerifyKConnecting(g, full, 0, IntStretch(1, 0), nil) }, "k = 0"},
+		{"k = -1", func() error { return VerifyKConnecting(g, full, -1, IntStretch(1, 0), nil) }, "k = -1"},
+	}
+	for _, c := range bad {
+		err := c.err()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	if err := VerifyKConnecting(g, full, 2, IntStretch(1, 0), [][2]int{{0, 5}}); err != nil {
+		t.Fatalf("full graph rejected as its own 2-connecting spanner: %v", err)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // sufficiently fresh replica exists, greedy-degraded otherwise, never
 // a silent zero. This public surface runs a perfect in-process
 // transport; the seeded fault-injection harness behind it lives in the
-// internal chaos tests and the benchjson replicated suite.
+// internal chaos tests (internal/replica).
 type ReplicatedRouter struct {
 	c  *replica.Cluster
 	cl *replica.Client

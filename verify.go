@@ -13,8 +13,12 @@ import (
 // pair with the smallest (u, v) (nil = the guarantee holds). Large
 // graphs run on the word-parallel 64-source bit-packed BFS engine
 // (see internal/spanner/verify_batch.go), so exhaustive all-pairs
-// verification stays practical at production scale.
+// verification stays practical at production scale. A spanner whose
+// vertex count differs from g's is an error.
 func Verify(g *Graph, h *Graph, st Stretch) error {
+	if err := sameVertices(g, h); err != nil {
+		return err
+	}
 	if v := spanner.Check(g.raw(), h.raw(), st.internal()); v != nil {
 		return fmt.Errorf("remspan: %w", error(v))
 	}
@@ -37,10 +41,31 @@ func VerifySpanner(g *Graph, s *Spanner) error {
 }
 
 // VerifyKConnecting checks the k-connecting (α, β) property over the
-// given pairs (nil = all ordered pairs).
+// given pairs (nil = all ordered pairs). A vertex-count mismatch, k < 1
+// or a pair outside [0, n) is an error.
 func VerifyKConnecting(g, h *Graph, k int, st Stretch, pairs [][2]int) error {
+	if err := sameVertices(g, h); err != nil {
+		return err
+	}
+	if k < 1 {
+		return fmt.Errorf("remspan: k-connecting verification needs k >= 1, got k = %d", k)
+	}
+	n := g.N()
+	for _, p := range pairs {
+		if p[0] < 0 || p[0] >= n || p[1] < 0 || p[1] >= n {
+			return fmt.Errorf("remspan: pair (%d, %d) outside [0, %d)", p[0], p[1], n)
+		}
+	}
 	if v := spanner.CheckKConnecting(g.raw(), h.raw(), k, st.internal(), pairs); v != nil {
 		return fmt.Errorf("remspan: %w", error(v))
+	}
+	return nil
+}
+
+// sameVertices rejects a spanner that is not on g's vertex set.
+func sameVertices(g, h *Graph) error {
+	if h.N() != g.N() {
+		return fmt.Errorf("remspan: spanner has %d vertices, graph has %d", h.N(), g.N())
 	}
 	return nil
 }
