@@ -13,12 +13,12 @@ import (
 
 	"remspan"
 	"remspan/internal/baseline"
-	"remspan/internal/distsim"
 	"remspan/internal/domtree"
 	"remspan/internal/dynamic"
 	"remspan/internal/expt"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -170,60 +170,6 @@ func BenchmarkDistributedProtocol(b *testing.B) {
 	b.ReportMetric(float64(words), "words")
 }
 
-// BenchmarkDistsim measures the distributed simulation engine
-// (DESIGN.md §3d) on a constant-degree UDG: the flat-state engine vs
-// the message-level reference statically, for the (1,0) construction
-// (kgreedy1, R = 1) and the 2-connecting one (kmis2, R = 2), and the
-// incremental live tick (one edge toggle → dirty-root reflood). The
-// flood-50k workload of cmd/bench runs the live path at scale.
-func BenchmarkDistsim(b *testing.B) {
-	const n, deg = 2000, 8
-	side := math.Sqrt(math.Pi * n / deg)
-	gg := remspan.RandomUDG(n, side, 1)
-	g := graph.FromEdges(gg.N(), gg.Edges())
-	// The reference runs the map-based twin of each production builder
-	// on every node's local view.
-	refs := map[string]distsim.TreeAlgo{
-		"kgreedy1": func(local *graph.Graph, u int) *graph.Tree { return domtree.KGreedy(local, u, 1) },
-		"kmis2":    func(local *graph.Graph, u int) *graph.Tree { return domtree.KMIS(local, u, 2) },
-	}
-	for _, bb := range dynamic.Builders()[:2] { // kgreedy1 (R = 1), kmis2 (R = 2)
-		b.Run("engine-static/"+bb.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			var words int64
-			for i := 0; i < b.N; i++ {
-				words = distsim.RunRemSpan(g, bb.Radius, bb.Build).Words
-			}
-			b.ReportMetric(float64(words), "words")
-		})
-		b.Run("reference-static/"+bb.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			var words int64
-			for i := 0; i < b.N; i++ {
-				words = distsim.RunRemSpanReference(g, bb.Radius, refs[bb.Name]).Words
-			}
-			b.ReportMetric(float64(words), "words")
-		})
-	}
-	b.Run("live-tick", func(b *testing.B) {
-		e := distsim.NewEngine(g, 1, dynamic.Builders()[0].Build) // kgreedy1
-		e.Run()
-		add := []dynamic.Change{{Kind: dynamic.AddEdge, U: 0, V: 1}}
-		del := []dynamic.Change{{Kind: dynamic.RemoveEdge, U: 0, V: 1}}
-		if g.HasEdge(0, 1) {
-			add, del = del, add
-		}
-		e.Reflood(add)
-		e.Reflood(del)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Reflood(add)
-			e.Reflood(del)
-		}
-	})
-}
-
 // --- ablations (DESIGN.md §5) ---
 
 // Parallel per-node tree construction vs the serial loop (both on the
@@ -255,8 +201,8 @@ func BenchmarkAblationPipeline(b *testing.B) {
 	b.Run("map-reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			spanner.UnionSerial(g, func(u int, s *graph.BFSScratch) *graph.Tree {
-				return domtree.KGreedy(g, u, 1)
+			reference.Union(g, func(u int, s *graph.BFSScratch) *graph.Tree {
+				return reference.KGreedy(g, u, 1)
 			})
 		}
 	})
@@ -277,14 +223,14 @@ func BenchmarkAblationScratch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := graph.NewBFSScratch(g.N())
 			for u := 0; u < g.N(); u++ {
-				domtree.MIS(g, s, u, 3)
+				reference.MIS(g, s, u, 3)
 			}
 		}
 	})
 	b.Run("fresh-scratch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for u := 0; u < g.N(); u++ {
-				domtree.MIS(g, nil, u, 3)
+				reference.MIS(g, nil, u, 3)
 			}
 		}
 	})
@@ -446,22 +392,15 @@ func BenchmarkMaintainerToggle(b *testing.B) {
 	}
 }
 
-// Eager vs lazy (priority-queue) greedy k-cover selection, plus the
-// production CSR + scratch + lazy path the pipeline now runs on.
+// Eager map-based greedy k-cover selection vs the production CSR +
+// scratch + lazy-heap path the pipeline runs on.
 func BenchmarkAblationLazyGreedy(b *testing.B) {
 	gg := remspan.RandomUDG(500, 4, 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
 	b.Run("eager", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for u := 0; u < g.N(); u += 7 {
-				domtree.KGreedy(g, u, 2)
-			}
-		}
-	})
-	b.Run("lazy-heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for u := 0; u < g.N(); u += 7 {
-				domtree.KGreedyLazy(g, u, 2)
+				reference.KGreedy(g, u, 2)
 			}
 		}
 	})
@@ -502,20 +441,14 @@ func BenchmarkAblationCSR(b *testing.B) {
 	})
 }
 
-// All-pairs verification: scalar BFS pair per vertex vs the 64-source
-// word-parallel bit-packed engine (deadline-lockstep judge).
+// All-pairs verification on the 64-source word-parallel bit-packed
+// engine (deadline-lockstep judge). BenchmarkCheckScalar in
+// internal/spanner times the scalar BFS pair per vertex it replaced.
 func BenchmarkAblationBitBFS(b *testing.B) {
 	gg := remspan.RandomUDG(1500, math.Sqrt(math.Pi*1500/16), 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
 	h := spanner.Exact(g).Graph()
 	st := spanner.NewStretch(1, 0)
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if v := spanner.CheckScalar(g, h, st); v != nil {
-				b.Fatal(v)
-			}
-		}
-	})
 	b.Run("bit-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if v := spanner.Check(g, h, st); v != nil {

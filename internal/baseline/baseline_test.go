@@ -18,7 +18,7 @@ func checkSpannerStretch(t *testing.T, g, h *graph.Graph, stretch int) {
 	scratch := graph.NewBFSScratch(g.N())
 	bad := 0
 	g.EachEdge(func(u, v int) {
-		dist, _, _ := scratch.Bounded(h, u, stretch)
+		dist, _, _ := scratch.BoundedView(h, u, stretch)
 		if dist[v] == graph.Unreached || int(dist[v]) > stretch {
 			bad++
 		}

@@ -31,7 +31,7 @@ func GreedySpanner(g *graph.Graph, t int) *graph.Graph {
 	h := graph.New(g.N())
 	scratch := graph.NewBFSScratch(g.N())
 	g.EachEdge(func(u, v int) {
-		dist, _, _ := scratch.Bounded(h, u, t)
+		dist, _, _ := scratch.BoundedView(h, u, t)
 		if dist[v] == graph.Unreached || int(dist[v]) > t {
 			h.AddEdge(u, v)
 		}

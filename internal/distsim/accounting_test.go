@@ -3,9 +3,9 @@ package distsim
 import (
 	"testing"
 
-	"remspan/internal/domtree"
 	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // Exact traffic accounting on a fixed small topology: the 5-cycle with
@@ -13,12 +13,11 @@ import (
 // counts.
 func TestRemSpanAccountingOnRing(t *testing.T) {
 	g := gen.Ring(5)
-	for name, res := range map[string]*Result{
-		"engine": RunRemSpan(g, 1, kgreedyCSR(1)),
-		"reference": RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
-			return domtree.KGreedy(local, u, 1)
-		}),
-	} {
+	engine := RunRemSpan(g, 1, kgreedyCSR(1))
+	ref, incident := RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
+		return reference.KGreedy(local, u, 1)
+	})
+	for name, res := range map[string]*Result{"engine": engine, "reference": ref} {
 		// Rounds: hello + 1 topo + 1 tree = 3.
 		if res.Rounds != 3 {
 			t.Fatalf("%s: rounds=%d", name, res.Rounds)
@@ -34,9 +33,12 @@ func TestRemSpanAccountingOnRing(t *testing.T) {
 		if res.H.Len() != 5 {
 			t.Fatalf("%s: spanner edges=%d, want 5", name, res.H.Len())
 		}
-		if bad := CheckIncidentKnowledge(res); bad != -1 {
-			t.Fatalf("%s: node %d lacks incident knowledge", name, bad)
-		}
+	}
+	if bad := CheckIncidentKnowledge(engine); bad != -1 {
+		t.Fatalf("engine: node %d lacks incident knowledge", bad)
+	}
+	if bad := checkIncidentReference(ref.H, incident); bad != -1 {
+		t.Fatalf("reference: node %d lacks incident knowledge", bad)
 	}
 }
 
@@ -44,12 +46,10 @@ func TestRemSpanAccountingOnRing(t *testing.T) {
 // accordingly (each item forwarded by the two distance-1 nodes too).
 func TestRemSpanAccountingRadius2(t *testing.T) {
 	g := gen.Ring(6)
-	for name, res := range map[string]*Result{
-		"engine": RunRemSpan(g, 2, kmisCSR(1)),
-		"reference": RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {
-			return domtree.KMIS(local, u, 1)
-		}),
-	} {
+	ref, _ := RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {
+		return reference.KMIS(local, u, 1)
+	})
+	for name, res := range map[string]*Result{"engine": RunRemSpan(g, 2, kmisCSR(1)), "reference": ref} {
 		if res.Rounds != 5 {
 			t.Fatalf("%s: rounds=%d, want 5", name, res.Rounds)
 		}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 
+	"remspan/internal/domtree"
 	"remspan/internal/graph"
 )
 
@@ -56,9 +57,10 @@ type AsyncResult struct {
 // RunRemSpanAsync floods neighbor lists with i.i.d. random delays in
 // [1, 2) per link (seeded rng), with TTL radius hops. Each node
 // recomputes its dominating tree every time new knowledge arrives;
-// only the final trees are collected. Timing must not change the
-// result.
-func RunRemSpanAsync(g *graph.Graph, radius int, algo TreeAlgo, rng *rand.Rand) *AsyncResult {
+// only the final trees are collected — build runs on each node's
+// local view, materialized as a graph of the lists it heard. Timing
+// must not change the result.
+func RunRemSpanAsync(g *graph.Graph, radius int, build TreeBuilder, rng *rand.Rand) *AsyncResult {
 	if radius < 1 {
 		panic("distsim: flooding radius must be >= 1")
 	}
@@ -107,6 +109,7 @@ func RunRemSpanAsync(g *graph.Graph, radius int, algo TreeAlgo, rng *rand.Rand) 
 	// work an eager implementation would do: one recompute per
 	// knowledge change).
 	h := graph.NewEdgeSet(n)
+	scratch := domtree.NewScratch(n)
 	for u := 0; u < n; u++ {
 		local := graph.New(n)
 		for src, list := range known[u] {
@@ -115,8 +118,7 @@ func RunRemSpanAsync(g *graph.Graph, radius int, algo TreeAlgo, rng *rand.Rand) 
 			}
 		}
 		res.Recomputes += int64(len(known[u]))
-		t := algo(local, u)
-		h.AddTree(t)
+		h.AddTree(build(local, scratch, u))
 	}
 	res.H = h
 	return res

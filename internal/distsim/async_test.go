@@ -5,8 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"remspan/internal/domtree"
-	"remspan/internal/graph"
 	"remspan/internal/spanner"
 )
 
@@ -14,11 +12,8 @@ func TestAsyncMatchesSyncMPR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 10; trial++ {
 		g := randomConnected(15+rng.Intn(30), 50, rng)
-		algo := func(local *graph.Graph, u int) *graph.Tree {
-			return domtree.KGreedy(local, u, 1)
-		}
 		sync := RunRemSpan(g, 1, kgreedyCSR(1))
-		async := RunRemSpanAsync(g, 1, algo, rand.New(rand.NewSource(int64(trial))))
+		async := RunRemSpanAsync(g, 1, kgreedyCSR(1), rand.New(rand.NewSource(int64(trial))))
 		if sync.H.Len() != async.H.Len() {
 			t.Fatalf("trial %d: sync %d vs async %d edges", trial, sync.H.Len(), async.H.Len())
 		}
@@ -37,11 +32,8 @@ func TestQuickAsyncTimingInvariance(t *testing.T) {
 	f := func(graphSeed, delaySeedA, delaySeedB int64) bool {
 		rng := rand.New(rand.NewSource(graphSeed))
 		g := randomConnected(12+rng.Intn(18), 35, rng)
-		algo := func(local *graph.Graph, u int) *graph.Tree {
-			return domtree.KMIS(local, u, 2)
-		}
-		a := RunRemSpanAsync(g, 2, algo, rand.New(rand.NewSource(delaySeedA)))
-		b := RunRemSpanAsync(g, 2, algo, rand.New(rand.NewSource(delaySeedB)))
+		a := RunRemSpanAsync(g, 2, kmisCSR(2), rand.New(rand.NewSource(delaySeedA)))
+		b := RunRemSpanAsync(g, 2, kmisCSR(2), rand.New(rand.NewSource(delaySeedB)))
 		if a.H.Len() != b.H.Len() {
 			return false
 		}
@@ -61,9 +53,7 @@ func TestQuickAsyncTimingInvariance(t *testing.T) {
 func TestAsyncSpannerIsValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomConnected(40, 80, rng)
-	res := RunRemSpanAsync(g, 1, func(local *graph.Graph, u int) *graph.Tree {
-		return domtree.KGreedy(local, u, 1)
-	}, rand.New(rand.NewSource(9)))
+	res := RunRemSpanAsync(g, 1, kgreedyCSR(1), rand.New(rand.NewSource(9)))
 	if v := spanner.Check(g, res.H.Graph(), spanner.NewStretch(1, 0)); v != nil {
 		t.Fatalf("%v", v)
 	}
@@ -75,11 +65,8 @@ func TestAsyncSpannerIsValid(t *testing.T) {
 func TestAsyncRadiusTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomConnected(25, 50, rng)
-	algo := func(local *graph.Graph, u int) *graph.Tree {
-		return domtree.KMIS(local, u, 2)
-	}
 	sync := RunRemSpan(g, 2, kmisCSR(2))
-	async := RunRemSpanAsync(g, 2, algo, rand.New(rand.NewSource(5)))
+	async := RunRemSpanAsync(g, 2, kmisCSR(2), rand.New(rand.NewSource(5)))
 	if sync.H.Len() != async.H.Len() {
 		t.Fatalf("sync %d vs async %d", sync.H.Len(), async.H.Len())
 	}

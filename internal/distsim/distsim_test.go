@@ -9,6 +9,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -30,20 +31,22 @@ type enginePair struct {
 	name   string
 	radius int
 	build  TreeBuilder
-	algo   TreeAlgo
+	algo   refAlgo
+}
+
+// refAlgos maps each dynamic.Builders() name to its map-based twin.
+var refAlgos = map[string]refAlgo{
+	"kgreedy1": func(local *graph.Graph, u int) *graph.Tree { return reference.KGreedy(local, u, 1) },
+	"kmis2":    func(local *graph.Graph, u int) *graph.Tree { return reference.KMIS(local, u, 2) },
+	"mis3":     func(local *graph.Graph, u int) *graph.Tree { return reference.MIS(local, nil, u, 3) },
+	"greedy3":  func(local *graph.Graph, u int) *graph.Tree { return reference.Greedy(local, nil, u, 3, 1) },
 }
 
 func enginePairs() []enginePair {
 	specs := dynamic.Builders()
-	algos := map[string]TreeAlgo{
-		"kgreedy1": func(local *graph.Graph, u int) *graph.Tree { return domtree.KGreedy(local, u, 1) },
-		"kmis2":    func(local *graph.Graph, u int) *graph.Tree { return domtree.KMIS(local, u, 2) },
-		"mis3":     func(local *graph.Graph, u int) *graph.Tree { return domtree.MIS(local, nil, u, 3) },
-		"greedy3":  func(local *graph.Graph, u int) *graph.Tree { return domtree.Greedy(local, nil, u, 3, 1) },
-	}
 	out := make([]enginePair, 0, len(specs))
 	for _, s := range specs {
-		out = append(out, enginePair{name: s.Name, radius: s.Radius, build: TreeBuilder(s.Build), algo: algos[s.Name]})
+		out = append(out, enginePair{name: s.Name, radius: s.Radius, build: TreeBuilder(s.Build), algo: refAlgos[s.Name]})
 	}
 	return out
 }
@@ -163,10 +166,10 @@ func TestIncidentKnowledge(t *testing.T) {
 		if bad := CheckIncidentKnowledge(res); bad != -1 {
 			t.Fatalf("trial %d: node %d missing incident knowledge", trial, bad)
 		}
-		ref := RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
-			return domtree.KGreedy(local, u, 2)
+		ref, incident := RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
+			return reference.KGreedy(local, u, 2)
 		})
-		if bad := CheckIncidentKnowledge(ref); bad != -1 {
+		if bad := checkIncidentReference(ref.H, incident); bad != -1 {
 			t.Fatalf("trial %d: reference node %d missing incident knowledge", trial, bad)
 		}
 	}
@@ -219,11 +222,11 @@ func TestTreeFloodReachesAllMembers(t *testing.T) {
 	if bad := CheckIncidentKnowledge(res); bad != -1 {
 		t.Fatalf("node %d lacks incident knowledge", bad)
 	}
-	ref := RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {
-		return domtree.KMIS(local, u, 2)
+	ref, incident := RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {
+		return reference.KMIS(local, u, 2)
 	})
 	union := graph.NewEdgeSet(g.N())
-	for _, inc := range ref.incident {
+	for _, inc := range incident {
 		union.Union(inc)
 	}
 	if union.Len() != ref.H.Len() {

@@ -16,13 +16,12 @@ import (
 // FuzzDistsimEquivalence).
 type TreeBuilder = dynamic.TreeBuilder
 
-// Result summarizes a RemSpan run (either engine). A fast-engine
-// Result shares the engine's maintainer — its tree storage and
-// topology view — rather than copying them, so it, in particular
-// CheckIncidentKnowledge on it, is valid only until the engine's next
-// Run or Reflood (H and TreeEdges are snapshots and stay valid).
-// RunRemSpan results are never invalidated: the helper's engine is not
-// retained.
+// Result summarizes a RemSpan run. It shares the engine's maintainer
+// — its tree storage and topology view — rather than copying them, so
+// it, in particular CheckIncidentKnowledge on it, is valid only until
+// the engine's next Run or Reflood (H and TreeEdges are snapshots and
+// stay valid). RunRemSpan results are never invalidated: the helper's
+// engine is not retained.
 type Result struct {
 	Rounds    int            // total synchronous rounds: 2(r−1+β)+1
 	Messages  int64          // point-to-point messages sent
@@ -30,12 +29,7 @@ type Result struct {
 	H         *graph.EdgeSet // the computed remote-spanner (union of trees)
 	TreeEdges []int          // per-root tree sizes
 
-	// Fast-engine state for incident-knowledge verification.
-	m *dynamic.Maintainer
-
-	// Reference-engine state: per node, the spanner edges it learned it
-	// belongs to, gathered message by message.
-	incident []*graph.EdgeSet
+	m *dynamic.Maintainer // for incident-knowledge verification
 }
 
 // Engine is the RemSpan traffic accountant over one
@@ -50,8 +44,8 @@ type Result struct {
 // flooding with duplicate suppression is fully determined by the ball
 // structure — node u forwards the neighbor list (and later the tree) of
 // every source within distance R−1 exactly once — so the tallies are
-// computed from bounded BFS sweeps. The message-level reference engine
-// (RunRemSpanReference) pins the equality.
+// computed from bounded BFS sweeps. The tests' message-level reference
+// engine pins the equality.
 type Engine struct {
 	clone  *graph.Graph // NewEngine's copy of the input, until it seeds m
 	radius int
@@ -163,23 +157,19 @@ func (e *Engine) Run() *Result {
 //
 // The returned spanner is the union of all trees; it equals the
 // centralized construction because the tree builders are local, and
-// the traffic tallies equal the message-level reference engine
-// (RunRemSpanReference) — both pinned by tests.
+// the traffic tallies equal a message-by-message execution — both
+// pinned by tests against the message-level reference engine.
 func RunRemSpan(g *graph.Graph, radius int, build TreeBuilder) *Result {
 	return NewEngine(g, radius, build).Run()
 }
 
 // CheckIncidentKnowledge verifies the protocol's correctness condition:
 // every node ends up knowing exactly the spanner edges incident to it,
-// so it can advertise/route over them. For the fast engine the learned
-// set is reconstructed from the flood structure (node u hears the trees
-// of every root within distance R); the reference engine gathered it
-// message by message. Returns the first offending node (-1 when the
-// condition holds).
+// so it can advertise/route over them. The learned set is reconstructed
+// from the flood structure: node u hears the trees of every root within
+// distance R. Returns the first offending node (-1 when the condition
+// holds).
 func CheckIncidentKnowledge(res *Result) int {
-	if res.incident != nil {
-		return checkIncidentReference(res)
-	}
 	hg := res.H.Graph()
 	n := hg.N()
 	bfs := graph.NewBFSScratch(n)
@@ -201,30 +191,6 @@ func CheckIncidentKnowledge(res *Result) int {
 		heard = slices.Compact(heard)
 		if !slices.Equal(heard, hg.Neighbors(u)) {
 			return u
-		}
-	}
-	return -1
-}
-
-func checkIncidentReference(res *Result) int {
-	h := res.H
-	for u, inc := range res.incident {
-		// Everything the node learned must be incident and in H.
-		for _, e := range inc.Edges() {
-			if int(e[0]) != u && int(e[1]) != u {
-				return u
-			}
-			if !h.Has(int(e[0]), int(e[1])) {
-				return u
-			}
-		}
-		// Every incident spanner edge must have been learned.
-		for _, e := range h.Edges() {
-			if int(e[0]) == u || int(e[1]) == u {
-				if !inc.Has(int(e[0]), int(e[1])) {
-					return u
-				}
-			}
 		}
 	}
 	return -1

@@ -56,7 +56,7 @@ func TestEngineMatchesReference(t *testing.T) {
 	for fam, g := range testFamilies(48, 11) {
 		for _, p := range enginePairs() {
 			fast := RunRemSpan(g, p.radius, p.build)
-			ref := RunRemSpanReference(g, p.radius, p.algo)
+			ref, _ := RunRemSpanReference(g, p.radius, p.algo)
 			if fast.Rounds != ref.Rounds {
 				t.Fatalf("%s/%s: rounds %d vs %d", fam, p.name, fast.Rounds, ref.Rounds)
 			}
@@ -194,7 +194,7 @@ func FuzzDistsimEquivalence(f *testing.F) {
 			if bad := CheckIncidentKnowledge(fast); bad != -1 {
 				t.Fatalf("%s: node %d missing incident knowledge", p.name, bad)
 			}
-			ref := RunRemSpanReference(g, p.radius, p.algo)
+			ref, _ := RunRemSpanReference(g, p.radius, p.algo)
 			if fast.Messages != ref.Messages || fast.Words != ref.Words || fast.Rounds != ref.Rounds {
 				t.Fatalf("%s: traffic diverged from reference: (%d,%d,%d) vs (%d,%d,%d)",
 					p.name, fast.Messages, fast.Words, fast.Rounds,

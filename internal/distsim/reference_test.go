@@ -1,16 +1,83 @@
 package distsim
 
 import (
+	"fmt"
+
 	"remspan/internal/graph"
 )
 
-// TreeAlgo computes a dominating tree for root u from u's local
-// topology knowledge (the adjacency lists of every node within the
-// flooding radius), materialized as a mutable graph — the map-based
-// reference builders of package domtree satisfy the locality contract.
-// It parameterizes the message-level reference engine and the
-// asynchronous executor; the fast engine takes a TreeBuilder instead.
-type TreeAlgo func(local *graph.Graph, u int) *graph.Tree
+// The message-level reference engine of Algorithm 3: per-node map
+// state, real payload slices and a synchronous round runtime (Sim).
+// The production Engine's ball-structure traffic accounting and its
+// trees are pinned against it on rounds, messages, words and the
+// spanner (TestEngineMatchesReference, FuzzDistsimEquivalence), and
+// BenchmarkDistsim measures it as the ablation baseline.
+
+// refAlgo computes root u's dominating tree from u's local topology
+// knowledge (the adjacency lists of every node within the flooding
+// radius) materialized as a mutable graph — the map-based builders of
+// internal/reference satisfy the locality contract.
+type refAlgo func(local *graph.Graph, u int) *graph.Tree
+
+// Message is a point-to-point protocol message delivered at the start
+// of the round after it was sent.
+type Message struct {
+	From, To int32
+	Kind     uint8
+	Words    []int32
+}
+
+// Message kinds of the RemSpan protocol.
+const (
+	KindHello uint8 = iota // payload: [id]
+	KindTopo               // payload: [src, deg, neighbors...]
+	KindTree               // payload: [root, nEdges, a1, b1, a2, b2, ...]
+)
+
+// Sim is a synchronous network over a graph: nodes send messages during
+// a round; the runtime delivers them at the next round boundary and
+// tallies traffic.
+type Sim struct {
+	G        *graph.Graph
+	Round    int
+	Messages int64
+	Words    int64
+
+	outbox [][]Message
+}
+
+// NewSim returns a simulator over g with empty queues.
+func NewSim(g *graph.Graph) *Sim {
+	return &Sim{G: g, outbox: make([][]Message, g.N())}
+}
+
+// Send enqueues a message from→to for delivery next round. to must be a
+// G-neighbor of from — the paper's model only allows link-local
+// communication.
+func (s *Sim) Send(from, to int, kind uint8, words []int32) {
+	if !s.G.HasEdge(from, to) {
+		panic(fmt.Sprintf("distsim: %d→%d is not a link", from, to))
+	}
+	s.outbox[to] = append(s.outbox[to], Message{From: int32(from), To: int32(to), Kind: kind, Words: words})
+	s.Messages++
+	s.Words += int64(len(words)) + 2 // +2 for (from, kind) framing words
+}
+
+// Broadcast sends the same payload to every neighbor of from.
+func (s *Sim) Broadcast(from int, kind uint8, words []int32) {
+	for _, v := range s.G.Neighbors(from) {
+		s.Send(from, int(v), kind, words)
+	}
+}
+
+// Step closes the current round and returns the per-node inboxes for
+// the next one.
+func (s *Sim) Step() [][]Message {
+	in := s.outbox
+	s.outbox = make([][]Message, s.G.N())
+	s.Round++
+	return in
+}
 
 // nodeState is the per-node protocol state of the reference engine.
 type nodeState struct {
@@ -26,12 +93,10 @@ type nodeState struct {
 // RunRemSpanReference executes Algorithm 3 message by message: every
 // payload is materialized, enqueued on the synchronous Sim runtime and
 // delivered at the next round boundary, with per-node map state exactly
-// as a naive implementation would keep it. It is the semantic reference
-// the fast engine's ball-structure traffic accounting and tree results
-// are pinned against (rounds, messages, words and the spanner must all
-// agree — TestEngineMatchesReference and FuzzDistsimEquivalence), and
-// it is the ablation baseline of the distsim benchmark suite.
-func RunRemSpanReference(g *graph.Graph, radius int, algo TreeAlgo) *Result {
+// as a naive implementation would keep it. Besides the run's Result it
+// returns, per node, the spanner edges the node learned it belongs to,
+// gathered message by message (checkIncidentReference judges them).
+func RunRemSpanReference(g *graph.Graph, radius int, algo refAlgo) (*Result, []*graph.EdgeSet) {
 	if radius < 1 {
 		panic("distsim: flooding radius must be >= 1")
 	}
@@ -154,8 +219,7 @@ func RunRemSpanReference(g *graph.Graph, radius int, algo TreeAlgo) *Result {
 		Words:     sim.Words,
 		H:         h,
 		TreeEdges: sizes,
-		incident:  incident,
-	}
+	}, incident
 }
 
 // noteTree records the spanner edges incident to this node found in a
@@ -168,4 +232,31 @@ func (st *nodeState) noteTree(payload []int32) {
 			st.incident.Add(int(a), int(b))
 		}
 	}
+}
+
+// checkIncidentReference is the reference half of the protocol's
+// correctness condition (CheckIncidentKnowledge): every node learned
+// exactly the spanner edges of h incident to it. Returns the first
+// offending node (-1 when the condition holds).
+func checkIncidentReference(h *graph.EdgeSet, incident []*graph.EdgeSet) int {
+	for u, inc := range incident {
+		// Everything the node learned must be incident and in H.
+		for _, e := range inc.Edges() {
+			if int(e[0]) != u && int(e[1]) != u {
+				return u
+			}
+			if !h.Has(int(e[0]), int(e[1])) {
+				return u
+			}
+		}
+		// Every incident spanner edge must have been learned.
+		for _, e := range h.Edges() {
+			if int(e[0]) == u || int(e[1]) == u {
+				if !inc.Has(int(e[0]), int(e[1])) {
+					return u
+				}
+			}
+		}
+	}
+	return -1
 }

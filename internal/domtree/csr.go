@@ -7,23 +7,29 @@ import (
 	"remspan/internal/graph"
 )
 
-// The *CSR builders are the production forms of the map-based reference
-// builders in kgreedy.go / greedy.go / mis.go / kmis.go: same
-// algorithms, same deterministic output edge-for-edge (asserted by the
-// equivalence tests and fuzz target), but running over a graph.View —
-// an immutable graph.CSR snapshot in the batch pipeline, a patched
-// graph.CSRDelta in the incremental maintainer — with epoch-stamped
-// Scratch arrays instead of hash maps, and — for the greedy set covers —
-// lazy-heap selection instead of a full candidate rescan per pick. The
-// output depends only on the adjacency the View exposes, so the same
-// builder serves both pipelines unchanged. An all-roots sweep with a
-// shared Scratch performs no per-root allocations.
+// Determinism contract: every greedy selection picks the candidate
+// maximizing the current gain, breaking ties by smallest vertex id —
+// i.e. selection order is (gain desc, id asc). The lazy heap preserves
+// this order bit-for-bit: gains only decrease, so when a popped heap
+// entry's recomputed gain equals its key, every other candidate's true
+// gain is bounded by its own key ≤ that key, and equal keys pop in id
+// order. Any change to this tie-break is a breaking change to the
+// constructed edge sets and must update these builders, the reference
+// builders and the equivalence tests together.
 
-// KGreedyCSR computes Algorithm 4 DomTreeGdy(2, 0, k) for root u on the
-// CSR snapshot; see KGreedy for the algorithm and guarantees. Greedy
-// selection uses the lazy heap (candidate gains only decrease, so a
-// possibly-stale max-heap pops the true argmax after a few refreshes),
-// preserving the (gain desc, id asc) tie-break of the eager reference.
+// KGreedyCSR computes Algorithm 4 DomTreeGdy(2, 0, k) for root u: a
+// k-connecting (2, 0)-dominating tree (a depth-1 star of multipoint
+// relays). The greedy multicover heuristic picks, at each step, the
+// neighbor of u covering the most distance-2 vertices that are still
+// uncovered; a vertex v leaves S once it has k relay neighbors or all
+// of N(v) ∩ N(u) has been selected. Within 1+log Δ of the optimal
+// k-cover (Prop. 6). For k = 1 this is exactly OLSR multipoint-relay
+// selection, and the union of these trees over all roots is a
+// (1, 0)-remote-spanner (Prop. 5).
+//
+// Greedy selection uses the lazy heap (candidate gains only decrease,
+// so a possibly-stale max-heap pops the true argmax after a few
+// refreshes), preserving the (gain desc, id asc) tie-break.
 //
 //remspan:hotpath
 func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
@@ -118,8 +124,12 @@ func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 	return t
 }
 
-// MISCSR computes Algorithm 2 DomTreeMIS(r, 1) for root u on the CSR
-// snapshot; see MIS for the algorithm and guarantees.
+// MISCSR computes Algorithm 2 DomTreeMIS(r, 1) for root u: an
+// (r, 1)-dominating tree obtained by greedily building a maximal
+// independent set of B_G(u, r) \ B_G(u, 1) in order of increasing
+// distance from u (ties by smallest id), attaching each MIS point via
+// its BFS shortest path. In a unit-ball graph of a metric with doubling
+// dimension p the tree has O(r^{p+1}) edges (Prop. 3).
 //
 //remspan:hotpath
 func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
@@ -137,7 +147,7 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 	// O(n + |ball|) and comparison-free. Small balls instead sort each
 	// equal-distance run of the BFS order (already grouped by
 	// distance), keeping the per-root cost O(|ball| log |ball|)
-	// independent of n. Both produce the reference (dist, id) order.
+	// independent of n. Both produce the same (dist, id) order.
 	var b []int32
 	if ballDense := 4*len(visited) >= c.N(); ballDense {
 		counts := s.buf2
@@ -208,11 +218,17 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 	return t
 }
 
-// GreedyCSR computes Algorithm 1 DomTreeGdy(r, β) for root u on the CSR
-// snapshot; see Greedy for the algorithm and guarantees. Each ring's set
-// cover runs on the lazy heap, killing the O(|X|²) candidate rescan of
-// the reference while preserving its (gain desc, id asc) selection
-// order exactly (see the determinism contract in greedy.go).
+// GreedyCSR computes Algorithm 1 DomTreeGdy(r, β) for root u: an
+// (r, β)-dominating tree built by solving, for each ring r' = 2..r, a
+// greedy set cover of the vertices at distance r' with the balls of
+// candidates in distance range [r'−1, r'−1+β]. Paths are attached
+// along a shared BFS tree, keeping d_T(u, x) = d_G(u, x). β must be 0
+// or 1 (the only values the paper uses); r ≥ 2.
+//
+// Each ring's set cover runs on the lazy heap, avoiding the O(|X|²)
+// candidate rescan of the eager greedy while preserving its
+// (gain desc, id asc) selection order exactly (see the determinism
+// contract above).
 //
 //remspan:hotpath
 func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
@@ -302,8 +318,17 @@ func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
 	return t
 }
 
-// KMISCSR computes Algorithm 5 DomTreeMIS(2, 1, k) for root u on the
-// CSR snapshot; see KMIS for the algorithm and guarantees.
+// KMISCSR computes Algorithm 5 DomTreeMIS(2, 1, k) for root u: a
+// k-connecting (2, 1)-dominating tree. It runs k rounds; each round
+// greedily picks an independent set of still-uncovered distance-2
+// vertices (smallest id first) and attaches each pick x through a fresh
+// common neighbor y1 (path u–y1–x) plus up to k−1 further fresh common
+// neighbors as direct children of u. A vertex v leaves S once its
+// common neighborhood with u is exhausted into V(T) or it sees k
+// branch-disjoint tree neighbors within depth 2. In a unit-ball graph
+// of a doubling metric the tree has O(k²) edges (Prop. 7); with k = 2,
+// unions of these trees form 2-connecting (2,−1)-remote-spanners
+// (Prop. 4, Th. 3).
 //
 //remspan:hotpath
 func KMISCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {

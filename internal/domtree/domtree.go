@@ -1,116 +1,42 @@
 // Package domtree implements the paper's dominating-tree constructions
 // — the local building blocks of remote-spanners:
 //
-//   - Greedy: Algorithm 1, DomTreeGdy(r, β), a greedy set-cover tree
+//   - GreedyCSR: Algorithm 1, DomTreeGdy(r, β), a greedy set-cover tree
 //     within (1+β)(r+β−1)(1+log Δ) of optimal (Prop. 2).
-//   - MIS: Algorithm 2, DomTreeMIS(r, 1), a maximal-independent-set
+//   - MISCSR: Algorithm 2, DomTreeMIS(r, 1), a maximal-independent-set
 //     tree with O(r^{p+1}) edges in doubling unit-ball graphs (Prop. 3).
-//   - KGreedy: Algorithm 4, DomTreeGdy(2, 0, k), greedy k-coverage
+//   - KGreedyCSR: Algorithm 4, DomTreeGdy(2, 0, k), greedy k-coverage
 //     multipoint-relay selection within 1+log Δ of optimal (Prop. 6).
-//   - KMIS: Algorithm 5, DomTreeMIS(2, 1, k), k rounds of MIS
+//   - KMISCSR: Algorithm 5, DomTreeMIS(2, 1, k), k rounds of MIS
 //     domination building a k-connecting (2, 1)-dominating tree with
 //     O(k²) edges in doubling unit-ball graphs (Prop. 7).
 //
-// All selections break ties by smallest vertex id, so constructions are
-// deterministic (see the determinism contract in greedy.go). Exact
-// optimal (multi-)cover sizes for the approximation-ratio experiments
-// live in optimal.go.
-//
-// Each algorithm exists in two forms: a map-based reference
-// implementation (this file's siblings kgreedy.go, greedy.go, mis.go,
-// kmis.go) kept for clarity and as the oracle of the equivalence tests,
-// and a production form in csr.go running over an immutable graph.CSR
-// snapshot with reusable Scratch state — bit-identical output, no
-// per-root allocations.
+// Each builder runs over any graph.View — an immutable graph.CSR
+// snapshot in the batch pipeline, a patched graph.CSRDelta in the
+// incremental maintainer, a mutable graph.Graph for one-off trees —
+// with epoch-stamped Scratch arrays instead of hash maps and, for the
+// greedy covers, lazy-heap selection instead of a full candidate
+// rescan per pick; an all-roots sweep with a shared Scratch performs
+// no per-root allocations. All selections break ties by smallest
+// vertex id (the determinism contract in csr.go). The equivalence
+// tests pin every builder edge for edge against the map-based forms
+// in internal/reference. Exact optimal (multi-)cover sizes for the
+// approximation-ratio experiments live in optimal.go.
 package domtree
 
 import (
 	"remspan/internal/graph"
 )
 
-// An (r, β)-dominating tree for u (paper §1.1): a tree T rooted at u
-// such that every v with 2 ≤ d_G(u, v) = r' ≤ r has a neighbor
-// x ∈ N(v) ∩ V(T) with d_T(u, x) ≤ r' − 1 + β.
-
-// IsDominatingTree checks the (r, β)-dominating-tree property of t for
-// its root, returning a counterexample vertex (-1 when the property
-// holds). It also validates tree consistency against g.
-func IsDominatingTree(g *graph.Graph, t *graph.Tree, r, beta int) (badVertex int, err error) {
-	if err := t.Validate(g); err != nil {
-		return -1, err
-	}
-	u := t.Root()
-	dist := graph.BFS(g, u)
-	for v := 0; v < g.N(); v++ {
-		d := int(dist[v])
-		if d < 2 || d > r {
-			continue
-		}
-		ok := false
-		for _, x := range g.Neighbors(v) {
-			if t.Contains(int(x)) && t.Depth(int(x)) <= d-1+beta {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return v, nil
+// MPRSet returns the multipoint-relay set of u implied by its
+// k-connecting (2,0)-dominating tree: the children of the root.
+func MPRSet(t *graph.Tree) []int32 {
+	var out []int32
+	root := t.Root()
+	for _, v := range t.Nodes() {
+		if t.Parent(int(v)) == root {
+			out = append(out, v)
 		}
 	}
-	return -1, nil
-}
-
-// A k-connecting (2, β)-dominating tree for u (paper §3): for every v
-// at distance 2 from u, either uw ∈ E(T) for all w ∈ N(u) ∩ N(v), or v
-// has k neighbors in B_T(u, 1+β) whose tree paths to u are internally
-// disjoint.
-
-// IsKConnDominatingTree checks the k-connecting (2, β)-dominating-tree
-// property, returning a counterexample vertex (-1 when it holds).
-func IsKConnDominatingTree(g *graph.Graph, t *graph.Tree, k, beta int) (badVertex int, err error) {
-	if err := t.Validate(g); err != nil {
-		return -1, err
-	}
-	u := t.Root()
-	dist := graph.BFS(g, u)
-	for v := 0; v < g.N(); v++ {
-		if dist[v] != 2 {
-			continue
-		}
-		// Escape clause: all common neighbors are direct children of u.
-		all := true
-		for _, w := range g.CommonNeighbors(u, v) {
-			if !(t.Contains(int(w)) && t.Parent(int(w)) == u) {
-				all = false
-				break
-			}
-		}
-		if all {
-			continue
-		}
-		if countDisjointWitnesses(g, t, v, 1+beta) >= k {
-			continue
-		}
-		return v, nil
-	}
-	return -1, nil
-}
-
-// countDisjointWitnesses counts the maximum number of neighbors of v
-// inside B_T(root, maxDepth) whose root paths are internally disjoint,
-// i.e. the number of distinct root branches they occupy.
-func countDisjointWitnesses(g *graph.Graph, t *graph.Tree, v, maxDepth int) int {
-	branches := make(map[int]struct{})
-	for _, w := range g.Neighbors(v) {
-		wi := int(w)
-		if !t.Contains(wi) {
-			continue
-		}
-		d := t.Depth(wi)
-		if d < 1 || d > maxDepth {
-			continue
-		}
-		branches[t.Branch(wi)] = struct{}{}
-	}
-	return len(branches)
+	return out
 }

@@ -7,6 +7,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 func randomConnected(n, extra int, rng *rand.Rand) *graph.Graph {
@@ -34,8 +35,8 @@ func TestGreedyProducesDominatingTree(t *testing.T) {
 		for _, r := range []int{2, 3, 4} {
 			for _, beta := range []int{0, 1} {
 				u := rng.Intn(g.N())
-				tr := Greedy(g, nil, u, r, beta)
-				bad, err := IsDominatingTree(g, tr, r, beta)
+				tr := GreedyCSR(g, nil, u, r, beta)
+				bad, err := reference.IsDominatingTree(g, tr, r, beta)
 				if err != nil {
 					t.Fatalf("trial %d r=%d beta=%d: %v", trial, r, beta, err)
 				}
@@ -54,8 +55,8 @@ func TestMISProducesDominatingTree(t *testing.T) {
 		g := randomConnected(10+rng.Intn(30), 25, rng)
 		for _, r := range []int{2, 3, 5} {
 			u := rng.Intn(g.N())
-			tr := MIS(g, nil, u, r)
-			bad, err := IsDominatingTree(g, tr, r, 1)
+			tr := MISCSR(g, nil, u, r)
+			bad, err := reference.IsDominatingTree(g, tr, r, 1)
 			if err != nil {
 				t.Fatalf("trial %d r=%d: %v", trial, r, err)
 			}
@@ -68,9 +69,9 @@ func TestMISProducesDominatingTree(t *testing.T) {
 
 func TestGreedyOnPath(t *testing.T) {
 	g := gen.Path(8)
-	tr := Greedy(g, nil, 0, 4, 0)
+	tr := GreedyCSR(g, nil, 0, 4, 0)
 	// On a path the tree must contain vertices 1, 2, 3 to dominate 2, 3, 4.
-	bad, err := IsDominatingTree(g, tr, 4, 0)
+	bad, err := reference.IsDominatingTree(g, tr, 4, 0)
 	if err != nil || bad != -1 {
 		t.Fatalf("bad=%d err=%v", bad, err)
 	}
@@ -88,7 +89,7 @@ func TestMISTreeSmallOnUDG(t *testing.T) {
 		t.Skip("degenerate UDG sample")
 	}
 	r := 3
-	tr := MIS(g, nil, 0, r)
+	tr := MISCSR(g, nil, 0, r)
 	// (4r)^p bound is loose; just require far below the ball size.
 	dist := graph.BFS(g, 0)
 	ball := 0
@@ -100,7 +101,7 @@ func TestMISTreeSmallOnUDG(t *testing.T) {
 	if tr.Size() > ball/3+10 {
 		t.Fatalf("MIS tree size %d not small vs ball %d", tr.Size(), ball)
 	}
-	bad, err := IsDominatingTree(g, tr, r, 1)
+	bad, err := reference.IsDominatingTree(g, tr, r, 1)
 	if err != nil || bad != -1 {
 		t.Fatalf("bad=%d err=%v", bad, err)
 	}
@@ -112,8 +113,8 @@ func TestKGreedyProducesKConnTree(t *testing.T) {
 		g := randomConnected(8+rng.Intn(25), 30, rng)
 		for k := 1; k <= 3; k++ {
 			u := rng.Intn(g.N())
-			tr := KGreedy(g, u, k)
-			bad, err := IsKConnDominatingTree(g, tr, k, 0)
+			tr := KGreedyCSR(g, nil, u, k)
+			bad, err := reference.IsKConnDominatingTree(g, tr, k, 0)
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
@@ -123,7 +124,7 @@ func TestKGreedyProducesKConnTree(t *testing.T) {
 			// Star shape: every non-root member is a child of the root.
 			for _, v := range tr.Nodes() {
 				if int(v) != u && tr.Parent(int(v)) != u {
-					t.Fatalf("KGreedy tree not a star at %d", v)
+					t.Fatalf("KGreedyCSR tree not a star at %d", v)
 				}
 			}
 		}
@@ -134,8 +135,8 @@ func TestKGreedyIsMPRForK1(t *testing.T) {
 	// k=1 must dominate every distance-2 vertex by at least one relay.
 	g := gen.Petersen()
 	for u := 0; u < g.N(); u++ {
-		tr := KGreedy(g, u, 1)
-		bad, err := IsKConnDominatingTree(g, tr, 1, 0)
+		tr := KGreedyCSR(g, nil, u, 1)
+		bad, err := reference.IsKConnDominatingTree(g, tr, 1, 0)
 		if err != nil || bad != -1 {
 			t.Fatalf("u=%d bad=%d err=%v", u, bad, err)
 		}
@@ -155,8 +156,8 @@ func TestKMISProducesKConnTree(t *testing.T) {
 		g := randomConnected(8+rng.Intn(25), 30, rng)
 		for k := 1; k <= 3; k++ {
 			u := rng.Intn(g.N())
-			tr := KMIS(g, u, k)
-			bad, err := IsKConnDominatingTree(g, tr, k, 1)
+			tr := KMISCSR(g, nil, u, k)
+			bad, err := reference.IsKConnDominatingTree(g, tr, k, 1)
 			if err != nil {
 				t.Fatalf("trial %d k=%d: %v", trial, k, err)
 			}
@@ -174,7 +175,7 @@ func TestKMISProducesKConnTree(t *testing.T) {
 func TestKMISDepthAtMostTwo(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := randomConnected(30, 60, rng)
-	tr := KMIS(g, 3, 2)
+	tr := KMISCSR(g, nil, 3, 2)
 	for _, v := range tr.Nodes() {
 		if tr.Depth(int(v)) > 2 {
 			t.Fatalf("vertex %d at depth %d > 2", v, tr.Depth(int(v)))
@@ -190,7 +191,7 @@ func TestKMISTreeSmallOnUDG(t *testing.T) {
 		t.Skip("degenerate UDG sample")
 	}
 	for k := 1; k <= 3; k++ {
-		tr := KMIS(g, 0, k)
+		tr := KMISCSR(g, nil, 0, k)
 		if tr.EdgeCount() > 40*k*k+40 {
 			t.Fatalf("k=%d: tree has %d edges, not O(k²)-small", k, tr.EdgeCount())
 		}
@@ -201,14 +202,14 @@ func TestDominatingTreeCheckerRejects(t *testing.T) {
 	// A bare root is not a dominating tree when distance-2 vertices exist.
 	g := gen.Path(5)
 	tr := graph.NewTree(5, 0)
-	bad, err := IsDominatingTree(g, tr, 3, 0)
+	bad, err := reference.IsDominatingTree(g, tr, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bad == -1 {
 		t.Fatal("checker accepted an empty tree")
 	}
-	badK, err := IsKConnDominatingTree(g, tr, 1, 0)
+	badK, err := reference.IsKConnDominatingTree(g, tr, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestKConnCheckerEscapeClause(t *testing.T) {
 	g := gen.Path(3) // 0-1-2
 	tr := graph.NewTree(3, 0)
 	tr.Add(1, 0)
-	bad, err := IsKConnDominatingTree(g, tr, 5, 0)
+	bad, err := reference.IsKConnDominatingTree(g, tr, 5, 0)
 	if err != nil || bad != -1 {
 		t.Fatalf("escape clause failed: bad=%d err=%v", bad, err)
 	}
@@ -232,8 +233,8 @@ func TestKConnCheckerEscapeClause(t *testing.T) {
 func TestGreedyDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(25, 40, rng)
-	a := Greedy(g, nil, 0, 3, 1)
-	b := Greedy(g, nil, 0, 3, 1)
+	a := GreedyCSR(g, nil, 0, 3, 1)
+	b := GreedyCSR(g, nil, 0, 3, 1)
 	ea, eb := a.Edges(), b.Edges()
 	if len(ea) != len(eb) {
 		t.Fatal("nondeterministic size")
@@ -248,11 +249,11 @@ func TestGreedyDeterministic(t *testing.T) {
 func TestKGreedyCompleteGraphTrivial(t *testing.T) {
 	// No distance-2 vertices: tree is just the root.
 	g := gen.Complete(6)
-	tr := KGreedy(g, 0, 2)
+	tr := KGreedyCSR(g, nil, 0, 2)
 	if tr.Size() != 1 {
 		t.Fatalf("size=%d, want 1", tr.Size())
 	}
-	tr2 := KMIS(g, 0, 2)
+	tr2 := KMISCSR(g, nil, 0, 2)
 	if tr2.Size() != 1 {
 		t.Fatalf("KMIS size=%d, want 1", tr2.Size())
 	}

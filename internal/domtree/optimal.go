@@ -163,13 +163,8 @@ func OptimalKCoverSize(g *graph.Graph, u, k, maxNodes int) (size int, ok bool) {
 			}
 		}
 	}
-	ub := domTreeStarSize(g, u, k)
+	ub := KGreedyCSR(g, nil, u, k).EdgeCount() // the greedy k-cover size bounds the optimum
 	return exactMultiCover(coverInstance{req: req, covers: covers}, ub+1, maxNodes)
-}
-
-// domTreeStarSize is the greedy k-cover size used as B&B upper bound.
-func domTreeStarSize(g *graph.Graph, u, k int) int {
-	return KGreedy(g, u, k).EdgeCount()
 }
 
 // OptimalDomTreeLowerBound returns a lower bound on the edge count of

@@ -93,7 +93,7 @@ func TestGreedyWithinLogBoundOfOptimal(t *testing.T) {
 		g := randomConnected(10+rng.Intn(15), 25, rng)
 		u := rng.Intn(g.N())
 		for k := 1; k <= 2; k++ {
-			greedy := KGreedy(g, u, k).EdgeCount()
+			greedy := KGreedyCSR(g, nil, u, k).EdgeCount()
 			opt, ok := OptimalKCoverSize(g, u, k, 1<<22)
 			if !ok {
 				continue
@@ -121,7 +121,7 @@ func TestOptimalDomTreeLowerBound(t *testing.T) {
 		for _, beta := range []int{0, 1} {
 			r := 3
 			lb, _ := OptimalDomTreeLowerBound(g, u, r, beta, 1<<20)
-			tr := Greedy(g, nil, u, r, beta)
+			tr := GreedyCSR(g, nil, u, r, beta)
 			if tr.EdgeCount() < lb {
 				t.Fatalf("trial %d: greedy tree %d edges below lower bound %d",
 					trial, tr.EdgeCount(), lb)

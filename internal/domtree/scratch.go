@@ -9,7 +9,7 @@ import (
 // all-roots construction sweep performs no per-root allocations:
 //
 //   - epoch-stamped uint32 arrays stand in for the map[int32]bool sets
-//     of the reference builders (membership ⇔ stamp equals the epoch the
+//     of the map-based builders (membership ⇔ stamp equals the epoch the
 //     set was built under; removal rewinds the stamp to zero, which is
 //     never a live epoch);
 //   - int32 counter arrays stand in for the map[int32]int counters
@@ -103,9 +103,10 @@ func (s *Scratch) tree(root int) *graph.Tree {
 	return s.t
 }
 
-// disjointWitnesses is countDisjointWitnesses on the CSR snapshot with a
-// stamp array instead of a branch map: the number of distinct root
-// branches among v's tree neighbors within depth [1, maxDepth].
+// disjointWitnesses counts, with a stamp array instead of a branch map,
+// the distinct root branches among v's tree neighbors within depth
+// [1, maxDepth] — the most neighbors of v whose root paths are
+// internally disjoint.
 func (s *Scratch) disjointWitnesses(c graph.View, t *graph.Tree, v, maxDepth int) int {
 	seen := s.stampD
 	e := s.nextEpoch()
@@ -130,9 +131,19 @@ func (s *Scratch) disjointWitnesses(c graph.View, t *graph.Tree, v, maxDepth int
 
 // --- allocation-free max-heap for lazy greedy selection ---
 //
-// Orders by (gain desc, id asc) — exactly the eager builders'
-// deterministic tie-break (see the determinism contract in greedy.go) —
+// Orders by (gain desc, id asc) — exactly the eager greedy's
+// deterministic tie-break (see the determinism contract in csr.go) —
 // without the interface boxing of container/heap.
+
+type gainItem struct {
+	id   int32
+	gain int
+}
+
+// gainHeap is a max-heap on (gain, then smaller id first).
+type gainHeap struct {
+	items []gainItem
+}
 
 func (h *gainHeap) reset() { h.items = h.items[:0] }
 

@@ -28,22 +28,19 @@ func Asynchrony(cfg Config) (*stats.Table, error) {
 	type variant struct {
 		name   string
 		radius int
-		algo   distsim.TreeAlgo    // map-based, for the async executor
-		build  distsim.TreeBuilder // production builder, for the sync engine
+		build  distsim.TreeBuilder
 	}
 	variants := []variant{
 		{"Alg.4 k=1 (exact)", 1,
-			func(local *graph.Graph, u int) *graph.Tree { return domtree.KGreedy(local, u, 1) },
 			func(c graph.View, s *domtree.Scratch, u int) *graph.Tree { return domtree.KGreedyCSR(c, s, u, 1) }},
 		{"Alg.5 k=2 (2-connecting)", 2,
-			func(local *graph.Graph, u int) *graph.Tree { return domtree.KMIS(local, u, 2) },
 			func(c graph.View, s *domtree.Scratch, u int) *graph.Tree { return domtree.KMISCSR(c, s, u, 2) }},
 	}
 	for _, v := range variants {
 		sync := distsim.RunRemSpan(g, v.radius, v.build)
 		for trial := 0; trial < trials; trial++ {
 			rng := cfg.rng(int64(1710 + trial))
-			async := distsim.RunRemSpanAsync(g, v.radius, v.algo, rng)
+			async := distsim.RunRemSpanAsync(g, v.radius, v.build, rng)
 			same := async.H.Len() == sync.H.Len()
 			if same {
 				ae, se := async.H.Edges(), sync.H.Edges()

@@ -5,11 +5,10 @@
 //
 // The exhaustive stretch verdicts (spanner.Check) and observed-stretch
 // profiles (spanner.MeasureProfile) the drivers report run on the
-// word-parallel 64-source verification engine of DESIGN.md §3c; its
-// results are bit-identical to the scalar reference, so the reproduced
-// numbers are unchanged while the all-pairs passes scale to
-// production-size inputs (BenchmarkCheckScalar/Batched and
-// BenchmarkMeasureProfileScalar/Batched in internal/spanner).
+// word-parallel 64-source verification engine of DESIGN.md §3c at
+// every size; its results are bit-identical to a serial scalar sweep
+// (FuzzVerifyEquivalence in internal/spanner), so the reproduced
+// numbers do not depend on the engine.
 package expt
 
 import (

@@ -109,7 +109,7 @@ func spannerEdgesOK(g, h *graph.Graph, stretch int) bool {
 		if !ok {
 			return
 		}
-		dist, _, _ := scratch.Bounded(h, u, stretch)
+		dist, _, _ := scratch.BoundedView(h, u, stretch)
 		if dist[v] == graph.Unreached || int(dist[v]) > stretch {
 			ok = false
 		}

@@ -102,23 +102,6 @@ func KDistanceProfile(g *graph.Graph, s, t, k int) []int {
 	return out
 }
 
-// VertexConnectivity returns the maximum number of internally
-// vertex-disjoint s→t paths (Menger). For adjacent s, t the direct
-// edge counts as one path.
-func VertexConnectivity(g *graph.Graph, s, t int) int {
-	if s == t {
-		return 0
-	}
-	f := buildVertexSplit(g, s, t)
-	k := 0
-	for {
-		if _, ok := f.augment(int32(2*s+1), int32(2*t)); !ok {
-			return k
-		}
-		k++
-	}
-}
-
 // extractVertexPaths decomposes the unit flow on the vertex-split
 // network into k paths over original vertex ids.
 func extractVertexPaths(f *mcmf, n, s, t, k int) ([][]int32, error) {
@@ -155,65 +138,6 @@ func extractVertexPaths(f *mcmf, n, s, t, k int) ([][]int32, error) {
 	return paths, nil
 }
 
-// EdgeDisjointPaths returns k edge-disjoint s→t paths with minimum
-// total length, or ok=false if fewer than k exist. This supports the
-// paper's concluding extension to edge-connectivity. A non-nil error
-// means the flow could not be decomposed into paths.
-func EdgeDisjointPaths(g *graph.Graph, s, t, k int) (Result, bool, error) {
-	if s == t {
-		return Result{}, false, nil
-	}
-	n := g.N()
-	f := newMCMF(n)
-	g.EachEdge(func(u, v int) {
-		f.addArc(int32(u), int32(v), 1, 1)
-		f.addArc(int32(v), int32(u), 1, 1)
-	})
-	total := 0
-	for i := 0; i < k; i++ {
-		c, ok := f.augment(int32(s), int32(t))
-		if !ok {
-			return Result{}, false, nil
-		}
-		total += int(c)
-	}
-	// Decompose: net flow per undirected edge direction.
-	usedTo := make(map[int32][]int32, n)
-	for e := 0; e < len(f.to); e += 2 {
-		if f.cost[e] != 1 {
-			continue
-		}
-		u := f.to[e^1]
-		v := f.to[e]
-		if f.cap[e^1] > 0 { // one unit moved u→v
-			usedTo[u] = append(usedTo[u], v)
-		}
-	}
-	// Cancel opposite units on the same edge (cost-optimal flows avoid
-	// them, but be safe).
-	paths := make([][]int32, 0, k)
-	for i := 0; i < k; i++ {
-		path := []int32{int32(s)}
-		cur := int32(s)
-		steps := 0
-		for cur != int32(t) {
-			succs := usedTo[cur]
-			if len(succs) == 0 {
-				return Result{}, false, fmt.Errorf("flow: edge path decomposition stuck at %d", cur)
-			}
-			next := succs[len(succs)-1]
-			usedTo[cur] = succs[:len(succs)-1]
-			path = append(path, next)
-			cur = next
-			if steps++; steps > g.M()+1 {
-				return Result{}, false, fmt.Errorf("flow: edge path decomposition cycled at %d", cur)
-			}
-		}
-		paths = append(paths, path)
-	}
-	return Result{Total: total, Paths: paths}, true, nil
-}
-
 // EdgeKDistance is the edge-disjoint analogue of KDistance. Only the
 // flow value is needed, so no path decomposition runs.
 func EdgeKDistance(g *graph.Graph, s, t, k int) int {
@@ -235,27 +159,6 @@ func EdgeKDistance(g *graph.Graph, s, t, k int) int {
 		total += int(c)
 	}
 	return total
-}
-
-// EdgeConnectivity returns the maximum number of edge-disjoint s→t
-// paths.
-func EdgeConnectivity(g *graph.Graph, s, t int) int {
-	if s == t {
-		return 0
-	}
-	n := g.N()
-	f := newMCMF(n)
-	g.EachEdge(func(u, v int) {
-		f.addArc(int32(u), int32(v), 1, 0)
-		f.addArc(int32(v), int32(u), 1, 0)
-	})
-	k := 0
-	for {
-		if _, ok := f.augment(int32(s), int32(t)); !ok {
-			return k
-		}
-		k++
-	}
 }
 
 // ArePathsInternallyDisjoint verifies that the given s→t paths are

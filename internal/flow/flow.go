@@ -2,8 +2,8 @@
 // unweighted graphs via unit-capacity min-cost flow. It provides the
 // k-connecting distance d^k(s, t) of the paper — the minimum length sum
 // of k internally vertex-disjoint s→t paths — together with the paths
-// themselves, and edge-disjoint variants for the paper's concluding
-// extension.
+// themselves, and the edge-disjoint distance for the paper's
+// concluding extension.
 package flow
 
 // mcmf is a small successive-shortest-path min-cost max-flow solver on

@@ -135,14 +135,19 @@ func TestKDistanceAdjacent(t *testing.T) {
 }
 
 func TestVertexConnectivityKn(t *testing.T) {
+	// K5 has vertex connectivity 4: the direct edge plus three
+	// two-hop paths, and no fifth disjoint path.
 	g := graph.New(5)
 	for u := 0; u < 5; u++ {
 		for v := u + 1; v < 5; v++ {
 			g.AddEdge(u, v)
 		}
 	}
-	if c := VertexConnectivity(g, 0, 4); c != 4 {
-		t.Fatalf("K5 connectivity %d, want 4", c)
+	if d := KDistance(g, 0, 4, 4); d != 7 {
+		t.Fatalf("K5 d^4 = %d, want 1+2+2+2 = 7", d)
+	}
+	if d := KDistance(g, 0, 4, 5); d != -1 {
+		t.Fatalf("K5 d^5 = %d, want -1 (connectivity 4)", d)
 	}
 }
 
@@ -215,6 +220,7 @@ func TestKDistanceProfileMonotone(t *testing.T) {
 func TestEdgeDisjointPaths(t *testing.T) {
 	// Two triangles sharing a vertex: 2 edge-disjoint paths exist
 	// through the shared cut vertex but not 2 vertex-disjoint ones.
+	// The cheapest edge-disjoint pair is (0-2-4) + (0-1-2-3-4) = 6.
 	g := graph.New(5)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
@@ -222,37 +228,11 @@ func TestEdgeDisjointPaths(t *testing.T) {
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 4)
 	g.AddEdge(2, 4)
-	if c := VertexConnectivity(g, 0, 4); c != 1 {
-		t.Fatalf("vertex connectivity %d, want 1", c)
+	if d := EdgeKDistance(g, 0, 4, 2); d != 6 {
+		t.Fatalf("edge d^2 = %d, want 6", d)
 	}
-	if c := EdgeConnectivity(g, 0, 4); c != 2 {
-		t.Fatalf("edge connectivity %d, want 2", c)
-	}
-	res, ok, err := EdgeDisjointPaths(g, 0, 4, 2)
-	if err != nil || !ok {
-		t.Fatal("expected 2 edge-disjoint paths")
-	}
-	// total = (0-1-2-3-4) + (0-2-4) = 4 + 2 = 6... min total is
-	// (0-2-4)=2 + (0-1-2-3-4)=4 → 6
-	if res.Total != 6 {
-		t.Fatalf("total=%d, want 6", res.Total)
-	}
-	// paths must be edge disjoint
-	seen := map[[2]int32]bool{}
-	for _, p := range res.Paths {
-		for i := 0; i+1 < len(p); i++ {
-			u, v := p[i], p[i+1]
-			if u > v {
-				u, v = v, u
-			}
-			if seen[[2]int32{u, v}] {
-				t.Fatal("edge reused across paths")
-			}
-			seen[[2]int32{u, v}] = true
-			if !g.HasEdge(int(p[i]), int(p[i+1])) {
-				t.Fatal("non-edge used")
-			}
-		}
+	if d := KDistance(g, 0, 4, 2); d != -1 {
+		t.Fatalf("vertex d^2 = %d, want -1 (cut vertex 2)", d)
 	}
 }
 
@@ -269,6 +249,9 @@ func TestEdgeKDistance(t *testing.T) {
 }
 
 func TestVertexVsEdgeConnectivityDominance(t *testing.T) {
+	// Vertex-disjoint paths are edge-disjoint, so whenever k
+	// vertex-disjoint paths exist the edge-disjoint optimum is at most
+	// their total: d^k ≠ −1 ⇒ edge-d^k ≤ d^k.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + rng.Intn(8)
@@ -279,10 +262,18 @@ func TestVertexVsEdgeConnectivityDominance(t *testing.T) {
 				g.AddEdge(u, v)
 			}
 		}
-		vc := VertexConnectivity(g, 0, n-1)
-		ec := EdgeConnectivity(g, 0, n-1)
-		if vc > ec {
-			t.Fatalf("vertex connectivity %d > edge connectivity %d", vc, ec)
+		for s := 0; s < n; s++ {
+			for tt := 0; tt < n; tt++ {
+				for k := 1; k <= 3; k++ {
+					vd := KDistance(g, s, tt, k)
+					if vd == -1 {
+						continue
+					}
+					if ed := EdgeKDistance(g, s, tt, k); ed == -1 || ed > vd {
+						t.Fatalf("trial %d (%d,%d) k=%d: edge d^k %d vs vertex d^k %d", trial, s, tt, k, ed, vd)
+					}
+				}
+			}
 		}
 	}
 }

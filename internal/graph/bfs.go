@@ -86,17 +86,13 @@ func NewBFSScratch(n int) *BFSScratch {
 	return s
 }
 
-// Bounded runs a BFS from src limited to distance maxDist and returns
-// (dist, parent, visited) views valid until the next call. dist and
-// parent are full-length slices with Unreached/-1 outside the ball;
-// visited lists the reached vertices in BFS order (src first).
-func (s *BFSScratch) Bounded(g *Graph, src, maxDist int) (dist, parent, visited []int32) {
-	return s.BoundedView(g, src, maxDist)
-}
-
-// BoundedView is Bounded over any View — the mutable graph, the
-// immutable CSR snapshots of the batch pipeline and the patched
-// CSRDelta of the incremental maintainer all run this one traversal.
+// BoundedView runs a BFS from src over any View limited to distance
+// maxDist and returns (dist, parent, visited) views valid until the
+// next call. dist and parent are full-length slices with
+// Unreached/-1 outside the ball; visited lists the reached vertices in
+// BFS order (src first). The mutable graph, the immutable CSR
+// snapshots of the batch pipeline and the patched CSRDelta of the
+// incremental maintainer all run this one traversal.
 //
 //remspan:hotpath
 func (s *BFSScratch) BoundedView(c View, src, maxDist int) (dist, parent, visited []int32) {

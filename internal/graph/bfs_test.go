@@ -74,7 +74,7 @@ func TestBoundedBFSMatchesFull(t *testing.T) {
 		full := BFS(g, 0)
 		s := NewBFSScratch(n)
 		for r := 0; r <= 4; r++ {
-			dist, parent, visited := s.Bounded(g, 0, r)
+			dist, parent, visited := s.BoundedView(g, 0, r)
 			for v := 0; v < n; v++ {
 				want := full[v]
 				if want != Unreached && int(want) > r {
@@ -99,11 +99,11 @@ func TestBoundedBFSMatchesFull(t *testing.T) {
 func TestBFSScratchReuse(t *testing.T) {
 	g := pathGraph(6)
 	s := NewBFSScratch(6)
-	d1, _, _ := s.Bounded(g, 0, 10)
+	d1, _, _ := s.BoundedView(g, 0, 10)
 	if d1[5] != 5 {
 		t.Fatalf("first run wrong: %v", d1)
 	}
-	d2, _, _ := s.Bounded(g, 5, 2)
+	d2, _, _ := s.BoundedView(g, 5, 2)
 	if d2[5] != 0 || d2[3] != 2 || d2[0] != Unreached {
 		t.Fatalf("second run not reset correctly: %v", d2)
 	}

@@ -116,26 +116,3 @@ func (d *CSRDelta) RemoveEdge(u, v int) bool {
 	d.m--
 	return true
 }
-
-// Compact folds the accumulated patches into a fresh contiguous CSR and
-// returns it (the delta keeps working, now over the compact base with
-// no overlays). O(n+m); call it off the hot path if a long churn run
-// should shed overlay memory or restore fully contiguous reads.
-func (d *CSRDelta) Compact() *CSR {
-	n := d.N()
-	checkEdgeSlots(2 * int64(d.m))
-	c := &CSR{
-		offsets: make([]int32, n+1),
-		targets: make([]int32, 0, 2*d.m),
-	}
-	for u := 0; u < n; u++ {
-		c.offsets[u] = int32(len(c.targets))
-		c.targets = append(c.targets, d.row(u)...)
-	}
-	c.offsets[n] = int32(len(c.targets))
-	d.base = c
-	for i := range d.over {
-		d.over[i] = nil
-	}
-	return c
-}

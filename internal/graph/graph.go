@@ -289,16 +289,3 @@ func (g *Graph) Equal(h *Graph) bool {
 	}
 	return true
 }
-
-// DegreeHistogram returns h where h[d] is the number of vertices with
-// degree d; len(h) == MaxDegree()+1 (empty for n == 0).
-func (g *Graph) DegreeHistogram() []int {
-	if len(g.adj) == 0 {
-		return nil
-	}
-	h := make([]int, g.MaxDegree()+1)
-	for _, a := range g.adj {
-		h[len(a)]++
-	}
-	return h
-}

@@ -175,17 +175,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	h := g.DegreeHistogram()
-	// degrees: 0:2, 1:1, 2:1, 3:0
-	if h[0] != 1 || h[1] != 2 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
 func TestFromEdgesIgnoresBadInput(t *testing.T) {
 	g := FromEdges(3, [][2]int{{0, 1}, {0, 1}, {1, 1}, {1, 2}})
 	if g.M() != 2 {

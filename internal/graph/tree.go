@@ -151,20 +151,6 @@ func (t *Tree) Branch(v int) int {
 	return int(x)
 }
 
-// PathToRoot returns the vertex sequence v, parent(v), ..., root.
-func (t *Tree) PathToRoot(v int) []int32 {
-	if !t.Contains(v) {
-		return nil
-	}
-	var p []int32
-	x := int32(v)
-	for x >= 0 {
-		p = append(p, x)
-		x = t.parent[x]
-	}
-	return p
-}
-
 // Validate checks internal consistency: every member's parent chain
 // reaches the root with strictly decreasing depth, and every tree edge
 // exists in host (when host != nil).

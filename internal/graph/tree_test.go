@@ -81,19 +81,6 @@ func TestTreeBranch(t *testing.T) {
 	}
 }
 
-func TestTreePathToRoot(t *testing.T) {
-	tr := NewTree(4, 0)
-	tr.Add(1, 0)
-	tr.Add(2, 1)
-	p := tr.PathToRoot(2)
-	if len(p) != 3 || p[0] != 2 || p[1] != 1 || p[2] != 0 {
-		t.Fatalf("path = %v", p)
-	}
-	if tr.PathToRoot(3) != nil {
-		t.Fatal("non-member path should be nil")
-	}
-}
-
 func TestTreeEdgesMatchSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {

@@ -101,6 +101,10 @@ type Sim struct {
 	// (lazily created; the graph.View migration of the routing data
 	// paths).
 	routeScratch *graph.BFSScratch
+
+	// Relay-selection scratch shared by every node: Tick recomputes the
+	// nodes' MPRs one after another.
+	mprScratch *domtree.Scratch
 }
 
 // New creates a simulation over the initial topology g.
@@ -111,7 +115,7 @@ func New(g *graph.Graph, p Params) *Sim {
 	if p.K < 1 {
 		p.K = 1
 	}
-	s := &Sim{P: p, g: g}
+	s := &Sim{P: p, g: g, mprScratch: domtree.NewScratch(g.N())}
 	n := g.N()
 	s.nodes = make([]*node, n)
 	for i := range s.nodes {
@@ -166,7 +170,7 @@ func (s *Sim) Tick() {
 	// 2. Expire stale beliefs and recompute MPRs.
 	for _, nd := range s.nodes {
 		nd.expire(s.tick)
-		nd.selectMPRs(s.P.K)
+		nd.selectMPRs(s.P.K, s.mprScratch)
 	}
 	// 3. Emit HELLOs.
 	if s.tick%int64(s.P.HelloInterval) == 0 {
@@ -277,8 +281,8 @@ func (nd *node) expire(now int64) {
 }
 
 // selectMPRs recomputes this node's relays from its believed 2-hop
-// neighborhood using Algorithm 4 (greedy k-coverage).
-func (nd *node) selectMPRs(k int) {
+// neighborhood using Algorithm 4 (greedy k-coverage) on scratch.
+func (nd *node) selectMPRs(k int, scratch *domtree.Scratch) {
 	// Build the believed local graph: my links + my neighbors' lists.
 	ids := map[int32]bool{nd.id: true}
 	for v := range nd.nbrs {
@@ -302,7 +306,7 @@ func (nd *node) selectMPRs(k int) {
 			}
 		}
 	}
-	tree := domtree.KGreedy(local, int(nd.id), k)
+	tree := domtree.KGreedyCSR(local, scratch, int(nd.id), k)
 	nd.mprs = make(map[int32]bool)
 	for _, m := range domtree.MPRSet(tree) {
 		nd.mprs[m] = true

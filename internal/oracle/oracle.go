@@ -9,9 +9,9 @@
 // incident edges from G, everything else from H); storage is
 // |E(H)| + Σdeg words instead of the n² of an exact all-pairs table.
 // Validate, the all-pairs self-check, runs on the word-parallel
-// 64-source batch engine (graph.BitScratch + spanner.JudgeViews):
-// O(n·m/64) word operations instead of the O(n²·m) of re-running a
-// per-pair query BFS.
+// 64-source batch engine (graph.BitScratch + spanner.JudgeViews) at
+// every size: O(n·m/64) word operations instead of the O(n²·m) of
+// re-running a per-pair query BFS.
 package oracle
 
 import (
@@ -94,19 +94,16 @@ func (o *Oracle) QueryBatch(u int, targets []int) []int {
 // the remote-spanner property dictates). Returns the first violating
 // pair in (u, v) lexicographic order, or (-1, -1).
 //
-// Large inputs run 64 sources per sweep on the word-parallel batch
-// engine; ValidateScalar is the scalar reference and tiny-n fallback.
-// Both scan pairs in the same order, so they return the same witness.
+// It runs 64 sources per sweep on the word-parallel batch engine;
+// ValidateScalar is the fallback outside the engine's preconditions.
 func (o *Oracle) Validate() (int, int) {
-	n := o.cg.N()
 	// The batched judge only tests the upper bound against a monotone
 	// threshold table, so it requires h ⊆ g (no underestimates can
-	// exist) and a well-formed stretch (positive denominators, α ≥ 0).
-	// Oracles are built from untrusted h and an open Stretch struct —
-	// anything outside those preconditions takes the scalar reference,
-	// which checks both sides pair by pair.
-	if n < 128 || o.st.AlphaDen <= 0 || o.st.BetaDen <= 0 || o.st.AlphaNum < 0 ||
-		!o.ch.SubsetOf(o.cg) {
+	// exist) and a well-formed stretch. Oracles are built from
+	// untrusted h and an open Stretch struct — anything outside those
+	// preconditions takes the scalar pass, which checks both sides pair
+	// by pair.
+	if !o.st.WellFormed() || !o.ch.SubsetOf(o.cg) {
 		return o.ValidateScalar()
 	}
 	// Adjacent pairs (d_G = 1) can never violate — the star seeding
@@ -121,8 +118,9 @@ func (o *Oracle) Validate() (int, int) {
 	return u, v
 }
 
-// ValidateScalar is the scalar reference for Validate: one BFS pair
-// per source u — the G distances plus one star-seeded H_u traversal
+// ValidateScalar is Validate's two-sided scalar pass, and the
+// reference its batched path is pinned against: one BFS pair per
+// source u — the G distances plus one star-seeded H_u traversal
 // answering every target at once — instead of the quadratic blowup of
 // a fresh Query BFS per (u, v) pair.
 func (o *Oracle) ValidateScalar() (int, int) {

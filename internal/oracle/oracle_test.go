@@ -114,8 +114,8 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestValidateBatchedMatchesScalar(t *testing.T) {
-	// Above the dispatch threshold, Validate runs the 64-source batch
-	// engine; it must return exactly the scalar reference's witness —
+	// Validate runs the 64-source batch engine; it must return exactly
+	// the scalar reference's witness —
 	// (-1,-1) on intact oracles, the first (u,v) in lexicographic order
 	// on broken ones.
 	rng := rand.New(rand.NewSource(21))
@@ -169,7 +169,7 @@ func TestValidateCatchesUnderestimateOutsideSubset(t *testing.T) {
 	// underestimate. The batched judge only tests the upper bound, so
 	// Validate must detect the broken subset precondition and take the
 	// two-sided scalar path — and agree with ValidateScalar exactly.
-	n := 200 // ≥ 128 so the batched dispatch is reachable
+	n := 200
 	g := gen.Path(n)
 	h := graph.New(n)
 	h.AddEdge(1, n-1) // not a G edge: d_{H_0}(0, n-1) = 2 ≪ d_G = n-1

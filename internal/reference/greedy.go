@@ -1,4 +1,4 @@
-package domtree
+package reference
 
 import (
 	"fmt"
@@ -6,33 +6,17 @@ import (
 	"remspan/internal/graph"
 )
 
-// Greedy computes Algorithm 1 DomTreeGdy(r, β) for root u: an
-// (r, β)-dominating tree built by solving, for each ring
-// r' = 2..r, a greedy set cover of the vertices at distance r' with the
-// balls of candidates in distance range [r'−1, r'−1+β]. Paths are
-// attached along a shared BFS tree, keeping d_T(u, x) = d_G(u, x).
-//
-// Determinism contract: every greedy selection in this package picks
-// the candidate maximizing the current gain, breaking ties by smallest
-// vertex id — i.e. selection order is (gain desc, id asc). The
-// lazy-heap production builders (GreedyCSR, KGreedyCSR) must preserve
-// this order bit-for-bit; they do, because gains only decrease, so when
-// a popped heap entry's recomputed gain equals its key, every other
-// candidate's true gain is bounded by its own key ≤ that key, and equal
-// keys pop in id order. Any change to this tie-break is a breaking
-// change to the constructed edge sets and must update the reference
-// builders, the CSR builders and the equivalence tests together.
-//
-// β must be 0 or 1 (the only values the paper uses); r ≥ 2.
-// scratch may be nil; pass one to amortize allocations across roots.
-// This is the map-based reference implementation; production sweeps use
-// GreedyCSR.
+// Greedy is the map-based form of domtree.GreedyCSR, Algorithm 1
+// DomTreeGdy(r, β): per ring r' = 2..r, a greedy set cover rescanning
+// every candidate per pick, with the same (gain desc, id asc)
+// tie-break. β must be 0 or 1; r ≥ 2. scratch may be nil; pass one to
+// amortize allocations across roots.
 func Greedy(g *graph.Graph, scratch *graph.BFSScratch, u, r, beta int) *graph.Tree {
 	if r < 2 {
-		panic("domtree: Greedy requires r >= 2")
+		panic("reference: Greedy requires r >= 2")
 	}
 	if beta != 0 && beta != 1 {
-		panic("domtree: Greedy requires beta in {0, 1}")
+		panic("reference: Greedy requires beta in {0, 1}")
 	}
 	if scratch == nil {
 		scratch = graph.NewBFSScratch(g.N())
@@ -41,7 +25,7 @@ func Greedy(g *graph.Graph, scratch *graph.BFSScratch, u, r, beta int) *graph.Tr
 	if r > radius {
 		radius = r
 	}
-	dist, parent, visited := scratch.Bounded(g, u, radius)
+	dist, parent, visited := scratch.BoundedView(g, u, radius)
 
 	t := graph.NewTree(g.N(), u)
 	covered := make(map[int32]bool) // covered S-members of the current ring
@@ -93,7 +77,7 @@ func Greedy(g *graph.Graph, scratch *graph.BFSScratch, u, r, beta int) *graph.Tr
 				}
 			}
 			if best == -1 || bestGain == 0 {
-				panic(fmt.Sprintf("domtree: greedy cover stuck at ring %d of root %d", rp, u))
+				panic(fmt.Sprintf("reference: greedy cover stuck at ring %d of root %d", rp, u))
 			}
 			picked[best] = true
 			t.AddPath(parent, int(best))

@@ -1,4 +1,4 @@
-package domtree
+package reference
 
 import (
 	"fmt"
@@ -6,20 +6,13 @@ import (
 	"remspan/internal/graph"
 )
 
-// KGreedy computes Algorithm 4 DomTreeGdy(2, 0, k) for root u: a
-// k-connecting (2, 0)-dominating tree (a depth-1 star of multipoint
-// relays). The greedy multicover heuristic picks, at each step, the
-// neighbor of u covering the most distance-2 vertices that are still
-// uncovered; a vertex v leaves S once it has k relay neighbors or all
-// of N(v) ∩ N(u) has been selected. Within 1+log Δ of the optimal
-// k-cover (Prop. 6).
-//
-// For k = 1 this is exactly OLSR multipoint-relay selection, and the
-// union of these trees over all roots is a (1, 0)-remote-spanner
-// (Prop. 5).
+// KGreedy is the map-based form of domtree.KGreedyCSR, Algorithm 4
+// DomTreeGdy(2, 0, k): greedy k-coverage multipoint-relay selection,
+// rescanning every candidate relay per pick with the (gain desc,
+// id asc) tie-break.
 func KGreedy(g *graph.Graph, u, k int) *graph.Tree {
 	if k < 1 {
-		panic("domtree: KGreedy requires k >= 1")
+		panic("reference: KGreedy requires k >= 1")
 	}
 	t := graph.NewTree(g.N(), u)
 	nu := g.Neighbors(u)
@@ -76,7 +69,7 @@ func KGreedy(g *graph.Graph, u, k int) *graph.Tree {
 			}
 		}
 		if best == -1 {
-			panic(fmt.Sprintf("domtree: k-cover stuck at root %d (|S|=%d)", u, len(inS)))
+			panic(fmt.Sprintf("reference: k-cover stuck at root %d (|S|=%d)", u, len(inS)))
 		}
 		selected[best] = true
 		t.Add(int(best), u)
@@ -93,17 +86,4 @@ func KGreedy(g *graph.Graph, u, k int) *graph.Tree {
 		}
 	}
 	return t
-}
-
-// MPRSet returns the multipoint-relay set of u implied by its
-// k-connecting (2,0)-dominating tree: the children of the root.
-func MPRSet(t *graph.Tree) []int32 {
-	var out []int32
-	root := t.Root()
-	for _, v := range t.Nodes() {
-		if t.Parent(int(v)) == root {
-			out = append(out, v)
-		}
-	}
-	return out
 }

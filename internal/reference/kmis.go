@@ -1,4 +1,4 @@
-package domtree
+package reference
 
 import (
 	"sort"
@@ -6,21 +6,13 @@ import (
 	"remspan/internal/graph"
 )
 
-// KMIS computes Algorithm 5 DomTreeMIS(2, 1, k) for root u: a
-// k-connecting (2, 1)-dominating tree. It runs k rounds; each round
-// greedily picks an independent set of still-uncovered distance-2
-// vertices (smallest id first) and attaches each pick x through a fresh
-// common neighbor y1 (path u–y1–x) plus up to k−1 further fresh common
-// neighbors as direct children of u. A vertex v leaves S once its
-// common neighborhood with u is exhausted into V(T) or it sees k
-// branch-disjoint tree neighbors within depth 2.
-//
-// In a unit-ball graph of a doubling metric the tree has O(k²) edges
-// (Prop. 7). With k = 2, unions of these trees form 2-connecting
-// (2,−1)-remote-spanners (Prop. 4, Th. 3).
+// KMIS is the map-based form of domtree.KMISCSR, Algorithm 5
+// DomTreeMIS(2, 1, k): k rounds of independent-set picks among the
+// still-uncovered distance-2 vertices, each attached through fresh
+// common neighbors of the root.
 func KMIS(g *graph.Graph, u, k int) *graph.Tree {
 	if k < 1 {
-		panic("domtree: KMIS requires k >= 1")
+		panic("reference: KMIS requires k >= 1")
 	}
 	t := graph.NewTree(g.N(), u)
 

@@ -1,4 +1,4 @@
-package domtree
+package reference
 
 import (
 	"sort"
@@ -6,22 +6,19 @@ import (
 	"remspan/internal/graph"
 )
 
-// MIS computes Algorithm 2 DomTreeMIS(r, 1) for root u: an
-// (r, 1)-dominating tree obtained by greedily building a maximal
-// independent set of B_G(u, r) \ B_G(u, 1) in order of increasing
-// distance from u (ties by smallest id), attaching each MIS point via
-// its BFS shortest path. In a unit-ball graph of a metric with doubling
-// dimension p the tree has O(r^{p+1}) edges (Prop. 3).
-//
-// scratch may be nil; pass one to amortize allocations across roots.
+// MIS is the map-based form of domtree.MISCSR, Algorithm 2
+// DomTreeMIS(r, 1): a maximal independent set of B_G(u, r) \ B_G(u, 1)
+// taken in (distance, id) order, each point attached along its BFS
+// path. scratch may be nil; pass one to amortize allocations across
+// roots.
 func MIS(g *graph.Graph, scratch *graph.BFSScratch, u, r int) *graph.Tree {
 	if r < 2 {
-		panic("domtree: MIS requires r >= 2")
+		panic("reference: MIS requires r >= 2")
 	}
 	if scratch == nil {
 		scratch = graph.NewBFSScratch(g.N())
 	}
-	dist, parent, visited := scratch.Bounded(g, u, r)
+	dist, parent, visited := scratch.BoundedView(g, u, r)
 
 	// B = vertices with 2 <= dist <= r, processed by (dist, id).
 	b := make([]int32, 0, len(visited))

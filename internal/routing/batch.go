@@ -25,7 +25,8 @@ import (
 // and the claim callback fires with that (x, v, bits) right inside the
 // edge walk — no per-event H-row re-scan, and x's scratch row stays
 // cache-hot across all of x's edges. So batched tables are
-// bit-identical to BuildTables on every input (pinned by
+// bit-identical to a scalar per-owner BFS under the canonical rule on
+// every input (pinned against the tests' scalar builder by
 // TestBatchedTablesMatchScalar and FuzzTableEquivalence).
 //
 // Claims write into a flat transposed scratch of packed
@@ -237,8 +238,8 @@ func (b *BatchBuilder) BuildInto(g, h graph.View, tables []Table, owners []int32
 }
 
 // BuildTablesBatched computes every router's table on the
-// word-parallel engine — bit-identical to BuildTables, with the
-// speedup measured by BenchmarkBuildTablesScalar/Batched — fanning
+// word-parallel engine — bit-identical to a scalar per-owner BFS, with
+// the speedup measured by BenchmarkBuildTablesScalar/Batched — fanning
 // ball-clustered 64-owner groups across a worker pool with one builder
 // per worker.
 func BuildTablesBatched(g, h graph.View) []Table {
@@ -323,8 +324,8 @@ func (e *tableEnv) cluster(g graph.View, owners []int32) []int32 {
 // build constructs the rows of owners (nil: every vertex) into tables
 // — indexed by owner id, rows pre-sized — in ball-clustered groups of
 // 64 spread over sched.Workers workers, one builder each. A row
-// depends only on (g, h, owner), so the result is bit-identical to
-// BuildTables at every GOMAXPROCS and for any owner subset.
+// depends only on (g, h, owner), so the result is bit-identical at
+// every GOMAXPROCS and for any owner subset.
 //
 //remspan:hotpath
 func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32) {

@@ -17,8 +17,9 @@ type MPRSelection struct {
 // extension ([4, 5]) shown by the paper to be k-connecting.
 func SelectMPRs(g *graph.Graph, k int) *MPRSelection {
 	sel := &MPRSelection{mpr: make([]map[int32]bool, g.N())}
+	s := domtree.NewScratch(g.N())
 	for u := 0; u < g.N(); u++ {
-		t := domtree.KGreedy(g, u, k)
+		t := domtree.KGreedyCSR(g, s, u, k)
 		m := make(map[int32]bool)
 		for _, v := range domtree.MPRSet(t) {
 			m[v] = true

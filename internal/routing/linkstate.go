@@ -10,11 +10,10 @@
 //
 //   - GreedyRoute / RouteScratch: per-hop greedy forwarding, each hop
 //     re-evaluating distances in its own view (the simulation path);
-//   - Table / BuildTables / BatchBuilder (tables.go, batch.go):
+//   - Table / BatchBuilder / BuildTablesBatched (tables.go, batch.go):
 //     precomputed next-hop tables — the FIB a link-state daemon
-//     installs — built one owner at a time or 64 owners per
-//     word-parallel sweep, and kept fresh under churn by the
-//     epoch-swapped Store (store.go).
+//     installs — built 64 owners per word-parallel sweep, and kept
+//     fresh under churn by the epoch-swapped Store (store.go).
 //
 // The package also provides OLSR-style multipoint-relay flooding and
 // disjoint-path multipath routing with failure injection.
@@ -207,13 +206,6 @@ func MeasureRouting(g, h graph.View, pairs [][2]int) StretchStats {
 		st.AvgStretch = sum / float64(st.Delivered)
 	}
 	return st
-}
-
-// AdvertisedCost returns the number of links a routing protocol floods
-// network-wide: the spanner's edge count for remote-spanner link-state
-// vs all edges for classic link-state. (Convenience for experiments.)
-func AdvertisedCost(g graph.View, h *graph.EdgeSet) (spannerLinks, fullLinks int) {
-	return h.Len(), g.M()
 }
 
 // DisjointRoutes returns k minimum-total-length internally disjoint

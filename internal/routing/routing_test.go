@@ -223,16 +223,3 @@ func TestMeasureMultipath(t *testing.T) {
 		t.Fatalf("d² sums violate (2,−1): H=%d G=%d", rep.SumLenH, rep.SumLenG)
 	}
 }
-
-func TestAdvertisedCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomUDG(150, 3, 1.0, rng)
-	res := spanner.Exact(g)
-	sp, full := AdvertisedCost(g, res.H)
-	if sp != res.Edges() || full != g.M() {
-		t.Fatal("cost accounting wrong")
-	}
-	if sp >= full {
-		t.Fatalf("spanner advertisement (%d) not cheaper than full (%d)", sp, full)
-	}
-}

@@ -10,6 +10,119 @@ import (
 	"remspan/internal/spanner"
 )
 
+// The scalar table builder: one BFS of H_u per owner, the reference
+// the word-parallel BatchBuilder (batch.go), BuildTablesBatched and
+// the Store are pinned against (FuzzTableEquivalence and the batch
+// tests).
+
+// TableScratch holds the reusable traversal state of the scalar table
+// builder — one BFS of H_u per owner, the reference the word-parallel
+// BatchBuilder is pinned against. Not safe for concurrent use.
+type TableScratch struct {
+	dist  []int32
+	queue []int32
+}
+
+// NewTableScratch returns scratch space for graphs with up to n
+// vertices.
+func NewTableScratch(n int) *TableScratch {
+	d := make([]int32, n)
+	for i := range d {
+		d[i] = graph.Unreached
+	}
+	return &TableScratch{dist: d, queue: make([]int32, 0, n)}
+}
+
+// BuildTableInto computes u's forwarding table over its view H_u into
+// the caller-provided rows next and dist (each of length ≥ n). u's
+// incident edges come from g, all other adjacency from h (h ⊆ g, the
+// advertised spanner).
+func (s *TableScratch) BuildTableInto(g, h graph.View, u int, next, dist []int32) {
+	n := g.N()
+	// Reset only what the previous build touched.
+	for _, v := range s.queue {
+		s.dist[v] = graph.Unreached
+	}
+	s.queue = s.queue[:0]
+
+	sd := s.dist
+	sd[u] = 0
+	s.queue = append(s.queue, int32(u))
+	// BFS in H_u: u's edges from g, the rest from h. Seeds enqueue in
+	// ascending id order (Neighbors slices are sorted), and the queue is
+	// level-ordered, so every depth d−1 vertex is visited before any
+	// depth d vertex.
+	for _, v := range g.Neighbors(u) {
+		if sd[v] == graph.Unreached {
+			sd[v] = 1
+			s.queue = append(s.queue, v)
+		}
+	}
+	for head := 1; head < len(s.queue); head++ {
+		x := s.queue[head]
+		for _, v := range h.Neighbors(int(x)) {
+			if sd[v] == graph.Unreached {
+				sd[v] = sd[x] + 1
+				s.queue = append(s.queue, v)
+			}
+		}
+	}
+
+	next = next[:n]
+	dist = dist[:n]
+	for i := range next {
+		next[i] = -1
+		dist[i] = graph.Unreached
+	}
+	next[u] = int32(u)
+	dist[u] = 0
+	// Canonical next hops, resolved iteratively in BFS level order: a
+	// depth-1 destination is its own next hop; a deeper destination
+	// inherits the next hop of its smallest-id previous-level
+	// H-neighbor, which the level ordering has already finalized.
+	for _, v := range s.queue[1:] {
+		d := sd[v]
+		dist[v] = d
+		if d == 1 {
+			next[v] = v
+			continue
+		}
+		for _, x := range h.Neighbors(int(v)) {
+			if sd[x] == d-1 {
+				next[v] = next[x]
+				break
+			}
+		}
+	}
+}
+
+// BuildTable computes u's forwarding table over its view H_u,
+// allocating fresh rows and scratch.
+func BuildTable(g, h graph.View, u int) Table {
+	n := g.N()
+	s := NewTableScratch(n)
+	t := Table{Owner: u, Next: make([]int32, n), Dist: make([]int32, n)}
+	s.BuildTableInto(g, h, u, t.Next, t.Dist)
+	return t
+}
+
+// BuildTablesInto computes every owner's table into tables (len n,
+// rows pre-sized) with one shared scratch.
+func BuildTablesInto(g, h graph.View, tables []Table) {
+	s := NewTableScratch(g.N())
+	for u := 0; u < g.N(); u++ {
+		tables[u].Owner = u
+		s.BuildTableInto(g, h, u, tables[u].Next, tables[u].Dist)
+	}
+}
+
+// BuildTables computes every router's table with the scalar builder.
+func BuildTables(g, h graph.View) []Table {
+	out := NewTables(g.N())
+	BuildTablesInto(g, h, out)
+	return out
+}
+
 func TestTableMatchesViewDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomConnected(30, 60, rng)

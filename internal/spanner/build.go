@@ -16,8 +16,9 @@
 //
 // All constructions run on one immutable graph.CSR snapshot taken up
 // front, with one reusable domtree.Scratch per worker, so the per-root
-// hot loops are allocation-free (DESIGN.md §3). UnionSerial retains the
-// map-based reference path the equivalence tests compare against.
+// hot loops are allocation-free (DESIGN.md §3). The equivalence tests
+// pin every construction against reference.Union over the map-based
+// builders of internal/reference.
 package spanner
 
 import (
@@ -139,20 +140,4 @@ func LowStretchGreedy(g *graph.Graph, eps float64) *Result {
 	res.R = r
 	res.EpsEff = epsEff
 	return res
-}
-
-// UnionSerial builds the union of builder(u) over all roots serially on
-// the mutable adjacency-list graph — the retained map-based reference
-// path: equivalence tests assert the CSR pipeline reproduces its edge
-// sets exactly, and the ablation benchmarks measure the gap.
-func UnionSerial(g *graph.Graph, builder func(u int, s *graph.BFSScratch) *graph.Tree) *Result {
-	h := graph.NewEdgeSet(g.N())
-	sizes := make([]int, g.N())
-	scratch := graph.NewBFSScratch(g.N())
-	for u := 0; u < g.N(); u++ {
-		t := builder(u, scratch)
-		sizes[u] = t.EdgeCount()
-		h.AddTree(t)
-	}
-	return &Result{H: h, TreeEdges: sizes}
 }

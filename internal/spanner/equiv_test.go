@@ -4,36 +4,32 @@ import (
 	"math/rand"
 	"testing"
 
-	"remspan/internal/domtree"
 	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // The CSR + scratch + lazy-heap production pipeline must produce edge
-// sets identical to the retained map-based reference path (UnionSerial
-// over the naive builders) on every construction and graph family.
+// sets identical to the serial union of the map-based reference
+// builders (reference.Union) on every construction and graph family.
 
-// refExact etc. build each spanner family through the reference path.
+// refResult builds each spanner family through the reference path.
 func refResult(g *graph.Graph, kind string, k, r int) *Result {
+	var build func(u int, s *graph.BFSScratch) *graph.Tree
 	switch kind {
 	case "kgreedy":
-		return UnionSerial(g, func(u int, _ *graph.BFSScratch) *graph.Tree {
-			return domtree.KGreedy(g, u, k)
-		})
+		build = func(u int, _ *graph.BFSScratch) *graph.Tree { return reference.KGreedy(g, u, k) }
 	case "kmis":
-		return UnionSerial(g, func(u int, _ *graph.BFSScratch) *graph.Tree {
-			return domtree.KMIS(g, u, k)
-		})
+		build = func(u int, _ *graph.BFSScratch) *graph.Tree { return reference.KMIS(g, u, k) }
 	case "mis":
-		return UnionSerial(g, func(u int, s *graph.BFSScratch) *graph.Tree {
-			return domtree.MIS(g, s, u, r)
-		})
+		build = func(u int, s *graph.BFSScratch) *graph.Tree { return reference.MIS(g, s, u, r) }
 	case "greedy":
-		return UnionSerial(g, func(u int, s *graph.BFSScratch) *graph.Tree {
-			return domtree.Greedy(g, s, u, r, 1)
-		})
+		build = func(u int, s *graph.BFSScratch) *graph.Tree { return reference.Greedy(g, s, u, r, 1) }
+	default:
+		panic("unknown kind " + kind)
 	}
-	panic("unknown kind " + kind)
+	h, sizes := reference.Union(g, build)
+	return &Result{H: h, TreeEdges: sizes}
 }
 
 func prodResult(g *graph.Graph, kind string, k, r int) *Result {

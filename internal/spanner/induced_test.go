@@ -4,8 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"remspan/internal/domtree"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // Prop. 1, necessity: every (1+ε', 1−2ε')-remote-spanner induces
@@ -28,7 +28,7 @@ func TestProp1NecessityOnConstructions(t *testing.T) {
 				if !ok {
 					t.Fatalf("extraction failed at %d", u)
 				}
-				if bad, err := domtree.IsDominatingTree(g, tree, r, 1); err != nil || bad != -1 {
+				if bad, err := reference.IsDominatingTree(g, tree, r, 1); err != nil || bad != -1 {
 					t.Fatalf("extracted tree invalid: bad=%d err=%v", bad, err)
 				}
 				// Every tree edge must come from h.
@@ -58,7 +58,7 @@ func TestProp5NecessityOnConstructions(t *testing.T) {
 				if !ok {
 					t.Fatalf("extraction failed at %d", u)
 				}
-				if bad, err := domtree.IsKConnDominatingTree(g, tree, k, 0); err != nil || bad != -1 {
+				if bad, err := reference.IsKConnDominatingTree(g, tree, k, 0); err != nil || bad != -1 {
 					t.Fatalf("extracted tree invalid: bad=%d err=%v", bad, err)
 				}
 			}

@@ -105,7 +105,7 @@ func unionParallelCSR(c *graph.CSR, builder CSRBuilder, marks *graph.EdgeMarks, 
 // per-root hot loop allocates nothing; at one worker the scheduler
 // runs the same shard body as a plain loop on the caller. The output
 // is bit-identical at every GOMAXPROCS (TestBuildParallelDeterminism)
-// and to the map-based UnionSerial reference.
+// and to the serial union of the map-based reference builders.
 func buildParallel(g *graph.Graph, builder CSRBuilder) *Result {
 	c := graph.NewCSR(g)
 	marks := graph.NewEdgeMarks(c)

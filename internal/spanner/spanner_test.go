@@ -4,10 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
-	"remspan/internal/domtree"
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 func randomConnected(n, extra int, rng *rand.Rand) *graph.Graph {
@@ -169,12 +169,13 @@ func TestViewBFSMatchesMaterializedView(t *testing.T) {
 		g := randomConnected(10+rng.Intn(20), 25, rng)
 		res := Exact(g)
 		h := res.Graph()
+		cg, ch := graph.NewCSR(g), graph.NewCSR(h)
 		vs := NewViewScratch(g.N())
 		for u := 0; u < g.N(); u++ {
 			hu := View(g, h, u)
 			want := graph.BFS(hu, u)
 			got1 := ViewBFS(g, h, u)
-			got2 := vs.BFS(g, h, u)
+			got2 := vs.BFSCSR(cg, ch, u)
 			for v := 0; v < g.N(); v++ {
 				if got1[v] != want[v] || got2[v] != want[v] {
 					t.Fatalf("trial %d u=%d v=%d: view BFS %d/%d vs %d",
@@ -189,20 +190,20 @@ func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := randomConnected(60, 120, rng)
 	par := Exact(g)
-	ser := UnionSerial(g, func(u int, s *graph.BFSScratch) *graph.Tree {
-		return domtree.KGreedy(g, u, 1)
+	ser, serSizes := reference.Union(g, func(u int, s *graph.BFSScratch) *graph.Tree {
+		return reference.KGreedy(g, u, 1)
 	})
-	if par.Edges() != ser.Edges() {
-		t.Fatalf("parallel %d edges, serial %d", par.Edges(), ser.Edges())
+	if par.Edges() != ser.Len() {
+		t.Fatalf("parallel %d edges, serial %d", par.Edges(), ser.Len())
 	}
-	pe, se := par.H.Edges(), ser.H.Edges()
+	pe, se := par.H.Edges(), ser.Edges()
 	for i := range pe {
 		if pe[i] != se[i] {
 			t.Fatal("edge sets differ")
 		}
 	}
 	for u := range par.TreeEdges {
-		if par.TreeEdges[u] != ser.TreeEdges[u] {
+		if par.TreeEdges[u] != serSizes[u] {
 			t.Fatalf("tree size at %d differs", u)
 		}
 	}

@@ -2,12 +2,9 @@ package spanner
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"remspan/internal/flow"
 	"remspan/internal/graph"
-	"remspan/internal/sched"
 )
 
 // Stretch is an exact rational stretch bound (αN/αD, βN/βD).
@@ -70,140 +67,30 @@ func dhField(d int32) int {
 	return int(d)
 }
 
-// batchedMinN is the vertex count below which verification stays on
-// the scalar path: under two 64-source batches, mask bookkeeping costs
-// more than it saves, and the scalar path doubles as the equivalence
-// oracle the batched engine is tested against.
-const batchedMinN = 128
+// WellFormed reports whether the stretch has positive denominators and
+// α ≥ 0, as the engine's monotone StretchThresholds table needs; every
+// construction's guarantee is well formed.
+func (s Stretch) WellFormed() bool {
+	return s.AlphaDen > 0 && s.BetaDen > 0 && s.AlphaNum >= 0
+}
 
 // Check verifies the (α, β)-remote-spanner property of h against g for
 // every ordered pair (u, v): d_{H_u}(u, v) ≤ α·d_G(u, v) + β for
 // non-adjacent u, v (adjacent pairs hold trivially with distance 1).
 // It returns the lexicographically smallest violating pair (min u,
 // then min v), or nil — a deterministic witness regardless of worker
-// scheduling or engine.
+// scheduling.
 //
-// Large inputs run on the word-parallel 64-source batch engine
-// (verify_batch.go); tiny ones on the scalar reference path. Both are
-// parallelized with per-worker scratch over immutable CSR snapshots
-// taken up front.
+// Every input runs on the word-parallel 64-source batch engine
+// (verify_batch.go), parallelized with per-worker scratch over
+// immutable CSR snapshots taken up front. h must be a subgraph of g,
+// as every remote-spanner is (the engine's star decomposition rests on
+// it). Check panics on a stretch that is not WellFormed.
 func Check(g, h *graph.Graph, st Stretch) *Violation {
-	cg, ch := graph.NewCSR(g), graph.NewCSR(h)
-	// The batched judge needs positive denominators and α ≥ 0 for its
-	// monotone threshold table; anything else (never produced by the
-	// constructions) stays on the scalar reference.
-	if cg.N() >= batchedMinN && st.AlphaDen > 0 && st.BetaDen > 0 && st.AlphaNum >= 0 {
-		return checkBatchedCSR(cg, ch, st)
+	if !st.WellFormed() {
+		panic(fmt.Sprintf("spanner: stretch %v is not well formed (need positive denominators and α ≥ 0)", st))
 	}
-	return checkScalarCSR(cg, ch, st)
-}
-
-// CheckScalar is the scalar reference implementation of Check: one
-// BFS pair per vertex. It is the equivalence oracle for the batched
-// engine (FuzzVerifyEquivalence) and the fallback for tiny graphs.
-func CheckScalar(g, h *graph.Graph, st Stretch) *Violation {
-	return checkScalarCSR(graph.NewCSR(g), graph.NewCSR(h), st)
-}
-
-// scalarVerifyWorker is one pooled worker slot of the scalar
-// verification fan-out: BFS scratch for both graphs, reused across
-// calls and regrown only when the vertex count does.
-type scalarVerifyWorker struct {
-	n  int
-	vs *ViewScratch
-	gs *graph.BFSScratch
-}
-
-// scalarVerifyEnv is the reusable environment of checkScalarCSR's
-// shard fan-out, held like buildEnv through a sched.Shared.
-type scalarVerifyEnv struct {
-	sched.Env[scalarVerifyWorker]
-
-	// Per-run job.
-	cg, ch *graph.CSR
-	st     Stretch
-	// stop is the smallest source known to violate: once set, workers
-	// skip sources ≥ stop, so the pool drains instead of scanning to
-	// completion. Every source is claimed exactly once and stop only
-	// decreases to recorded violations, so each source below the final
-	// stop is still fully processed — which is what makes the returned
-	// lexicographic minimum exact despite stealing.
-	stop    atomic.Int64
-	resMu   sync.Mutex
-	best    Violation // by value: the shard body must not allocate
-	hasBest bool
-
-	body func(w, lo, hi int)
-}
-
-var sharedScalarVerifyEnv sched.Shared[scalarVerifyEnv]
-
-//remspan:hotpath
-func (e *scalarVerifyEnv) shard(w, lo, hi int) {
-	sw := e.Slot(w)
-	for u := lo; u < hi; u++ {
-		if int64(u) >= e.stop.Load() {
-			continue
-		}
-		// Touched-only reset keeps fragmented graphs O(Σ|component|),
-		// not O(n) per root.
-		dg, _, reached := sw.gs.BoundedView(e.cg, u, e.cg.N())
-		dh := sw.vs.BFSCSR(e.cg, e.ch, u)
-		minV := int32(-1)
-		for _, v := range reached {
-			if dg[v] < 2 {
-				continue
-			}
-			if dh[v] == graph.Unreached || !e.st.Holds(int64(dg[v]), int64(dh[v])) {
-				if minV < 0 || v < minV {
-					minV = v
-				}
-			}
-		}
-		if minV < 0 {
-			continue
-		}
-		for {
-			cur := e.stop.Load()
-			if int64(u) >= cur || e.stop.CompareAndSwap(cur, int64(u)) {
-				break
-			}
-		}
-		vio := Violation{U: u, V: int(minV), DG: int(dg[minV]), DH: dhField(dh[minV]), K: 1}
-		e.resMu.Lock()
-		if !e.hasBest || vio.U < e.best.U || (vio.U == e.best.U && vio.V < e.best.V) {
-			e.best, e.hasBest = vio, true
-		}
-		e.resMu.Unlock()
-	}
-}
-
-func checkScalarCSR(cg, ch *graph.CSR, st Stretch) *Violation {
-	e := sharedScalarVerifyEnv.Acquire()
-	defer sharedScalarVerifyEnv.Release(e)
-	n := cg.N()
-	width := sched.Workers(n)
-	for _, sw := range e.Slots(width) {
-		if sw.vs == nil || sw.n < n {
-			sw.vs = NewViewScratch(n)
-			sw.gs = graph.NewBFSScratch(n)
-			sw.n = n
-		}
-	}
-	if e.body == nil {
-		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
-	}
-	e.cg, e.ch, e.st = cg, ch, st
-	e.stop.Store(int64(n))
-	e.hasBest = false
-	e.Run(n, width, e.body)
-	var best *Violation
-	if e.hasBest {
-		v := e.best
-		best = &v
-	}
-	e.cg, e.ch = nil, nil
-	return best
+	return checkBatchedCSR(graph.NewCSR(g), graph.NewCSR(h), st)
 }
 
 // Profile summarizes observed stretch over all pairs: the maximum of
@@ -216,9 +103,10 @@ type Profile struct {
 	MaxAdd     int // max additive excess d_H_u − d_G
 }
 
-// profAcc accumulates a Profile in an order-independent form, so the
-// scalar sweep, the 64-source batch sweep, and any worker interleaving
-// all produce bit-identical results. The average's numerator is kept
+// profAcc accumulates a Profile in an order-independent form, so any
+// source order — the 64-source batch sweep under any worker
+// interleaving, or one source at a time — produces bit-identical
+// results. The average's numerator is kept
 // as exact integer sums bucketed by d_G (Σ d_H over pairs at each
 // denominator); the only floating-point operations are a fixed-order
 // reduction at the end plus max(), which commutes.
@@ -227,10 +115,6 @@ type profAcc struct {
 	maxAdd     int32
 	maxStretch float64
 	num        []int64 // num[d] = Σ d_H over pairs with d_G == d
-}
-
-func newProfAcc(n int) *profAcc {
-	return &profAcc{num: make([]int64, n+1)}
 }
 
 // reset clears the accumulator for reuse over graphs with up to n
@@ -285,40 +169,13 @@ func (a *profAcc) profile() Profile {
 	return p
 }
 
-// MeasureProfile computes the observed stretch profile of h over g.
-// Large inputs run on the word-parallel 64-source batch engine with a
-// worker pool; the result is bit-identical to MeasureProfileScalar
-// (order-independent accumulation, see profAcc).
+// MeasureProfile computes the observed stretch profile of h over g on
+// the word-parallel 64-source batch engine with a worker pool; the
+// result is bit-identical at every width and source order
+// (order-independent accumulation, see profAcc). h must be a subgraph
+// of g, as for Check.
 func MeasureProfile(g, h *graph.Graph) Profile {
-	cg, ch := graph.NewCSR(g), graph.NewCSR(h)
-	if cg.N() >= batchedMinN {
-		return measureBatchedCSR(cg, ch)
-	}
-	return measureScalarCSR(cg, ch)
-}
-
-// MeasureProfileScalar is the scalar reference implementation of
-// MeasureProfile: one BFS pair per vertex, serial.
-func MeasureProfileScalar(g, h *graph.Graph) Profile {
-	return measureScalarCSR(graph.NewCSR(g), graph.NewCSR(h))
-}
-
-func measureScalarCSR(cg, ch *graph.CSR) Profile {
-	n := cg.N()
-	vs := NewViewScratch(n)
-	gs := graph.NewBFSScratch(n)
-	acc := newProfAcc(n)
-	for u := 0; u < n; u++ {
-		dg, _, reached := gs.BoundedView(cg, u, n)
-		dh := vs.BFSCSR(cg, ch, u)
-		for _, v := range reached {
-			if dg[v] < 2 || dh[v] == graph.Unreached {
-				continue
-			}
-			acc.add(dg[v], dh[v])
-		}
-	}
-	return acc.profile()
+	return measureBatchedCSR(graph.NewCSR(g), graph.NewCSR(h))
 }
 
 // CheckKConnecting verifies the k-connecting (α, β)-remote-spanner

@@ -58,12 +58,12 @@ import (
 // the row-recording sweep.
 //
 // Determinism contract: the witness is the globally lexicographically
-// smallest violating pair (min u, then min v) — identical to the
-// scalar reference and independent of batch composition and worker
-// schedule. Violations only ever shrink the best pair, so once one is
-// found, every batch whose smallest source id cannot beat it is
-// skipped (the batched form of the scalar path's early-stop flag).
-// Profile accumulation is order-independent by construction (profAcc).
+// smallest violating pair (min u, then min v) — identical to a serial
+// source-by-source scan and independent of batch composition and
+// worker schedule. Violations only ever shrink the best pair, so once
+// one is found, every batch whose smallest source id cannot beat it is
+// skipped. Profile accumulation is order-independent by construction
+// (profAcc).
 
 // SweepViewBatch runs the batched star-decomposed sweep for the
 // augmented views H_u over the given sources (1 ≤ len ≤ 64, bit i ↔
@@ -320,10 +320,10 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 // the lexicographically smallest pair violating the stretch in the
 // augmented views (ok=false when the guarantee holds everywhere).
 // Preconditions: ch ⊆ cg (no underestimates to catch — the judge only
-// tests the upper bound) and a stretch with positive denominators and
-// α ≥ 0 (monotone thresholds); callers with untrusted inputs must
-// guard and fall back to a scalar pass. The shared engine behind both
-// spanner.Check and oracle.Validate.
+// tests the upper bound) and a WellFormed stretch (monotone
+// thresholds); callers with untrusted inputs must guard and fall back
+// to a scalar pass. The shared engine behind both spanner.Check and
+// oracle.Validate.
 func JudgeViews(cg, ch *graph.CSR, st Stretch) (u, v int, dg int32, ok bool) {
 	e := sharedJudgeEnv.Acquire()
 	defer sharedJudgeEnv.Release(e)
@@ -406,8 +406,7 @@ func (e *measureEnv) shard(w, lo, hi int) {
 // H-sweep records distance rows (the profile needs the values); the
 // G-sweep streams first visits into a per-worker profAcc. Accumulation
 // is order-independent and the merge runs in ascending worker order,
-// so the result is bit-identical to the scalar reference at every
-// width.
+// so the result is bit-identical at every width.
 func measureBatchedCSR(cg, ch *graph.CSR) Profile {
 	e := sharedMeasureEnv.Acquire()
 	defer sharedMeasureEnv.Release(e)

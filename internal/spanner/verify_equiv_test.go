@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"remspan/internal/gen"
@@ -51,6 +52,54 @@ func dropEdges(g *graph.Graph, frac float64, rng *rand.Rand) *graph.Graph {
 		}
 	}
 	return h
+}
+
+// checkScalarCSR is the serial scalar reference for Check: one BFS
+// pair per source u — the G distances and one star-seeded H_u
+// traversal — scanning sources in id order, so the first violating
+// source yields the lexicographically smallest witness.
+func checkScalarCSR(cg, ch *graph.CSR, st Stretch) *Violation {
+	n := cg.N()
+	gs, vs := graph.NewBFSScratch(n), NewViewScratch(n)
+	for u := 0; u < n; u++ {
+		dg, _, reached := gs.BoundedView(cg, u, n)
+		dh := vs.BFSCSR(cg, ch, u)
+		minV := int32(-1)
+		for _, v := range reached {
+			if dg[v] < 2 {
+				continue
+			}
+			if dh[v] == graph.Unreached || !st.Holds(int64(dg[v]), int64(dh[v])) {
+				if minV < 0 || v < minV {
+					minV = v
+				}
+			}
+		}
+		if minV >= 0 {
+			return &Violation{U: u, V: int(minV), DG: int(dg[minV]), DH: dhField(dh[minV]), K: 1}
+		}
+	}
+	return nil
+}
+
+// measureScalarCSR is the serial scalar reference for MeasureProfile:
+// one BFS pair per source vertex.
+func measureScalarCSR(cg, ch *graph.CSR) Profile {
+	n := cg.N()
+	gs, vs := graph.NewBFSScratch(n), NewViewScratch(n)
+	var acc profAcc
+	acc.reset(n)
+	for u := 0; u < n; u++ {
+		dg, _, reached := gs.BoundedView(cg, u, n)
+		dh := vs.BFSCSR(cg, ch, u)
+		for _, v := range reached {
+			if dg[v] < 2 || dh[v] == graph.Unreached {
+				continue
+			}
+			acc.add(dg[v], dh[v])
+		}
+	}
+	return acc.profile()
 }
 
 // TestStarDecompositionIdentity pins the identity the batched engine
@@ -174,25 +223,118 @@ func TestStretchThresholds(t *testing.T) {
 	}
 }
 
-// TestCheckPublicDispatch exercises the public entry points across the
-// batched-size threshold on a graph large enough for the batched path.
+// TestCheckPublicDispatch exercises the public entry points against
+// the scalar references, witness and unreachable DH included.
 func TestCheckPublicDispatch(t *testing.T) {
-	g := gen.Grid(16, 16) // n = 256 ≥ batchedMinN
+	g := gen.Grid(16, 16)
 	h := Exact(g).Graph()
+	cg := graph.NewCSR(g)
 	if v := Check(g, h, NewStretch(1, 0)); v != nil {
 		t.Fatalf("exact spanner rejected: %v", v)
 	}
-	if got, want := MeasureProfile(g, h), MeasureProfileScalar(g, h); got != want {
+	if got, want := MeasureProfile(g, h), measureScalarCSR(cg, graph.NewCSR(h)); got != want {
 		t.Fatalf("dispatched profile %+v != scalar %+v", got, want)
 	}
 	empty := graph.New(g.N())
 	vb := Check(g, empty, NewStretch(1, 0))
-	vs := CheckScalar(g, empty, NewStretch(1, 0))
+	vs := checkScalarCSR(cg, graph.NewCSR(empty), NewStretch(1, 0))
 	if vb == nil || vs == nil || *vb != *vs {
 		t.Fatalf("dispatched witness %+v != scalar %+v", vb, vs)
 	}
 	if vb.DH != -1 {
 		t.Fatalf("unreachable DH reported as %d, want -1", vb.DH)
+	}
+}
+
+// TestCheckRejectsMalformedStretch pins Check's precondition: a stretch
+// with a non-positive denominator or α < 0 panics with a spanner:
+// message instead of reaching the threshold table.
+func TestCheckRejectsMalformedStretch(t *testing.T) {
+	g := gen.Ring(6)
+	for _, st := range []Stretch{
+		{AlphaNum: 1, AlphaDen: 0, BetaNum: 0, BetaDen: 1},
+		{AlphaNum: 1, AlphaDen: 1, BetaNum: 0, BetaDen: -1},
+		NewStretch(-1, 0),
+	} {
+		if st.WellFormed() {
+			t.Fatalf("%+v reported well formed", st)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "spanner: ") {
+					t.Errorf("%+v: recovered %q, want a spanner: panic", st, msg)
+				}
+			}()
+			Check(g, g, st)
+		}()
+	}
+	for _, st := range []Stretch{NewStretch(1, 0), NewStretch(2, -1), LowStretchOf(3)} {
+		if !st.WellFormed() {
+			t.Fatalf("%v reported malformed", st)
+		}
+	}
+}
+
+// FuzzVerifyEquivalence differentially fuzzes the word-parallel
+// verification engine against the serial scalar references: on random
+// UDG/ER/grid/star graphs (disconnected variants included) of every
+// size from 0 up, Check must return the same first-violation witness
+// and MeasureProfile a bit-identical profile. oracle.Validate has its
+// own half in internal/oracle.
+func FuzzVerifyEquivalence(f *testing.F) {
+	f.Add(uint8(0), uint8(10), uint8(100), uint8(80), int64(1))
+	f.Add(uint8(1), uint8(200), uint8(30), uint8(0), int64(2))
+	f.Add(uint8(2), uint8(77), uint8(200), uint8(255), int64(3))
+	f.Add(uint8(3), uint8(5), uint8(0), uint8(40), int64(4))
+	f.Add(uint8(4), uint8(160), uint8(90), uint8(120), int64(5))
+	for i, n := range []uint8{0, 1, 2, 63, 64, 65, 127} { // around the 64-source batch width
+		f.Add([]uint8{0, 1, 3}[i%3], n, uint8(60), uint8(90), int64(i)+6)
+	}
+	f.Fuzz(func(t *testing.T, fam, size, density, drop uint8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		g := fuzzVerifyGraph(fam, size, density, rng)
+		h := dropEdges(Exact(g).Graph(), float64(drop)/384, rng)
+		cg, ch := graph.NewCSR(g), graph.NewCSR(h)
+		for _, st := range []Stretch{NewStretch(1, 0), NewStretch(2, -1), LowStretchOf(4)} {
+			want, got := checkScalarCSR(cg, ch, st), Check(g, h, st)
+			if (want == nil) != (got == nil) {
+				t.Fatalf("Check %v: scalar %v, batched %v", st, want, got)
+			}
+			if want != nil && *want != *got {
+				t.Fatalf("Check %v witness: scalar %+v, batched %+v", st, want, got)
+			}
+		}
+		if want, got := measureScalarCSR(cg, ch), MeasureProfile(g, h); want != got {
+			t.Fatalf("MeasureProfile: scalar %+v, batched %+v", want, got)
+		}
+	})
+}
+
+// fuzzVerifyGraph decodes a fuzz input into one of five families:
+// unit-disk, Erdős–Rényi and star graphs on size vertices, a grid, or
+// two disconnected ER blobs plus isolated vertices.
+func fuzzVerifyGraph(fam, size, density uint8, rng *rand.Rand) *graph.Graph {
+	n := int(size)
+	switch fam % 5 {
+	case 0:
+		return geom.UnitDiskGraph(geom.UniformBox(n, 2, 3+float64(density%6), rng), 1)
+	case 1:
+		return gen.ErdosRenyi(n, 0.01+float64(density)/255*0.05, rng)
+	case 2:
+		return gen.Grid(1+n%16, 1+int(density)%16)
+	case 3:
+		return gen.Star(n)
+	default:
+		na, nb := n%64, int(density)%64
+		g := graph.New(na + nb + 5)
+		for _, e := range gen.ErdosRenyi(na, 0.05, rng).Edges() {
+			g.AddEdge(int(e[0]), int(e[1]))
+		}
+		for _, e := range gen.ErdosRenyi(nb, 0.05, rng).Edges() {
+			g.AddEdge(int(e[0])+na, int(e[1])+na)
+		}
+		return g
 	}
 }
 

@@ -47,8 +47,8 @@ func ViewBFS(g, h *graph.Graph, u int) []int32 {
 	return dist
 }
 
-// ViewBFSScratch is ViewBFS with reusable buffers for all-pairs
-// verification sweeps.
+// ViewScratch is ViewBFS over CSR snapshots with reusable buffers,
+// for repeated single-source traversals.
 type ViewScratch struct {
 	dist  []int32
 	queue []int32
@@ -65,8 +65,8 @@ func NewViewScratch(n int) *ViewScratch {
 
 // BFSCSR returns distances from u in H_u over CSR snapshots of g and h
 // (u's incident edges from cg, all other adjacency from ch); the slice
-// is valid until the next call. This is the traversal the all-pairs
-// verification sweep runs once per vertex.
+// is valid until the next call (oracle queries, scalar validation,
+// Check's witness d_{H_u}).
 func (s *ViewScratch) BFSCSR(cg, ch *graph.CSR, u int) []int32 {
 	for _, v := range s.queue {
 		s.dist[v] = graph.Unreached
@@ -85,35 +85,6 @@ func (s *ViewScratch) BFSCSR(cg, ch *graph.CSR, u int) []int32 {
 	for head := 1; head < len(s.queue); head++ {
 		x := s.queue[head]
 		for _, v := range ch.Neighbors(int(x)) {
-			if s.dist[v] == graph.Unreached {
-				s.dist[v] = s.dist[x] + 1
-				s.queue = append(s.queue, v)
-			}
-		}
-	}
-	return s.dist
-}
-
-// BFS returns distances from u in H_u; the slice is valid until the
-// next call.
-func (s *ViewScratch) BFS(g, h *graph.Graph, u int) []int32 {
-	for _, v := range s.queue {
-		s.dist[v] = graph.Unreached
-	}
-	s.queue = s.queue[:0]
-
-	s.dist[u] = 0
-	s.queue = append(s.queue, int32(u))
-	// Seed with G-neighbors of u, then continue over h.
-	for _, v := range g.Neighbors(u) {
-		if s.dist[v] == graph.Unreached {
-			s.dist[v] = 1
-			s.queue = append(s.queue, v)
-		}
-	}
-	for head := 1; head < len(s.queue); head++ {
-		x := s.queue[head]
-		for _, v := range h.Neighbors(int(x)) {
 			if s.dist[v] == graph.Unreached {
 				s.dist[v] = s.dist[x] + 1
 				s.queue = append(s.queue, v)

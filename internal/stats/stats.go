@@ -4,10 +4,7 @@
 // text-table rendering.
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -19,60 +16,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the sample standard deviation (0 for fewer than 2 values).
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
-// MinMax returns the extremes (0, 0 for empty input).
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) with linear
-// interpolation.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // Fit is a least-squares line y = Slope·x + Intercept with the

@@ -243,12 +243,12 @@ func DominatingTree(g *Graph, u, r, beta int, greedy bool) ([][2]int, error) {
 		if beta != 0 && beta != 1 {
 			return nil, fmt.Errorf("remspan: greedy dominating trees support beta in {0, 1}")
 		}
-		t = domtree.Greedy(g.raw(), nil, u, r, beta)
+		t = domtree.GreedyCSR(g.raw(), nil, u, r, beta)
 	} else {
 		if beta != 1 {
 			return nil, fmt.Errorf("remspan: MIS dominating trees have beta = 1")
 		}
-		t = domtree.MIS(g.raw(), nil, u, r)
+		t = domtree.MISCSR(g.raw(), nil, u, r)
 	}
 	es := t.Edges()
 	out := make([][2]int, len(es))

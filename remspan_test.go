@@ -1,11 +1,11 @@
 package remspan
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"remspan/internal/graph"
-	"remspan/internal/routing"
 	"remspan/internal/spanner"
 )
 
@@ -140,15 +140,22 @@ func TestForwardingTablesFacade(t *testing.T) {
 	}
 	h := Exact(g).H
 	ft := BuildForwardingTables(g, h)
-	want := routing.BuildTables(g.raw(), h.raw())
+	dh := graph.AllPairsDistances(h.raw())
 	for s := 0; s < g.N(); s++ {
 		dhs := graph.BFS(spanner.View(g.raw(), h.raw(), s), s)
 		for tt := 0; tt < g.N(); tt++ {
-			if got, w := ft.NextHop(s, tt), int(want[s].Next[tt]); got != w {
-				t.Fatalf("NextHop(%d,%d) = %d, BuildTables says %d", s, tt, got, w)
+			if got := ft.Dist(s, tt); got != int(dhs[tt]) {
+				t.Fatalf("Dist(%d,%d) = %d, BFS in H_s says %d", s, tt, got, dhs[tt])
 			}
-			if got, w := ft.Dist(s, tt), int(want[s].Dist[tt]); got != w {
-				t.Fatalf("Dist(%d,%d) = %d, BuildTables says %d", s, tt, got, w)
+			// The next hop starts a shortest H_s path: a G-neighbour w
+			// of s from which H alone reaches tt in d_{H_s}(s, tt) − 1.
+			w := ft.NextHop(s, tt)
+			if s == tt {
+				if w != s {
+					t.Fatalf("NextHop(%d,%d) = %d, want %d", s, tt, w, s)
+				}
+			} else if w < 0 || !g.HasEdge(s, w) || dh[w][tt] != dhs[tt]-1 {
+				t.Fatalf("NextHop(%d,%d) = %d: not a G-neighbour w with d_H(w, t) = %d", s, tt, w, dhs[tt]-1)
 			}
 			path, reason, ok := ft.RouteTable(s, tt)
 			if !ok || reason != "delivered" {
@@ -193,11 +200,20 @@ func TestVerifyDetectsBadSpanner(t *testing.T) {
 		}, "pair (-1, 3) outside [0, 10)"},
 		{"k = 0", func() error { return VerifyKConnecting(g, full, 0, IntStretch(1, 0), nil) }, "k = 0"},
 		{"k = -1", func() error { return VerifyKConnecting(g, full, -1, IntStretch(1, 0), nil) }, "k = -1"},
+		{"zero denominator", func() error { return Verify(g, full, Stretch{AlphaNum: 1, BetaDen: 1}) }, "not well formed"},
+		{"negative alpha", func() error { return Verify(g, full, IntStretch(-1, 0)) }, "not well formed"},
+		{"k-connecting stretch", func() error {
+			return VerifyKConnecting(g, full, 2, Stretch{AlphaNum: 1, AlphaDen: 1, BetaDen: -1}, nil)
+		}, "not well formed"},
 	}
 	for _, c := range bad {
 		err := c.err()
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
+		}
+		var se *StretchError
+		if errors.As(err, &se) != (c.want == "not well formed") {
+			t.Errorf("%s: %v is a *StretchError: %v", c.name, err, errors.As(err, &se))
 		}
 	}
 	if err := VerifyKConnecting(g, full, 2, IntStretch(1, 0), [][2]int{{0, 5}}); err != nil {

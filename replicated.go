@@ -19,6 +19,7 @@ import (
 // transport; the seeded fault-injection harness behind it lives in the
 // internal chaos tests (internal/replica).
 type ReplicatedRouter struct {
+	n  int // vertex count, fixed for the tier's lifetime
 	c  *replica.Cluster
 	cl *replica.Client
 }
@@ -35,13 +36,22 @@ func NewReplicatedRouter(g *Graph, replicas int) (*ReplicatedRouter, error) {
 	bb := dynamic.Builders()[0] // kgreedy k=1: the exact (1,0) spanner
 	st := routing.NewStore(dynamic.New(g.raw(), bb.Radius, bb.Build))
 	c := replica.NewCluster(st, replicas, replica.FaultPlan{})
-	return &ReplicatedRouter{c: c, cl: replica.NewClient(c, replica.DefaultClientConfig(1))}, nil
+	return &ReplicatedRouter{n: g.N(), c: c, cl: replica.NewClient(c, replica.DefaultClientConfig(1))}, nil
 }
 
 // Update applies one churn batch — edges appearing and disappearing —
 // to the writer and ships the resulting epoch diff to every replica.
-// It returns the number of changes that had an effect.
-func (rr *ReplicatedRouter) Update(added, removed [][2]int) int {
+// It returns the number of changes that had an effect. The whole batch
+// is checked first: an edge with an endpoint outside [0, n) is an
+// error, and then nothing is applied.
+func (rr *ReplicatedRouter) Update(added, removed [][2]int) (applied int, err error) {
+	for _, batch := range [][][2]int{added, removed} {
+		for _, e := range batch {
+			if e[0] < 0 || e[0] >= rr.n || e[1] < 0 || e[1] >= rr.n {
+				return 0, fmt.Errorf("remspan: edge (%d, %d) outside [0, %d)", e[0], e[1], rr.n)
+			}
+		}
+	}
 	changes := make([]dynamic.Change, 0, len(added)+len(removed))
 	for _, e := range removed {
 		changes = append(changes, dynamic.Change{Kind: dynamic.RemoveEdge, U: e[0], V: e[1]})
@@ -49,9 +59,9 @@ func (rr *ReplicatedRouter) Update(added, removed [][2]int) int {
 	for _, e := range added {
 		changes = append(changes, dynamic.Change{Kind: dynamic.AddEdge, U: e[0], V: e[1]})
 	}
-	applied := rr.c.Tick(changes)
+	applied = rr.c.Tick(changes)
 	rr.cl.Tick()
-	return applied
+	return applied, nil
 }
 
 // Route serves one s→t query through the failover client. reason is

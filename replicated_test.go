@@ -1,7 +1,9 @@
 package remspan
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -34,7 +36,9 @@ func TestReplicatedRouterBasic(t *testing.T) {
 				added = append(added, [2]int{u, v})
 			}
 		}
-		rr.Update(added, removed)
+		if _, err := rr.Update(added, removed); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 		for _, e := range removed {
 			cur.raw().RemoveEdge(e[0], e[1])
 		}
@@ -92,10 +96,33 @@ func TestReplicatedRouterUpdateCountsApplied(t *testing.T) {
 	for g.HasEdge(absent[0], absent[1]) || absent[1] == u {
 		absent[1] = (absent[1] + 1) % g.N()
 	}
-	if got := rr.Update([][2]int{present}, [][2]int{absent}); got != 0 {
-		t.Fatalf("no-op update reported %d applied changes", got)
+	if got, err := rr.Update([][2]int{present}, [][2]int{absent}); got != 0 || err != nil {
+		t.Fatalf("no-op update reported %d applied changes, err %v", got, err)
 	}
-	if got := rr.Update(nil, [][2]int{present}); got != 1 {
-		t.Fatalf("removing an existing edge reported %d applied changes, want 1", got)
+	if got, err := rr.Update(nil, [][2]int{present}); got != 1 || err != nil {
+		t.Fatalf("removing an existing edge reported %d applied changes, want 1 (err %v)", got, err)
+	}
+
+	// One bad edge rejects its whole batch with an error naming it; the
+	// good edge beside it is not applied, and the writer keeps working.
+	epoch := rr.Epoch()
+	n := g.N()
+	for _, c := range []struct {
+		added, removed [][2]int
+		want           string
+	}{
+		{[][2]int{present, {0, 999}}, nil, fmt.Sprintf("edge (0, 999) outside [0, %d)", n)},
+		{nil, [][2]int{{-1, 2}}, fmt.Sprintf("edge (-1, 2) outside [0, %d)", n)},
+	} {
+		got, err := rr.Update(c.added, c.removed)
+		if err == nil || !strings.Contains(err.Error(), c.want) || got != 0 {
+			t.Fatalf("Update(%v, %v) = %d, %v; want 0 and an error naming %q", c.added, c.removed, got, err, c.want)
+		}
+	}
+	if rr.Epoch() != epoch {
+		t.Fatalf("a rejected batch published: epoch %d → %d", epoch, rr.Epoch())
+	}
+	if got, err := rr.Update([][2]int{present}, nil); got != 1 || err != nil {
+		t.Fatalf("re-adding the removed edge reported %d, %v", got, err)
 	}
 }

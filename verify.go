@@ -10,12 +10,17 @@ import (
 
 // Verify checks the (α, β)-remote-spanner property of h against g over
 // all pairs exactly, returning a descriptive error for the violated
-// pair with the smallest (u, v) (nil = the guarantee holds). Large
-// graphs run on the word-parallel 64-source bit-packed BFS engine
+// pair with the smallest (u, v) (nil = the guarantee holds). Every
+// graph runs on the word-parallel 64-source bit-packed BFS engine
 // (see internal/spanner/verify_batch.go), so exhaustive all-pairs
-// verification stays practical at production scale. A spanner whose
-// vertex count differs from g's is an error.
+// verification stays practical at production scale; h must be a
+// subgraph of g, as every remote-spanner is. A stretch that is not
+// well formed is a *StretchError; a spanner whose vertex count differs
+// from g's is an error.
 func Verify(g *Graph, h *Graph, st Stretch) error {
+	if !st.internal().WellFormed() {
+		return &StretchError{Stretch: st}
+	}
 	if err := sameVertices(g, h); err != nil {
 		return err
 	}
@@ -41,9 +46,13 @@ func VerifySpanner(g *Graph, s *Spanner) error {
 }
 
 // VerifyKConnecting checks the k-connecting (α, β) property over the
-// given pairs (nil = all ordered pairs). A vertex-count mismatch, k < 1
-// or a pair outside [0, n) is an error.
+// given pairs (nil = all ordered pairs). A stretch that is not well
+// formed is a *StretchError; a vertex-count mismatch, k < 1 or a pair
+// outside [0, n) is an error.
 func VerifyKConnecting(g, h *Graph, k int, st Stretch, pairs [][2]int) error {
+	if !st.internal().WellFormed() {
+		return &StretchError{Stretch: st}
+	}
 	if err := sameVertices(g, h); err != nil {
 		return err
 	}
@@ -60,6 +69,17 @@ func VerifyKConnecting(g, h *Graph, k int, st Stretch, pairs [][2]int) error {
 		return fmt.Errorf("remspan: %w", error(v))
 	}
 	return nil
+}
+
+// StretchError reports a stretch verification cannot judge: a
+// denominator that is not positive, or α < 0. Every construction's
+// guarantee is well formed.
+type StretchError struct {
+	Stretch Stretch
+}
+
+func (e *StretchError) Error() string {
+	return fmt.Sprintf("remspan: stretch %v is not well formed (need positive denominators and α ≥ 0)", e.Stretch)
 }
 
 // sameVertices rejects a spanner that is not on g's vertex set.
@@ -80,8 +100,8 @@ type StretchProfile struct {
 }
 
 // MeasureStretch computes the observed stretch profile. Like Verify,
-// it runs the 64-source word-parallel engine on large graphs; the
-// result is bit-identical to the scalar reference on every input.
+// it runs the 64-source word-parallel engine on every graph (h ⊆ g);
+// the result is bit-identical to a serial scalar sweep.
 func MeasureStretch(g, h *Graph) StretchProfile {
 	p := spanner.MeasureProfile(g.raw(), h.raw())
 	return StretchProfile{
