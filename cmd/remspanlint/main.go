@@ -1,27 +1,17 @@
-// Command remspanlint is the repo's invariant checker: a multichecker
-// over the internal/analysis suite (hotalloc, scratchescape, rcupub,
-// detrand, hotcall, shardbody, lockpair).
+// Command remspanlint is the repo's invariant checker: a vet tool
+// that runs the internal/analysis suite (hotalloc, rcupub, detrand,
+// hotcall, lockpair) under the go command:
 //
-// It runs in two modes:
+//	go vet -vettool=$(which remspanlint) ./...
 //
-//   - vettool mode, driven by the go command:
-//
-//     go vet -vettool=$(which remspanlint) ./...
-//
-//     The go command probes the tool with -V=full for a version
-//     fingerprint, then invokes it once per package with a vet.cfg
-//     JSON file describing the unit: source files, the import map and
-//     export-data locations for every dependency. This mirrors the
-//     golang.org/x/tools unitchecker protocol, reimplemented on the
-//     standard library because the module cache has no x/tools.
-//
-//   - standalone mode:
-//
-//     remspanlint ./...
-//
-//     Loads packages itself via `go list -export` and checks them in
-//     one process. Diagnostics print to stderr as file:line:col; the
-//     exit status is 2 when anything is reported.
+// The go command probes the tool with -V=full for a version
+// fingerprint, then invokes it once per package with a vet.cfg JSON
+// file describing the unit: source files, the import map and
+// export-data locations for every dependency. This mirrors the
+// golang.org/x/tools unitchecker protocol, reimplemented on the
+// standard library because the module cache has no x/tools.
+// Diagnostics print to stderr as file:line:col: message (analyzer);
+// the exit status is 2 when anything is reported.
 package main
 
 import (
@@ -45,20 +35,15 @@ import (
 	"remspan/internal/analysis/facts"
 	"remspan/internal/analysis/hotalloc"
 	"remspan/internal/analysis/hotcall"
-	"remspan/internal/analysis/load"
 	"remspan/internal/analysis/lockpair"
 	"remspan/internal/analysis/rcupub"
-	"remspan/internal/analysis/scratchescape"
-	"remspan/internal/analysis/shardbody"
 )
 
 var analyzers = []*analysis.Analyzer{
 	hotalloc.Analyzer,
-	scratchescape.Analyzer,
 	rcupub.Analyzer,
 	detrand.Analyzer,
 	hotcall.Analyzer,
-	shardbody.Analyzer,
 	lockpair.Analyzer,
 }
 
@@ -88,11 +73,11 @@ func main() {
 			return
 		}
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitCheck(args[0])
-		return
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		usage()
+		os.Exit(2)
 	}
-	standalone(args)
+	unitCheck(args[0])
 }
 
 // selfID hashes the running executable. Any rebuild of the tool —
@@ -116,24 +101,24 @@ func selfID() string {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: remspanlint [packages]   (or via go vet -vettool=remspanlint)\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: go vet -vettool=$(which remspanlint) [packages]\n\nanalyzers:\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "  %-14s %s\n", a.Name, a.Doc)
 	}
 }
 
-// diag pairs a finding with the analyzer that produced it so the
-// drivers can sort and label uniformly.
+// diag pairs a finding with the analyzer that produced it, for the
+// "(analyzer)" label on every printed diagnostic.
 type diag struct {
 	analyzer string
 	d        analysis.Diagnostic
 }
 
 // runAll applies the suite to one type-checked package. deps maps each
-// dependency's import path to its decoded fact envelope; exports, when
-// non-nil, collects the blobs this package's fact-exporting analyzers
-// produce. When factsOnly is set the package is a dependency unit:
-// only fact-exporting analyzers run, and their diagnostics (already
+// dependency's import path to its decoded fact envelope; exports
+// collects the blobs this package's fact-exporting analyzers produce.
+// When factsOnly is set the package is a dependency unit: only
+// fact-exporting analyzers run, and their diagnostics (already
 // reported when the dependency itself was the target) are discarded.
 func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, deps map[string]facts.Envelope, exports facts.Envelope, factsOnly bool) []diag {
 	var out []diag
@@ -155,9 +140,7 @@ func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 				return deps[path][name]
 			},
 			ExportFacts: func(data []byte) {
-				if exports != nil {
-					exports[name] = data
-				}
+				exports[name] = data
 			},
 		}
 		if _, err := a.Run(pass); err != nil {
@@ -170,40 +153,6 @@ func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 	sort.Slice(out, func(i, j int) bool { return out[i].d.Pos < out[j].d.Pos })
 	return out
 }
-
-func printDiags(fset *token.FileSet, diags []diag) {
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.d.Pos), d.d.Message, d.analyzer)
-	}
-}
-
-// ---- standalone mode ----
-
-func standalone(patterns []string) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := load.Packages(".", patterns...)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// `go list -deps` order is dependency-first, so every package's
-	// fact envelope is in the store before its dependents run.
-	store := make(map[string]facts.Envelope)
-	exit := 0
-	for _, p := range pkgs {
-		exports := facts.Envelope{}
-		diags := runAll(p.Fset, p.Files, p.Types, p.Info, store, exports, p.FactsOnly)
-		store[p.ImportPath] = exports
-		if len(diags) > 0 {
-			exit = 2
-			printDiags(p.Fset, diags)
-		}
-	}
-	os.Exit(exit)
-}
-
-// ---- vettool mode ----
 
 // vetConfig mirrors the JSON the go command writes for each vet unit
 // (cmd/go/internal/work: buildVetConfig).
@@ -244,9 +193,8 @@ func unitCheck(cfgFile string) {
 
 	// The go command caches the vetx artifact and requires it to exist
 	// even on failure paths, so every early return below writes one.
-	// Standard-library units export no facts for this suite (the
-	// standalone driver never loads them from source either, keeping
-	// the two modes in agreement), so their artifact is always empty.
+	// Standard-library units export no facts for this suite, so their
+	// artifact is always empty.
 	if cfg.isStdUnit() {
 		writeVetx(cfg.VetxOutput, nil)
 		return
@@ -303,8 +251,10 @@ func unitCheck(cfgFile string) {
 	exports := facts.Envelope{}
 	diags := runAll(fset, files, pkg, info, deps, exports, cfg.VetxOnly)
 	writeVetx(cfg.VetxOutput, exports)
+	for _, d := range diags {
+		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.d.Pos), d.d.Message, d.analyzer)
+	}
 	if len(diags) > 0 {
-		printDiags(fset, diags)
 		os.Exit(2)
 	}
 }

@@ -1,15 +1,22 @@
-package main_test
+package main
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // buildLint compiles the remspanlint binary into a scratch dir so the
-// tests can drive it exactly the way CI does: through `go vet
+// tests can drive it exactly the way it runs in CI: through `go vet
 // -vettool`.
 func buildLint(t *testing.T) string {
 	t.Helper()
@@ -20,6 +27,61 @@ func buildLint(t *testing.T) string {
 		t.Fatalf("building remspanlint: %v\n%s", err, out)
 	}
 	return bin
+}
+
+// vet runs `go vet -vettool=bin ./...` in dir and returns its combined
+// output; the exit status is left to the caller's reading of it.
+func vet(bin, dir string) ([]byte, error) {
+	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "GOWORK=off")
+	return cmd.CombinedOutput()
+}
+
+// sourceFiles opens every go.mod and .go file of the module at root,
+// skipping what the go command's ./... skips (testdata, directories
+// whose names start with a dot or underscore, nested modules), and
+// returns the .go paths. go vet reads these files in a subprocess,
+// which the test cache does not see; opening them here is what makes
+// an edit to any of them rerun a cached test.
+func sourceFiles(t *testing.T, root string) []string {
+	t.Helper()
+	var goFiles []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == root {
+				return nil
+			}
+			name := d.Name()
+			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		isGo := strings.HasSuffix(path, ".go")
+		if !isGo && d.Name() != "go.mod" {
+			return nil
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return err
+		}
+		f.Close()
+		if isGo {
+			goFiles = append(goFiles, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading sources under %s: %v", root, err)
+	}
+	return goFiles
 }
 
 // TestVersionHandshake pins the `-V=full` contract the go command uses
@@ -37,72 +99,168 @@ func TestVersionHandshake(t *testing.T) {
 	}
 }
 
-// corpusWants is one expected substring per analyzer, plus the
-// cross-package hotcall chain: helper.Grow lives in a different
-// package than its hotpath caller, so seeing it named in the
-// diagnostic proves facts crossed the package boundary.
-var corpusWants = []string{
-	"(hotalloc)",
-	"(scratchescape)",
-	"(rcupub)",
-	"(detrand)",
-	"(hotcall)",
-	"(shardbody)",
-	"(lockpair)",
-	"call to badcorpus/helper.Grow allocates in hot path",
+// lineKey is one source line of a corpus, its file relative to the
+// corpus root.
+type lineKey struct {
+	file string
+	line int
 }
 
-// TestVettoolGateFiresOnBadCorpus proves the CI gate end to end: `go
-// vet -vettool=remspanlint` over the seeded known-bad corpus must fail
-// and must surface one diagnostic from each of the seven analyzers,
-// including the fact-propagated cross-package hotcall finding.
-func TestVettoolGateFiresOnBadCorpus(t *testing.T) {
+func (k lineKey) String() string { return fmt.Sprintf("%s:%d", k.file, k.line) }
+
+// diagLine is one diagnostic as the go command prints it, with the
+// file relative to the directory vet ran in.
+var diagLine = regexp.MustCompile(`^(.+?\.go):(\d+):\d+: (.*) \((\w+)\)$`)
+
+// TestCorpora runs every analyzer of the suite over its golden corpus,
+// the module in internal/analysis/<name>/testdata/src/a, through `go
+// vet -vettool` with the real vet protocol: vet.cfg units, export
+// data, and facts threaded between packages in vetx files. A corpus
+// marks each expected diagnostic with a `// want "regexp"` comment on
+// its line. Every diagnostic must be matched by a want on its line,
+// and every want must match a diagnostic; an analyzer with no corpus
+// fails, and so does a diagnostic from another analyzer.
+func TestCorpora(t *testing.T) {
 	bin := buildLint(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = filepath.Join("testdata", "badcorpus")
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool exited clean on the bad corpus:\n%s", out)
+	for _, a := range analyzers {
+		t.Run(a.Name, func(t *testing.T) {
+			dir := filepath.Join("..", "..", "internal", "analysis", a.Name, "testdata", "src", "a")
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err != nil {
+				t.Fatalf("analyzer %s has no corpus module: %v", a.Name, err)
+			}
+			wants := corpusWants(t, dir)
+			out, _ := vet(bin, dir)
+			got := make(map[lineKey][]string)
+			for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+				if line == "" || strings.HasPrefix(line, "# ") {
+					continue
+				}
+				m := diagLine.FindStringSubmatch(line)
+				if m == nil {
+					t.Errorf("unexpected vet output: %s", line)
+					continue
+				}
+				if m[4] != a.Name {
+					t.Errorf("diagnostic from another analyzer in the %s corpus: %s", a.Name, line)
+					continue
+				}
+				n, _ := strconv.Atoi(m[2])
+				k := lineKey{filepath.ToSlash(filepath.Clean(m[1])), n}
+				got[k] = append(got[k], m[3])
+			}
+			matchWants(t, wants, got)
+		})
 	}
-	for _, want := range corpusWants {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("bad corpus vet output is missing a %s diagnostic:\n%s", want, out)
+}
+
+// matchWants pairs each want with the first unclaimed diagnostic on
+// its line that it matches, then reports unmatched wants and leftover
+// diagnostics in file and line order.
+func matchWants(t *testing.T, wants map[lineKey][]*regexp.Regexp, got map[lineKey][]string) {
+	t.Helper()
+	var keys []lineKey
+	for k := range got {
+		keys = append(keys, k)
+	}
+	for k := range wants {
+		if _, ok := got[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].file != keys[j].file {
+			return keys[i].file < keys[j].file
+		}
+		return keys[i].line < keys[j].line
+	})
+	for _, k := range keys {
+		msgs := got[k]
+		for _, re := range wants[k] {
+			i := 0
+			for i < len(msgs) && !re.MatchString(msgs[i]) {
+				i++
+			}
+			if i == len(msgs) {
+				t.Errorf("%s: no diagnostic matching %q (got %q)", k, re, got[k])
+				continue
+			}
+			msgs = append(msgs[:i:i], msgs[i+1:]...)
+		}
+		for _, msg := range msgs {
+			t.Errorf("%s: unexpected diagnostic: %s", k, msg)
 		}
 	}
 }
 
-// TestStandaloneModeFiresOnBadCorpus checks the loader-based mode
-// reports the same corpus without the go command in the loop.
-func TestStandaloneModeFiresOnBadCorpus(t *testing.T) {
-	bin := buildLint(t)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = filepath.Join("testdata", "badcorpus")
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("standalone remspanlint exited clean on the bad corpus:\n%s", out)
-	}
-	for _, want := range corpusWants {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("bad corpus standalone output is missing a %s diagnostic:\n%s", want, out)
+// corpusWants parses every Go file of the corpus and collects its want
+// comments by line.
+func corpusWants(t *testing.T, dir string) map[lineKey][]*regexp.Regexp {
+	t.Helper()
+	wants := make(map[lineKey][]*regexp.Regexp)
+	fset := token.NewFileSet()
+	for _, path := range sourceFiles(t, dir) {
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				res, err := parseWant(c.Text)
+				if err != nil {
+					t.Fatalf("%s: %v", fset.Position(c.Slash), err)
+				}
+				if len(res) > 0 {
+					k := lineKey{filepath.ToSlash(rel), fset.Position(c.Slash).Line}
+					wants[k] = append(wants[k], res...)
+				}
+			}
 		}
 	}
+	return wants
 }
 
-// TestRepoIsLintClean runs the real gate over the whole repository:
-// the annotated hot paths, scratch lifetimes, RCU publication sites,
-// and deterministic packages must all be clean. This is the same
-// command CI runs.
+// parseWant extracts the quoted regexps of a `// want "re" "re"`
+// comment; an ordinary comment yields none.
+func parseWant(text string) ([]*regexp.Regexp, error) {
+	rest, ok := strings.CutPrefix(text, "// want ")
+	if !ok {
+		return nil, nil
+	}
+	var res []*regexp.Regexp
+	for rest = strings.TrimSpace(rest); rest != ""; rest = strings.TrimSpace(rest) {
+		q, err := strconv.QuotedPrefix(rest)
+		if err != nil {
+			return nil, fmt.Errorf("want clause must be quoted regexps: %s", rest)
+		}
+		lit, _ := strconv.Unquote(q)
+		re, err := regexp.Compile(lit)
+		if err != nil {
+			return nil, fmt.Errorf("bad want regexp %q: %v", lit, err)
+		}
+		res = append(res, re)
+		rest = rest[len(q):]
+	}
+	if len(res) == 0 {
+		return nil, fmt.Errorf("want comment with no regexps")
+	}
+	return res, nil
+}
+
+// TestRepoIsLintClean runs the gate over the whole repository: the
+// annotated hot paths, scratch lifetimes, RCU publication sites,
+// deterministic packages and lock sites must all be clean.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo vet is not a -short test")
 	}
+	root := filepath.Join("..", "..")
+	sourceFiles(t, root)
 	bin := buildLint(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-	cmd.Dir = filepath.Join("..", "..")
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := vet(bin, root); err != nil {
 		t.Fatalf("repo is not remspanlint-clean: %v\n%s", err, out)
 	}
 }

@@ -6,14 +6,14 @@
 // its shapes field-for-field, making a future swap mechanical).
 //
 // An Analyzer inspects one type-checked package through a Pass and
-// reports Diagnostics. Drivers live elsewhere: cmd/remspanlint runs the
-// suite either standalone (via analysis/load) or as a `go vet -vettool`
-// unitchecker; analysis/analysistest runs golden corpora in tests.
+// reports Diagnostics. The one driver is cmd/remspanlint, a `go vet
+// -vettool` unitchecker; its TestCorpora runs each analyzer's golden
+// corpus (testdata/src/a, with `// want` comments) through go vet.
 //
 // The analyzers communicate with the code under inspection through
 // "//remspan:*" comment directives (see directives.go and DESIGN.md
 // §3g): hotpath, coldpath, deterministic, orderok, atomic, refinc,
-// refdec, scratchok.
+// refdec, lockheld.
 package analysis
 
 import (
@@ -35,17 +35,17 @@ type Analyzer struct {
 
 	// Run applies the analyzer to one package. It reports findings via
 	// pass.Report and returns an analyzer-specific result (unused by
-	// the current drivers) or an error for an internal failure — an
+	// the driver) or an error for an internal failure — an
 	// error fails the whole lint run, it is not a diagnostic.
 	Run func(pass *Pass) (interface{}, error)
 
 	// ExportsFacts marks an analyzer that summarizes each package into
-	// a fact blob (via Pass.WriteFacts) consumed when analyzing its
-	// dependents. Drivers run fact-exporting analyzers on dependency
-	// packages too — with diagnostics discarded — so summaries exist
-	// before any dependent is checked; under `go vet -vettool` the
-	// blobs round-trip through the vetx files the go command threads
-	// between units.
+	// a fact blob (via Pass.ExportFacts) consumed when analyzing its
+	// dependents. The driver runs fact-exporting analyzers on
+	// dependency packages too — with diagnostics discarded — so
+	// summaries exist before any dependent is checked; the blobs
+	// round-trip through the vetx files the go command threads between
+	// units.
 	ExportsFacts bool
 }
 
@@ -61,43 +61,25 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report delivers one finding. Drivers install it; analyzers call
-	// it (or the Reportf helper) any number of times.
+	// Report delivers one finding. The driver installs it; analyzers
+	// call it (or the Reportf helper) any number of times.
 	Report func(Diagnostic)
 
 	// ImportFacts returns the fact blob this pass's analyzer exported
 	// for the named dependency package, or nil when the dependency has
 	// none (stdlib and other out-of-module packages are never
-	// summarized, so their absence is normal, not an error). Nil when
-	// the driver does not thread facts.
+	// summarized, so their absence is normal, not an error).
 	ImportFacts func(path string) []byte
 
 	// ExportFacts delivers this package's fact blob for the pass's
-	// analyzer to the driver, which persists it for dependent units
-	// (the vetx file under `go vet -vettool`, an in-memory store in
-	// standalone and analysistest runs). Nil when the driver does not
-	// thread facts.
+	// analyzer to the driver, which persists it for dependent units in
+	// the unit's vetx file.
 	ExportFacts func(data []byte)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
-}
-
-// ReadFacts is ImportFacts with a nil-driver guard.
-func (p *Pass) ReadFacts(path string) []byte {
-	if p.ImportFacts == nil {
-		return nil
-	}
-	return p.ImportFacts(path)
-}
-
-// WriteFacts is ExportFacts with a nil-driver guard.
-func (p *Pass) WriteFacts(data []byte) {
-	if p.ExportFacts != nil {
-		p.ExportFacts(data)
-	}
 }
 
 // Diagnostic is one finding: a position in the package and a message.
@@ -108,7 +90,7 @@ type Diagnostic struct {
 }
 
 // NewInfo returns a types.Info with every lookup map the analyzers use
-// populated, so drivers cannot drift on which maps they fill.
+// populated.
 func NewInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -33,18 +33,10 @@ const (
 	// every caller that uses both.
 	DirRefInc = "refinc"
 	DirRefDec = "refdec"
-	// DirScratchOK exempts one statement from scratchescape: a
-	// documented, audited scratch-lifetime handoff.
-	DirScratchOK = "scratchok"
 	// DirLockHeld exempts a function from lockpair: it intentionally
 	// returns with the lock held (a lock-handoff API whose release
 	// lives in a documented counterpart).
 	DirLockHeld = "lockheld"
-	// DirShardOK exempts one statement (and its subtree) inside a
-	// shard body from shardbody: an audited cross-shard write whose
-	// safety argument does not fit the worker-slot/span-index
-	// discipline (say why in the comment).
-	DirShardOK = "shardok"
 )
 
 const directivePrefix = "//remspan:"

@@ -2,17 +2,16 @@
 // interprocedural remspanlint analyzers: a per-package store of
 // function summaries, serialized as deterministic JSON so it can ride
 // the vetx artifact the go command threads between `go vet -vettool`
-// units (and plain in-memory maps in the standalone and analysistest
-// drivers).
+// units.
 //
-// The file format a driver persists is one JSON object per unit,
+// The vetx file cmd/remspanlint writes is one JSON object per unit,
 // mapping analyzer name to that analyzer's opaque blob:
 //
 //	{"hotcall": {"funcs": {"(remspan/internal/graph.*EdgeMarks).AddTree": {...}}}}
 //
 // Each analyzer owns its blob's schema; this package defines the one
 // schema in use today — hotcall's FuncFact — plus the envelope
-// helpers drivers use to multiplex analyzers into one vetx file.
+// helpers the driver uses to multiplex analyzers into one vetx file.
 package facts
 
 import (

@@ -14,11 +14,10 @@
 //     (clean, or a representative chain to the first allocation),
 //     computed bottom-up with cycle tolerance.
 //   - Across packages, summaries travel as facts
-//     (internal/analysis/facts): when a dependency was analyzed first
-//     — the order both `go vet -vettool` vetx threading and the
-//     standalone loader guarantee — a call into it extends the chain
-//     through the imported summary instead of stopping at the package
-//     boundary.
+//     (internal/analysis/facts): the go command vets a dependency
+//     before its dependents and threads its vetx file to them, so a
+//     call into it extends the chain through the imported summary
+//     instead of stopping at the package boundary.
 //
 // A diagnostic lands on the offending call site inside the hotpath
 // function and prints the full chain:
@@ -187,7 +186,7 @@ func (e *engine) factsFor(path string) (*facts.Package, error) {
 	if p, ok := e.imported[path]; ok {
 		return p, nil
 	}
-	p, err := facts.Decode(e.pass.ReadFacts(path))
+	p, err := facts.Decode(e.pass.ImportFacts(path))
 	if err != nil {
 		return nil, fmt.Errorf("package %s: %v", path, err)
 	}
@@ -223,9 +222,6 @@ func (e *engine) checkHotpath(n *callgraph.Node) error {
 // dependent units: annotated functions and dirty ones (a clean
 // unannotated function equals the no-fact default).
 func (e *engine) exportFacts() error {
-	if e.pass.ExportFacts == nil {
-		return nil
-	}
 	out := &facts.Package{Funcs: make(map[string]facts.FuncFact)}
 	for _, n := range e.graph.Nodes {
 		s := e.sums[n.Func]

@@ -1,28 +1,31 @@
 // Package lockpair enforces unlock-on-all-paths: every sync
 // Lock/RLock — and every successful TryLock/TryRLock — acquired in a
 // function must be released on every path out of it, either by a
-// `defer mu.Unlock()` or by an explicit Unlock before each return.
+// `defer mu.Unlock()` or by an explicit Unlock before each exit.
 //
-// The motivating pattern is the pooled-env fallback the shard
-// scheduler call sites use (§3h):
+// Most sites it guards release explicitly, so an edit that adds an
+// early exit leaks the lock. The batched judge's shard body
+// (spanner.judgeEnv.shard) takes its result lock once per batch:
 //
-//	env := sharedBuildEnv
-//	if !env.mu.TryLock() {
-//		env = newBuildEnv()
-//		env.mu.Lock()
+//	for b := lo; b < hi; b++ {
+//		...
+//		e.resMu.Lock()
+//		if e.bu < 0 || cu < e.bu || (cu == e.bu && cv < e.bv) {
+//			e.bu, e.bv, e.bdg = cu, cv, cdg
+//		}
+//		e.resMu.Unlock()
 //	}
-//	defer env.mu.Unlock()
 //
-// Every branch of that idiom must end holding exactly one lock and the
-// defer must cover both; a refactor that adds an early return between
-// the TryLock and the defer leaks the shared env and silently degrades
-// every later build to the transient path — a performance bug no test
-// fails on. The race detector never sees it either: nothing races, the
-// lock is just never released.
+// Turning that if into an early `continue` skips the Unlock and the
+// next batch deadlocks, which the tests see only as a timeout. A
+// replica's applyDelta holds its mirror lock across a switch over
+// change kinds; a `return` on an unknown kind leaks it and no test
+// notices. The race detector sees neither: nothing races, the lock is
+// just never released.
 //
 // The analysis is a structured walk of each function body (function
 // literals are separate scopes), tracking the held-lock set keyed by
-// the receiver expression's source text ("env.mu", "st.readersMu"),
+// the receiver expression's source text ("e.resMu", "st.readersMu"),
 // with read locks tracked separately from write locks:
 //
 //   - mu.Lock()/RLock() adds the key; mu.Unlock()/RUnlock() removes
@@ -34,12 +37,14 @@
 //     same way; a TryLock whose result is discarded is itself a
 //     diagnostic (the successful case can never be unlocked);
 //   - a return (or the function end) with a key still held is a leak,
-//     reported with both the acquisition and the exit; branches of an
-//     if/switch that fall through with different held sets are
-//     reported as divergence — conditional locking must resolve
-//     before control flow joins;
-//   - a lock acquired inside a loop body must be released within the
-//     same iteration.
+//     reported with both the acquisition and the exit;
+//   - the paths that meet after an if, switch, select or loop must
+//     agree on what is held: a lock held on only some of them is
+//     reported as divergence;
+//   - a loop body is one iteration: a lock acquired in it must be
+//     released by the end of the body or by a continue, and a break
+//     carries its held set to the code after the loop, where it joins
+//     the loop's other exits (labelled forms resolve to their loop).
 //
 // A function that intentionally returns holding a lock (a lock-handoff
 // API) opts out with //remspan:lockheld on its declaration. goroutine
@@ -115,6 +120,17 @@ type checker struct {
 	pass    *analysis.Pass
 	tryVars map[*types.Var]lockKey // ok := mu.TryLock()
 	exempt  bool                   // //remspan:lockheld: returning locked is the contract
+	targets []*target              // enclosing loops, switches and selects, innermost last
+}
+
+// target is a statement that break, and for a loop continue, can
+// leave: its label, the held set on entry, and the held sets of the
+// breaks that jump past it.
+type target struct {
+	label  string
+	loop   bool
+	entry  held
+	breaks []held
 }
 
 func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, exempt bool) {
@@ -179,9 +195,13 @@ func (c *checker) lockOp(e ast.Expr) (op, bool) {
 }
 
 // walkStmts threads the held set through a statement list, reporting
-// leaks at exits, and returns the fall-through state.
+// leaks at exits, and returns the fall-through state: nil when control
+// cannot fall out of the list (a return, panic, break or continue).
 func (c *checker) walkStmts(stmts []ast.Stmt, h held) held {
 	for _, s := range stmts {
+		if h == nil {
+			break
+		}
 		h = c.walkStmt(s, h)
 	}
 	return h
@@ -190,6 +210,9 @@ func (c *checker) walkStmts(stmts []ast.Stmt, h held) held {
 func (c *checker) walkStmt(s ast.Stmt, h held) held {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
+		if isPanicky(s.X) {
+			return nil
+		}
 		if o, ok := c.lockOp(s.X); ok {
 			switch o.kind {
 			case opLock:
@@ -228,25 +251,20 @@ func (c *checker) walkStmt(s ast.Stmt, h held) held {
 				c.pass.Reportf(s.Pos(), "return while %s is still held (locked at %s): missing Unlock or defer on this path", k, c.pass.Fset.Position(pos))
 			}
 		}
-		return make(held)
+		return nil
+
+	case *ast.BranchStmt:
+		c.jump(s, h)
+		return nil
 
 	case *ast.BlockStmt:
 		return c.walkStmts(s.List, h)
 
 	case *ast.LabeledStmt:
-		return c.walkStmt(s.Stmt, h)
+		return c.walkTarget(s.Stmt, h, s.Label.Name)
 
-	case *ast.ForStmt:
-		if s.Init != nil {
-			h = c.walkStmt(s.Init, h)
-		}
-		c.walkLoopBody(s.Body, h)
-
-	case *ast.RangeStmt:
-		c.walkLoopBody(s.Body, h)
-
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		c.walkBranches(s, h)
+	case *ast.ForStmt, *ast.RangeStmt, *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
+		return c.walkTarget(s, h, "")
 
 	case *ast.GoStmt:
 		// A spawned goroutine is its own lock scope (its literal body
@@ -272,37 +290,46 @@ func (c *checker) walkIf(s *ast.IfStmt, h held) held {
 	}
 
 	thenOut := c.walkStmts(s.Body.List, thenH)
-	var elseOut held
+	elseOut := elseH
 	switch e := s.Else.(type) {
-	case nil:
-		elseOut = elseH
 	case *ast.BlockStmt:
 		elseOut = c.walkStmts(e.List, elseH)
 	case *ast.IfStmt:
 		elseOut = c.walkIf(e, elseH)
-	default:
-		elseOut = elseH
 	}
+	return c.join("if", thenOut, elseOut)
+}
 
-	switch {
-	case terminates(s.Body):
-		return elseOut
-	case s.Else != nil && terminates(s.Else):
-		return thenOut
-	}
-	// Both branches fall through: they must agree on what is held, or
-	// the join point has a lock held on only some paths.
-	out := make(held)
-	for k, pos := range thenOut {
-		if _, ok := elseOut[k]; ok {
-			out[k] = pos
-		} else {
-			c.pass.Reportf(pos, "%s is held on only some paths after the enclosing if: release it in every branch or defer the Unlock", k)
+// join merges the held sets of the paths that meet after a statement;
+// nil entries are paths that never get there. Conditional locking must
+// resolve before control flow joins, so a lock held on only some paths
+// is reported at its acquisition. The result holds what every path
+// holds, and is nil when no path arrives.
+func (c *checker) join(stmt string, paths ...held) held {
+	var live []held
+	for _, p := range paths {
+		if p != nil {
+			live = append(live, p)
 		}
 	}
-	for k, pos := range elseOut {
-		if _, ok := thenOut[k]; !ok {
-			c.pass.Reportf(pos, "%s is held on only some paths after the enclosing if: release it in every branch or defer the Unlock", k)
+	if live == nil {
+		return nil
+	}
+	out, split := make(held), make(map[lockKey]bool)
+	for _, p := range live {
+		for k, pos := range p {
+			n := 0
+			for _, q := range live {
+				if _, ok := q[k]; ok {
+					n++
+				}
+			}
+			if n == len(live) {
+				out[k] = pos
+			} else if !split[k] {
+				split[k] = true
+				c.pass.Reportf(pos, "%s is held on only some paths after the enclosing %s: release it on every path or defer the Unlock", k, stmt)
+			}
 		}
 	}
 	return out
@@ -330,51 +357,91 @@ func (c *checker) condTryLock(cond ast.Expr) (lockKey, bool, bool) {
 	return lockKey{}, false, false
 }
 
-// walkLoopBody checks one loop iteration in isolation: anything
-// acquired inside must be released inside (a lock cannot be carried
-// across iterations without deadlocking on the second pass), and the
-// surrounding held set is left untouched (the loop may run zero
-// times).
-func (c *checker) walkLoopBody(body *ast.BlockStmt, h held) {
-	out := c.walkStmts(body.List, h.clone())
-	for k, pos := range out {
-		if _, outer := h[k]; !outer {
-			c.pass.Reportf(pos, "%s is locked inside a loop body without an Unlock in the same iteration", k)
-		}
-	}
-}
-
-// walkBranches checks switch/select clause bodies independently; each
-// fall-through clause must leave the held set as it found it.
-func (c *checker) walkBranches(s ast.Stmt, h held) {
+// walkTarget walks a loop, switch or select with its label ("" when
+// unlabelled); any other labelled statement is walked as it is. A
+// loop body is one iteration, checked in isolation: what it acquires
+// it must release by the end of the body or a continue, since a lock
+// carried into the next pass deadlocks on it. The code after the
+// statement joins the paths out of it: each break, each switch or
+// select clause that falls through, and the entry state when the
+// statement can finish without running a clause or iteration that
+// leaves it (a loop with a condition or range may run zero times).
+func (c *checker) walkTarget(s ast.Stmt, h held, label string) held {
+	t := &target{label: label}
 	var clauses []ast.Stmt
+	exits, stmt := []held{h}, "switch"
 	switch s := s.(type) {
+	case *ast.ForStmt:
+		if s.Init != nil {
+			h = c.walkStmt(s.Init, h)
+		}
+		t.loop, clauses, exits, stmt = true, []ast.Stmt{s.Body}, []held{h}, "loop"
+		if s.Cond == nil {
+			exits = nil
+		}
+	case *ast.RangeStmt:
+		t.loop, clauses, stmt = true, []ast.Stmt{s.Body}, "loop"
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			h = c.walkStmt(s.Init, h)
 		}
-		clauses = s.Body.List
+		clauses, exits = s.Body.List, []held{h}
 	case *ast.TypeSwitchStmt:
 		clauses = s.Body.List
 	case *ast.SelectStmt:
-		clauses = s.Body.List
+		clauses, exits, stmt = s.Body.List, nil, "select"
+	default:
+		return c.walkStmt(s, h)
 	}
+	t.entry = h
+	c.targets = append(c.targets, t)
 	for _, cl := range clauses {
-		var body []ast.Stmt
 		switch cl := cl.(type) {
+		case *ast.BlockStmt:
+			c.endIteration(t, c.walkStmts(cl.List, h.clone()), token.NoPos)
 		case *ast.CaseClause:
-			body = cl.Body
+			if cl.List == nil {
+				exits = exits[1:] // a default clause: some clause always runs
+			}
+			exits = append(exits, c.walkStmts(cl.Body, h.clone()))
 		case *ast.CommClause:
-			body = cl.Body
+			exits = append(exits, c.walkStmts(cl.Body, h.clone()))
 		}
-		out := c.walkStmts(body, h.clone())
-		if len(body) > 0 && terminates(body[len(body)-1]) {
+	}
+	c.targets = c.targets[:len(c.targets)-1]
+	return c.join(stmt, append(exits, t.breaks...)...)
+}
+
+// jump hands the held set at a branch statement to the statement it
+// leaves: a break (or fallthrough) joins the code after its target,
+// and a continue ends its loop's iteration. goto is not followed.
+func (c *checker) jump(s *ast.BranchStmt, h held) {
+	for i := len(c.targets) - 1; i >= 0; i-- {
+		t := c.targets[i]
+		if s.Label != nil && s.Label.Name != t.label {
 			continue
 		}
-		for k, pos := range out {
-			if _, outer := h[k]; !outer {
-				c.pass.Reportf(pos, "%s is held on only some paths after the enclosing switch: release it in every case or defer the Unlock", k)
-			}
+		switch {
+		case s.Tok == token.CONTINUE && t.loop:
+			c.endIteration(t, h, s.Pos())
+			return
+		case s.Tok == token.BREAK || s.Tok == token.FALLTHROUGH:
+			t.breaks = append(t.breaks, h)
+			return
+		}
+	}
+}
+
+// endIteration checks the held set at the end of one pass of loop t:
+// at the close of the body, or at the continue at pos.
+func (c *checker) endIteration(t *target, h held, at token.Pos) {
+	for k, pos := range h {
+		switch _, outer := t.entry[k]; {
+		case outer:
+		case at.IsValid():
+			c.pass.Reportf(at, "continue while %s is still held (locked at %s): unlock it before the next iteration", k, c.pass.Fset.Position(pos))
+		default:
+			c.pass.Reportf(pos, "%s is locked inside a loop body without an Unlock in the same iteration", k)
 		}
 	}
 }
@@ -410,27 +477,6 @@ func (c *checker) varOf(id *ast.Ident) (*types.Var, bool) {
 		return v, true
 	}
 	return nil, false
-}
-
-// terminates reports whether control cannot fall out of s: it ends in
-// a return, a panic-like call, or a branch statement that leaves the
-// enclosing join.
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		return isPanicky(s.X)
-	case *ast.BlockStmt:
-		return len(s.List) > 0 && terminates(s.List[len(s.List)-1])
-	case *ast.IfStmt:
-		return s.Else != nil && terminates(s.Body) && terminates(s.Else)
-	case *ast.LabeledStmt:
-		return terminates(s.Stmt)
-	case *ast.ForStmt:
-		return s.Cond == nil // `for { ... }` without cond never falls through
-	}
-	return false
 }
 
 // isPanicky matches panic(...) and the conventional process-exit

@@ -202,3 +202,99 @@ func badGoroutine(e *env) {
 		e.n++
 	}()
 }
+
+// badContinue skips the Unlock: the next iteration deadlocks on it.
+func badContinue(e *env, xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		if x < 0 {
+			continue // want "continue while e\\.mu is still held"
+		}
+		e.n += x
+		e.mu.Unlock()
+	}
+}
+
+// badBreak leaves the loop locked on one exit and unlocked on the
+// other, and the function returns holding it.
+func badBreak(e *env, xs []int) {
+	for _, x := range xs {
+		e.mu.Lock() // want "e\\.mu is held on only some paths after the enclosing loop"
+		if x < 0 {
+			break
+		}
+		e.n += x
+		e.mu.Unlock()
+	}
+}
+
+// badLabelled continues and breaks the outer loop from an inner one;
+// the break leaves the outer loop locked on that exit only.
+func badLabelled(e *env, xss [][]int) {
+outer:
+	for _, xs := range xss {
+		for _, x := range xs {
+			e.mu.Lock() // want "e\\.mu is held on only some paths after the enclosing loop"
+			switch {
+			case x < 0:
+				continue outer // want "continue while e\\.mu is still held"
+			case x == 0:
+				break outer
+			}
+			e.mu.Unlock()
+		}
+	}
+	e.n++
+}
+
+// goodContinue releases before skipping ahead.
+func goodContinue(e *env, xs []int) {
+	for _, x := range xs {
+		e.mu.Lock()
+		if x < 0 {
+			e.mu.Unlock()
+			continue
+		}
+		e.n += x
+		e.mu.Unlock()
+	}
+}
+
+// goodBreakThenUnlock leaves a condition-less loop only by the break,
+// holding the lock, and releases it after the loop.
+func goodBreakThenUnlock(e *env) {
+	for {
+		e.mu.Lock()
+		if e.n > 10 {
+			break
+		}
+		e.n++
+		e.mu.Unlock()
+	}
+	e.mu.Unlock()
+}
+
+// badSwitchBreak breaks out of a case with the lock held.
+func badSwitchBreak(e *env, k int) {
+	switch k {
+	case 0:
+		e.mu.Lock() // want "e\\.mu is held on only some paths after the enclosing switch"
+		if e.n > 0 {
+			break
+		}
+		e.mu.Unlock()
+	}
+}
+
+// goodSwitchAllLock locks in every clause, default included, so the
+// paths agree after the switch.
+func goodSwitchAllLock(e, f *env, k int) {
+	switch k {
+	case 0:
+		e.mu.Lock()
+	default:
+		e.mu.Lock()
+	}
+	defer e.mu.Unlock()
+	f.n++
+}

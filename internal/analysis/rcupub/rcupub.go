@@ -23,9 +23,12 @@
 //     padded announce slots had to avoid — and the enclosing struct
 //     must never be copied by value (assignment, argument, return, or
 //     dereference copy), since copying tears the slot out from under
-//     the writer's reclamation scan. (The sync/atomic types carry no
-//     vet noCopy marker, so the stock copylocks check does not cover
-//     them.)
+//     the writer's reclamation scan. The sync/atomic types embed a vet
+//     noCopy marker (since Go 1.19), so the stock copylocks check
+//     already reports an assignment copy (b := a), a by-value
+//     parameter or argument, a return and a range copy of such a
+//     struct. The one shape it skips is a copy of a dereferenced call
+//     result (ep := *st.cur.Load()); this rule reports that one too.
 //
 //  3. Refcount order. Functions annotated //remspan:refinc and
 //     //remspan:refdec name the package's refcount halves. In any
