@@ -1,36 +1,29 @@
-// Package rcupub enforces the RCU epoch-publication discipline that
-// routing.Store and replica.Replica rely on: an object published to
-// readers through an atomic.Pointer must be immutable from the
-// publication point on, reader-announce slots must be genuinely atomic
-// and never sheared by a struct copy, and paired refcount updates must
-// keep their inc-before-dec order (dec-first can drop the count to zero
-// and free rows a concurrent reader still reaches).
+// Package rcupub enforces two invariants of the state the repo shares
+// across goroutines without a lock — replica.Replica's published
+// repState pointer and health flags, and routing.Store's epoch seq —
+// and of the spanner mirror's refcounts: fields holding such state
+// must be genuinely atomic and never sheared by a struct copy, and
+// paired refcount updates must keep their inc-before-dec order
+// (dec-first drops an edge both the old and the new tree hold to
+// zero, so it leaves and re-enters the mirrored spanner).
 //
-// Three rules:
+// Two rules:
 //
-//  1. Publication freeze. In any function that calls Store/Swap (or
-//     CompareAndSwap) on a sync/atomic Pointer with a locally named
-//     value, a write through that value after the publication call —
-//     later in source order within the function — is reported. Source
-//     order is the right approximation for the repo's writer functions,
-//     which build, publish, and fall off the end; re-publication loops
-//     route recycled objects through retirement first, which re-binds
-//     the name and resets tracking.
-//
-//  2. Atomic-only fields. A struct field annotated //remspan:atomic
+//  1. Atomic-only fields. A struct field annotated //remspan:atomic
 //     must have a sync/atomic type (atomic.Uint64, atomic.Pointer, ...)
-//     — raw integers "accessed carefully" are exactly the bug class the
-//     padded announce slots had to avoid — and the enclosing struct
+//     — a raw integer "accessed carefully" is exactly the data race
+//     the annotation exists to rule out — and the enclosing struct
 //     must never be copied by value (assignment, argument, return, or
-//     dereference copy), since copying tears the slot out from under
-//     the writer's reclamation scan. The sync/atomic types embed a vet
-//     noCopy marker (since Go 1.19), so the stock copylocks check
-//     already reports an assignment copy (b := a), a by-value
-//     parameter or argument, a return and a range copy of such a
-//     struct. The one shape it skips is a copy of a dereferenced call
-//     result (ep := *st.cur.Load()); this rule reports that one too.
+//     dereference copy), since a copy reads the field non-atomically
+//     and detaches it from the goroutines that update it. The
+//     sync/atomic types embed a vet noCopy marker (since Go 1.19), so
+//     the stock copylocks check already reports an assignment copy
+//     (b := a), a by-value parameter or argument, a return and a range
+//     copy of such a struct. The one shape it skips is a copy of a
+//     dereferenced call result (ep := *st.Epoch()); this rule reports
+//     that one too.
 //
-//  3. Refcount order. Functions annotated //remspan:refinc and
+//  2. Refcount order. Functions annotated //remspan:refinc and
 //     //remspan:refdec name the package's refcount halves. In any
 //     function calling both, every decrement call must come after the
 //     first increment call.
@@ -46,7 +39,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "rcupub",
-	Doc:  "enforce RCU publication immutability, atomic-only announce slots, and inc-before-dec refcounts",
+	Doc:  "enforce atomic-only, never-copied shared fields and inc-before-dec refcounts",
 	Run:  run,
 }
 
@@ -60,131 +53,13 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			checkPublication(pass, fd)
 			checkRefOrder(pass, fd, inc, dec)
 		}
 	}
 	return nil, nil
 }
 
-// --- rule 1: no writes after atomic.Pointer publication ---
-
-// publication returns the published value's root variable when call is
-// ptr.Store(v), ptr.Swap(v), or ptr.CompareAndSwap(old, v) on a
-// sync/atomic pointer (or other atomic type), with v rooted at a
-// named local.
-func publication(info *types.Info, call *ast.CallExpr) *types.Var {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return nil
-	}
-	var arg ast.Expr
-	switch fn.Name() {
-	case "Store", "Swap":
-		if len(call.Args) != 1 {
-			return nil
-		}
-		arg = call.Args[0]
-	case "CompareAndSwap":
-		if len(call.Args) != 2 {
-			return nil
-		}
-		arg = call.Args[1]
-	default:
-		return nil
-	}
-	// Only pointer-typed publications freeze a reachable object.
-	if arg == nil {
-		return nil
-	}
-	if tv, ok := info.Types[arg]; !ok || tv.Type == nil || !isPointerLike(tv.Type) {
-		return nil
-	}
-	id, ok := ast.Unparen(arg).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := info.Uses[id].(*types.Var)
-	return v
-}
-
-func isPointerLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map:
-		return true
-	}
-	return false
-}
-
-func checkPublication(pass *analysis.Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	// First pass: publication points (value var -> earliest publish end).
-	published := make(map[*types.Var]token.Pos)
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if v := publication(info, call); v != nil {
-			if old, ok := published[v]; !ok || call.End() < old {
-				published[v] = call.End()
-			}
-		}
-		return true
-	})
-	if len(published) == 0 {
-		return
-	}
-	// Second pass: writes through a published root after its
-	// publication point. A rebind of the root itself (v = ...) ends
-	// tracking from that point for later statements, approximated by
-	// ignoring direct assignments to the bare identifier.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			root, bare := writeRoot(info, lhs)
-			if root == nil || bare {
-				continue
-			}
-			if pub, ok := published[root]; ok && as.Pos() > pub {
-				pass.Reportf(as.Pos(), "write through %s after it was published via atomic pointer Store: published epochs are immutable", root.Name())
-			}
-		}
-		return true
-	})
-}
-
-// writeRoot resolves the variable a write expression ultimately stores
-// into; bare reports a direct rebinding of the identifier itself.
-func writeRoot(info *types.Info, lhs ast.Expr) (root *types.Var, bare bool) {
-	switch e := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[e].(*types.Var)
-		if v == nil {
-			v, _ = info.Defs[e].(*types.Var)
-		}
-		return v, true
-	case *ast.SelectorExpr:
-		r, _ := writeRoot(info, e.X)
-		return r, false
-	case *ast.IndexExpr:
-		r, _ := writeRoot(info, e.X)
-		return r, false
-	case *ast.StarExpr:
-		r, _ := writeRoot(info, e.X)
-		return r, false
-	}
-	return nil, false
-}
-
-// --- rule 2: //remspan:atomic fields ---
+// --- rule 1: //remspan:atomic fields ---
 
 func checkAtomicFields(pass *analysis.Pass, dirs *analysis.Directives) {
 	info := pass.TypesInfo
@@ -303,7 +178,7 @@ func checkCopies(pass *analysis.Pass, guarded map[*types.Named]bool, n ast.Node)
 	}
 }
 
-// --- rule 3: refcount inc-before-dec ---
+// --- rule 2: refcount inc-before-dec ---
 
 // refFuncs collects the function objects annotated refinc / refdec.
 func refFuncs(pass *analysis.Pass, dirs *analysis.Directives) (inc, dec map[*types.Func]bool) {
@@ -369,7 +244,7 @@ func checkRefOrder(pass *analysis.Pass, fd *ast.FuncDecl, inc, dec map[*types.Fu
 	}
 	for _, d := range decs {
 		if d.pos < firstInc {
-			pass.Reportf(d.pos, "refcount decrement %s before the increment in the same function: dec-first can free rows a reader still reaches", d.name)
+			pass.Reportf(d.pos, "refcount decrement %s before the increment in the same function: dec-first drops a shared edge to zero", d.name)
 		}
 	}
 }

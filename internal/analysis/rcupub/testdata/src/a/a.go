@@ -3,42 +3,6 @@ package a
 
 import "sync/atomic"
 
-type state struct{ rows []int32 }
-
-type store struct {
-	cur atomic.Pointer[state]
-}
-
-func publishThenWrite(st *store) {
-	s := &state{}
-	s.rows = []int32{1}
-	st.cur.Store(s)
-	s.rows = nil // want "write through s after it was published via atomic pointer Store"
-}
-
-func publishThenWriteDeep(st *store, xs []int32) {
-	s := &state{rows: xs}
-	st.cur.Store(s)
-	s.rows[0] = 7 // want "write through s after it was published"
-}
-
-func publishSwapThenWrite(st *store) {
-	s := &state{}
-	_ = st.cur.Swap(s)
-	s.rows = nil // want "write through s after it was published"
-}
-
-func publishClean(st *store) {
-	s := &state{}
-	s.rows = []int32{1}
-	st.cur.Store(s)
-}
-
-func nonPointerStoreIsNotPublication(sl *slot, s *state) {
-	sl.seq.Store(7)
-	s.rows = nil // seq is a plain counter, not a published object
-}
-
 type slot struct {
 	//remspan:atomic
 	seq atomic.Uint64

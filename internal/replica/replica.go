@@ -15,11 +15,10 @@ import (
 const gapPatience = 3
 
 // repState is one applied epoch on a replica: an immutable table set
-// published through an atomic pointer, exactly the store's RCU
-// discipline but with garbage-collected reclamation — every apply
-// installs a fresh []Table header slice whose rows are immutable
-// shipment-owned copies, so a query holding the previous state simply
-// keeps it alive; no reader announcement is needed.
+// published through an atomic pointer. Every apply installs a fresh
+// []Table header slice whose rows are immutable shipment-owned copies,
+// so a query holding the previous state simply keeps it alive and the
+// garbage collector reclaims it; no reader announcement is needed.
 type repState struct {
 	seq    uint64
 	tables []routing.Table
@@ -203,8 +202,8 @@ func (r *Replica) installFull(sh *Shipment) {
 
 // applyDelta allocates by design: the previous repState is still being
 // read lock-free, so each shipment lands in a fresh tables slice and
-// state struct (RCU swap) — the zero-alloc contract is on the query
-// path below, not here.
+// state struct, swapped in atomically — the zero-alloc contract is on
+// the query path below, not here.
 func (r *Replica) applyDelta(sh *Shipment) {
 	cur := r.state.Load()
 	tables := make([]routing.Table, r.n)

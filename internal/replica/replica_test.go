@@ -128,6 +128,45 @@ func TestClusterLockstepNoFaults(t *testing.T) {
 	}
 }
 
+// TestWriterShipsFullStateAfterOutOfBandRebuild pins the writer
+// against a store whose epoch moved outside Writer.ApplyBatch: a
+// RebuildAll called on the store directly rewrites rows the writer
+// never shipped, so the writer's next shipment must carry full state,
+// not a delta. Replicas that report the writer's seq must then hold
+// the writer's rows.
+func TestWriterShipsFullStateAfterOutOfBandRebuild(t *testing.T) {
+	fix := newFixture(120, 8, 7)
+	c := NewCluster(fix.st, 2, FaultPlan{Seed: 7})
+	for tick := 0; tick < 20; tick++ {
+		c.Tick(fix.tick())
+	}
+	fix.st.RebuildAll()
+	for tick := 0; tick < 2; tick++ {
+		c.Tick(nil)
+	}
+	if lag := c.MaxLag(); lag != 0 {
+		t.Fatalf("replicas lag the writer by %d epochs", lag)
+	}
+	want := fix.st.Epoch().Tables()
+	for _, r := range c.Replicas {
+		if r.AppliedSeq() != c.W.Seq() {
+			t.Fatalf("replica %d at seq %d, writer at %d", r.ID, r.AppliedSeq(), c.W.Seq())
+		}
+		diff := 0
+		for s := range want {
+			for d := range want[s].Next {
+				if r.NextHop(s, d) != want[s].Next[d] || r.Dist(s, d) != want[s].Dist[d] {
+					diff++
+				}
+			}
+		}
+		if diff != 0 {
+			t.Fatalf("replica %d reports seq %d but %d (s, t) entries differ from the writer's tables",
+				r.ID, r.AppliedSeq(), diff)
+		}
+	}
+}
+
 // recordNet captures shipments instead of delivering them, for
 // hand-sequenced delivery tests.
 type recordNet struct{ got []*Shipment }

@@ -1,7 +1,7 @@
 // Package replica implements the fault-tolerant replicated forwarding
-// tier over the epoch-swapped routing.Store (DESIGN.md §3f): a single
-// writer applies churn batches to the store and ships each published
-// epoch — as an immutable dirty-owner row diff — to N read replicas
+// tier over routing.Store (DESIGN.md §3f): a single writer applies
+// churn batches to the store and ships each new epoch — as an
+// immutable dirty-owner row diff — to N read replicas
 // through an injectable transport. Replicas apply shipments strictly
 // in sequence (buffering reordered arrivals, requesting a full resync
 // across gaps or after a crash) and serve NextHop/Dist/Route queries
@@ -76,11 +76,14 @@ func (s *Shipment) Words() int {
 }
 
 // Writer is the replication source: it owns the routing.Store, applies
-// churn through it, and converts every published epoch into a delta
-// Shipment fanned out to all replicas through the transport. Rows are
-// copied out of the epoch immediately after publish — the store
-// recycles its buffers once readers move on, so shipments must own
-// their memory.
+// churn through it, and converts every new epoch into a delta Shipment
+// fanned out to all replicas through the transport. The store rebuilds
+// its rows in place on the next batch, so the writer copies the dirty
+// rows into the shipment right after each ApplyBatch: shipments own
+// their memory. When the store's epoch moved outside the writer — a
+// RebuildAll, or a batch applied to the store directly — the writer
+// cannot name the rows that changed, and its next new epoch ships full
+// state to every replica instead of a delta.
 type Writer struct {
 	st      *routing.Store
 	net     Network
@@ -119,16 +122,22 @@ func (w *Writer) Bootstrap() {
 	}
 }
 
-// ApplyBatch applies one churn batch to the store and, if a new epoch
-// was published, ships its dirty-owner diff to every replica. Returns
-// the number of changes that had an effect.
+// ApplyBatch applies one churn batch to the store and, if the epoch
+// moved, ships its dirty-owner diff to every replica — or full state,
+// if the epoch had already moved outside the writer. Returns the
+// number of changes that had an effect.
 func (w *Writer) ApplyBatch(changes []dynamic.Change) int {
+	outOfBand := w.st.Epoch().Seq() != w.lastSeq
 	applied := w.st.ApplyBatch(changes)
 	seq := w.st.Epoch().Seq()
 	if seq == w.lastSeq {
-		return applied // nothing published: nothing to ship
+		return applied // no new epoch: nothing to ship
 	}
 	w.lastSeq = seq
+	if outOfBand {
+		w.Bootstrap()
+		return applied
+	}
 	owners := w.st.DirtyOwners()
 	tables := w.st.Epoch().Tables()
 	m := w.st.Maintainer()

@@ -13,7 +13,8 @@
 //   - Table / BatchBuilder / BuildTablesBatched (tables.go, batch.go):
 //     precomputed next-hop tables — the FIB a link-state daemon
 //     installs — built 64 owners per word-parallel sweep, and kept
-//     fresh under churn by the epoch-swapped Store (store.go).
+//     fresh under churn by the Store (store.go), which rebuilds the
+//     dirty owners' rows in place.
 //
 // The package also provides OLSR-style multipoint-relay flooding and
 // disjoint-path multipath routing with failure injection.

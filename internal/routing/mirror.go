@@ -44,11 +44,6 @@ func (hm *SpannerMirror) View() graph.View {
 	return hm.g
 }
 
-// TreeOf returns root r's stored (child, parent) edge list — the
-// mirror-owned copy of the last UpdateTree(r, ·); read-only, valid
-// until the next update of r.
-func (hm *SpannerMirror) TreeOf(r int) [][2]int32 { return hm.trees[r] }
-
 func edgeKey(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"remspan/internal/dynamic"
@@ -51,6 +49,17 @@ func trackerBatch(tr *mobility.Tracker, buf []dynamic.Change) []dynamic.Change {
 	return buf
 }
 
+// cloneTables deep-copies a table set, so rows the store later
+// rebuilds in place can be compared against it by value.
+func cloneTables(tables []Table) []Table {
+	out := NewTables(len(tables))
+	for u, tab := range tables {
+		copy(out[u].Next, tab.Next)
+		copy(out[u].Dist, tab.Dist)
+	}
+	return out
+}
+
 // churnPool returns distinct candidate pairs for toggling.
 func churnPool(n, count int, rng *rand.Rand) [][2]int {
 	seen := map[[2]int]bool{}
@@ -85,7 +94,8 @@ func TestStoreColdStartMatchesScalar(t *testing.T) {
 // the staleness contract after every batch: the spanner mirror tracks
 // the maintainer exactly; every dirty owner's rows are bit-identical
 // to a fresh scalar build on the post-batch graph+spanner; every clean
-// owner's rows are carried over untouched (same backing arrays); and
+// owner's rows equal, value for value, a copy taken before the batch
+// (an in-place rebuild that overwrote a clean row fails here); and
 // RebuildAll restores full bit-identity.
 func TestStoreChurnSemantics(t *testing.T) {
 	_, st := storeFixture(70, 100, 2)
@@ -97,7 +107,8 @@ func TestStoreChurnSemantics(t *testing.T) {
 	dist := make([]int32, m.Graph().N())
 
 	for round := 0; round < 12; round++ {
-		prev := st.Epoch()
+		prevSeq := st.Epoch().Seq()
+		prev := cloneTables(st.Epoch().Tables())
 		batch := make([]dynamic.Change, 0, 6)
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			p := pool[rng.Intn(len(pool))]
@@ -110,10 +121,13 @@ func TestStoreChurnSemantics(t *testing.T) {
 		applied := st.ApplyBatch(batch)
 		ep := st.Epoch()
 		if applied == 0 {
+			if ep.Seq() != prevSeq {
+				t.Fatalf("round %d: a batch with no effect advanced the epoch", round)
+			}
 			continue
 		}
-		if ep.Seq() != prev.Seq()+1 {
-			t.Fatalf("round %d: epoch %d after %d", round, ep.Seq(), prev.Seq())
+		if ep.Seq() != prevSeq+1 {
+			t.Fatalf("round %d: epoch %d after %d", round, ep.Seq(), prevSeq)
 		}
 		if !st.h.g.Equal(m.Spanner().Graph()) {
 			t.Fatalf("round %d: spanner mirror diverged", round)
@@ -124,18 +138,16 @@ func TestStoreChurnSemantics(t *testing.T) {
 		}
 		hh := st.h.g
 		for u := 0; u < m.Graph().N(); u++ {
-			tab := ep.Tables()[u]
+			want, from := prev[u], "the pre-batch copy"
 			if dirty[int32(u)] {
 				scratch.BuildTableInto(m.Graph(), hh, u, next, dist)
-				for v := range next {
-					if tab.Next[v] != next[v] || tab.Dist[v] != dist[v] {
-						t.Fatalf("round %d: dirty owner %d dest %d: (next %d, dist %d), want (%d, %d)",
-							round, u, v, tab.Next[v], tab.Dist[v], next[v], dist[v])
-					}
-				}
-			} else {
-				if &tab.Next[0] != &prev.Tables()[u].Next[0] || &tab.Dist[0] != &prev.Tables()[u].Dist[0] {
-					t.Fatalf("round %d: clean owner %d was rebuilt or copied", round, u)
+				want, from = Table{Owner: u, Next: next, Dist: dist}, "a fresh scalar build"
+			}
+			tab := ep.Tables()[u]
+			for v := range want.Next {
+				if tab.Next[v] != want.Next[v] || tab.Dist[v] != want.Dist[v] {
+					t.Fatalf("round %d: owner %d dest %d: (next %d, dist %d), %s has (%d, %d)",
+						round, u, v, tab.Next[v], tab.Dist[v], from, want.Next[v], want.Dist[v])
 				}
 			}
 		}
@@ -146,158 +158,11 @@ func TestStoreChurnSemantics(t *testing.T) {
 	tablesEqual(t, "rebuild-all", want, st.Epoch().Tables())
 }
 
-// TestStoreStaleVsUnreachable pins the typed-reason contract end to
-// end: a physical view ahead of the control plane produces
-// RouteStaleLink (not RouteUnreachable), the offending owner is queued
-// and rebuilt by the next batch, and genuinely missing connectivity
-// reports RouteUnreachable.
-func TestStoreStaleVsUnreachable(t *testing.T) {
-	g := graph.New(6)
-	for i := 0; i < 4; i++ {
-		g.AddEdge(i, i+1) // path 0-1-2-3-4; 5 isolated
-	}
-	spec := dynamic.Builders()[0]
-	st := NewStore(dynamic.New(g, spec.Radius, spec.Build))
-	r := st.NewReader()
-
-	// Unreachable: the isolated vertex.
-	if rt := r.RouteOn(st.Maintainer().Graph(), 0, 5); rt.OK || rt.Reason != RouteUnreachable {
-		t.Fatalf("isolated target: %+v", rt)
-	}
-
-	// The physical network drops {2,3} before the control plane hears
-	// about it.
-	phys := st.Maintainer().Graph().Clone()
-	phys.RemoveEdge(2, 3)
-	rt := r.RouteOn(phys, 0, 4)
-	if rt.OK || rt.Reason != RouteStaleLink || rt.At != 2 {
-		t.Fatalf("stale link: %+v", rt)
-	}
-
-	// The stale mark alone (an empty batch) must force a republish of
-	// the marked owner.
-	seq := st.Epoch().Seq()
-	st.ApplyBatch(nil)
-	if st.Epoch().Seq() != seq+1 {
-		t.Fatal("stale mark did not trigger a republish")
-	}
-
-	// Once the control plane applies the change, the route resolves
-	// around... there is no way around on a path graph: it reports
-	// unreachable, not stale.
-	st.ApplyBatch([]dynamic.Change{{Kind: dynamic.RemoveEdge, U: 2, V: 3}})
-	if rt := r.RouteOn(phys, 0, 4); rt.OK || rt.Reason != RouteUnreachable {
-		t.Fatalf("after catch-up: %+v", rt)
-	}
-	// And a target still connected routes fine.
-	if rt := r.RouteOn(phys, 0, 2); !rt.OK || rt.Hops != 2 {
-		t.Fatalf("surviving route: %+v", rt)
-	}
-}
-
-// TestStoreStaleRerouteOnFresherEpoch pins RouteOn's retry: when the
-// writer has already published a repaired epoch, the reader resolves
-// the route instead of reporting stale.
-func TestStoreStaleRerouteOnFresherEpoch(t *testing.T) {
-	g := graph.New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 2) // 0-1-2 short, 0-3-4-2 detour
-	spec := dynamic.Builders()[0]
-	st := NewStore(dynamic.New(g, spec.Radius, spec.Build))
-	r := st.NewReader()
-
-	phys := st.Maintainer().Graph().Clone()
-	phys.RemoveEdge(1, 2)
-	// Control plane catches up first; the reader's walk then finds the
-	// detour via the fresh epoch with no stale verdict.
-	st.ApplyBatch([]dynamic.Change{{Kind: dynamic.RemoveEdge, U: 1, V: 2}})
-	rt := r.RouteOn(phys, 0, 2)
-	if !rt.OK || rt.Hops != 3 {
-		t.Fatalf("detour route: %+v", rt)
-	}
-}
-
-// TestStoreConcurrentReaders hammers lock-free readers against a
-// churning writer under the race detector: every observed row must be
-// internally coherent — next hop and believed distance agree on
-// reachability, in range, with the owner's self-entries intact. (A
-// recycled row refilled mid-read would violate these; note an epoch
-// may legitimately mix fresh and bounded-stale rows, so cross-row
-// monotonicity is not an invariant here.)
-func TestStoreConcurrentReaders(t *testing.T) {
-	_, st := storeFixture(80, 120, 4)
-	m := st.Maintainer()
-	n := m.Graph().N()
-	rngW := rand.New(rand.NewSource(5))
-	pool := churnPool(n, 50, rngW)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	const readers = 4
-	errs := make(chan string, readers)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			r := st.NewReader()
-			for !stop.Load() {
-				s, tt := rng.Intn(n), rng.Intn(n)
-				ep := r.enter()
-				cur, hops := s, 0
-				for cur != tt && hops <= n {
-					tab := ep.tables[cur]
-					nh, d := tab.Next[tt], tab.Dist[tt]
-					if (nh < 0) != (d == graph.Unreached) || nh >= int32(n) ||
-						tab.Next[cur] != int32(cur) || tab.Dist[cur] != 0 {
-						errs <- "row invariant violated: torn row?"
-						r.exit()
-						return
-					}
-					if nh < 0 {
-						break
-					}
-					cur, hops = int(nh), hops+1
-				}
-				r.exit()
-				if r.NextHop(s, tt) == -2 {
-					errs <- "impossible next hop"
-					return
-				}
-				_ = r.Route(s, tt)
-			}
-		}(int64(100 + w))
-	}
-	for round := 0; round < 60; round++ {
-		batch := make([]dynamic.Change, 0, 8)
-		for i := 0; i < 1+rngW.Intn(7); i++ {
-			p := pool[rngW.Intn(len(pool))]
-			kind := dynamic.AddEdge
-			if m.Graph().HasEdge(p[0], p[1]) {
-				kind = dynamic.RemoveEdge
-			}
-			batch = append(batch, dynamic.Change{Kind: kind, U: p[0], V: p[1]})
-		}
-		st.ApplyBatch(batch)
-	}
-	stop.Store(true)
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-}
-
 // TestStoreApplyBatchZeroAlloc pins the warm-tick writer path
 // allocation-free: a closed batch of add+remove toggles (net-zero
-// change) whose dirty balls fill more than one 64-owner group, with
-// prompt/idle readers, must recycle every buffer through the
-// reclamation pools — serially at GOMAXPROCS 1 and on the parallel
-// publish fan-out at GOMAXPROCS 2.
+// change) whose dirty balls fill more than one 64-owner group must
+// rebuild its rows in place without allocating — serially at
+// GOMAXPROCS 1 and on the parallel publish fan-out at GOMAXPROCS 2.
 func TestStoreApplyBatchZeroAlloc(t *testing.T) {
 	g, st := storeFixture(90, 140, 6)
 	// A closed batch: add fresh edges across the graph, then remove them
@@ -328,9 +193,10 @@ func TestStoreApplyBatchZeroAlloc(t *testing.T) {
 // TestStorePublishWidths pins the publish fan-out at GOMAXPROCS 1, 2
 // and 7 on mobility churn whose batches dirty more than two groups of
 // owners: every dirty row is bit-identical to the scalar builder, every
-// clean row is carried over by reference, and DirtyOwners — owners
-// marked stale through MarkStale included — is sorted, unique and the
-// same at every width.
+// clean row equals, value for value, a copy taken before the batch,
+// and DirtyOwners is the maintainer's sorted dirty-root set, the same
+// at every width. A final empty batch rebuilds nothing and leaves the
+// epoch where it was.
 func TestStorePublishWidths(t *testing.T) {
 	const n, ticks = 500, 6
 	var want [][]int32 // DirtyOwners per tick at the first width
@@ -346,28 +212,23 @@ func TestStorePublishWidths(t *testing.T) {
 			var batch []dynamic.Change
 			most := 0
 			for tick := 0; tick < ticks; tick++ {
-				var marked []int32
-				if tick%2 == 1 {
-					for u := tick; u < n; u += 37 {
-						st.MarkStale(u)
-						marked = append(marked, int32(u))
-					}
-				}
 				batch = trackerBatch(tr, batch)
 				if tick == ticks-1 {
-					batch = batch[:0] // the stale marks alone must republish
+					batch = batch[:0]
 				}
-				prev := st.Epoch()
-				expect := marked
+				prevSeq := st.Epoch().Seq()
+				prev := cloneTables(st.Epoch().Tables())
+				var expect []int32
 				if st.ApplyBatch(batch) > 0 {
-					expect = append(expect, m.DirtyRoots()...)
+					expect = m.DirtyRoots()
 				}
-				slices.Sort(expect)
-				expect = slices.Compact(expect)
 				owners := st.DirtyOwners()
 				ctx := fmt.Sprintf("GOMAXPROCS=%d tick %d", procs, tick)
 				if !slices.Equal(owners, expect) {
-					t.Fatalf("%s: DirtyOwners is not the sorted union of dirty roots and stale marks", ctx)
+					t.Fatalf("%s: DirtyOwners is not the maintainer's dirty roots", ctx)
+				}
+				if wantSeq := prevSeq + uint64(min(len(owners), 1)); st.Epoch().Seq() != wantSeq {
+					t.Fatalf("%s: epoch %d after %d with %d dirty owners", ctx, st.Epoch().Seq(), prevSeq, len(owners))
 				}
 				most = max(most, len(owners))
 				ep := st.Epoch()
@@ -376,10 +237,10 @@ func TestStorePublishWidths(t *testing.T) {
 					dirty[u] = true
 				}
 				for u := 0; u < n; u++ {
-					tab, old := ep.Tables()[u], prev.Tables()[u]
+					tab := ep.Tables()[u]
 					if !dirty[u] {
-						if &tab.Next[0] != &old.Next[0] || &tab.Dist[0] != &old.Dist[0] {
-							t.Fatalf("%s: clean owner %d was rebuilt or copied", ctx, u)
+						if !slices.Equal(tab.Next, prev[u].Next) || !slices.Equal(tab.Dist, prev[u].Dist) {
+							t.Fatalf("%s: clean owner %d changed", ctx, u)
 						}
 						continue
 					}
@@ -410,7 +271,7 @@ func TestStorePublishWidths(t *testing.T) {
 func BenchmarkStoreApplyBatch(b *testing.B) {
 	tr, st := mobilityStore(1000, 0.01, 0.05, 1)
 	var batch []dynamic.Change
-	for i := 0; i < 3; i++ { // warm pools and builders
+	for i := 0; i < 3; i++ { // warm the builders and delta rows
 		batch = trackerBatch(tr, batch)
 		st.ApplyBatch(batch)
 	}
@@ -425,157 +286,4 @@ func BenchmarkStoreApplyBatch(b *testing.B) {
 		dirty += len(st.DirtyOwners())
 	}
 	b.ReportMetric(float64(dirty)/float64(b.N), "dirty/tick")
-}
-
-// TestStoreReclamationUnderReaderStall pins safety over throughput: a
-// reader parked inside an old epoch must keep its buffers alive across
-// many publishes, and they are recycled only after it leaves. It also
-// pins the boundedness half of the contract: a leaked stalled reader
-// *bounds* writer-side retention at maxRetired entries — it never
-// grows the retirement queue without limit — because past the cap the
-// writer drops the oldest entries to the GC instead of holding them.
-func TestStoreReclamationUnderReaderStall(t *testing.T) {
-	_, st := storeFixture(50, 70, 7)
-	m := st.Maintainer()
-	r := st.NewReader()
-	ep := r.enter() // park inside epoch 1
-	next0 := &ep.tables[0].Next[0]
-
-	rng := rand.New(rand.NewSource(8))
-	pool := churnPool(m.Graph().N(), 30, rng)
-	churn := func(rounds int) {
-		for round := 0; round < rounds; round++ {
-			p := pool[rng.Intn(len(pool))]
-			kind := dynamic.AddEdge
-			if m.Graph().HasEdge(p[0], p[1]) {
-				kind = dynamic.RemoveEdge
-			}
-			st.ApplyBatch([]dynamic.Change{{Kind: kind, U: p[0], V: p[1]}})
-		}
-	}
-	churn(20)
-	if len(st.retired) == 0 {
-		t.Fatal("expected retirement backlog while a reader stalls")
-	}
-	// The parked reader's view must still be the untouched epoch-1 data.
-	if ep.Seq() != 1 || &ep.tables[0].Next[0] != next0 {
-		t.Fatal("stalled reader's epoch was recycled under it")
-	}
-	// Keep churning well past the retention cap: the backlog must
-	// saturate at maxRetired, not track the publish count.
-	churn(3 * maxRetired)
-	if len(st.retired) > maxRetired {
-		t.Fatalf("stalled reader grew the retirement queue to %d entries (cap %d)",
-			len(st.retired), maxRetired)
-	}
-	if ep.Seq() != 1 || &ep.tables[0].Next[0] != next0 {
-		t.Fatal("stalled reader's epoch was recycled after the cap kicked in")
-	}
-	r.exit()
-	st.ApplyBatch([]dynamic.Change{{Kind: dynamic.AddEdge, U: pool[0][0], V: pool[0][1]}})
-	st.ApplyBatch([]dynamic.Change{{Kind: dynamic.RemoveEdge, U: pool[0][0], V: pool[0][1]}})
-	if len(st.retired) > 2 {
-		t.Fatalf("backlog not drained after reader left: %d entries", len(st.retired))
-	}
-}
-
-// TestStoreReaderLookups pins the reader lookup surface against the
-// published tables directly.
-func TestStoreReaderLookups(t *testing.T) {
-	_, st := storeFixture(40, 60, 9)
-	m := st.Maintainer()
-	n := m.Graph().N()
-	r := st.NewReader()
-	tabs := st.Epoch().Tables()
-	rng := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 200; trial++ {
-		s, tt := rng.Intn(n), rng.Intn(n)
-		if got, want := r.NextHop(s, tt), tabs[s].Next[tt]; got != want {
-			t.Fatalf("NextHop(%d,%d) = %d, want %d", s, tt, got, want)
-		}
-		if got, want := r.Dist(s, tt), tabs[s].Dist[tt]; got != want {
-			t.Fatalf("Dist(%d,%d) = %d, want %d", s, tt, got, want)
-		}
-		rt := r.Route(s, tt)
-		ref := TableRoute(tabs, m.Graph(), s, tt)
-		if rt.OK != ref.OK || rt.Hops != ref.Hops || rt.Reason != ref.Reason {
-			t.Fatalf("Route(%d,%d) = %+v, TableRoute %+v", s, tt, rt, ref)
-		}
-	}
-	if rt := r.Route(3, 3); !rt.OK || rt.Hops != 0 {
-		t.Fatalf("self route: %+v", rt)
-	}
-}
-
-// TestStoreReaderClose pins that a closed reader stops participating
-// in reclamation: a parked reader blocks buffer recycling, closing it
-// (after exiting) releases the backlog for the next batches.
-func TestStoreReaderClose(t *testing.T) {
-	_, st := storeFixture(40, 60, 11)
-	m := st.Maintainer()
-	r := st.NewReader()
-	if rt := r.Route(0, 1); !rt.OK {
-		t.Fatalf("route: %+v", rt)
-	}
-	r.enter() // park
-	pool := churnPool(m.Graph().N(), 10, rand.New(rand.NewSource(12)))
-	toggle := func(i int) {
-		p := pool[i%len(pool)]
-		kind := dynamic.AddEdge
-		if m.Graph().HasEdge(p[0], p[1]) {
-			kind = dynamic.RemoveEdge
-		}
-		st.ApplyBatch([]dynamic.Change{{Kind: kind, U: p[0], V: p[1]}})
-	}
-	for i := 0; i < 8; i++ {
-		toggle(i)
-	}
-	if len(st.retired) == 0 {
-		t.Fatal("parked reader should hold a retirement backlog")
-	}
-	r.exit()
-	r.Close()
-	toggle(8)
-	toggle(9)
-	if len(st.retired) > 2 {
-		t.Fatalf("backlog survived Close: %d entries", len(st.retired))
-	}
-}
-
-// TestStoreReaderDoubleClose pins that Close is idempotent: closing an
-// already-closed reader is a no-op, and it never unregisters a
-// *different* reader that happens to occupy the registry slot — the
-// failure mode of a naive scan-and-remove under double-close.
-func TestStoreReaderDoubleClose(t *testing.T) {
-	_, st := storeFixture(30, 45, 13)
-	a := st.NewReader()
-	b := st.NewReader()
-	a.Close()
-	a.Close() // must not panic, must not touch b's registration
-	a.Close()
-	st.readersMu.Lock()
-	live := len(st.readers)
-	st.readersMu.Unlock()
-	if live != 1 {
-		t.Fatalf("after double-closing a, %d readers registered, want 1 (b)", live)
-	}
-	// b must still participate in reclamation: park it, churn, and the
-	// backlog must be held on its behalf.
-	b.enter()
-	m := st.Maintainer()
-	pool := churnPool(m.Graph().N(), 8, rand.New(rand.NewSource(14)))
-	for i := 0; i < 6; i++ {
-		p := pool[i%len(pool)]
-		kind := dynamic.AddEdge
-		if m.Graph().HasEdge(p[0], p[1]) {
-			kind = dynamic.RemoveEdge
-		}
-		st.ApplyBatch([]dynamic.Change{{Kind: kind, U: p[0], V: p[1]}})
-	}
-	if len(st.retired) == 0 {
-		t.Fatal("double-closed reader a took reader b's registration with it")
-	}
-	b.exit()
-	b.Close()
-	b.Close()
 }

@@ -40,11 +40,11 @@ func NewTables(n int) []Table {
 	return out
 }
 
-// RouteReason classifies the outcome of a table-driven forwarding walk,
-// distinguishing "the network genuinely has no route" from "the table
-// is stale relative to the physical graph" — the distinction the
-// epoch-swapped Store needs to trigger re-resolution instead of
-// reporting a bogus delivery failure.
+// RouteReason classifies the outcome of a forwarding walk. A walk that
+// validates hops against the physical graph (TableRoute) tells "the
+// network genuinely has no route" from "the table is stale relative to
+// the physical graph", so a caller can rebuild the stale owner instead
+// of reporting a bogus delivery failure.
 type RouteReason uint8
 
 // Route outcomes.
@@ -106,27 +106,18 @@ func hasEdgeView(v graph.View, a, b int) bool {
 // delivery failure (RouteUnreachable) from stale table state
 // (RouteStaleLink).
 func TableRoute(tables []Table, g graph.View, s, t int) Route {
-	return tableRouteInto(tables, g, s, t, make([]int32, 0, 8))
+	return TableRouteInto(tables, g, s, t, make([]int32, 0, 8))
 }
 
 // TableRouteInto is TableRoute appending into a caller-owned path
 // buffer — the allocation-free form concurrent table consumers (the
-// replica tier's lock-free query path) use. On delivery the returned
-// Route.Path is the (possibly grown) buffer; keep it for the next
-// call. A nil g skips physical link validation.
-func TableRouteInto(tables []Table, g graph.View, s, t int, path []int32) Route {
-	return tableRouteInto(tables, g, s, t, path)
-}
-
-// tableRouteInto is the one forwarding walk every table-driven data
-// path shares (TableRoute, Reader.Route, Reader.RouteOn), appending
-// into a caller-owned path buffer — the Store's reader hot path, zero
-// allocations once the buffer is warm. A nil g skips the physical
-// link validation (the Store's epoch-internal walk); failures return
-// no path.
+// replica tier's lock-free query path) use, zero allocations once the
+// buffer is warm. On delivery the returned Route.Path is the (possibly
+// grown) buffer; keep it for the next call. A nil g skips physical
+// link validation; failures return no path.
 //
 //remspan:hotpath
-func tableRouteInto(tables []Table, g graph.View, s, t int, path []int32) Route {
+func TableRouteInto(tables []Table, g graph.View, s, t int, path []int32) Route {
 	path = append(path[:0], int32(s))
 	if s == t {
 		return Route{Path: path, OK: true, At: int32(s)}

@@ -91,21 +91,23 @@ func TestBuildParallelDeterminism(t *testing.T) {
 }
 
 // TestUnionParallelZeroAlloc pins the steady-state allocation guarantee
-// of the construction fan-out: a warm shared env rebuilding the same
-// snapshot allocates nothing — scratches, edge marks, shard cursors and
-// worker goroutines are all pooled — serially and in parallel.
+// of the construction fan-out for every production tree builder: a warm
+// shared env rebuilding the same snapshot allocates nothing —
+// scratches, edge marks, shard cursors and worker goroutines are all
+// pooled — serially and in parallel.
 func TestUnionParallelZeroAlloc(t *testing.T) {
 	g := quickGraph(5, 400, 900)
 	c := graph.NewCSR(g)
-	builder := schedBuilders[0].b // kgreedy1
 	marks := graph.NewEdgeMarks(c)
 	sizes := make([]int, c.N())
-	run := func() {
-		marks.Reset()
-		unionParallelCSR(c, builder, marks, sizes)
-	}
-	for _, procs := range []int{1, 4} {
-		testutil.PinAllocsAt(t, "warm unionParallelCSR", procs, 10, run)
+	for _, bb := range schedBuilders {
+		run := func() {
+			marks.Reset()
+			unionParallelCSR(c, bb.b, marks, sizes)
+		}
+		for _, procs := range []int{1, 4} {
+			testutil.PinAllocsAt(t, "warm unionParallelCSR "+bb.name, procs, 10, run)
+		}
 	}
 }
 
