@@ -343,10 +343,11 @@ func BenchmarkAblationIncremental(b *testing.B) {
 				work.AddEdge(u, v)
 			}
 			c := graph.NewCSR(work)
-			es := graph.NewEdgeSet(work.N())
+			var edges [][2]int32
 			for w := 0; w < work.N(); w++ {
-				es.AddTree(build(c, scratch, w))
+				edges = append(edges, build(c, scratch, w).Edges()...)
 			}
+			graph.NewEdgeSet(work.N(), edges)
 		}
 	})
 }

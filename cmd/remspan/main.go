@@ -192,10 +192,7 @@ func toPairs(g *graph.Graph) [][2]int {
 
 func writeDOT(path string, g *remspan.Graph, s *remspan.Spanner) error {
 	gg := graph.FromEdges(g.N(), g.Edges())
-	hl := graph.NewEdgeSet(g.N())
-	for _, e := range s.H.Edges() {
-		hl.Add(e[0], e[1])
-	}
+	hl := graph.FromEdges(s.H.N(), s.H.Edges())
 	return os.WriteFile(path, []byte(graph.DOT(gg, "remspan", hl)), 0o644)
 }
 

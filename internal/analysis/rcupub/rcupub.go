@@ -20,8 +20,11 @@
 //     the stock copylocks check already reports an assignment copy
 //     (b := a), a by-value parameter or argument, a return and a range
 //     copy of such a struct. The one shape it skips is a copy of a
-//     dereferenced call result (ep := *st.Epoch()); this rule reports
-//     that one too.
+//     dereferenced call result (ep := *st.Epoch()). This rule reports
+//     that shape for a struct from any package that holds a sync/atomic
+//     value inline, annotated or not: the annotations of another
+//     package are invisible here, and the copy tears the slots all the
+//     same.
 //
 //  2. Refcount order. Functions annotated //remspan:refinc and
 //     //remspan:refdec name the package's refcount halves. In any
@@ -98,9 +101,6 @@ func checkAtomicFields(pass *analysis.Pass, dirs *analysis.Directives) {
 			}
 		}
 	}
-	if len(guarded) == 0 {
-		return
-	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			checkCopies(pass, guarded, n)
@@ -128,52 +128,86 @@ func isAtomicType(t types.Type) bool {
 	return n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic"
 }
 
-// isGuardedValue reports whether e is an existing value (not a fresh
-// composite literal) of a guarded struct type, so that using it by
-// value copies the atomic slots.
-func isGuardedValue(info *types.Info, guarded map[*types.Named]bool, e ast.Expr) bool {
+// copied names what using e by value copies, or returns "" when the
+// use copies no atomic slot. e copies slots when it is an existing
+// value (not a fresh composite literal) of a struct this package
+// guards with //remspan:atomic, or a dereferenced call result (*f(),
+// the shape stock copylocks skips) of a type from any package that
+// holds a sync/atomic value inline.
+func copied(info *types.Info, guarded map[*types.Named]bool, e ast.Expr) string {
 	e = ast.Unparen(e)
 	if _, ok := e.(*ast.CompositeLit); ok {
-		return false // construction, not a copy
+		return "" // construction, not a copy
 	}
 	tv, ok := info.Types[e]
 	if !ok || tv.Type == nil {
-		return false
+		return ""
 	}
-	n, ok := tv.Type.(*types.Named)
-	return ok && guarded[n]
+	if n, ok := types.Unalias(tv.Type).(*types.Named); ok && guarded[n] {
+		return "struct with //remspan:atomic fields"
+	}
+	if star, ok := e.(*ast.StarExpr); ok {
+		if _, ok := ast.Unparen(star.X).(*ast.CallExpr); ok && holdsAtomic(tv.Type) {
+			return "dereferenced call result with sync/atomic fields"
+		}
+	}
+	return ""
+}
+
+// holdsAtomic reports whether a value of type t holds a sync/atomic
+// value inline — as itself, a struct field or an array element, at any
+// depth — so that copying the value copies the atomic.
+func holdsAtomic(t types.Type) bool {
+	t = types.Unalias(t)
+	if n, ok := t.(*types.Named); ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync/atomic" {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if holdsAtomic(u.Field(i).Type()) {
+				return true
+			}
+		}
+	case *types.Array:
+		return holdsAtomic(u.Elem())
+	}
+	return false
 }
 
 func checkCopies(pass *analysis.Pass, guarded map[*types.Named]bool, n ast.Node) {
 	info := pass.TypesInfo
+	report := func(e ast.Expr, verb string) {
+		if what := copied(info, guarded, e); what != "" {
+			pass.Reportf(e.Pos(), "%s %s by value tears its atomic slots", verb, what)
+		}
+	}
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		if len(n.Lhs) != len(n.Rhs) {
 			return
 		}
 		for _, rhs := range n.Rhs {
-			if isGuardedValue(info, guarded, rhs) {
-				pass.Reportf(rhs.Pos(), "copying struct with //remspan:atomic fields by value tears its atomic slots")
-			}
+			report(rhs, "copying")
+		}
+	case *ast.ValueSpec:
+		for _, v := range n.Values {
+			report(v, "copying")
 		}
 	case *ast.CallExpr:
 		if tv, ok := info.Types[ast.Unparen(n.Fun)]; ok && tv.IsType() {
 			return // conversions don't copy struct values meaningfully here
 		}
 		for _, arg := range n.Args {
-			if isGuardedValue(info, guarded, arg) {
-				pass.Reportf(arg.Pos(), "passing struct with //remspan:atomic fields by value tears its atomic slots")
-			}
+			report(arg, "passing")
 		}
 	case *ast.ReturnStmt:
 		for _, r := range n.Results {
-			if isGuardedValue(info, guarded, r) {
-				pass.Reportf(r.Pos(), "returning struct with //remspan:atomic fields by value tears its atomic slots")
-			}
+			report(r, "returning")
 		}
 	case *ast.RangeStmt:
-		if n.Value != nil && isGuardedValue(info, guarded, n.Value) {
-			pass.Reportf(n.Value.Pos(), "ranging struct with //remspan:atomic fields by value tears its atomic slots")
+		if n.Value != nil {
+			report(n.Value, "ranging")
 		}
 	}
 }

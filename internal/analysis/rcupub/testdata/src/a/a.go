@@ -1,7 +1,11 @@
 // Package a is the rcupub golden corpus.
 package a
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"a/b"
+)
 
 type slot struct {
 	//remspan:atomic
@@ -24,6 +28,32 @@ func copies(sl *slot) slot {
 func pointersAreFine(sl *slot) *slot {
 	sl.seq.Store(1)
 	return sl
+}
+
+func current(sl *slot) *slot { return sl }
+
+func derefLocal(sl *slot) uint64 {
+	v := *current(sl) // want "copying struct with //remspan:atomic fields by value tears its atomic slots"
+	return v.seq.Load()
+}
+
+// The structs of package b carry no annotation this package can see;
+// a dereferenced call result of theirs is still a copy of an atomic.
+
+func consumeEpoch(e b.Epoch) {}
+
+func crossPackage(st *b.Store) uint64 {
+	ep := *st.Epoch()           // want "copying dereferenced call result with sync/atomic fields by value tears its atomic slots"
+	consumeEpoch(*st.Epoch())   // want "passing dereferenced call result with sync/atomic fields by value tears its atomic slots"
+	var nested = *b.NewNested() // want "copying dereferenced call result with sync/atomic fields by value tears its atomic slots"
+	_ = nested
+	p := *b.NewPlain() // no atomic inside: fine
+	_ = p
+	return ep.Seq() + st.Epoch().Seq() // pointers are fine
+}
+
+func returnsEpoch(st *b.Store) b.Epoch {
+	return *st.Epoch() // want "returning dereferenced call result with sync/atomic fields by value tears its atomic slots"
 }
 
 //remspan:refinc

@@ -67,7 +67,7 @@ func TestBaswanaSenStretch(t *testing.T) {
 		for _, k := range []int{1, 2, 3} {
 			h := BaswanaSen(g, k, rng)
 			checkSpannerStretch(t, g, h, 2*k-1)
-			if !graph.NewEdgeSetFromGraph(h).SubsetOf(g) {
+			if !graph.NewCSR(h).SubsetOf(graph.NewCSR(g)) {
 				t.Fatal("spanner has phantom edges")
 			}
 		}

@@ -108,7 +108,7 @@ func RunRemSpanAsync(g *graph.Graph, radius int, build TreeBuilder, rng *rand.Ra
 	// Compute final trees (recomputation count estimates the wasted
 	// work an eager implementation would do: one recompute per
 	// knowledge change).
-	h := graph.NewEdgeSet(n)
+	var h [][2]int32
 	scratch := domtree.NewScratch(n)
 	for u := 0; u < n; u++ {
 		local := graph.New(n)
@@ -118,8 +118,8 @@ func RunRemSpanAsync(g *graph.Graph, radius int, build TreeBuilder, rng *rand.Ra
 			}
 		}
 		res.Recomputes += int64(len(known[u]))
-		h.AddTree(build(local, scratch, u))
+		h = append(h, build(local, scratch, u).Edges()...)
 	}
-	res.H = h
+	res.H = graph.NewEdgeSet(n, h)
 	return res
 }

@@ -225,10 +225,11 @@ func TestTreeFloodReachesAllMembers(t *testing.T) {
 	ref, incident := RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {
 		return reference.KMIS(local, u, 2)
 	})
-	union := graph.NewEdgeSet(g.N())
+	var all [][2]int32
 	for _, inc := range incident {
-		union.Union(inc)
+		all = append(all, inc.Edges()...)
 	}
+	union := graph.NewEdgeSet(g.N(), all)
 	if union.Len() != ref.H.Len() {
 		t.Fatalf("incident union %d edges, spanner %d", union.Len(), ref.H.Len())
 	}

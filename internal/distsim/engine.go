@@ -108,7 +108,7 @@ func (e *Engine) TreeOf(u int) [][2]int32 {
 // the first Run/Reflood).
 func (e *Engine) Spanner() *graph.EdgeSet {
 	if e.m == nil {
-		return graph.NewEdgeSet(e.clone.N())
+		return graph.NewEdgeSet(e.clone.N(), nil)
 	}
 	return e.m.Spanner()
 }

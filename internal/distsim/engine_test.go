@@ -16,13 +16,13 @@ import (
 // centralizedSpanner is the ground-truth union-of-trees construction on
 // one global CSR snapshot.
 func centralizedSpanner(g *graph.Graph, build TreeBuilder) *graph.EdgeSet {
-	es := graph.NewEdgeSet(g.N())
+	var edges [][2]int32
 	c := graph.NewCSR(g)
 	s := domtree.NewScratch(g.N())
 	for u := 0; u < g.N(); u++ {
-		es.AddTree(build(c, s, u))
+		edges = append(edges, build(c, s, u).Edges()...)
 	}
-	return es
+	return graph.NewEdgeSet(g.N(), edges)
 }
 
 func edgeSetsEqual(a, b *graph.EdgeSet) bool { return a.Equal(b) }

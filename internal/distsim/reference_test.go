@@ -87,7 +87,7 @@ type nodeState struct {
 	fresh     []int32            // sources learned last round, to forward
 	seenTree  map[int32]struct{} // tree roots already forwarded
 	freshTree [][]int32          // tree payloads learned last round
-	incident  *graph.EdgeSet     // spanner edges this node learned it is part of
+	incident  [][2]int32         // spanner edges this node learned it is part of (repeats kept)
 }
 
 // RunRemSpanReference executes Algorithm 3 message by message: every
@@ -108,7 +108,6 @@ func RunRemSpanReference(g *graph.Graph, radius int, algo refAlgo) (*Result, []*
 			id:       u,
 			known:    make(map[int32][]int32),
 			seenTree: make(map[int32]struct{}),
-			incident: graph.NewEdgeSet(n),
 		}
 	}
 
@@ -160,7 +159,7 @@ func RunRemSpanReference(g *graph.Graph, radius int, algo refAlgo) (*Result, []*
 	// known source (edges to fringe nodes are known one-sided).
 	trees := make([]*graph.Tree, n)
 	sizes := make([]int, n)
-	h := graph.NewEdgeSet(n)
+	var h [][2]int32
 	for u := 0; u < n; u++ {
 		local := graph.New(n)
 		for src, list := range nodes[u].known {
@@ -171,7 +170,7 @@ func RunRemSpanReference(g *graph.Graph, radius int, algo refAlgo) (*Result, []*
 		t := algo(local, u)
 		trees[u] = t
 		sizes[u] = t.EdgeCount()
-		h.AddTree(t)
+		h = append(h, t.Edges()...)
 	}
 
 	// Rounds R+2..2R+1: tree flooding.
@@ -211,13 +210,13 @@ func RunRemSpanReference(g *graph.Graph, radius int, algo refAlgo) (*Result, []*
 
 	incident := make([]*graph.EdgeSet, n)
 	for u := 0; u < n; u++ {
-		incident[u] = nodes[u].incident
+		incident[u] = graph.NewEdgeSet(n, nodes[u].incident)
 	}
 	return &Result{
 		Rounds:    sim.Round,
 		Messages:  sim.Messages,
 		Words:     sim.Words,
-		H:         h,
+		H:         graph.NewEdgeSet(n, h),
 		TreeEdges: sizes,
 	}, incident
 }
@@ -229,7 +228,7 @@ func (st *nodeState) noteTree(payload []int32) {
 	for i := 0; i < ne; i++ {
 		a, b := payload[2+2*i], payload[3+2*i]
 		if int(a) == st.id || int(b) == st.id {
-			st.incident.Add(int(a), int(b))
+			st.incident = append(st.incident, [2]int32{a, b})
 		}
 	}
 }

@@ -180,13 +180,7 @@ func (m *Maintainer) Graph() *graph.Graph { return m.g }
 
 // Spanner returns the current union-of-trees spanner.
 func (m *Maintainer) Spanner() *graph.EdgeSet {
-	es := graph.NewEdgeSet(m.g.N())
-	for _, edges := range m.trees {
-		for _, e := range edges {
-			es.Add(int(e[0]), int(e[1]))
-		}
-	}
-	return es
+	return graph.NewEdgeSet(m.g.N(), slices.Concat(m.trees...))
 }
 
 // TreeOf returns root u's stored dominating-tree edges as (child,

@@ -26,13 +26,13 @@ func misBuilder(r int) TreeBuilder {
 
 // fullSpanner recomputes the union-of-trees spanner from scratch.
 func fullSpanner(g *graph.Graph, build TreeBuilder) *graph.EdgeSet {
-	es := graph.NewEdgeSet(g.N())
+	var edges [][2]int32
 	c := graph.NewCSR(g)
 	s := domtree.NewScratch(g.N())
 	for u := 0; u < g.N(); u++ {
-		es.AddTree(build(c, s, u))
+		edges = append(edges, build(c, s, u).Edges()...)
 	}
-	return es
+	return graph.NewEdgeSet(g.N(), edges)
 }
 
 func edgesEqual(a, b *graph.EdgeSet) bool {

@@ -16,7 +16,7 @@ type CSR struct {
 // maxEdgeSlots is the largest directed adjacency-slot count (2m) a CSR
 // can index: offsets are int32, so every slot index must fit one. The
 // ceiling is ~1.07 billion undirected edges — graphs past it must
-// shard. Like the routing engine's halfWidthMaxN, the bound is
+// shard. Like the routing engine's MaxN, the bound is
 // re-checked at every snapshot so an overflow panics instead of
 // silently wrapping offsets negative (which would corrupt every
 // downstream sweep).

@@ -1,13 +1,11 @@
 package graph
 
-import "slices"
-
 // EdgeMarks accumulates a subset of a CSR snapshot's edges as one flag
 // per canonical (u < v) adjacency slot. It is the allocation-free union
 // accumulator of the spanner construction pipeline: dominating-tree
 // edges are always edges of the snapshot, so marking a bit replaces a
-// hash-map insert, worker merges are flag-wise ORs, and the final graph
-// materializes with exactly-sized, already-sorted adjacency lists.
+// hash-map insert, worker merges are flag-wise ORs, and the final
+// EdgeSet comes out of one scan in key order.
 type EdgeMarks struct {
 	c     *CSR
 	mark  []bool // indexed by position in c's target array; u < v slots only
@@ -65,17 +63,6 @@ func (m *EdgeMarks) AddTree(t *Tree) {
 	}
 }
 
-// Compatible reports whether o indexes the same snapshot layout as m,
-// so their flags can be ORed slot-for-slot. Accumulators over distinct
-// CSR instances are compatible when the snapshots are bytewise equal
-// (e.g. two snapshots of the same unmutated graph).
-func (m *EdgeMarks) Compatible(o *EdgeMarks) bool {
-	if m.c == o.c {
-		return true
-	}
-	return slices.Equal(m.c.offsets, o.c.offsets) && slices.Equal(m.c.targets, o.c.targets)
-}
-
 // Union ORs o (an accumulator over the same snapshot) into m.
 func (m *EdgeMarks) Union(o *EdgeMarks) {
 	for i, b := range o.mark {
@@ -89,67 +76,17 @@ func (m *EdgeMarks) Union(o *EdgeMarks) {
 // Len returns the number of marked edges.
 func (m *EdgeMarks) Len() int { return m.count }
 
-// Matches reports whether the marked edges are exactly the edges of s.
-// Equal counts plus marked ⊆ s implies set equality, so one pass over
-// the marks suffices; this is the real coherence check behind
-// spanner.Result.Graph (a bare length comparison would accept an
-// equal-sized but different edge set).
-func (m *EdgeMarks) Matches(s *EdgeSet) bool {
-	if m.count != s.Len() {
-		return false
-	}
-	for u := 0; u < m.c.N(); u++ {
-		for i := m.c.offsets[u]; i < m.c.offsets[u+1]; i++ {
-			if m.mark[i] && int32(u) < m.c.targets[i] && !s.Has(u, int(m.c.targets[i])) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// each visits the marked edges as (u, v) pairs with u < v, in
-// lexicographic order.
-func (m *EdgeMarks) each(f func(u, v int32)) {
-	for u := 0; u < m.c.N(); u++ {
-		for i := m.c.offsets[u]; i < m.c.offsets[u+1]; i++ {
-			if m.mark[i] && int32(u) < m.c.targets[i] {
-				f(int32(u), m.c.targets[i])
-			}
-		}
-	}
-}
-
-// EdgeSet converts the marks to an EdgeSet presized to the exact edge
-// count.
+// EdgeSet returns the marked edges as an EdgeSet in one pass: CSR
+// slot order is already the canonical key order, so the keys come out
+// sorted and the slice is sized to the exact edge count.
 func (m *EdgeMarks) EdgeSet() *EdgeSet {
-	s := &EdgeSet{n: m.c.N(), set: make(map[uint64]struct{}, m.count)}
-	m.each(func(u, v int32) {
-		s.set[s.key(int(u), int(v))] = struct{}{}
-	})
-	return s
-}
-
-// Graph materializes the marked subset. Degrees are counted up front,
-// adjacency lists are carved from one flat backing array, and CSR slot
-// order keeps every list sorted — no per-insert allocation or shifting.
-func (m *EdgeMarks) Graph() *Graph {
-	n := m.c.N()
-	deg := make([]int32, n)
-	m.each(func(u, v int32) {
-		deg[u]++
-		deg[v]++
-	})
-	flat := make([]int32, 0, 2*m.count)
-	adj := make([][]int32, n)
-	off := 0
-	for u := 0; u < n; u++ {
-		adj[u] = flat[off : off : off+int(deg[u])]
-		off += int(deg[u])
+	keys := make([]uint64, 0, m.count)
+	for u := 0; u < m.c.N(); u++ {
+		for i := m.c.offsets[u]; i < m.c.offsets[u+1]; i++ {
+			if m.mark[i] {
+				keys = append(keys, uint64(u)<<32|uint64(m.c.targets[i]))
+			}
+		}
 	}
-	m.each(func(u, v int32) {
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
-	})
-	return &Graph{adj: adj, m: m.count}
+	return &EdgeSet{n: m.c.N(), keys: keys}
 }

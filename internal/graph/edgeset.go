@@ -1,143 +1,91 @@
 package graph
 
-import "sort"
+import "slices"
 
-// EdgeSet is a set of undirected edges over vertices 0..n-1, used to
-// accumulate spanner edges (e.g. unions of dominating trees) before
-// materializing a Graph.
+// EdgeSet is the one representation of a spanner H: an immutable set
+// of undirected edges over vertices 0..n-1, held as the sorted,
+// duplicate-free canonical keys u<<32 | v with u < v. Membership is a
+// binary search, equality a slice compare, and Edges and Graph are
+// linear passes in key order. EdgeMarks.EdgeSet builds one from the
+// construction's CSR union in one pass; NewEdgeSet builds one from any
+// edge list.
 type EdgeSet struct {
-	n   int
-	set map[uint64]struct{}
+	n    int
+	keys []uint64
 }
 
-// NewEdgeSet returns an empty edge set over n vertices.
-func NewEdgeSet(n int) *EdgeSet {
-	return &EdgeSet{n: n, set: make(map[uint64]struct{})}
-}
-
-// NewEdgeSetFromGraph returns the edge set of g.
-func NewEdgeSetFromGraph(g *Graph) *EdgeSet {
-	s := NewEdgeSet(g.N())
-	s.AddGraph(g)
-	return s
-}
-
-func (s *EdgeSet) key(u, v int) uint64 {
+// edgeKey returns the canonical key of {u, v} (u != v).
+func edgeKey(u, v int32) uint64 {
 	if u > v {
 		u, v = v, u
 	}
-	return uint64(u)<<32 | uint64(uint32(v))
+	return uint64(u)<<32 | uint64(v)
 }
 
-// N returns the vertex count the set was created with.
-func (s *EdgeSet) N() int { return s.n }
+// NewEdgeSet returns the set of the given edges over n vertices. Pairs
+// may come in either orientation and repeat; self loops are dropped.
+// It panics on an endpoint outside 0..n-1.
+func NewEdgeSet(n int, edges [][2]int32) *EdgeSet {
+	keys := make([]uint64, 0, len(edges))
+	for _, e := range edges {
+		if e[0] < 0 || e[1] < 0 || int(e[0]) >= n || int(e[1]) >= n {
+			panic("graph: edge endpoint out of range")
+		}
+		if e[0] != e[1] {
+			keys = append(keys, edgeKey(e[0], e[1]))
+		}
+	}
+	slices.Sort(keys)
+	return &EdgeSet{n: n, keys: slices.Clip(slices.Compact(keys))}
+}
 
 // Len returns the number of edges in the set.
-func (s *EdgeSet) Len() int { return len(s.set) }
-
-// Add inserts edge {u, v}, reporting whether it was new. Self loops are
-// rejected.
-func (s *EdgeSet) Add(u, v int) bool {
-	if u == v {
-		return false
-	}
-	if u < 0 || v < 0 || u >= s.n || v >= s.n {
-		panic("graph: edge endpoint out of range")
-	}
-	k := s.key(u, v)
-	if _, ok := s.set[k]; ok {
-		return false
-	}
-	s.set[k] = struct{}{}
-	return true
-}
+func (s *EdgeSet) Len() int { return len(s.keys) }
 
 // Has reports whether {u, v} is in the set.
 func (s *EdgeSet) Has(u, v int) bool {
-	if u == v {
+	if u == v || u < 0 || v < 0 || u >= s.n || v >= s.n {
 		return false
 	}
-	_, ok := s.set[s.key(u, v)]
+	_, ok := slices.BinarySearch(s.keys, edgeKey(int32(u), int32(v)))
 	return ok
 }
 
-// AddGraph inserts every edge of g.
-func (s *EdgeSet) AddGraph(g *Graph) {
-	g.EachEdge(func(u, v int) { s.Add(u, v) })
-}
-
-// AddTree inserts every edge of t. It walks the member list directly so
-// the per-root merge in construction sweeps does not materialize an
-// intermediate edge slice.
-func (s *EdgeSet) AddTree(t *Tree) {
-	for _, v := range t.Nodes() {
-		if p := t.Parent(int(v)); p >= 0 {
-			s.Add(int(v), p)
-		}
-	}
-}
-
-// Union inserts every edge of o into s.
-func (s *EdgeSet) Union(o *EdgeSet) {
-	for k := range o.set {
-		s.set[k] = struct{}{}
-	}
-}
+// Equal reports whether s and o contain exactly the same edges.
+func (s *EdgeSet) Equal(o *EdgeSet) bool { return slices.Equal(s.keys, o.keys) }
 
 // Edges returns the edges sorted lexicographically with u < v.
 func (s *EdgeSet) Edges() [][2]int32 {
-	out := make([][2]int32, 0, len(s.set))
-	for k := range s.set {
-		out = append(out, [2]int32{int32(k >> 32), int32(uint32(k))})
+	out := make([][2]int32, len(s.keys))
+	for i, k := range s.keys {
+		out[i] = [2]int32{int32(k >> 32), int32(uint32(k))}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
-// Graph materializes the edge set as a Graph on n vertices.
+// Graph materializes the set as a Graph on n vertices. Degrees are
+// counted up front and the adjacency lists are carved from one flat
+// backing array; key order keeps every list sorted (row u receives
+// its smaller neighbors while the keys of those neighbors stream by,
+// then its larger ones from its own keys), so there is no per-insert
+// allocation or shifting.
 func (s *EdgeSet) Graph() *Graph {
-	g := New(s.n)
-	for k := range s.set {
-		g.AddEdge(int(k>>32), int(uint32(k)))
+	deg := make([]int32, s.n)
+	for _, k := range s.keys {
+		deg[k>>32]++
+		deg[uint32(k)]++
 	}
-	return g
-}
-
-// Clone returns a deep copy of the set.
-func (s *EdgeSet) Clone() *EdgeSet {
-	c := NewEdgeSet(s.n)
-	for k := range s.set {
-		c.set[k] = struct{}{}
+	flat := make([]int32, 2*len(s.keys))
+	adj := make([][]int32, s.n)
+	off := 0
+	for u, d := range deg {
+		adj[u] = flat[off : off : off+int(d)]
+		off += int(d)
 	}
-	return c
-}
-
-// Equal reports whether s and o contain exactly the same edges —
-// without materializing or sorting either side's edge list (the
-// element-wise comparison every equivalence pin needs).
-func (s *EdgeSet) Equal(o *EdgeSet) bool {
-	if len(s.set) != len(o.set) {
-		return false
+	for _, k := range s.keys {
+		u, v := int32(k>>32), int32(uint32(k))
+		adj[u] = append(adj[u], v)
+		adj[v] = append(adj[v], u)
 	}
-	for k := range s.set {
-		if _, ok := o.set[k]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsetOf reports whether every edge of s is an edge of g.
-func (s *EdgeSet) SubsetOf(g *Graph) bool {
-	for k := range s.set {
-		if !g.HasEdge(int(k>>32), int(uint32(k))) {
-			return false
-		}
-	}
-	return true
+	return &Graph{adj: adj, m: len(s.keys)}
 }

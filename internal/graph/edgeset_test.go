@@ -6,21 +6,28 @@ import (
 )
 
 func TestEdgeSetBasic(t *testing.T) {
-	s := NewEdgeSet(5)
-	if !s.Add(1, 2) {
-		t.Fatal("Add new = false")
-	}
-	if s.Add(2, 1) {
-		t.Fatal("Add reversed duplicate = true")
-	}
-	if s.Add(3, 3) {
-		t.Fatal("self loop accepted")
-	}
-	if !s.Has(2, 1) || s.Has(0, 1) {
+	s := NewEdgeSet(5, [][2]int32{{1, 2}, {2, 1}, {3, 3}})
+	if !s.Has(2, 1) || !s.Has(1, 2) || s.Has(0, 1) || s.Has(3, 3) {
 		t.Fatal("Has wrong")
 	}
 	if s.Len() != 1 {
-		t.Fatalf("len=%d, want 1", s.Len())
+		t.Fatalf("len=%d, want 1 (reversed duplicate and self loop dropped)", s.Len())
+	}
+	if e := NewEdgeSet(5, nil); e.Len() != 0 || e.Graph().N() != 5 || e.Graph().M() != 0 {
+		t.Fatal("empty set wrong")
+	}
+}
+
+func TestEdgeSetRejectsOutOfRange(t *testing.T) {
+	for _, e := range [][2]int32{{0, 5}, {-1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("edge %v over 5 vertices accepted", e)
+				}
+			}()
+			NewEdgeSet(5, [][2]int32{e})
+		}()
 	}
 }
 
@@ -33,40 +40,17 @@ func TestEdgeSetGraphRoundTrip(t *testing.T) {
 			g.AddEdge(u, v)
 		}
 	}
-	s := NewEdgeSet(20)
-	s.AddGraph(g)
+	s := NewEdgeSet(20, g.Edges())
 	if s.Len() != g.M() {
 		t.Fatalf("edge set len %d != m %d", s.Len(), g.M())
 	}
 	if !s.Graph().Equal(g) {
 		t.Fatal("round trip lost edges")
 	}
-	if !s.SubsetOf(g) {
-		t.Fatal("SubsetOf self false")
-	}
-}
-
-func TestEdgeSetUnionAndClone(t *testing.T) {
-	a := NewEdgeSet(4)
-	a.Add(0, 1)
-	b := NewEdgeSet(4)
-	b.Add(1, 2)
-	b.Add(0, 1)
-	c := a.Clone()
-	a.Union(b)
-	if a.Len() != 2 {
-		t.Fatalf("union len=%d, want 2", a.Len())
-	}
-	if c.Len() != 1 {
-		t.Fatal("clone affected by union")
-	}
 }
 
 func TestEdgeSetEdgesSorted(t *testing.T) {
-	s := NewEdgeSet(5)
-	s.Add(3, 4)
-	s.Add(0, 2)
-	s.Add(0, 1)
+	s := NewEdgeSet(5, [][2]int32{{3, 4}, {2, 0}, {0, 1}})
 	es := s.Edges()
 	want := [][2]int32{{0, 1}, {0, 2}, {3, 4}}
 	for i := range want {
@@ -76,38 +60,32 @@ func TestEdgeSetEdgesSorted(t *testing.T) {
 	}
 }
 
-func TestEdgeSetAddTree(t *testing.T) {
+func TestEdgeSetFromTree(t *testing.T) {
 	g := pathGraph(4)
 	parent, _ := BFSTree(g, 0)
 	tr := NewTree(4, 0)
 	tr.AddPath(parent, 3)
-	s := NewEdgeSet(4)
-	s.AddTree(tr)
+	s := NewEdgeSet(4, tr.Edges())
 	if s.Len() != 3 || !s.Has(0, 1) || !s.Has(1, 2) || !s.Has(2, 3) {
 		t.Fatalf("tree edges missing: %v", s.Edges())
-	}
-	if !s.SubsetOf(g) {
-		t.Fatal("tree edges should be subset of host")
 	}
 }
 
 func TestEdgeSetEqual(t *testing.T) {
-	a, b := NewEdgeSet(6), NewEdgeSet(6)
+	a, b := NewEdgeSet(6, nil), NewEdgeSet(6, nil)
 	if !a.Equal(b) {
 		t.Fatal("empty sets must be equal")
 	}
-	a.Add(1, 2)
-	a.Add(3, 4)
-	b.Add(4, 3) // canonicalized
-	b.Add(2, 1)
+	a = NewEdgeSet(6, [][2]int32{{1, 2}, {3, 4}})
+	b = NewEdgeSet(6, [][2]int32{{4, 3}, {2, 1}}) // canonicalized
 	if !a.Equal(b) || !b.Equal(a) {
 		t.Fatal("identical sets reported unequal")
 	}
-	b.Add(0, 5)
+	b = NewEdgeSet(6, [][2]int32{{4, 3}, {2, 1}, {0, 5}})
 	if a.Equal(b) || b.Equal(a) {
 		t.Fatal("different sizes reported equal")
 	}
-	a.Add(0, 4) // same size, different edge
+	a = NewEdgeSet(6, [][2]int32{{1, 2}, {3, 4}, {0, 4}}) // same size, different edge
 	if a.Equal(b) {
 		t.Fatal("same-size different sets reported equal")
 	}

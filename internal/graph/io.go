@@ -53,15 +53,16 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 }
 
 // DOT renders g in Graphviz format. highlight (may be nil) selects
-// edges to draw bold/colored — used to overlay a spanner on its graph.
-func DOT(g *Graph, name string, highlight *EdgeSet) string {
+// the edges of g to draw bold/colored — used to overlay a spanner on
+// its graph.
+func DOT(g *Graph, name string, highlight *Graph) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "graph %q {\n  node [shape=circle];\n", name)
 	for v := 0; v < g.N(); v++ {
 		fmt.Fprintf(&b, "  %d;\n", v)
 	}
 	g.EachEdge(func(u, v int) {
-		if highlight != nil && highlight.Has(u, v) {
+		if highlight != nil && highlight.HasEdge(u, v) {
 			fmt.Fprintf(&b, "  %d -- %d [color=red, penwidth=2];\n", u, v)
 		} else {
 			fmt.Fprintf(&b, "  %d -- %d [color=gray];\n", u, v)

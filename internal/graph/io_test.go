@@ -48,8 +48,8 @@ func TestDOTOutput(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	hl := NewEdgeSet(3)
-	hl.Add(0, 1)
+	hl := New(3)
+	hl.AddEdge(0, 1)
 	dot := DOT(g, "test", hl)
 	if !strings.Contains(dot, "0 -- 1 [color=red") {
 		t.Error("highlighted edge not red")

@@ -356,16 +356,16 @@ func (s *Sim) View(u int) *graph.Graph {
 // TC floods network-wide (ground truth across all nodes' TC state) —
 // the live remote-spanner.
 func (s *Sim) AdvertisedSpanner() *graph.EdgeSet {
-	es := graph.NewEdgeSet(len(s.nodes))
+	var edges [][2]int32
 	for _, nd := range s.nodes {
 		for origin, row := range nd.topo {
 			for sel := range row {
-				es.Add(int(origin), int(sel))
+				edges = append(edges, [2]int32{origin, sel})
 			}
 		}
 		for v := range nd.selector {
-			es.Add(int(nd.id), int(v))
+			edges = append(edges, [2]int32{nd.id, v})
 		}
 	}
-	return es
+	return graph.NewEdgeSet(len(s.nodes), edges)
 }

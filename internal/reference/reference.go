@@ -105,13 +105,13 @@ func countDisjointWitnesses(g *graph.Graph, t *graph.Tree, v, maxDepth int) int 
 // of package spanner (unions of the *CSR builders on the shard-parallel
 // fan-out).
 func Union(g *graph.Graph, build func(u int, s *graph.BFSScratch) *graph.Tree) (h *graph.EdgeSet, sizes []int) {
-	h = graph.NewEdgeSet(g.N())
+	var edges [][2]int32
 	sizes = make([]int, g.N())
 	scratch := graph.NewBFSScratch(g.N())
 	for u := 0; u < g.N(); u++ {
 		t := build(u, scratch)
 		sizes[u] = t.EdgeCount()
-		h.AddTree(t)
+		edges = append(edges, t.Edges()...)
 	}
-	return h, sizes
+	return graph.NewEdgeSet(g.N(), edges), sizes
 }

@@ -286,7 +286,7 @@ func (r *Replica) Route(s, t int, path []int32) (routing.Route, uint64) {
 // against the protocol thread, not lock-free).
 func (r *Replica) RouteDegraded(scr *routing.RouteScratch, s, t int) routing.Route {
 	r.mirrorMu.Lock()
-	rt := scr.GreedyRoute(r.phys, r.mirror.View(), s, t)
+	rt := scr.GreedyRoute(r.phys, r.mirror.Graph(), s, t)
 	r.mirrorMu.Unlock()
 	if rt.OK {
 		rt.Reason = routing.RouteDegraded

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math/bits"
 
 	"remspan/internal/graph"
@@ -30,20 +31,19 @@ import (
 // TestBatchedTablesMatchScalar and FuzzTableEquivalence).
 //
 // Claims write into a flat transposed scratch of packed
-// (next hop << half) | level words — 64 entries per vertex, so one
+// (next hop << 16) | level words — 64 entries per vertex, so one
 // arrival event touches a handful of cache lines however many bits
 // land at once and each claim is a single load + store, and the
 // parent's entry is always final before any child reads it (level
 // order). The claim phase is memory-latency-bound on the parent rows,
-// so the word width matters: graphs with n ≤ 65535 (every production
-// workload below 64k vertices) run a uint32-packed engine whose rows
-// span half the cache lines of the uint64 one; larger graphs fall
-// back to 64-bit words. One scatter pass then streams the scratch
-// into the owners' output rows, folding the unreached back-fill into
-// the same store. Total work per 64-owner batch: O(m) mask operations
-// for the sweep and the claim scans plus O(64·n) scratch and output
-// writes, against the O(64·(n+m)) cache-missing scalar walks it
-// replaces.
+// so the words are uint32: next hop and level each take 16 bits, which
+// bounds the engine to MaxN vertices — every table set is n² entries
+// (NewTables), so a larger graph would need at least 34 GB of rows
+// first. One scatter pass then streams the scratch into the owners'
+// output rows, folding the unreached back-fill into the same store.
+// Total work per 64-owner batch: O(m) mask operations for the sweep
+// and the claim scans plus O(64·n) scratch and output writes, against
+// the O(64·(n+m)) cache-missing scalar walks it replaces.
 //
 // Owners are grouped by graph.BatchOrder's ball clustering, not by id:
 // a bit-packed sweep costs O(edges × distinct wavefront levels), so 64
@@ -54,13 +54,20 @@ import (
 // order, filtered down to the owners to rebuild, is cut into groups of
 // 64 that sched workers take, one builder per worker.
 
-// halfWidthMaxN is the largest vertex count the uint32-packed engine
-// serves: next hop and BFS level each live in a 16-bit half, so every
+// MaxN is the largest vertex count the table engine serves: next hop
+// and BFS level each live in a 16-bit half of a packed word, so every
 // vertex id and level in 0..n-1 must fit uint16 with the top id 0xffff
-// left clear of the all-ones unreached fold. Graphs past this run the
-// uint64 engine — selected once at construction and re-checked per
-// group, so a mismatch panics instead of silently truncating ids.
-const halfWidthMaxN = 0xffff
+// left clear of the all-ones unreached fold. NewBatchBuilder and
+// NewTables panic past it, and buildGroup re-checks per group, so ids
+// are never silently truncated.
+const MaxN = 0xffff
+
+// checkN panics with a routing: message naming n when n exceeds MaxN.
+func checkN(n int) {
+	if n > MaxN {
+		panic(fmt.Sprintf("routing: %d vertices exceed the table engine's limit of %d", n, MaxN))
+	}
+}
 
 // BatchBuilder is the reusable engine of word-parallel table
 // construction. All state resets through touched lists, so a warm
@@ -70,61 +77,41 @@ const halfWidthMaxN = 0xffff
 type BatchBuilder struct {
 	bs *graph.BitScratch // masks-only: distances live in the packed scratch rows
 
-	// Transposed packed rows, one engine selected by vertex-id width:
-	// scr[v<<6|i] = next hop of owner bit i at v << half | arrival
-	// level. scr32 serves n ≤ 65535; scr64 anything larger.
-	scr64 []uint64
-	scr32 []uint32
+	// Transposed packed rows: scr[v<<6|i] = next hop of owner bit i at
+	// v << 16 | arrival level.
+	scr []uint32
 
 	claim func(x, v int32, newBits uint64, level int32)
 
 	groupNext, groupDist [][]int32 // per-group row views (≤64 each)
 }
 
-// NewBatchBuilder returns a builder for graphs with up to n vertices.
-// Footprint is O(64·n) words — one packed transposed 64-entry row per
-// vertex — plus the masks-only bit scratch.
+// NewBatchBuilder returns a builder for graphs with up to n vertices;
+// it panics when n exceeds MaxN. Footprint is O(64·n) words — one
+// packed transposed 64-entry row per vertex — plus the masks-only bit
+// scratch.
 func NewBatchBuilder(n int) *BatchBuilder {
+	checkN(n)
 	b := &BatchBuilder{
 		bs:        graph.NewBitScratchMasks(n),
+		scr:       make([]uint32, n*64),
 		groupNext: make([][]int32, 0, 64),
 		groupDist: make([][]int32, 0, 64),
 	}
-	// Bound once so sweeps are allocation-free when warm.
-	if n <= halfWidthMaxN {
-		b.scr32 = make([]uint32, n*64)
-		b.claim = b.claimEdge32
-	} else {
-		b.scr64 = make([]uint64, n*64)
-		b.claim = b.claimEdge64
-	}
+	b.claim = b.claimEdge // bound once so sweeps are allocation-free when warm
 	return b
 }
 
-// claimEdge64 is the SweepClaim callback (wide engine): bits first
-// arriving at v through (x, v) inherit x's next hops and record the
-// arrival level, in one packed store per bit. x's row stays hot across
-// all of x's edges (the callback fires mid-expansion).
+// claimEdge is the SweepClaim callback: bits first arriving at v
+// through (x, v) inherit x's next hops and record the arrival level, in
+// one packed store per bit. x's row stays hot across all of x's edges
+// (the callback fires mid-expansion).
 //
 //remspan:hotpath
-func (b *BatchBuilder) claimEdge64(x, v int32, newBits uint64, level int32) {
-	base, xb := int(v)<<6, int(x)<<6
-	lvl := uint64(uint32(level))
-	scr := b.scr64
-	for bb := newBits; bb != 0; bb &= bb - 1 {
-		i := bits.TrailingZeros64(bb)
-		scr[base+i] = scr[xb+i]&^uint64(0xffffffff) | lvl
-	}
-}
-
-// claimEdge32 is claimEdge64 on the half-width scratch (n ≤ 65535:
-// next hop and level both fit 16 bits).
-//
-//remspan:hotpath
-func (b *BatchBuilder) claimEdge32(x, v int32, newBits uint64, level int32) {
+func (b *BatchBuilder) claimEdge(x, v int32, newBits uint64, level int32) {
 	base, xb := int(v)<<6, int(x)<<6
 	lvl := uint32(uint16(level))
-	scr := b.scr32
+	scr := b.scr
 	for bb := newBits; bb != 0; bb &= bb - 1 {
 		i := bits.TrailingZeros64(bb)
 		scr[base+i] = scr[xb+i]&^uint32(0xffff) | lvl
@@ -144,27 +131,19 @@ func (b *BatchBuilder) buildGroup(g, h graph.View, owners []int32, next, dist []
 		panic("routing: batch group exceeds 64 owners")
 	}
 	n := g.N()
-	if b.scr32 != nil && n > halfWidthMaxN {
-		// A builder sized for a small graph driven over a bigger one
-		// would truncate vertex ids to 16 bits; fail loudly instead.
-		panic("routing: half-width batch engine driven past 65535 vertices; size NewBatchBuilder to the graph")
+	if n > MaxN {
+		// Vertex ids past MaxN would be truncated to 16 bits; fail
+		// loudly instead.
+		panic("routing: half-width batch engine driven past 65535 vertices")
 	}
 	b.bs.Begin()
 	for i, uu := range owners {
 		u := int(uu)
 		b.bs.Seed(uint(i), u, 0)
-		if b.scr32 != nil {
-			b.scr32[u<<6|i] = uint32(uint16(uu)) << 16
-		} else {
-			b.scr64[u<<6|i] = uint64(uint32(uu)) << 32
-		}
+		b.scr[u<<6|i] = uint32(uint16(uu)) << 16
 		for _, w := range g.Neighbors(u) {
 			b.bs.SeedFrontier(uint(i), int(w), 1)
-			if b.scr32 != nil {
-				b.scr32[int(w)<<6|i] = uint32(uint16(w))<<16 | 1
-			} else {
-				b.scr64[int(w)<<6|i] = uint64(uint32(w))<<32 | 1
-			}
+			b.scr[int(w)<<6|i] = uint32(uint16(w))<<16 | 1
 		}
 	}
 	b.bs.SweepClaim(h, 2, b.claim)
@@ -175,39 +154,20 @@ func (b *BatchBuilder) buildGroup(g, h graph.View, owners []int32, next, dist []
 	// for m = 0 it is -1 == graph.Unreached.
 	k := len(owners)
 	full := ^uint64(0) >> uint(64-k)
-	if b.scr32 != nil {
-		for v := 0; v < n; v++ {
-			vis := b.bs.Visited(v)
-			row := b.scr32[v<<6 : v<<6+k : v<<6+k]
-			if vis&full == full { // every owner reached v: plain unpack
-				for i, w := range row {
-					next[i][v] = int32(w >> 16)
-					dist[i][v] = int32(w & 0xffff)
-				}
-				continue
-			}
-			for i, w := range row {
-				m := -int32((vis >> uint(i)) & 1)
-				next[i][v] = (int32(w>>16) & m) | ^m
-				dist[i][v] = (int32(w&0xffff) & m) | ^m
-			}
-		}
-		return
-	}
 	for v := 0; v < n; v++ {
 		vis := b.bs.Visited(v)
-		row := b.scr64[v<<6 : v<<6+k : v<<6+k]
+		row := b.scr[v<<6 : v<<6+k : v<<6+k]
 		if vis&full == full { // every owner reached v: plain unpack
 			for i, w := range row {
-				next[i][v] = int32(w >> 32)
-				dist[i][v] = int32(uint32(w))
+				next[i][v] = int32(w >> 16)
+				dist[i][v] = int32(w & 0xffff)
 			}
 			continue
 		}
 		for i, w := range row {
 			m := -int32((vis >> uint(i)) & 1)
-			next[i][v] = (int32(w>>32) & m) | ^m
-			dist[i][v] = (int32(uint32(w)) & m) | ^m
+			next[i][v] = (int32(w>>16) & m) | ^m
+			dist[i][v] = (int32(w&0xffff) & m) | ^m
 		}
 	}
 }
@@ -251,8 +211,7 @@ func BuildTablesBatched(g, h graph.View) []Table {
 // tableWorker is one pooled worker slot of the batched table fan-out.
 // The O(64·n) builder is the single most expensive scratch in the
 // repo, so it is retained across calls and recreated only when the
-// vertex count grows — or shrinks back across the half-width
-// boundary, so small graphs regain the uint32-packed engine.
+// vertex count grows.
 type tableWorker struct {
 	n int
 	b *BatchBuilder
@@ -337,7 +296,7 @@ func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32) {
 	width := sched.Workers(groups)
 	n := g.N()
 	for _, tw := range e.Slots(width) {
-		if tw.b == nil || tw.n < n || (tw.n > halfWidthMaxN && n <= halfWidthMaxN) {
+		if tw.b == nil || tw.n < n {
 			tw.b = NewBatchBuilder(n) //remspan:coldpath one O(64·n) builder per slot, rebuilt only when the vertex count outgrows it
 			tw.n = n
 		}

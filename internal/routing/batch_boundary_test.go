@@ -7,19 +7,26 @@ import (
 	"remspan/internal/gen"
 )
 
-// TestBatchEngineSelectionBoundary pins the half-width cutoff exactly:
-// 65535 vertices still run the uint32-packed engine, one more falls
-// back to uint64 words.
+// TestBatchEngineSelectionBoundary pins the engine's limit exactly:
+// 65535 vertices still get a builder, one more panics with a routing:
+// message naming n, as does a table set of that size.
 func TestBatchEngineSelectionBoundary(t *testing.T) {
-	half := NewBatchBuilder(halfWidthMaxN)
-	if half.scr32 == nil || half.scr64 != nil {
-		t.Fatalf("n=%d: want the uint32-packed engine, got scr32=%v scr64=%v",
-			halfWidthMaxN, half.scr32 != nil, half.scr64 != nil)
+	if b := NewBatchBuilder(MaxN); len(b.scr) != 64*MaxN {
+		t.Fatalf("n=%d: scratch holds %d words, want %d", MaxN, len(b.scr), 64*MaxN)
 	}
-	wide := NewBatchBuilder(halfWidthMaxN + 1)
-	if wide.scr64 == nil || wide.scr32 != nil {
-		t.Fatalf("n=%d: want the uint64 engine, got scr32=%v scr64=%v",
-			halfWidthMaxN+1, wide.scr32 != nil, wide.scr64 != nil)
+	for name, f := range map[string]func(){
+		"NewBatchBuilder": func() { NewBatchBuilder(MaxN + 1) },
+		"NewTables":       func() { NewTables(MaxN + 1) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "routing: ") || !strings.Contains(msg, "65536") {
+					t.Errorf("%s(%d): panic %q, want a routing: message naming n", name, MaxN+1, msg)
+				}
+			}()
+			f()
+		}()
 	}
 }
 
@@ -57,24 +64,18 @@ func checkBoundaryTables(t *testing.T, n int) {
 	}
 }
 
-// TestBatchBoundaryHalfWidthTop drives the uint32-packed engine at its
-// very last admissible size, n = 65535.
+// TestBatchBoundaryHalfWidthTop drives the engine at its very last
+// admissible size, n = 65535.
 func TestBatchBoundaryHalfWidthTop(t *testing.T) {
-	checkBoundaryTables(t, halfWidthMaxN)
-}
-
-// TestBatchBoundaryFullWidthFallback drives the first size past the
-// packed cutoff, n = 65536, through the uint64 fallback engine.
-func TestBatchBoundaryFullWidthFallback(t *testing.T) {
-	checkBoundaryTables(t, halfWidthMaxN+1)
+	checkBoundaryTables(t, MaxN)
 }
 
 // TestBatchHalfWidthOverdriveChecked pins the no-silent-truncation
 // contract: a half-width builder handed a graph past 65535 vertices
 // must panic rather than truncate vertex ids to 16 bits.
 func TestBatchHalfWidthOverdriveChecked(t *testing.T) {
-	b := NewBatchBuilder(64) // selects the uint32-packed engine
-	big := gen.Star(halfWidthMaxN + 1)
+	b := NewBatchBuilder(64)
+	big := gen.Star(MaxN + 1)
 	next := [][]int32{make([]int32, big.N())}
 	dist := [][]int32{make([]int32, big.N())}
 	defer func() {

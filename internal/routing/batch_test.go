@@ -242,35 +242,3 @@ func BenchmarkBuildTablesBatched(b *testing.B) {
 		bb.BuildInto(cg, ch, tables, order)
 	}
 }
-
-// TestBatchedTablesWideEngine forces the 64-bit packed engine (n >
-// 65535, beyond the half-width id range) and pins a sample of owners
-// against the scalar builder on a graph deep enough to exercise
-// multi-pass radix frontier sorting.
-func TestBatchedTablesWideEngine(t *testing.T) {
-	const n = 70_000
-	g := gen.Path(n)
-	g.AddEdge(0, n/2) // a shortcut so the views diverge from the line
-	h := g.Clone()
-	owners := []int32{0, 1, int32(n/2) + 1, n - 1}
-	tables := make([]Table, n)
-	for _, u := range owners {
-		tables[u] = Table{Next: make([]int32, n), Dist: make([]int32, n)}
-	}
-	b := NewBatchBuilder(n)
-	if b.scr64 == nil {
-		t.Fatal("expected the wide engine above 65535 vertices")
-	}
-	b.BuildInto(g, h, tables, owners)
-	s := NewTableScratch(n)
-	next, dist := make([]int32, n), make([]int32, n)
-	for _, u := range owners {
-		s.BuildTableInto(g, h, int(u), next, dist)
-		for v := 0; v < n; v++ {
-			if tables[u].Next[v] != next[v] || tables[u].Dist[v] != dist[v] {
-				t.Fatalf("owner %d dest %d: (next %d, dist %d), want (%d, %d)",
-					u, v, tables[u].Next[v], tables[u].Dist[v], next[v], dist[v])
-			}
-		}
-	}
-}

@@ -3,11 +3,11 @@ package routing
 import "remspan/internal/graph"
 
 // SpannerMirror maintains the union-of-trees spanner H incrementally:
-// a per-edge multiplicity count over the stored dominating trees, a
-// mutable Graph mirror, and a CSRDelta the table builders read (the
-// same patched-snapshot discipline as dynamic.Maintainer's own view).
-// Tree updates increment the new edges before decrementing the old, so
-// edges shared by both versions never toggle through the graph.
+// a per-edge multiplicity count over the stored dominating trees and
+// one Graph of H, which the table builders and the replicas' greedy
+// fallback read. Tree updates increment the new edges before
+// decrementing the old, so edges shared by both versions never toggle
+// through the graph.
 //
 // The Store embeds one to track its maintainer; the replica tier
 // (internal/replica) keeps an independent one per replica, fed by
@@ -15,14 +15,12 @@ import "remspan/internal/graph"
 // routing from its own local view of H when its tables lag.
 type SpannerMirror struct {
 	g     *graph.Graph
-	delta *graph.CSRDelta
 	cnt   map[uint64]int32
 	trees [][][2]int32
 }
 
-// NewSpannerMirror returns an empty n-vertex mirror. Install the
-// initial trees with UpdateTree, then call Freeze once to snapshot the
-// assembled graph into the patchable CSR delta.
+// NewSpannerMirror returns an empty n-vertex mirror; install the
+// trees with UpdateTree.
 func NewSpannerMirror(n int) *SpannerMirror {
 	return &SpannerMirror{
 		g:     graph.New(n),
@@ -31,18 +29,9 @@ func NewSpannerMirror(n int) *SpannerMirror {
 	}
 }
 
-// Freeze snapshots the assembled graph into the patchable delta (cold
-// start only; updates keep both in lockstep afterwards).
-func (hm *SpannerMirror) Freeze() { hm.delta = graph.NewCSRDelta(graph.NewCSR(hm.g)) }
-
-// View returns the read view of H the table builders and routing
-// primitives consume (the CSR delta once frozen, the raw graph before).
-func (hm *SpannerMirror) View() graph.View {
-	if hm.delta != nil {
-		return hm.delta
-	}
-	return hm.g
-}
+// Graph returns H (mirror-owned: read it between updates, never
+// mutate it).
+func (hm *SpannerMirror) Graph() *graph.Graph { return hm.g }
 
 func edgeKey(u, v int32) uint64 {
 	if u > v {
@@ -58,9 +47,6 @@ func (hm *SpannerMirror) inc(u, v int32) {
 	hm.cnt[k] = c + 1
 	if c == 0 {
 		hm.g.AddEdge(int(u), int(v))
-		if hm.delta != nil {
-			hm.delta.AddEdge(int(u), int(v))
-		}
 	}
 }
 
@@ -73,9 +59,6 @@ func (hm *SpannerMirror) dec(u, v int32) {
 	}
 	delete(hm.cnt, k)
 	hm.g.RemoveEdge(int(u), int(v))
-	if hm.delta != nil {
-		hm.delta.RemoveEdge(int(u), int(v))
-	}
 }
 
 // UpdateTree replaces root r's contribution to H with the given

@@ -74,9 +74,8 @@ func NewStore(m *dynamic.Maintainer) *Store {
 	for u := 0; u < n; u++ {
 		st.h.UpdateTree(u, m.TreeOf(u))
 	}
-	st.h.Freeze()
 	st.ep.tables = NewTables(n)
-	st.env.build(m.View(), st.h.View(), st.ep.tables, nil)
+	st.env.build(m.View(), st.h.Graph(), st.ep.tables, nil)
 	st.ep.seq.Store(1)
 	return st
 }
@@ -117,7 +116,7 @@ func (st *Store) ApplyBatch(changes []dynamic.Change) int {
 	for _, r := range st.dirtyBuf {
 		st.h.UpdateTree(int(r), st.m.TreeOf(int(r)))
 	}
-	st.env.build(st.m.View(), st.h.View(), st.ep.tables, st.dirtyBuf)
+	st.env.build(st.m.View(), st.h.Graph(), st.ep.tables, st.dirtyBuf)
 	st.ep.seq.Add(1)
 	return applied
 }
@@ -132,6 +131,6 @@ func (st *Store) RebuildAll() {
 	for u := range st.ep.tables {
 		st.dirtyBuf = append(st.dirtyBuf, int32(u))
 	}
-	st.env.build(st.m.View(), st.h.View(), st.ep.tables, nil)
+	st.env.build(st.m.View(), st.h.Graph(), st.ep.tables, nil)
 	st.ep.seq.Add(1)
 }

@@ -29,8 +29,10 @@ type Table struct {
 }
 
 // NewTables allocates an n-owner table set with backing rows, ready
-// for BatchBuilder.BuildInto.
+// for BatchBuilder.BuildInto. It panics, before allocating, when n
+// exceeds MaxN.
 func NewTables(n int) []Table {
+	checkN(n)
 	out := make([]Table, n)
 	next := make([]int32, n*n)
 	dist := make([]int32, n*n)

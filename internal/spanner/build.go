@@ -31,47 +31,17 @@ import (
 // Result is a constructed remote-spanner together with per-root tree
 // sizes (in edges) for size accounting.
 type Result struct {
-	H         *graph.EdgeSet   // the spanner edge set
-	TreeEdges []int            // edges of the dominating tree per root
-	R         int              // tree radius used (2 for the k-connecting families)
-	EpsEff    float64          // effective ε' for the low-stretch families (0 otherwise)
-	marks     *graph.EdgeMarks // CSR-slot accumulator (production pipeline only)
+	H         *graph.EdgeSet // the spanner edge set
+	TreeEdges []int          // edges of the dominating tree per root
+	R         int            // tree radius used (2 for the k-connecting families)
+	EpsEff    float64        // effective ε' for the low-stretch families (0 otherwise)
 }
 
 // Edges returns the spanner's edge count.
 func (r *Result) Edges() int { return r.H.Len() }
 
-// Graph materializes the spanner as a Graph — directly from the CSR
-// edge marks when the production pipeline built it (exactly-sized
-// sorted adjacency, no per-insert work), via the edge set otherwise.
-// The marks are used only while they hold exactly the edges of H, so
-// code that mutates the exported H directly (instead of Result.Union)
-// still materializes correctly through the edge-set fallback — a bare
-// size comparison is not enough, since an edit can swap one edge for
-// another without changing H's length. Once the marks diverge they are
-// dropped for good: an H edge outside the snapshot can never re-agree.
-func (r *Result) Graph() *graph.Graph {
-	if r.marks != nil {
-		if r.marks.Matches(r.H) {
-			return r.marks.Graph()
-		}
-		r.marks = nil
-	}
-	return r.H.Graph()
-}
-
-// Union merges o's edges into r, keeping the edge set and the CSR-mark
-// fast path coherent (the marks survive only when both results were
-// built over the same snapshot layout; otherwise Graph() falls back to
-// the edge set).
-func (r *Result) Union(o *Result) {
-	r.H.Union(o.H)
-	if r.marks != nil && o.marks != nil && r.marks.Compatible(o.marks) {
-		r.marks.Union(o.marks)
-	} else {
-		r.marks = nil
-	}
-}
+// Graph materializes the spanner as a Graph.
+func (r *Result) Graph() *graph.Graph { return r.H.Graph() }
 
 // RadiusFor returns the dominating-tree radius r = ⌈1/ε⌉ + 1 used by
 // the low-stretch constructions, and the effective stretch parameter

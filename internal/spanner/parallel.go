@@ -111,5 +111,5 @@ func buildParallel(g *graph.Graph, builder CSRBuilder) *Result {
 	marks := graph.NewEdgeMarks(c)
 	sizes := make([]int, c.N())
 	unionParallelCSR(c, builder, marks, sizes)
-	return &Result{H: marks.EdgeSet(), TreeEdges: sizes, marks: marks}
+	return &Result{H: marks.EdgeSet(), TreeEdges: sizes}
 }

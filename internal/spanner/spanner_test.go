@@ -32,11 +32,10 @@ func TestExactPreservesDistances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
 		g := randomConnected(10+rng.Intn(40), 60, rng)
-		res := Exact(g)
-		if !res.H.SubsetOf(g) {
+		h := Exact(g).Graph()
+		if !graph.NewCSR(h).SubsetOf(graph.NewCSR(g)) {
 			t.Fatal("spanner not a subgraph")
 		}
-		h := res.Graph()
 		if v := Check(g, h, NewStretch(1, 0)); v != nil {
 			t.Fatalf("trial %d: %v", trial, v)
 		}
@@ -257,56 +256,5 @@ func TestCheckKConnectingWithPairs(t *testing.T) {
 	pairs := [][2]int{{0, 5}, {3, 19}, {7, 7}, {1, 2}}
 	if v := CheckKConnecting(g, h, 2, NewStretch(1, 0), pairs); v != nil {
 		t.Fatalf("%v", v)
-	}
-}
-
-// Regression for the marks coherence check in Result.Graph: a caller
-// that rewrites the exported H to an equal-sized but different edge set
-// must get a graph of H, not a stale marks-built one.
-func TestResultGraphTracksMutatedH(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	g := randomConnected(40, 80, rng)
-	res := Exact(g)
-
-	edges := res.H.Edges()
-	drop := edges[len(edges)/2]
-	// Find a graph edge absent from H to swap in, keeping H's size.
-	var addU, addV int
-	found := false
-	g.EachEdge(func(u, v int) {
-		if !found && !res.H.Has(u, v) {
-			addU, addV, found = u, v, true
-		}
-	})
-	if !found {
-		t.Skip("spanner kept every edge — no swap candidate")
-	}
-	mutated := graph.NewEdgeSet(g.N())
-	for _, e := range edges {
-		if e != drop {
-			mutated.Add(int(e[0]), int(e[1]))
-		}
-	}
-	mutated.Add(addU, addV)
-	if mutated.Len() != res.H.Len() {
-		t.Fatalf("swap changed size: %d vs %d", mutated.Len(), res.H.Len())
-	}
-	res.H = mutated
-
-	got := res.Graph()
-	if got.HasEdge(int(drop[0]), int(drop[1])) {
-		t.Fatalf("materialized graph kept dropped edge {%d,%d} — stale marks used", drop[0], drop[1])
-	}
-	if !got.HasEdge(addU, addV) {
-		t.Fatalf("materialized graph missing swapped-in edge {%d,%d}", addU, addV)
-	}
-	if got.M() != mutated.Len() {
-		t.Fatalf("materialized %d edges, want %d", got.M(), mutated.Len())
-	}
-	// Unmutated results still take (and agree with) the marks fast path.
-	res2 := Exact(g)
-	h2 := res2.Graph()
-	if h2.M() != res2.H.Len() || !res2.H.SubsetOf(h2) {
-		t.Fatal("marks fast path diverged from edge set")
 	}
 }

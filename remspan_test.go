@@ -2,6 +2,7 @@ package remspan
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -130,6 +131,31 @@ func TestConstructionEdgeCounts(t *testing.T) {
 	}
 }
 
+// TestForwardingTablesRejectLargeGraphs pins the table engine's limit
+// at the facade: at 65,536 vertices BuildForwardingTables and
+// NewReplicatedRouter return errors instead of panicking, before any
+// table set is allocated (one would be 2·65,536² int32, about 34 GB),
+// and BuildForwardingTables rejects a spanner over another vertex
+// count.
+func TestForwardingTablesRejectLargeGraphs(t *testing.T) {
+	big := NewGraph(65536)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if ft, err := BuildForwardingTables(big, big); err == nil || ft != nil || !strings.Contains(err.Error(), "65536") {
+		t.Errorf("BuildForwardingTables at n=65536: (%v, %v), want an error naming n", ft, err)
+	}
+	if rr, err := NewReplicatedRouter(big, 2); err == nil || rr != nil || !strings.Contains(err.Error(), "65536") {
+		t.Errorf("NewReplicatedRouter at n=65536: (%v, %v), want an error naming n", rr, err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+		t.Errorf("rejecting n=65536 allocated %d bytes", d)
+	}
+	if ft, err := BuildForwardingTables(NewGraph(3), big); err == nil || ft != nil {
+		t.Errorf("BuildForwardingTables with a 65536-vertex spanner over a 3-vertex graph: (%v, %v), want an error", ft, err)
+	}
+}
+
 // TestForwardingTablesFacade checks the facade tables against the
 // scalar per-owner builder, and that table routing delivers every pair
 // of a connected UDG within d_{H_s}(s, t) hops (§1).
@@ -139,7 +165,10 @@ func TestForwardingTablesFacade(t *testing.T) {
 		t.Fatal("workload UDG not connected")
 	}
 	h := Exact(g).H
-	ft := BuildForwardingTables(g, h)
+	ft, err := BuildForwardingTables(g, h)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dh := graph.AllPairsDistances(h.raw())
 	for s := 0; s < g.N(); s++ {
 		dhs := graph.BFS(spanner.View(g.raw(), h.raw(), s), s)

@@ -28,10 +28,14 @@ type ReplicatedRouter struct {
 // count: the writer's store is constructed (full spanner + table
 // build), every replica is bootstrapped with a full shipment, and the
 // failover client is wired to the writer's epoch as its freshness
-// reference.
+// reference. Like BuildForwardingTables, it returns an error, before
+// building anything, for a graph past 65,535 vertices.
 func NewReplicatedRouter(g *Graph, replicas int) (*ReplicatedRouter, error) {
 	if replicas < 1 {
 		return nil, fmt.Errorf("remspan: need at least one replica, got %d", replicas)
+	}
+	if err := checkTableSize(g); err != nil {
+		return nil, err
 	}
 	bb := dynamic.Builders()[0] // kgreedy k=1: the exact (1,0) spanner
 	st := routing.NewStore(dynamic.New(g.raw(), bb.Radius, bb.Build))

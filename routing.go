@@ -1,6 +1,8 @@
 package remspan
 
 import (
+	"fmt"
+
 	"remspan/internal/routing"
 )
 
@@ -14,9 +16,26 @@ type ForwardingTables struct {
 }
 
 // BuildForwardingTables computes every router's table over the
-// advertised spanner h (h ⊆ g).
-func BuildForwardingTables(g, h *Graph) *ForwardingTables {
-	return &ForwardingTables{g: g, tables: routing.BuildTablesBatched(g.raw(), h.raw())}
+// advertised spanner h (h ⊆ g). The table set is n² entries, and the
+// engine packs vertex ids into 16 bits, so it returns an error, before
+// building anything, for a graph past 65,535 vertices, and for an h
+// whose vertex count differs from g's.
+func BuildForwardingTables(g, h *Graph) (*ForwardingTables, error) {
+	if err := checkTableSize(g); err != nil {
+		return nil, err
+	}
+	if h.N() != g.N() {
+		return nil, fmt.Errorf("remspan: spanner has %d vertices, graph has %d", h.N(), g.N())
+	}
+	return &ForwardingTables{g: g, tables: routing.BuildTablesBatched(g.raw(), h.raw())}, nil
+}
+
+// checkTableSize rejects a graph too large for the table engine.
+func checkTableSize(g *Graph) error {
+	if g.N() > routing.MaxN {
+		return fmt.Errorf("remspan: forwarding tables serve at most %d vertices, got %d", routing.MaxN, g.N())
+	}
+	return nil
 }
 
 // NextHop returns the neighbor s forwards to toward t (-1 when t is
