@@ -236,26 +236,15 @@ func BenchmarkAblationScratch(b *testing.B) {
 	})
 }
 
-// Greedy (Alg. 1) vs MIS (Alg. 2) dominating trees for the low-stretch
-// construction: the log Δ approximation guarantee vs the doubling-size
-// guarantee.
-func BenchmarkAblationGreedyVsMIS(b *testing.B) {
-	gg := remspan.RandomUDG(350, 4, 1)
-	g := graph.FromEdges(gg.N(), gg.Edges())
-	b.Run("greedy-trees", func(b *testing.B) {
-		var edges int
-		for i := 0; i < b.N; i++ {
-			edges = spanner.LowStretchGreedy(g, 0.5).Edges()
-		}
-		b.ReportMetric(float64(edges), "edges")
-	})
-	b.Run("mis-trees", func(b *testing.B) {
-		var edges int
-		for i := 0; i < b.N; i++ {
-			edges = spanner.LowStretch(g, 0.5).Edges()
-		}
-		b.ReportMetric(float64(edges), "edges")
-	})
+// toggleEdge flips {u, v} through a one-change ApplyBatch and reports
+// whether the change had an effect.
+func toggleEdge(m *dynamic.Maintainer, u, v int) bool {
+	kind := dynamic.AddEdge
+	if m.Graph().HasEdge(u, v) {
+		kind = dynamic.RemoveEdge
+	}
+	one := [1]dynamic.Change{{Kind: kind, U: u, V: v}}
+	return m.ApplyBatch(one[:]) == 1
 }
 
 // snapshotSink keeps the snapshot ablation arm's re-snapshot live, so
@@ -276,10 +265,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		if u == v {
 			return false
 		}
-		if m.Graph().HasEdge(u, v) {
-			return m.RemoveEdge(u, v)
-		}
-		return m.AddEdge(u, v)
+		return toggleEdge(m, u, v)
 	}
 	b.Run("incremental-delta", func(b *testing.B) {
 		m := dynamic.New(g, 1, build)
@@ -383,11 +369,7 @@ func BenchmarkMaintainerToggle(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pool[rng.Intn(len(pool))]
-				if m.Graph().HasEdge(p[0], p[1]) {
-					m.RemoveEdge(p[0], p[1])
-				} else {
-					m.AddEdge(p[0], p[1])
-				}
+				toggleEdge(m, p[0], p[1])
 			}
 		})
 	}
@@ -418,28 +400,25 @@ func BenchmarkAblationLazyGreedy(b *testing.B) {
 }
 
 // All-roots BFS sweep: mutable adjacency-list graph vs immutable CSR
-// snapshot (memory-layout ablation).
+// snapshot (memory-layout ablation). Both arms run the same traversal,
+// BFSScratch.BoundedView without a bound, so only the layout differs.
 func BenchmarkAblationCSR(b *testing.B) {
 	gg := remspan.RandomUDG(1200, 4, 1)
 	g := graph.FromEdges(gg.N(), gg.Edges())
-	b.Run("adjacency-list", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for u := 0; u < g.N(); u += 3 {
-				graph.BFS(g, u)
+	for _, arm := range []struct {
+		name string
+		view graph.View
+	}{{"adjacency-list", g}, {"csr", graph.NewCSR(g)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			s := graph.NewBFSScratch(g.N())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for u := 0; u < g.N(); u += 3 {
+					s.BoundedView(arm.view, u, g.N())
+				}
 			}
-		}
-	})
-	b.Run("csr", func(b *testing.B) {
-		c := graph.NewCSR(g)
-		dist := make([]int32, g.N())
-		queue := make([]int32, 0, g.N())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for u := 0; u < g.N(); u += 3 {
-				c.BFS(u, dist, queue)
-			}
-		}
-	})
+		})
+	}
 }
 
 // All-pairs verification on the 64-source word-parallel bit-packed

@@ -264,3 +264,59 @@ func TestRepoIsLintClean(t *testing.T) {
 		t.Fatalf("repo is not remspanlint-clean: %v\n%s", err, out)
 	}
 }
+
+// TestNoTestOnlyProductionCode runs the production gate (prodGate)
+// over the program: the non-test files of module remspan and of the
+// cmd/bench module. Opening every source file of both modules is what
+// makes an edit rerun a cached pass.
+func TestNoTestOnlyProductionCode(t *testing.T) {
+	roots := []string{filepath.Join("..", ".."), filepath.Join("..", "bench")}
+	for _, root := range roots {
+		sourceFiles(t, root)
+	}
+	found, err := prodGate(roots, prodAllowlist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range found {
+		t.Error(f)
+	}
+}
+
+// TestProdGateCorpus pins the production gate on its corpus: module
+// testdata/src/a and the module nested at its cmd/b, which requires a
+// through a replace. Every finding must be matched by a want comment on
+// its line, and every want by a finding.
+func TestProdGateCorpus(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("testdata", "src", "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := []string{root, filepath.Join(root, "cmd", "b")}
+	wants := make(map[lineKey][]*regexp.Regexp)
+	for _, r := range roots {
+		prefix, _ := filepath.Rel(root, r)
+		for k, res := range corpusWants(t, r) {
+			k.file = filepath.ToSlash(filepath.Join(prefix, k.file))
+			wants[k] = append(wants[k], res...)
+		}
+	}
+	found, err := prodGate(roots, map[string]string{
+		"a/internal/x.Kept":  "the allowlisted case",
+		"a/internal/x.Stale": "the stale-entry case",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(map[lineKey][]string)
+	for _, f := range found {
+		rel, err := filepath.Rel(root, f.pos.Filename)
+		if f.pos.Filename == "" || err != nil {
+			t.Errorf("unexpected finding: %s", f)
+			continue
+		}
+		k := lineKey{filepath.ToSlash(rel), f.pos.Line}
+		got[k] = append(got[k], f.msg)
+	}
+	matchWants(t, wants, got)
+}

@@ -85,6 +85,7 @@ func FullLinkStateCost(g *Graph) (messages, words int64) {
 // Algorithm 4 with coverage k) against blind flooding from the given
 // source: retransmission counts and nodes covered.
 func FloodStats(g *Graph, k, source int) (mprTx, blindTx, covered int) {
+	checkVertices(g.N(), source)
 	sel := routing.SelectMPRs(g.raw(), k)
 	m := routing.MPRFlood(g.raw(), sel, source, nil)
 	b := routing.BlindFlood(g.raw(), source, nil)

@@ -91,21 +91,3 @@ func Additive2(g *graph.Graph) *graph.Graph {
 	}
 	return h
 }
-
-// VerifyAdditive checks d_H(u, v) ≤ d_G(u, v) + beta for all pairs,
-// returning a violating pair or (-1, -1).
-func VerifyAdditive(g, h *graph.Graph, beta int) (int, int) {
-	for u := 0; u < g.N(); u++ {
-		dg := graph.BFS(g, u)
-		dh := graph.BFS(h, u)
-		for v := 0; v < g.N(); v++ {
-			if dg[v] == graph.Unreached {
-				continue
-			}
-			if dh[v] == graph.Unreached || dh[v] > dg[v]+int32(beta) {
-				return u, v
-			}
-		}
-	}
-	return -1, -1
-}

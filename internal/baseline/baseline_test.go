@@ -8,6 +8,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -52,7 +53,7 @@ func TestGreedySpannerStretch1KeepsAll(t *testing.T) {
 }
 
 func TestGreedySpannerSparsifiesDense(t *testing.T) {
-	g := gen.Complete(40)
+	g := reference.Complete(40)
 	h := GreedySpanner(g, 3)
 	// A 3-spanner of K_n: one vertex's star suffices; greedy gets close.
 	if h.M() > 5*40 {
@@ -78,7 +79,7 @@ func TestBaswanaSenK1IsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := gen.ErdosRenyi(30, 0.2, rng)
 	h := BaswanaSen(g, 1, rng)
-	if !h.Equal(g) {
+	if !reference.Equal(h, g) {
 		t.Fatal("k=1 must keep all edges")
 	}
 }
@@ -87,7 +88,7 @@ func TestBaswanaSenDeterministicWithSeed(t *testing.T) {
 	g := gen.ErdosRenyi(60, 0.2, rand.New(rand.NewSource(5)))
 	a := BaswanaSen(g, 3, rand.New(rand.NewSource(42)))
 	b := BaswanaSen(g, 3, rand.New(rand.NewSource(42)))
-	if !a.Equal(b) {
+	if !reference.Equal(a, b) {
 		t.Fatal("same seed gave different spanners")
 	}
 }
@@ -178,7 +179,7 @@ func TestFaultTolerantGreedySurvivesFailures(t *testing.T) {
 					continue
 				}
 				d := m.Dist(i, j)
-				if s.Distance(i, j, tt*d*(1+1e-9), blocked) > tt*d*(1+1e-9) {
+				if s.dijkstra(i, j, tt*d*(1+1e-9), blocked) > tt*d*(1+1e-9) {
 					t.Fatalf("fault %d breaks pair (%d,%d)", f, i, j)
 				}
 			}

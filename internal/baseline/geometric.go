@@ -235,14 +235,6 @@ func (s *WeightedSpanner) shortestPathWithin(src, dst int, limit float64, blocke
 	return nil, false
 }
 
-// Distance returns the shortest path length between u and v in the
-// spanner, searching no further than limit (+Inf beyond). blocked (may
-// be nil) marks failed vertices to avoid as internal hops — the fault
-// model of k-fault-tolerant spanners.
-func (s *WeightedSpanner) Distance(u, v int, limit float64, blocked []bool) float64 {
-	return s.dijkstra(u, v, limit, blocked)
-}
-
 // VerifyStretch checks d_S(i, j) ≤ t·m.Dist(i, j) for all pairs,
 // returning the first violating pair or (-1, -1). For spanners of a
 // ball graph, pairs beyond the radius are checked against ball-graph

@@ -7,6 +7,7 @@ import (
 
 	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // girth returns the length of the shortest cycle (0 if acyclic). BFS
@@ -69,10 +70,10 @@ func TestGirthFixtures(t *testing.T) {
 	if g := girth(gen.Ring(7)); g != 7 {
 		t.Fatalf("C7 girth %d", g)
 	}
-	if g := girth(gen.Complete(5)); g != 3 {
+	if g := girth(reference.Complete(5)); g != 3 {
 		t.Fatalf("K5 girth %d", g)
 	}
-	if g := girth(gen.Petersen()); g != 5 {
+	if g := girth(reference.Petersen()); g != 5 {
 		t.Fatalf("Petersen girth %d", g)
 	}
 	if g := girth(gen.Path(6)); g != 0 {

@@ -13,7 +13,8 @@ import (
 // counts.
 func TestRemSpanAccountingOnRing(t *testing.T) {
 	g := gen.Ring(5)
-	engine := RunRemSpan(g, 1, kgreedyCSR(1))
+	e := NewEngine(g, 1, kgreedyCSR(1))
+	engine := e.Run()
 	ref, incident := RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
 		return reference.KGreedy(local, u, 1)
 	})
@@ -34,7 +35,7 @@ func TestRemSpanAccountingOnRing(t *testing.T) {
 			t.Fatalf("%s: spanner edges=%d, want 5", name, res.H.Len())
 		}
 	}
-	if bad := CheckIncidentKnowledge(engine); bad != -1 {
+	if bad := checkIncidentKnowledge(e, engine); bad != -1 {
 		t.Fatalf("engine: node %d lacks incident knowledge", bad)
 	}
 	if bad := checkIncidentReference(ref.H, incident); bad != -1 {

@@ -92,7 +92,7 @@ func TestSimSendRules(t *testing.T) {
 }
 
 func TestSimBroadcast(t *testing.T) {
-	g := gen.Star(5)
+	g := reference.Star(5)
 	s := NewSim(g)
 	s.Broadcast(0, KindHello, []int32{0})
 	if s.Messages != 4 {
@@ -162,8 +162,9 @@ func TestIncidentKnowledge(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 8; trial++ {
 		g := randomConnected(15+rng.Intn(20), 35, rng)
-		res := RunRemSpan(g, 1, kgreedyCSR(2))
-		if bad := CheckIncidentKnowledge(res); bad != -1 {
+		e := NewEngine(g, 1, kgreedyCSR(2))
+		res := e.Run()
+		if bad := checkIncidentKnowledge(e, res); bad != -1 {
 			t.Fatalf("trial %d: node %d missing incident knowledge", trial, bad)
 		}
 		ref, incident := RunRemSpanReference(g, 1, func(local *graph.Graph, u int) *graph.Tree {
@@ -215,11 +216,12 @@ func TestTreeFloodReachesAllMembers(t *testing.T) {
 	// Every tree edge endpoint lies within the flooding radius of the
 	// root (the engine's depth invariant), so the per-node incident
 	// knowledge must cover the entire union H — which is exactly what
-	// CheckIncidentKnowledge reconstructs from the flood structure.
+	// checkIncidentKnowledge reconstructs from the flood structure.
 	rng := rand.New(rand.NewSource(7))
 	g := randomConnected(25, 50, rng)
-	res := RunRemSpan(g, 2, kmisCSR(2))
-	if bad := CheckIncidentKnowledge(res); bad != -1 {
+	e := NewEngine(g, 2, kmisCSR(2))
+	res := e.Run()
+	if bad := checkIncidentKnowledge(e, res); bad != -1 {
 		t.Fatalf("node %d lacks incident knowledge", bad)
 	}
 	ref, incident := RunRemSpanReference(g, 2, func(local *graph.Graph, u int) *graph.Tree {

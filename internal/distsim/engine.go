@@ -16,20 +16,14 @@ import (
 // FuzzDistsimEquivalence).
 type TreeBuilder = dynamic.TreeBuilder
 
-// Result summarizes a RemSpan run. It shares the engine's maintainer
-// — its tree storage and topology view — rather than copying them, so
-// it, in particular CheckIncidentKnowledge on it, is valid only until
-// the engine's next Run or Reflood (H and TreeEdges are snapshots and
-// stay valid). RunRemSpan results are never invalidated: the helper's
-// engine is not retained.
+// Result summarizes a RemSpan run. H and TreeEdges are snapshots: they
+// stay valid across the engine's later Run and Reflood calls.
 type Result struct {
 	Rounds    int            // total synchronous rounds: 2(r−1+β)+1
 	Messages  int64          // point-to-point messages sent
 	Words     int64          // total payload words sent
 	H         *graph.EdgeSet // the computed remote-spanner (union of trees)
 	TreeEdges []int          // per-root tree sizes
-
-	m *dynamic.Maintainer // for incident-knowledge verification
 }
 
 // Engine is the RemSpan traffic accountant over one
@@ -91,19 +85,6 @@ func (e *Engine) Graph() *graph.Graph {
 	return e.m.Graph()
 }
 
-// Radius returns the flooding radius R.
-func (e *Engine) Radius() int { return e.radius }
-
-// TreeOf returns root u's current tree as (child, parent) pairs
-// (shared slice, valid until the next Run/Reflood; nil before the
-// first).
-func (e *Engine) TreeOf(u int) [][2]int32 {
-	if e.m == nil {
-		return nil
-	}
-	return e.m.TreeOf(u)
-}
-
 // Spanner materializes the current union-of-trees spanner (empty before
 // the first Run/Reflood).
 func (e *Engine) Spanner() *graph.EdgeSet {
@@ -133,7 +114,6 @@ func (e *Engine) Run() *Result {
 		Rounds:    2*e.radius + 1,
 		H:         e.m.Spanner(),
 		TreeEdges: make([]int, n),
-		m:         e.m,
 	}
 	view := e.m.View()
 	for x := 0; x < n; x++ {
@@ -161,39 +141,6 @@ func (e *Engine) Run() *Result {
 // pinned by tests against the message-level reference engine.
 func RunRemSpan(g *graph.Graph, radius int, build TreeBuilder) *Result {
 	return NewEngine(g, radius, build).Run()
-}
-
-// CheckIncidentKnowledge verifies the protocol's correctness condition:
-// every node ends up knowing exactly the spanner edges incident to it,
-// so it can advertise/route over them. The learned set is reconstructed
-// from the flood structure: node u hears the trees of every root within
-// distance R. Returns the first offending node (-1 when the condition
-// holds).
-func CheckIncidentKnowledge(res *Result) int {
-	hg := res.H.Graph()
-	n := hg.N()
-	bfs := graph.NewBFSScratch(n)
-	var heard []int32
-	for u := 0; u < n; u++ {
-		_, _, roots := bfs.BoundedView(res.m.View(), u, res.m.Radius())
-		heard = heard[:0]
-		for _, w := range roots {
-			for _, e := range res.m.TreeOf(int(w)) {
-				switch {
-				case int(e[0]) == u:
-					heard = append(heard, e[1])
-				case int(e[1]) == u:
-					heard = append(heard, e[0])
-				}
-			}
-		}
-		slices.Sort(heard)
-		heard = slices.Compact(heard)
-		if !slices.Equal(heard, hg.Neighbors(u)) {
-			return u
-		}
-	}
-	return -1
 }
 
 // FullLinkState returns the message/word cost of classic full

@@ -10,6 +10,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/testutil"
 )
 
@@ -43,7 +44,7 @@ func testFamilies(n int, seed int64) map[string]*graph.Graph {
 		"er":       er,
 		"er-dense": erDense,
 		"grid":     gen.Grid(side, (n+side-1)/side),
-		"star":     gen.Star(n),
+		"star":     reference.Star(n),
 	}
 }
 
@@ -147,7 +148,7 @@ func checkLocality(t *testing.T, what string, e *Engine, build TreeBuilder) {
 	n := e.Graph().N()
 	ball, s := graph.NewBallScratch(n), domtree.NewScratch(n)
 	for u := 0; u < n; u++ {
-		if want := localTree(ball, s, e.m.View(), e.Radius(), build, u); !slices.Equal(e.TreeOf(u), want) {
+		if want := localTree(ball, s, e.m.View(), e.radius, build, u); !slices.Equal(e.m.TreeOf(u), want) {
 			t.Fatalf("%s: tree of root %d differs from its ball-local build", what, u)
 		}
 	}
@@ -181,7 +182,7 @@ func FuzzDistsimEquivalence(f *testing.F) {
 		case 3:
 			g = gen.Grid(3+rng.Intn(4), 3+rng.Intn(4))
 		default:
-			g = gen.Star(n)
+			g = reference.Star(n)
 		}
 		for _, p := range enginePairs() {
 			e := NewEngine(g, p.radius, p.build)
@@ -191,7 +192,7 @@ func FuzzDistsimEquivalence(f *testing.F) {
 				t.Fatalf("%s: distributed spanner differs from centralized (%d vs %d edges)",
 					p.name, fast.H.Len(), want.Len())
 			}
-			if bad := CheckIncidentKnowledge(fast); bad != -1 {
+			if bad := checkIncidentKnowledge(e, fast); bad != -1 {
 				t.Fatalf("%s: node %d missing incident knowledge", p.name, bad)
 			}
 			ref, _ := RunRemSpanReference(g, p.radius, p.algo)
@@ -260,7 +261,7 @@ func TestRefloodMatchesMaintainer(t *testing.T) {
 				t.Fatalf("%s step %d: engine spanner diverged from maintainer", spec.Name, step)
 			}
 			for u := 0; u < g.N(); u++ {
-				if !slices.Equal(e.TreeOf(u), m.TreeOf(u)) {
+				if !slices.Equal(e.m.TreeOf(u), m.TreeOf(u)) {
 					t.Fatalf("%s step %d root %d: tree differs from the maintainer's", spec.Name, step, u)
 				}
 			}
@@ -321,7 +322,7 @@ func TestRefloodsCountChangedTrees(t *testing.T) {
 		for tick := 0; tick < 8; tick++ {
 			before := make([][][2]int32, g.N())
 			for u := range before {
-				before[u] = slices.Clone(e.TreeOf(u))
+				before[u] = slices.Clone(e.m.TreeOf(u))
 			}
 			var st TickStats
 			if tick%2 == 1 {
@@ -331,7 +332,7 @@ func TestRefloodsCountChangedTrees(t *testing.T) {
 			}
 			changed := 0
 			for u := range before {
-				if !slices.Equal(before[u], e.TreeOf(u)) {
+				if !slices.Equal(before[u], e.m.TreeOf(u)) {
 					changed++
 				}
 			}
@@ -467,7 +468,7 @@ func TestRefloodLossyConvergence(t *testing.T) {
 			t.Fatal("spanner did not reconverge to maintainer after channel healed")
 		}
 		for u := 0; u < g.N(); u++ {
-			if !slices.Equal(e.TreeOf(u), m.TreeOf(u)) {
+			if !slices.Equal(e.m.TreeOf(u), m.TreeOf(u)) {
 				t.Fatalf("root %d: tree differs from the maintainer's after heal", u)
 			}
 		}

@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"fmt"
+	"slices"
 
 	"remspan/internal/graph"
 )
@@ -233,8 +234,41 @@ func (st *nodeState) noteTree(payload []int32) {
 	}
 }
 
+// checkIncidentKnowledge verifies the protocol's correctness condition
+// on res, engine e's last run: every node ends up knowing exactly the
+// spanner edges incident to it, so it can advertise/route over them.
+// The learned set is reconstructed from the flood structure: node u
+// hears the trees of every root within distance R. Returns the first
+// offending node (-1 when the condition holds).
+func checkIncidentKnowledge(e *Engine, res *Result) int {
+	hg := res.H.Graph()
+	n := hg.N()
+	bfs := graph.NewBFSScratch(n)
+	var heard []int32
+	for u := 0; u < n; u++ {
+		_, _, roots := bfs.BoundedView(e.m.View(), u, e.radius)
+		heard = heard[:0]
+		for _, w := range roots {
+			for _, te := range e.m.TreeOf(int(w)) {
+				switch {
+				case int(te[0]) == u:
+					heard = append(heard, te[1])
+				case int(te[1]) == u:
+					heard = append(heard, te[0])
+				}
+			}
+		}
+		slices.Sort(heard)
+		heard = slices.Compact(heard)
+		if !slices.Equal(heard, hg.Neighbors(u)) {
+			return u
+		}
+	}
+	return -1
+}
+
 // checkIncidentReference is the reference half of the protocol's
-// correctness condition (CheckIncidentKnowledge): every node learned
+// correctness condition (checkIncidentKnowledge): every node learned
 // exactly the spanner edges of h incident to it. Returns the first
 // offending node (-1 when the condition holds).
 func checkIncidentReference(h *graph.EdgeSet, incident []*graph.EdgeSet) int {

@@ -42,7 +42,7 @@ func TestEngineWidthDeterminism(t *testing.T) {
 						r.ticks = append(r.ticks, st)
 					}
 					for u := 0; u < g.N(); u++ {
-						r.trees = append(r.trees, slices.Clone(e.TreeOf(u)))
+						r.trees = append(r.trees, slices.Clone(e.m.TreeOf(u)))
 					}
 					return r
 				}()

@@ -13,7 +13,7 @@ import (
 // treeEdgesEqual compares two trees as rooted edge sets: same root and
 // identical (child, parent) assignments.
 func treeEdgesEqual(a, b *graph.Tree) bool {
-	if a.Root() != b.Root() || a.Size() != b.Size() || a.EdgeCount() != b.EdgeCount() {
+	if a.Root() != b.Root() || len(a.Nodes()) != len(b.Nodes()) || a.EdgeCount() != b.EdgeCount() {
 		return false
 	}
 	for _, v := range a.Nodes() {
@@ -78,12 +78,12 @@ func TestCSREquivalenceFixedFamilies(t *testing.T) {
 	families := map[string]*graph.Graph{
 		"ring13":    gen.Ring(13),
 		"path9":     gen.Path(9),
-		"star12":    gen.Star(12),
-		"complete9": gen.Complete(9),
+		"star12":    reference.Star(12),
+		"complete9": reference.Complete(9),
 		"grid5x6":   gen.Grid(5, 6),
-		"petersen":  gen.Petersen(),
+		"petersen":  reference.Petersen(),
 		"hypercube": gen.Hypercube(4),
-		"barbell":   gen.Barbell(5, 3),
+		"barbell":   reference.Barbell(5, 3),
 		// Balls far smaller than n: exercises the small-ball sort
 		// branch of MISCSR (the others hit the dense bucket branch).
 		"ring200":   gen.Ring(200),
@@ -98,7 +98,7 @@ func TestCSREquivalenceRandomFamilies(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
 		checkAllRoots(t, "erdos-renyi", gen.ErdosRenyi(40, 0.12, rng))
-		checkAllRoots(t, "gnm", gen.GNM(36, 90, rng))
+		checkAllRoots(t, "gnm", reference.GNM(36, 90, rng))
 		tree := gen.RandomTree(30, rng)
 		for i := 0; i < 25; i++ {
 			u, v := rng.Intn(30), rng.Intn(30)
@@ -188,11 +188,11 @@ func TestLazyOnDenseUDG(t *testing.T) {
 }
 
 func TestLazyTrivialCases(t *testing.T) {
-	g := gen.Complete(5)
-	if tr := KGreedyCSR(g, nil, 0, 3); tr.Size() != 1 {
+	g := reference.Complete(5)
+	if tr := KGreedyCSR(g, nil, 0, 3); len(tr.Nodes()) != 1 {
 		t.Fatal("complete graph should give bare root")
 	}
-	s := gen.Star(6)
+	s := reference.Star(6)
 	tr := KGreedyCSR(s, nil, 1, 1)
 	bad, err := reference.IsKConnDominatingTree(s, tr, 1, 0)
 	if err != nil || bad != -1 {

@@ -98,8 +98,8 @@ func TestMISTreeSmallOnUDG(t *testing.T) {
 			ball++
 		}
 	}
-	if tr.Size() > ball/3+10 {
-		t.Fatalf("MIS tree size %d not small vs ball %d", tr.Size(), ball)
+	if len(tr.Nodes()) > ball/3+10 {
+		t.Fatalf("MIS tree size %d not small vs ball %d", len(tr.Nodes()), ball)
 	}
 	bad, err := reference.IsDominatingTree(g, tr, r, 1)
 	if err != nil || bad != -1 {
@@ -133,7 +133,7 @@ func TestKGreedyProducesKConnTree(t *testing.T) {
 
 func TestKGreedyIsMPRForK1(t *testing.T) {
 	// k=1 must dominate every distance-2 vertex by at least one relay.
-	g := gen.Petersen()
+	g := reference.Petersen()
 	for u := 0; u < g.N(); u++ {
 		tr := KGreedyCSR(g, nil, u, 1)
 		bad, err := reference.IsKConnDominatingTree(g, tr, 1, 0)
@@ -165,7 +165,7 @@ func TestKMISProducesKConnTree(t *testing.T) {
 				t.Fatalf("trial %d k=%d root=%d: vertex %d not k-dominated (beta=1)",
 					trial, k, u, bad)
 			}
-			if tr.Validate(g) != nil {
+			if reference.ValidateTree(tr, g) != nil {
 				t.Fatal("invalid tree")
 			}
 		}
@@ -248,13 +248,13 @@ func TestGreedyDeterministic(t *testing.T) {
 
 func TestKGreedyCompleteGraphTrivial(t *testing.T) {
 	// No distance-2 vertices: tree is just the root.
-	g := gen.Complete(6)
+	g := reference.Complete(6)
 	tr := KGreedyCSR(g, nil, 0, 2)
-	if tr.Size() != 1 {
-		t.Fatalf("size=%d, want 1", tr.Size())
+	if len(tr.Nodes()) != 1 {
+		t.Fatalf("size=%d, want 1", len(tr.Nodes()))
 	}
 	tr2 := KMISCSR(g, nil, 0, 2)
-	if tr2.Size() != 1 {
-		t.Fatalf("KMIS size=%d, want 1", tr2.Size())
+	if len(tr2.Nodes()) != 1 {
+		t.Fatalf("KMIS size=%d, want 1", len(tr2.Nodes()))
 	}
 }

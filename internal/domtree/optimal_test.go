@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // bruteKCoverSize finds the exact optimum by enumerating all subsets of
@@ -149,7 +149,7 @@ func TestExactMultiCoverEdgeCases(t *testing.T) {
 
 func TestOptimalKCoverOnStar(t *testing.T) {
 	// Star: no distance-2 vertices, optimal cover is 0.
-	g := gen.Star(6)
+	g := reference.Star(6)
 	got, ok := OptimalKCoverSize(g, 0, 2, 1000)
 	if !ok || got != 0 {
 		t.Fatalf("star center: got=%d ok=%v", got, ok)

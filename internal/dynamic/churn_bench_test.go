@@ -167,11 +167,11 @@ func benchChurn(b *testing.B, g *graph.Graph, bb BuilderSpec, pairs [][2]int, mo
 	} else {
 		for i := 0; i < b.N; i++ {
 			p := pairs[rng.Intn(len(pairs))]
+			kind := AddEdge
 			if m.Graph().HasEdge(p[0], p[1]) {
-				m.RemoveEdge(p[0], p[1])
-			} else {
-				m.AddEdge(p[0], p[1])
+				kind = RemoveEdge
 			}
+			applyOne(m, kind, p[0], p[1])
 			if mode == "snapshot" {
 				snapshotSink = graph.NewCSR(m.Graph())
 			}

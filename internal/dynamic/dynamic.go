@@ -175,7 +175,7 @@ func (m *Maintainer) storeTree(u int, t *graph.Tree) bool {
 }
 
 // Graph returns the maintained graph (do not mutate directly — use
-// AddEdge/RemoveEdge/FailVertex/ApplyBatch).
+// ApplyBatch or Apply).
 func (m *Maintainer) Graph() *graph.Graph { return m.g }
 
 // Spanner returns the current union-of-trees spanner.
@@ -194,22 +194,18 @@ func (m *Maintainer) TreeOf(u int) [][2]int32 { return m.trees[u] }
 // them.
 func (m *Maintainer) View() graph.View { return m.delta }
 
-// Radius returns the construction's locality radius R.
-func (m *Maintainer) Radius() int { return m.radius }
-
 // DirtyRoots returns the sorted dirty-root union of the most recent
-// Apply (or applied change or batch) — the roots whose trees the
-// change can have invalidated, and exactly the roots ApplyBatch
-// rebuilds. The slice is scratch-owned and valid until the next
-// applied change. Downstream incremental consumers (the routing.Store's
+// Apply or ApplyBatch — the roots whose trees the change can have
+// invalidated, and exactly the roots ApplyBatch rebuilds. The slice is
+// scratch-owned and valid until the next applied batch. Downstream incremental consumers (the routing.Store's
 // dirty-owner table rebuild) key their own repairs off this set.
 func (m *Maintainer) DirtyRoots() []int32 { return m.dirty.UnionSorted() }
 
 // Touched returns the sorted vertices whose neighbor list the most
-// recent Apply (or applied change or batch) changed: both endpoints of
-// every effective edge change, and a failed vertex together with every
+// recent Apply or ApplyBatch changed: both endpoints of every
+// effective edge change, and a failed vertex together with every
 // former neighbor. Empty when the batch had no effect. The slice is
-// maintainer-owned and valid until the next applied change.
+// maintainer-owned and valid until the next applied batch.
 func (m *Maintainer) Touched() []int32 { return m.touched }
 
 // TreesRebuilt returns the cumulative number of tree constructions
@@ -375,33 +371,4 @@ func (m *Maintainer) ApplyBatch(changes []Change) int {
 	applied := m.Apply(changes)
 	m.Rebuild(m.DirtyRoots())
 	return applied
-}
-
-// AddEdge inserts {u, v} and repairs affected trees. Reports whether
-// the edge was new.
-func (m *Maintainer) AddEdge(u, v int) bool {
-	return m.applySingle(Change{Kind: AddEdge, U: u, V: v})
-}
-
-// RemoveEdge deletes {u, v} and repairs affected trees. Reports whether
-// the edge existed.
-func (m *Maintainer) RemoveEdge(u, v int) bool {
-	return m.applySingle(Change{Kind: RemoveEdge, U: u, V: v})
-}
-
-// FailVertex removes every edge incident to x (a node crash) and
-// repairs affected trees, returning the number of edges removed. x
-// stays in the vertex set as an isolated node, matching the paper's
-// fault model for multipath routing.
-func (m *Maintainer) FailVertex(x int) int {
-	deg := m.g.Degree(x)
-	if !m.applySingle(Change{Kind: FailVertex, U: x}) {
-		return 0
-	}
-	return deg
-}
-
-func (m *Maintainer) applySingle(ch Change) bool {
-	one := [1]Change{ch}
-	return m.ApplyBatch(one[:]) == 1
 }

@@ -48,6 +48,14 @@ func edgesEqual(a, b *graph.EdgeSet) bool {
 	return true
 }
 
+// applyOne runs one change through ApplyBatch, the maintainer's entry
+// point, and reports whether it had an effect. v is ignored for
+// FailVertex.
+func applyOne(m *Maintainer, kind Kind, u, v int) bool {
+	one := [1]Change{{Kind: kind, U: u, V: v}}
+	return m.ApplyBatch(one[:]) == 1
+}
+
 func TestIncrementalMatchesFullMPR(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 6; trial++ {
@@ -66,9 +74,9 @@ func TestIncrementalMatchesFullMPR(t *testing.T) {
 				continue
 			}
 			if rng.Intn(2) == 0 {
-				m.AddEdge(u, v)
+				applyOne(m, AddEdge, u, v)
 			} else if m.Graph().HasEdge(u, v) && m.Graph().Degree(u) > 1 && m.Graph().Degree(v) > 1 {
-				m.RemoveEdge(u, v)
+				applyOne(m, RemoveEdge, u, v)
 			}
 			want := fullSpanner(m.Graph(), build)
 			if !edgesEqual(m.Spanner(), want) {
@@ -96,9 +104,9 @@ func TestIncrementalMatchesFullMIS(t *testing.T) {
 			continue
 		}
 		if rng.Intn(2) == 0 {
-			m.AddEdge(u, v)
+			applyOne(m, AddEdge, u, v)
 		} else {
-			m.RemoveEdge(u, v)
+			applyOne(m, RemoveEdge, u, v)
 		}
 		want := fullSpanner(m.Graph(), build)
 		if !edgesEqual(m.Spanner(), want) {
@@ -120,7 +128,7 @@ func TestIncrementalSpannerStaysValid(t *testing.T) {
 	for step := 0; step < 15; step++ {
 		u, v := rng.Intn(30), rng.Intn(30)
 		if u != v {
-			m.AddEdge(u, v)
+			applyOne(m, AddEdge, u, v)
 		}
 		h := m.Spanner().Graph()
 		if viol := spanner.Check(m.Graph(), h, spanner.NewStretch(1, 0)); viol != nil {
@@ -141,8 +149,8 @@ func TestIncrementalRebuildsFewTrees(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		u := rng.Intn(399)
-		m.AddEdge(u, u+1) // mostly no-ops (already edges) plus some diagonals
-		m.AddEdge(rng.Intn(400), rng.Intn(400))
+		applyOne(m, AddEdge, u, u+1) // mostly no-ops (already edges) plus some diagonals
+		applyOne(m, AddEdge, rng.Intn(400), rng.Intn(400))
 	}
 	delta := m.TreesRebuilt() - base
 	if delta == 0 {
@@ -157,10 +165,10 @@ func TestNoopChanges(t *testing.T) {
 	g := gen.Ring(10)
 	m := New(g, 1, kgreedyBuilder(1))
 	base := m.TreesRebuilt()
-	if m.AddEdge(0, 1) {
+	if applyOne(m, AddEdge, 0, 1) {
 		t.Fatal("duplicate edge added")
 	}
-	if m.RemoveEdge(3, 7) {
+	if applyOne(m, RemoveEdge, 3, 7) {
 		t.Fatal("phantom edge removed")
 	}
 	if m.TreesRebuilt() != base {
@@ -181,9 +189,8 @@ func TestFailVertexMatchesFull(t *testing.T) {
 		build := kgreedyBuilder(1)
 		m := New(g, 1, build)
 		x := rng.Intn(25)
-		removed := m.FailVertex(x)
-		if removed != g.Degree(x) {
-			t.Fatalf("removed %d edges, vertex had %d", removed, g.Degree(x))
+		if applied := applyOne(m, FailVertex, x, 0); applied != (g.Degree(x) > 0) {
+			t.Fatalf("failing a vertex of degree %d: applied = %v", g.Degree(x), applied)
 		}
 		if m.Graph().Degree(x) != 0 {
 			t.Fatal("vertex still has edges")
@@ -194,7 +201,7 @@ func TestFailVertexMatchesFull(t *testing.T) {
 		}
 		// Second failure of the same vertex is a no-op.
 		base := m.TreesRebuilt()
-		if m.FailVertex(x) != 0 || m.TreesRebuilt() != base {
+		if applyOne(m, FailVertex, x, 0) || m.TreesRebuilt() != base {
 			t.Fatal("re-failing an isolated vertex did work")
 		}
 	}
@@ -366,14 +373,14 @@ func TestChurnEquivalenceAllBuilders(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0:
 					if u != v {
-						m.AddEdge(u, v)
+						applyOne(m, AddEdge, u, v)
 					}
 				case 1:
 					if u != v {
-						m.RemoveEdge(u, v)
+						applyOne(m, RemoveEdge, u, v)
 					}
 				case 2:
-					m.FailVertex(u)
+					applyOne(m, FailVertex, u, 0)
 				default:
 					batch := make([]Change, 0, 6)
 					for i := 0; i < 6; i++ {
@@ -605,7 +612,7 @@ func TestMaintainerTraceDeterministic(t *testing.T) {
 		m := New(g, 1, kgreedyBuilder(1))
 		var trace []int64
 		for i := 0; i < 8; i++ {
-			m.AddEdge(i*7%100, (i*13+29)%100)
+			applyOne(m, AddEdge, i*7%100, (i*13+29)%100)
 			trace = append(trace, m.TreesRebuilt())
 		}
 		m.ApplyBatch([]Change{{Kind: FailVertex, U: 55}, {Kind: AddEdge, U: 3, V: 87}})
@@ -625,13 +632,13 @@ func TestMaintainerTraceDeterministic(t *testing.T) {
 func TestMaintainerSteadyStateAllocs(t *testing.T) {
 	g := gen.Grid(40, 50) // n=2000
 	m := New(g, 1, kgreedyBuilder(1))
-	m.AddEdge(0, 41) // warm the rows and buffers
-	m.RemoveEdge(0, 41)
-	m.AddEdge(0, 41)
-	m.RemoveEdge(0, 41)
+	applyOne(m, AddEdge, 0, 41) // warm the rows and buffers
+	applyOne(m, RemoveEdge, 0, 41)
+	applyOne(m, AddEdge, 0, 41)
+	applyOne(m, RemoveEdge, 0, 41)
 	testutil.PinAllocs(t, "steady-state edge toggle", 50, func() {
-		m.AddEdge(0, 41)
-		m.RemoveEdge(0, 41)
+		applyOne(m, AddEdge, 0, 41)
+		applyOne(m, RemoveEdge, 0, 41)
 	})
 }
 

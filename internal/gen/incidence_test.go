@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 func TestProjectivePlaneStructure(t *testing.T) {
@@ -50,7 +51,7 @@ func TestProjectivePlaneGirthSix(t *testing.T) {
 	// a 6-cycle must exist (triangle of points in general position).
 	// Check: some pair at distance 3 closes a 6-cycle — equivalently
 	// diameter is 3 and there exist two internally disjoint 3-paths.
-	if d := graph.Diameter(g); d != 3 {
+	if d := reference.Diameter(g); d != 3 {
 		t.Fatalf("diameter=%d, want 3", d)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"remspan/internal/reference"
 )
 
 func TestPointDist(t *testing.T) {
@@ -93,7 +95,7 @@ func TestUnitDiskGraphMatchesBruteForce(t *testing.T) {
 		g := UnitDiskGraph(pts, r)
 		m := EuclideanMetric{Points: pts}
 		b := UnitBallGraph(m, r)
-		if !g.Equal(b) {
+		if !reference.Equal(g, b) {
 			t.Fatalf("trial %d: grid UDG differs from brute force", trial)
 		}
 	}
@@ -123,33 +125,5 @@ func TestBallGraphEdges(t *testing.T) {
 	}
 	if math.Abs(es[0].W-0.5) > 1e-12 {
 		t.Fatalf("weight = %v", es[0].W)
-	}
-}
-
-func TestDoublingDimensionLine(t *testing.T) {
-	// Points on a line: doubling dimension ~1.
-	pts := make([]Point, 100)
-	for i := range pts {
-		pts[i] = Point{float64(i), 0}
-	}
-	p := DoublingDimension(EuclideanMetric{Points: pts})
-	if p < 0.5 || p > 2.2 {
-		t.Fatalf("line doubling dim estimate %v, want around 1", p)
-	}
-}
-
-func TestDoublingDimensionPlane(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := UniformBox(300, 2, 10, rng)
-	p := DoublingDimension(EuclideanMetric{Points: pts})
-	if p < 1.2 || p > 3.5 {
-		t.Fatalf("plane doubling dim estimate %v, want around 2", p)
-	}
-	// Degenerate inputs.
-	if DoublingDimension(EuclideanMetric{}) != 0 {
-		t.Fatal("empty metric should have dim 0")
-	}
-	if DoublingDimension(EuclideanMetric{Points: []Point{{1, 1}}}) != 0 {
-		t.Fatal("singleton should have dim 0")
 	}
 }

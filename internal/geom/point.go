@@ -1,7 +1,6 @@
 // Package geom provides the geometric substrate for the paper's input
 // models: point sets in R^d, Poisson point processes in a fixed square,
-// unit-disk graphs, unit-ball graphs of arbitrary metrics, and a
-// packing-based doubling-dimension estimator.
+// unit-disk graphs and unit-ball graphs of arbitrary metrics.
 package geom
 
 import "math"

@@ -163,40 +163,3 @@ func (s *BFSScratch) UnionSorted() []int32 {
 	slices.Sort(s.unionList)
 	return s.unionList
 }
-
-// Eccentricity returns the maximum finite distance from src, or -1 if
-// src has no reachable vertices besides itself and n > 1... it is 0 for
-// a singleton component.
-func Eccentricity(g *Graph, src int) int {
-	dist := BFS(g, src)
-	ecc := 0
-	for _, d := range dist {
-		if d != Unreached && int(d) > ecc {
-			ecc = int(d)
-		}
-	}
-	return ecc
-}
-
-// Diameter returns the largest eccentricity over all vertices of a
-// connected graph; for disconnected graphs it is the largest finite
-// distance. O(n·m).
-func Diameter(g *Graph) int {
-	diam := 0
-	for u := 0; u < g.N(); u++ {
-		if e := Eccentricity(g, u); e > diam {
-			diam = e
-		}
-	}
-	return diam
-}
-
-// AllPairsDistances returns the full distance matrix via n BFS runs.
-// Intended for verification on small graphs: O(n·m) time, O(n²) space.
-func AllPairsDistances(g *Graph) [][]int32 {
-	d := make([][]int32, g.N())
-	for u := range d {
-		d[u] = BFS(g, u)
-	}
-	return d
-}

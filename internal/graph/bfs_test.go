@@ -3,7 +3,6 @@ package graph
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func pathGraph(n int) *Graph {
@@ -106,53 +105,5 @@ func TestBFSScratchReuse(t *testing.T) {
 	d2, _, _ := s.BoundedView(g, 5, 2)
 	if d2[5] != 0 || d2[3] != 2 || d2[0] != Unreached {
 		t.Fatalf("second run not reset correctly: %v", d2)
-	}
-}
-
-func TestEccentricityAndDiameter(t *testing.T) {
-	g := pathGraph(6)
-	if e := Eccentricity(g, 0); e != 5 {
-		t.Errorf("ecc(0)=%d, want 5", e)
-	}
-	if e := Eccentricity(g, 3); e != 3 {
-		t.Errorf("ecc(3)=%d, want 3", e)
-	}
-	if d := Diameter(g); d != 5 {
-		t.Errorf("diam=%d, want 5", d)
-	}
-}
-
-func TestAllPairsSymmetric(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(12)
-		g := New(n)
-		for i := 0; i < n*2; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
-		d := AllPairsDistances(g)
-		for u := 0; u < n; u++ {
-			if d[u][u] != 0 {
-				return false
-			}
-			for v := 0; v < n; v++ {
-				if d[u][v] != d[v][u] {
-					return false
-				}
-				// triangle inequality through any edge
-				for _, w := range g.Neighbors(v) {
-					if d[u][v] != Unreached && d[u][w] != Unreached && d[u][w] > d[u][v]+1 {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

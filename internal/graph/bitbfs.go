@@ -71,7 +71,7 @@ func NewBitScratch(n int) *BitScratch {
 }
 
 // NewBitScratchMasks returns a masks-only scratch: reachability masks
-// and streamed first-visit events, but no distance rows (Row/Dist must
+// and streamed first-visit events, but no distance rows (Row must
 // not be used). Footprint is O(n) words — the right engine for judge
 // passes that test deadlines instead of reading distances back.
 func NewBitScratchMasks(n int) *BitScratch {
@@ -346,35 +346,11 @@ func (s *BitScratch) collect(arrivals, nxt []int32, level int32) []int32 {
 	return nxt
 }
 
-// SweepFrom runs a plain batched BFS over view from the count sources
-// base..base+count-1, bit i owning source base+i. count must be in
-// [1, 64].
-//
-//remspan:hotpath
-func (s *BitScratch) SweepFrom(view View, base, count int) {
-	s.Begin()
-	for i := 0; i < count; i++ {
-		s.SeedFrontier(uint(i), base+i, 0)
-	}
-	s.Sweep(view, 1)
-}
-
-// SweepSources runs a plain batched BFS over view from the given
-// sources (1 ≤ len ≤ 64), bit i owning sources[i].
-//
-//remspan:hotpath
-func (s *BitScratch) SweepSources(view View, sources []int32) {
-	s.Begin()
-	for i, u := range sources {
-		s.SeedFrontier(uint(i), int(u), 0)
-	}
-	s.Sweep(view, 1)
-}
-
-// SweepSourcesVisit is SweepSources in streaming form: visit is called
-// once per (vertex, new source bits, distance) first-visit event, in
-// level order. On a masks-only scratch no distance rows exist — after
-// the sweep only Visited is meaningful, not Row/Dist. The sources
+// SweepSourcesVisit runs a plain batched BFS over view from the given
+// sources (1 ≤ len ≤ 64), bit i owning sources[i]. visit, when not nil,
+// is called once per (vertex, new source bits, distance) first-visit
+// event, in level order. On a masks-only scratch no distance rows exist
+// — after the sweep only Visited is meaningful, not Row. The sources
 // themselves (distance 0) are not reported. The callback runs inside
 // the sweep's collect phase: it must not call back into this
 // BitScratch.
@@ -399,22 +375,27 @@ func (s *BitScratch) Visited(v int) uint64 { return s.stripes[v].vis }
 // the next Begin.
 func (s *BitScratch) Row(v int) []int32 { return s.dist[v<<6 : v<<6+64] }
 
-// Dist returns the distance from source bit i to v, or Unreached.
-func (s *BitScratch) Dist(i uint, v int) int32 {
-	if s.stripes[v].vis&(uint64(1)<<i) == 0 {
-		return Unreached
-	}
-	return s.dist[v<<6|int(i)]
-}
-
 // ballBudget caps the vertices one clustering ball may traverse while
 // hunting for unassigned sources, so pathological inputs (a nearly
-// consumed region that must be re-walked) cannot push BatchOrder past
+// consumed region that must be re-walked) cannot push Order past
 // O(budget · n/64): the ball simply closes early and the batch ships
 // with fewer than 64 sources, which the engine accepts.
 const ballBudget = 4096
 
-// BatchOrder partitions the vertices into batches of up to 64 mutually
+// BatchOrderScratch is the pooled working state of Order, for call
+// sites that re-cluster per run (the verification and routing
+// fan-outs): its zero value is ready to use, and a warm scratch orders
+// any number of views with zero allocations. Not safe for concurrent
+// use.
+type BatchOrderScratch struct {
+	order, starts []int32
+	queue         []int32
+	assignedMark  []uint32 // == callEpoch ⇔ vertex already assigned this call
+	mark          []uint32 // per-ball visit stamps
+	epoch         uint32
+}
+
+// Order partitions the vertices into batches of up to 64 mutually
 // close sources for the word-parallel engine: order is a permutation
 // of 0..n-1 and starts[b]:starts[b+1] slices it into batches. Batch
 // cost in a bit-packed sweep is O(edges × distinct wavefront levels) —
@@ -425,31 +406,8 @@ const ballBudget = 4096
 // the smallest unassigned vertex, collecting unassigned vertices in
 // BFS discovery order; exhausted components spill into the same batch
 // so fragmented graphs still fill words. Deterministic: same view,
-// same partition.
-func BatchOrder(view View) (order, starts []int32) {
-	return NewBatchOrderScratch().Order(view)
-}
-
-// BatchOrderScratch is the pooled working state of BatchOrder, for
-// call sites that re-cluster per run (the verification and routing
-// fan-outs): a warm scratch orders any number of views with zero
-// allocations. Not safe for concurrent use; the returned slices are
-// scratch-owned and valid until the next Order call.
-type BatchOrderScratch struct {
-	order, starts []int32
-	queue         []int32
-	assignedMark  []uint32 // == callEpoch ⇔ vertex already assigned this call
-	mark          []uint32 // per-ball visit stamps
-	epoch         uint32
-}
-
-// NewBatchOrderScratch returns an empty scratch; arrays grow to the
-// largest view seen.
-func NewBatchOrderScratch() *BatchOrderScratch {
-	return &BatchOrderScratch{}
-}
-
-// Order is BatchOrder into the scratch's pooled storage.
+// same partition. The returned slices are scratch-owned and valid
+// until the next Order call; arrays grow to the largest view seen.
 func (s *BatchOrderScratch) Order(view View) (order, starts []int32) {
 	n := view.N()
 	//remspan:coldpath stamp arrays grow to the largest view seen, then are reused

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"remspan/internal/testutil"
@@ -57,6 +58,24 @@ func bitFamilies() map[string]*Graph {
 	}
 }
 
+// sourceRange returns the count source ids base..base+count-1.
+func sourceRange(base, count int) []int32 {
+	src := make([]int32, count)
+	for i := range src {
+		src[i] = int32(base + i)
+	}
+	return src
+}
+
+// bitDist is source bit i's distance to v after a sweep on a scratch
+// with distance rows, or Unreached.
+func bitDist(s *BitScratch, i uint, v int) int32 {
+	if s.Visited(v)&(uint64(1)<<i) == 0 {
+		return Unreached
+	}
+	return s.Row(v)[i]
+}
+
 func TestBitBFSMatchesScalarOnFamilies(t *testing.T) {
 	for name, g := range bitFamilies() {
 		n := g.N()
@@ -67,11 +86,11 @@ func TestBitBFSMatchesScalarOnFamilies(t *testing.T) {
 			if base+count > n {
 				count = n - base
 			}
-			s.SweepFrom(c, base, count)
+			s.SweepSourcesVisit(c, sourceRange(base, count), nil)
 			for i := 0; i < count; i++ {
 				want := BFS(g, base+i)
 				for v := 0; v < n; v++ {
-					if got := s.Dist(uint(i), v); got != want[v] {
+					if got := bitDist(s, uint(i), v); got != want[v] {
 						t.Fatalf("%s: dist(%d,%d) = %d, want %d", name, base+i, v, got, want[v])
 					}
 				}
@@ -88,11 +107,11 @@ func TestBitBFSReusedScratchAcrossGraphs(t *testing.T) {
 	for _, name := range []string{"er", "disconnected", "path", "star"} {
 		g := fams[name]
 		c := NewCSR(g)
-		s.SweepFrom(c, 0, min64(g.N()))
+		s.SweepSourcesVisit(c, sourceRange(0, min64(g.N())), nil)
 		for i := 0; i < min64(g.N()); i++ {
 			ref := BFS(g, i)
 			for v := 0; v < g.N(); v++ {
-				if got := s.Dist(uint(i), v); got != ref[v] {
+				if got := bitDist(s, uint(i), v); got != ref[v] {
 					t.Fatalf("%s after reuse: dist(%d,%d) = %d, want %d", name, i, v, got, ref[v])
 				}
 			}
@@ -112,31 +131,49 @@ func TestBitBFSGenericViewMatchesCSR(t *testing.T) {
 	c := NewCSR(g)
 	sc := NewBitScratch(g.N())
 	sg := NewBitScratch(g.N())
-	sc.SweepFrom(c, 0, 64)
-	sg.SweepFrom(g, 0, 64) // *Graph takes the generic View path
+	sc.SweepSourcesVisit(c, sourceRange(0, 64), nil)
+	sg.SweepSourcesVisit(g, sourceRange(0, 64), nil) // *Graph takes the generic View path
 	for v := 0; v < g.N(); v++ {
 		if sc.Visited(v) != sg.Visited(v) {
 			t.Fatalf("visited mask differs at %d", v)
 		}
 		for i := uint(0); i < 64; i++ {
-			if sc.Dist(i, v) != sg.Dist(i, v) {
+			if bitDist(sc, i, v) != bitDist(sg, i, v) {
 				t.Fatalf("dist(%d,%d) differs between CSR and generic sweeps", i, v)
 			}
 		}
 	}
 }
 
-// TestBitSweepZeroAlloc pins the steady-state allocation guarantee: a
-// warm scratch runs batches without allocating.
+// TestBitSweepZeroAlloc pins the steady-state allocation guarantee of
+// SweepSourcesVisit, the sweep MeasureProfile's shard runs: a warm
+// scratch runs batches without allocating, with a nil and a bound
+// visit, on a scratch with distance rows and on a masks-only one.
 func TestBitSweepZeroAlloc(t *testing.T) {
 	g := bitFamilies()["er"]
 	c := NewCSR(g)
-	s := NewBitScratch(g.N())
-	s.SweepFrom(c, 0, 64) // warm-up
-	testutil.PinAllocs(t, "batch sweep", 20, func() {
-		s.SweepFrom(c, 64, 64)
-		s.SweepFrom(c, 0, 64)
-	})
+	lo, hi := sourceRange(0, 64), sourceRange(64, 64)
+	var events int
+	visit := func(v int32, newBits uint64, level int32) { events++ }
+	for _, sc := range []struct {
+		name string
+		s    *BitScratch
+	}{{"full", NewBitScratch(g.N())}, {"masks", NewBitScratchMasks(g.N())}} {
+		for _, vc := range []struct {
+			name  string
+			visit func(v int32, newBits uint64, level int32)
+		}{{"nil visit", nil}, {"bound visit", visit}} {
+			s := sc.s
+			s.SweepSourcesVisit(c, lo, vc.visit) // warm-up
+			testutil.PinAllocs(t, sc.name+" scratch, "+vc.name, 20, func() {
+				s.SweepSourcesVisit(c, hi, vc.visit)
+				s.SweepSourcesVisit(c, lo, vc.visit)
+			})
+		}
+	}
+	if events == 0 {
+		t.Fatal("bound visit never called")
+	}
 }
 
 func BenchmarkBitSweep64(b *testing.B) {
@@ -151,17 +188,23 @@ func BenchmarkBitSweep64(b *testing.B) {
 	}
 	c := NewCSR(g)
 	s := NewBitScratch(n)
+	batches := make([][]int32, n/64)
+	for i := range batches {
+		batches[i] = sourceRange(i*64, 64)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.SweepFrom(c, (i*64)%(n-64), 64)
+		s.SweepSourcesVisit(c, batches[i%len(batches)], nil)
 	}
 }
 
 func TestBatchOrderIsPartition(t *testing.T) {
 	for name, g := range bitFamilies() {
 		c := NewCSR(g)
-		order, starts := BatchOrder(c)
+		var s BatchOrderScratch
+		order, starts := s.Order(c)
+		order, starts = slices.Clone(order), slices.Clone(starts)
 		if len(order) != g.N() {
 			t.Fatalf("%s: order covers %d of %d vertices", name, len(order), g.N())
 		}
@@ -181,8 +224,9 @@ func TestBatchOrderIsPartition(t *testing.T) {
 				t.Fatalf("%s: batch %d has %d sources", name, b, size)
 			}
 		}
-		// Determinism: a second run must produce the identical partition.
-		order2, starts2 := BatchOrder(c)
+		// Determinism: a second run on the warm scratch must produce
+		// the identical partition.
+		order2, starts2 := s.Order(c)
 		for i := range order {
 			if order[i] != order2[i] {
 				t.Fatalf("%s: order not deterministic at %d", name, i)
@@ -206,11 +250,11 @@ func TestSweepSourcesMatchesScalar(t *testing.T) {
 		for i := range sources {
 			sources[i] = int32(perm[i])
 		}
-		s.SweepSources(c, sources)
+		s.SweepSourcesVisit(c, sources, nil)
 		for i, u := range sources {
 			want := BFS(g, int(u))
 			for v := 0; v < g.N(); v++ {
-				if got := s.Dist(uint(i), v); got != want[v] {
+				if got := bitDist(s, uint(i), v); got != want[v] {
 					t.Fatalf("%s: dist(%d,%d) = %d, want %d", name, u, v, got, want[v])
 				}
 			}

@@ -83,25 +83,3 @@ func (c *CSR) SubsetOf(d *CSR) bool {
 	}
 	return true
 }
-
-// BFS computes distances from src into dist (len ≥ N, overwritten),
-// reusing queue as scratch; returns the visit order. Semantics match
-// graph.BFS.
-func (c *CSR) BFS(src int, dist []int32, queue []int32) []int32 {
-	for i := range dist[:c.N()] {
-		dist[i] = Unreached
-	}
-	queue = queue[:0]
-	dist[src] = 0
-	queue = append(queue, int32(src))
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range c.Neighbors(int(u)) {
-			if dist[v] == Unreached {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return queue
-}

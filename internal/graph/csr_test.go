@@ -44,11 +44,10 @@ func TestCSRBFSMatches(t *testing.T) {
 			}
 		}
 		c := NewCSR(g)
-		dist := make([]int32, n)
-		queue := make([]int32, 0, n)
+		s := NewBFSScratch(n)
 		for src := 0; src < n; src++ {
 			want := BFS(g, src)
-			c.BFS(src, dist, queue)
+			dist, _, _ := s.BoundedView(c, src, n)
 			for v := 0; v < n; v++ {
 				if dist[v] != want[v] {
 					return false

@@ -73,9 +73,6 @@ func (m *EdgeMarks) Union(o *EdgeMarks) {
 	}
 }
 
-// Len returns the number of marked edges.
-func (m *EdgeMarks) Len() int { return m.count }
-
 // EdgeSet returns the marked edges as an EdgeSet in one pass: CSR
 // slot order is already the canonical key order, so the keys come out
 // sorted and the slice is sized to the exact edge count.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -40,7 +41,7 @@ func TestEdgeMarksEdgeSetMatchesNewEdgeSet(t *testing.T) {
 		a.Union(b)
 		want := NewEdgeSet(n, pairs)
 		got := a.EdgeSet()
-		if !got.Equal(want) || got.Len() != a.Len() || !got.Graph().Equal(want.Graph()) {
+		if !got.Equal(want) || got.Len() != a.count || !slices.Equal(got.Graph().Edges(), want.Graph().Edges()) {
 			t.Fatalf("trial %d: marks give %d edges %v, NewEdgeSet %d edges %v",
 				trial, got.Len(), got.Edges(), want.Len(), want.Edges())
 		}
@@ -55,7 +56,7 @@ func TestEdgeMarksAddAbsentEdgePanics(t *testing.T) {
 	g := FromEdges(5, [][2]int{{0, 1}, {0, 3}, {1, 2}})
 	m := NewEdgeMarks(NewCSR(g))
 	m.Add(2, 2)
-	if m.Len() != 0 {
+	if m.count != 0 {
 		t.Fatal("self loop marked")
 	}
 	for _, e := range [][2]int{{0, 4}, {2, 0}, {3, 4}} {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,7 +45,7 @@ func TestEdgeSetGraphRoundTrip(t *testing.T) {
 	if s.Len() != g.M() {
 		t.Fatalf("edge set len %d != m %d", s.Len(), g.M())
 	}
-	if !s.Graph().Equal(g) {
+	if h := s.Graph(); h.N() != g.N() || !slices.Equal(h.Edges(), g.Edges()) {
 		t.Fatal("round trip lost edges")
 	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reparse of own output: %v", err)
 		}
-		if !g.Equal(g2) {
+		if g.N() != g2.N() || !slices.Equal(g.Edges(), g2.Edges()) {
 			t.Fatal("round trip changed the graph")
 		}
 	})

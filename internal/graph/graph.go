@@ -270,22 +270,3 @@ func (g *Graph) RemoveVertex(x int) *Graph {
 	}
 	return c
 }
-
-// Equal reports whether g and h have identical vertex and edge sets.
-func (g *Graph) Equal(h *Graph) bool {
-	if g.N() != h.N() || g.M() != h.M() {
-		return false
-	}
-	for u := range g.adj {
-		a, b := g.adj[u], h.adj[u]
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -161,20 +161,6 @@ func TestRemoveVertex(t *testing.T) {
 	}
 }
 
-func TestEqual(t *testing.T) {
-	a := New(3)
-	a.AddEdge(0, 1)
-	b := New(3)
-	b.AddEdge(0, 1)
-	if !a.Equal(b) {
-		t.Fatal("equal graphs reported unequal")
-	}
-	b.AddEdge(1, 2)
-	if a.Equal(b) {
-		t.Fatal("unequal graphs reported equal")
-	}
-}
-
 func TestFromEdgesIgnoresBadInput(t *testing.T) {
 	g := FromEdges(3, [][2]int{{0, 1}, {0, 1}, {1, 1}, {1, 2}})
 	if g.M() != 2 {

@@ -64,10 +64,8 @@ func (t *Tree) Root() int { return int(t.root) }
 // Contains reports whether v is a member of the tree.
 func (t *Tree) Contains(v int) bool { return t.parent[v] != NotInTree }
 
-// Size returns the number of member vertices.
-func (t *Tree) Size() int { return len(t.nodes) }
-
-// EdgeCount returns the number of tree edges (Size()-1).
+// EdgeCount returns the number of tree edges (one less than the
+// number of members).
 func (t *Tree) EdgeCount() int { return t.edges }
 
 // Depth returns the depth of v, or -1 if v is not in the tree.
@@ -149,30 +147,4 @@ func (t *Tree) Branch(v int) int {
 		x = t.parent[x]
 	}
 	return int(x)
-}
-
-// Validate checks internal consistency: every member's parent chain
-// reaches the root with strictly decreasing depth, and every tree edge
-// exists in host (when host != nil).
-func (t *Tree) Validate(host *Graph) error {
-	for _, v := range t.nodes {
-		p := t.parent[v]
-		if v == t.root {
-			if p != -1 || t.depth[v] != 0 {
-				return fmt.Errorf("graph: bad root bookkeeping for %d", v)
-			}
-			continue
-		}
-		if p < 0 {
-			return fmt.Errorf("graph: member %d has no parent", v)
-		}
-		if t.depth[v] != t.depth[p]+1 {
-			return fmt.Errorf("graph: depth of %d (%d) != depth of parent %d (%d)+1",
-				v, t.depth[v], p, t.depth[p])
-		}
-		if host != nil && !host.HasEdge(int(v), int(p)) {
-			return fmt.Errorf("graph: tree edge {%d,%d} not in host graph", v, p)
-		}
-	}
-	return nil
 }

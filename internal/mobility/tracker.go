@@ -68,9 +68,6 @@ func (t *Tracker) Graph() *graph.Graph {
 	return g
 }
 
-// Degree returns u's current degree.
-func (t *Tracker) Degree(u int) int { return int(t.curOff[u+1] - t.curOff[u]) }
-
 // Tick advances the waypoint model one step and returns the unit-disk
 // edge diff as (u, v) pairs with u < v, sorted lexicographically. The
 // slices are tracker-owned and valid until the next Tick.

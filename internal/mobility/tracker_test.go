@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"remspan/internal/geom"
-	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/testutil"
 )
 
@@ -19,7 +19,7 @@ func TestTrackerMatchesUnitDiskGraph(t *testing.T) {
 	for tick := 0; tick < 15; tick++ {
 		tr.Tick()
 		want := geom.UnitDiskGraph(w.Positions(), 1.0)
-		if got := tr.Graph(); !got.Equal(want) {
+		if got := tr.Graph(); !reference.Equal(got, want) {
 			t.Fatalf("tick %d: tracker adjacency diverged (m=%d want %d)",
 				tick, got.M(), want.M())
 		}
@@ -46,7 +46,7 @@ func TestTrackerDiffsReplay(t *testing.T) {
 			}
 		}
 	}
-	if !g.Equal(tr.Graph()) {
+	if !reference.Equal(g, tr.Graph()) {
 		t.Fatal("replayed diffs diverged from tracker graph")
 	}
 }
@@ -61,22 +61,6 @@ func TestTrackerSteadyStateAllocs(t *testing.T) {
 		tr.Tick()
 	}
 	testutil.PinAllocs(t, "steady-state tick", 30, func() { tr.Tick() })
-}
-
-// TestTrackerDegreeAccessor keeps Degree in sync with the materialized
-// graph.
-func TestTrackerDegreeAccessor(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	w := NewWaypoint(80, 5, 0.05, 0.2, rng)
-	tr := NewTracker(w, 1.0)
-	tr.Tick()
-	g := tr.Graph()
-	for u := 0; u < tr.N(); u++ {
-		if tr.Degree(u) != g.Degree(u) {
-			t.Fatalf("degree of %d: tracker %d, graph %d", u, tr.Degree(u), g.Degree(u))
-		}
-	}
-	var _ *graph.Graph = g
 }
 
 // TestTrackerZeroNodes: an empty fleet must be a valid degenerate
@@ -126,11 +110,11 @@ func TestTrackerSingleCell(t *testing.T) {
 			}
 		}
 		want := geom.UnitDiskGraph(w.Positions(), 1.0)
-		if !tr.Graph().Equal(want) {
+		if !reference.Equal(tr.Graph(), want) {
 			t.Fatalf("tick %d: one-cell adjacency diverged", tick)
 		}
 	}
-	if !g.Equal(tr.Graph()) {
+	if !reference.Equal(g, tr.Graph()) {
 		t.Fatal("one-cell replayed diffs diverged")
 	}
 	if allocs := testing.AllocsPerRun(10, func() { tr.Tick() }); allocs > 0 {
@@ -157,7 +141,7 @@ func TestTrackerCellBoundaryPositions(t *testing.T) {
 	}
 	tr := NewTracker(w, 1.0)
 	want := geom.UnitDiskGraph(pts, 1.0)
-	if got := tr.Graph(); !got.Equal(want) {
+	if got := tr.Graph(); !reference.Equal(got, want) {
 		t.Fatalf("boundary lattice adjacency wrong: m=%d want %d (axis neighbors at distance exactly 1)",
 			got.M(), want.M())
 	}
@@ -171,7 +155,7 @@ func TestTrackerCellBoundaryPositions(t *testing.T) {
 			t.Fatalf("tick %d: static boundary nodes produced a diff (+%d −%d)",
 				tick, len(added), len(removed))
 		}
-		if !tr.Graph().Equal(want) {
+		if !reference.Equal(tr.Graph(), want) {
 			t.Fatalf("tick %d: static boundary adjacency corrupted", tick)
 		}
 	}

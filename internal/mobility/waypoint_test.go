@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"remspan/internal/reference"
 )
 
 func TestWaypointStaysInBox(t *testing.T) {
@@ -61,7 +63,7 @@ func TestWaypointGraphEvolves(t *testing.T) {
 		w.Step()
 	}
 	g2 := w.Graph(1.0)
-	if g1.Equal(g2) {
+	if reference.Equal(g1, g2) {
 		t.Fatal("topology did not change under fast mobility")
 	}
 	if g1.N() != g2.N() {

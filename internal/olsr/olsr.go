@@ -213,9 +213,6 @@ func (s *Sim) Run(ticks int) {
 	}
 }
 
-// Now returns the current tick.
-func (s *Sim) Now() int64 { return s.tick }
-
 // Stats returns cumulative traffic counters.
 func (s *Sim) Stats() Stats { return s.stats }
 

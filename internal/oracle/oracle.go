@@ -48,10 +48,6 @@ func (o *Oracle) Clone() *Oracle {
 	}
 }
 
-// Stretch returns the guarantee the oracle answers under:
-// d_G(u,v) ≤ Query(u,v) ≤ α·d_G(u,v) + β.
-func (o *Oracle) Stretch() spanner.Stretch { return o.st }
-
 // StorageWords returns the oracle's storage footprint in int32 words:
 // the spanner edges (twice, adjacency form) plus the query node's
 // neighbor lists.

@@ -7,6 +7,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -48,7 +49,7 @@ func FuzzVerifyEquivalence(f *testing.F) {
 		case 2: // grid
 			g = gen.Grid(1+n%16, 1+int(density)%16)
 		case 3: // star
-			g = gen.Star(n)
+			g = reference.Star(n)
 		default: // disconnected: two ER blobs + isolated vertices
 			na, nb := n%64, int(density)%64
 			g = graph.New(na + nb + 5)

@@ -3,11 +3,16 @@
 // (Algorithms 1, 2, 4 and 5), the dominating-tree property checkers and
 // the serial union of per-root trees — hash-map state and a full
 // candidate rescan per greedy pick, so a differential test can tell a
-// production shortcut from a change of output.
+// production shortcut from a change of output. It also holds what the
+// tests of several packages share and production never runs: graph
+// equality, the tree consistency check, all-pairs distances and the
+// fixed graph families (fixtures.go).
 //
-// Only _test.go files import this package; CI fails when a production
-// file does. It imports nothing but internal/graph, so the in-package
-// tests of any package above graph can use it without an import cycle.
+// Only _test.go files import this package; the production gate in
+// cmd/remspanlint's tests fails when a production file does. It imports
+// nothing of the module but internal/graph, so the in-package tests of
+// any package above graph can use it without an import cycle (graph's
+// own tests use it from package graph_test).
 package reference
 
 import "remspan/internal/graph"
@@ -20,7 +25,7 @@ import "remspan/internal/graph"
 // its root, returning a counterexample vertex (-1 when the property
 // holds). It also validates tree consistency against g.
 func IsDominatingTree(g *graph.Graph, t *graph.Tree, r, beta int) (badVertex int, err error) {
-	if err := t.Validate(g); err != nil {
+	if err := ValidateTree(t, g); err != nil {
 		return -1, err
 	}
 	u := t.Root()
@@ -52,7 +57,7 @@ func IsDominatingTree(g *graph.Graph, t *graph.Tree, r, beta int) (badVertex int
 // IsKConnDominatingTree checks the k-connecting (2, β)-dominating-tree
 // property, returning a counterexample vertex (-1 when it holds).
 func IsKConnDominatingTree(g *graph.Graph, t *graph.Tree, k, beta int) (badVertex int, err error) {
-	if err := t.Validate(g); err != nil {
+	if err := ValidateTree(t, g); err != nil {
 		return -1, err
 	}
 	u := t.Root()

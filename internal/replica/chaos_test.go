@@ -4,8 +4,55 @@ import (
 	"math/rand"
 	"testing"
 
+	"remspan/internal/graph"
 	"remspan/internal/routing"
 )
+
+// The fault controls the chaos scripts and the recovery tests drive:
+// production code never crashes, stalls or partitions a replica, it
+// only observes Down and Stalled and routes around them.
+
+// Crash takes the replica down, wiping all replicated state (process
+// restart loses the memory-resident tables). In-flight shipments
+// addressed to it are dropped on arrival.
+func (r *Replica) Crash() {
+	r.down.Store(true)
+	r.applied = 0
+	r.gapAge = 0
+	r.wantFS = false
+	clear(r.pending)
+	r.state.Store(&repState{})
+	r.mirrorMu.Lock()
+	r.phys = graph.New(r.n)
+	r.mirror = routing.NewSpannerMirror(r.n)
+	r.mirrorMu.Unlock()
+}
+
+// Restart brings a crashed replica back empty; it immediately wants a
+// full resync.
+func (r *Replica) Restart() {
+	r.down.Store(false)
+	r.wantFS = true
+}
+
+// SetStalled marks the replica's read path as fault-injected slow (or
+// heals it). Queries still succeed; clients treat a stalled replica
+// as missing its per-query deadline and hedge elsewhere.
+func (r *Replica) SetStalled(v bool) { r.stall.Store(v) }
+
+// Partition cuts (or heals) the writer→dst link. Shipments sent while
+// cut are lost, not queued — the replica recovers by resync after the
+// heal, exactly like a real link coming back.
+func (in *Injector) Partition(dst int, cut bool) { in.cut[dst] = cut }
+
+// Heal zeroes the plan's background drop and delay probabilities
+// (scripted partitions heal via Partition). Deterministic like every
+// other injector mutation: the same plan healed at the same tick
+// replays bit-identically.
+func (in *Injector) Heal() {
+	in.plan.DropProb = 0
+	in.plan.DelayProb = 0
+}
 
 // chaosEvent mutates the cluster at a given tick (crash, restart,
 // partition, stall — the scenario script).

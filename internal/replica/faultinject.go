@@ -79,20 +79,6 @@ func (in *Injector) Ship(dst int, sh *Shipment) {
 	in.queue = append(in.queue, inFlight{due: in.now + delay, dst: dst, sh: sh})
 }
 
-// Partition cuts (or heals) the writer→dst link. Shipments sent while
-// cut are lost, not queued — the replica recovers by resync after the
-// heal, exactly like a real link coming back.
-func (in *Injector) Partition(dst int, cut bool) { in.cut[dst] = cut }
-
-// Heal zeroes the plan's background drop and delay probabilities
-// (scripted partitions heal via Partition). Deterministic like every
-// other injector mutation: the same plan healed at the same tick
-// replays bit-identically.
-func (in *Injector) Heal() {
-	in.plan.DropProb = 0
-	in.plan.DelayProb = 0
-}
-
 // Tick advances transport time one tick and delivers every due
 // shipment in ship order.
 func (in *Injector) Tick() {

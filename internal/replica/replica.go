@@ -90,34 +90,6 @@ func (r *Replica) Down() bool { return r.down.Load() }
 // slow — a client models this as a per-query deadline miss.
 func (r *Replica) Stalled() bool { return r.stall.Load() }
 
-// Crash takes the replica down, wiping all replicated state (process
-// restart loses the memory-resident tables). In-flight shipments
-// addressed to it are dropped on arrival.
-func (r *Replica) Crash() {
-	r.down.Store(true)
-	r.applied = 0
-	r.gapAge = 0
-	r.wantFS = false
-	clear(r.pending)
-	r.state.Store(&repState{})
-	r.mirrorMu.Lock()
-	r.phys = graph.New(r.n)
-	r.mirror = routing.NewSpannerMirror(r.n)
-	r.mirrorMu.Unlock()
-}
-
-// Restart brings a crashed replica back empty; it immediately wants a
-// full resync.
-func (r *Replica) Restart() {
-	r.down.Store(false)
-	r.wantFS = true
-}
-
-// SetStalled marks the replica's read path as fault-injected slow (or
-// heals it). Queries still succeed; clients treat a stalled replica
-// as missing its per-query deadline and hedge elsewhere.
-func (r *Replica) SetStalled(v bool) { r.stall.Store(v) }
-
 // Apply ingests one shipment: full shipments install outright, deltas
 // apply only in exact sequence — later deltas are buffered for the
 // gap to fill, earlier ones are stale duplicates and dropped. Crashed

@@ -11,6 +11,7 @@ import (
 	"remspan/internal/dynamic"
 	"remspan/internal/graph"
 	"remspan/internal/mobility"
+	"remspan/internal/reference"
 	"remspan/internal/routing"
 	"remspan/internal/testutil"
 )
@@ -114,7 +115,7 @@ func TestClusterLockstepNoFaults(t *testing.T) {
 				}
 			}
 		}
-		if !r.phys.Equal(fix.st.Maintainer().Graph()) {
+		if !reference.Equal(r.phys, fix.st.Maintainer().Graph()) {
 			t.Fatalf("replica %d physical mirror diverged", r.ID)
 		}
 	}
@@ -228,7 +229,7 @@ func TestReplicaReorderAndDuplicates(t *testing.T) {
 			}
 		}
 	}
-	if !inOrder.phys.Equal(scrambled.phys) {
+	if !reference.Equal(inOrder.phys, scrambled.phys) {
 		t.Fatal("physical mirrors diverge after scramble")
 	}
 }

@@ -105,9 +105,6 @@ func NewWriter(st *routing.Store, net Network, nrep int) *Writer {
 	return &Writer{st: st, net: net, nrep: nrep, lastSeq: st.Epoch().Seq()}
 }
 
-// Store returns the wrapped store (the writer-side source of truth).
-func (w *Writer) Store() *routing.Store { return w.st }
-
 // Seq returns the writer's current published epoch sequence.
 func (w *Writer) Seq() uint64 { return w.st.Epoch().Seq() }
 

@@ -45,14 +45,14 @@ import (
 // and the claim scans plus O(64·n) scratch and output writes, against
 // the O(64·(n+m)) cache-missing scalar walks it replaces.
 //
-// Owners are grouped by graph.BatchOrder's ball clustering, not by id:
-// a bit-packed sweep costs O(edges × distinct wavefront levels), so 64
-// scattered owners on a high-diameter graph would forfeit the word
-// parallelism (see graph.BatchOrder). Every batched build — the full
-// table set, a Store's cold build, its RebuildAll and each churn tick's
-// dirty owners — runs through one tableEnv.build: the full-graph ball
-// order, filtered down to the owners to rebuild, is cut into groups of
-// 64 that sched workers take, one builder per worker.
+// Owners are grouped by graph.BatchOrderScratch.Order's ball
+// clustering, not by id: a bit-packed sweep costs O(edges × distinct
+// wavefront levels), so 64 scattered owners on a high-diameter graph
+// would forfeit the word parallelism (see Order's doc). Every batched
+// build — the full table set, a Store's cold build, its RebuildAll and
+// each churn tick's dirty owners — runs through one tableEnv.build: the
+// full-graph ball order, filtered down to the owners to rebuild, is cut
+// into groups of 64 that sched workers take, one builder per worker.
 
 // MaxN is the largest vertex count the table engine serves: next hop
 // and BFS level each live in a 16-bit half of a packed word, so every
@@ -175,8 +175,8 @@ func (b *BatchBuilder) buildGroup(g, h graph.View, owners []int32, next, dist []
 // BuildInto constructs the tables of the given owners (any subset of
 // 0..n-1, any order) into tables — indexed by owner id, rows pre-sized
 // — in consecutive groups of up to 64 per sweep. Owners should arrive
-// ball-clustered (graph.BatchOrder) or at least id-sorted: sweep cost
-// grows with the spread of the group's wavefronts.
+// ball-clustered (graph.BatchOrderScratch.Order) or at least id-sorted:
+// sweep cost grows with the spread of the group's wavefronts.
 //
 //remspan:hotpath
 func (b *BatchBuilder) BuildInto(g, h graph.View, tables []Table, owners []int32) {
@@ -252,11 +252,11 @@ func (e *tableEnv) shard(w, lo, hi int) {
 	e.Slot(w).b.BuildInto(e.g, e.h, e.tables, e.owners[lo:hi])
 }
 
-// cluster returns owners in graph.BatchOrder's ball-clustered order
-// over g: the full-graph order filtered by an owner bitmap, O(n+m).
-// Consecutive runs of 64 then come from a few neighbouring balls
-// rather than from all over the graph, as id order would on a
-// geometric graph.
+// cluster returns owners in graph.BatchOrderScratch.Order's
+// ball-clustered order over g: the full-graph order filtered by an
+// owner bitmap, O(n+m). Consecutive runs of 64 then come from a few
+// neighbouring balls rather than from all over the graph, as id order
+// would on a geometric graph.
 func (e *tableEnv) cluster(g graph.View, owners []int32) []int32 {
 	order, _ := e.order.Order(g)
 	if owners == nil {

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"remspan/internal/gen"
+	"remspan/internal/reference"
 )
 
 // TestBatchEngineSelectionBoundary pins the engine's limit exactly:
@@ -38,7 +38,7 @@ func TestBatchEngineSelectionBoundary(t *testing.T) {
 // without materializing n×n state.
 func checkBoundaryTables(t *testing.T, n int) {
 	t.Helper()
-	g := gen.Star(n)
+	g := reference.Star(n)
 	owners := []int32{0, int32(n / 2), int32(n - 1)}
 
 	b := NewBatchBuilder(n)
@@ -75,7 +75,7 @@ func TestBatchBoundaryHalfWidthTop(t *testing.T) {
 // must panic rather than truncate vertex ids to 16 bits.
 func TestBatchHalfWidthOverdriveChecked(t *testing.T) {
 	b := NewBatchBuilder(64)
-	big := gen.Star(MaxN + 1)
+	big := reference.Star(MaxN + 1)
 	next := [][]int32{make([]int32, big.N())}
 	dist := [][]int32{make([]int32, big.N())}
 	defer func() {

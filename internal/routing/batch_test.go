@@ -8,6 +8,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 	"remspan/internal/testutil"
 )
@@ -22,7 +23,7 @@ func routingFamilies() map[string]*graph.Graph {
 		"udg":  geom.UnitDiskGraph(pts, 1),
 		"er":   gen.ErdosRenyi(160, 0.03, rand.New(rand.NewSource(5))),
 		"grid": gen.Grid(12, 11),
-		"star": gen.Star(130),
+		"star": reference.Star(130),
 		"ring": gen.Ring(120),
 		"tree": gen.RandomTree(150, rand.New(rand.NewSource(6))),
 	}
@@ -139,7 +140,8 @@ func TestBatchBuilderZeroAlloc(t *testing.T) {
 	h := spanner.Exact(g).Graph()
 	n := g.N()
 	cg, ch := graph.NewCSR(g), graph.NewCSR(h)
-	order, _ := graph.BatchOrder(cg)
+	var bo graph.BatchOrderScratch
+	order, _ := bo.Order(cg)
 	b := NewBatchBuilder(n)
 	tables := NewTables(n)
 	b.BuildInto(cg, ch, tables, order) // warm
@@ -180,7 +182,7 @@ func fuzzGraphSpanner(seed int64, family, size, drop uint8) (*graph.Graph, *grap
 	case 2:
 		g = gen.Grid(2+n/10, 3)
 	case 3:
-		g = gen.Star(n)
+		g = reference.Star(n)
 	default:
 		g = gen.RandomTree(n, rng)
 	}
@@ -213,7 +215,8 @@ func benchGraph(n int) (*graph.CSR, *graph.CSR, []int32) {
 	g := gen.ErdosRenyi(n, 16/float64(n), rand.New(rand.NewSource(1)))
 	h := spanner.Exact(g).Graph()
 	cg, ch := graph.NewCSR(g), graph.NewCSR(h)
-	order, _ := graph.BatchOrder(cg)
+	var bo graph.BatchOrderScratch
+	order, _ := bo.Order(cg)
 	return cg, ch, order
 }
 

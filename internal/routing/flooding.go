@@ -32,18 +32,6 @@ func SelectMPRs(g *graph.Graph, k int) *MPRSelection {
 // IsRelay reports whether v is a multipoint relay of u.
 func (s *MPRSelection) IsRelay(u, v int) bool { return s.mpr[u][int32(v)] }
 
-// RelayEdges returns the union of u→relay edges as an edge set — by
-// Prop. 5 (k=1 case: [15]) this union is a (1, 0)-remote-spanner.
-func (s *MPRSelection) RelayEdges(n int) *graph.EdgeSet {
-	var edges [][2]int32
-	for u, m := range s.mpr {
-		for v := range m {
-			edges = append(edges, [2]int32{int32(u), v})
-		}
-	}
-	return graph.NewEdgeSet(n, edges)
-}
-
 // FloodResult summarizes a broadcast simulation.
 type FloodResult struct {
 	Transmissions int // nodes that retransmitted (including the source)

@@ -7,6 +7,7 @@ import (
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -41,7 +42,7 @@ func TestGreedyRouteOnExactSpannerIsShortest(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		g := randomConnected(20+rng.Intn(20), 40, rng)
 		h := spanner.Exact(g).Graph()
-		d := graph.AllPairsDistances(g)
+		d := reference.AllPairsDistances(g)
 		for i := 0; i < 20; i++ {
 			s, tt := rng.Intn(g.N()), rng.Intn(g.N())
 			r := GreedyRoute(g, h, s, tt)
@@ -63,7 +64,7 @@ func TestGreedyRouteStretchBoundLowStretch(t *testing.T) {
 		res := spanner.LowStretch(g, 0.5) // (3/2, 0) stretch
 		h := res.Graph()
 		st := spanner.LowStretchOf(res.R)
-		d := graph.AllPairsDistances(g)
+		d := reference.AllPairsDistances(g)
 		for i := 0; i < 25; i++ {
 			s, tt := rng.Intn(g.N()), rng.Intn(g.N())
 			if s == tt {
@@ -136,12 +137,24 @@ func TestSelectMPRsCoverAndFlood(t *testing.T) {
 	}
 }
 
+// relayEdges returns the union of sel's u→relay edges as an edge set —
+// by Prop. 5 (k=1 case: [15]) this union is a (1, 0)-remote-spanner.
+func relayEdges(sel *MPRSelection, n int) *graph.EdgeSet {
+	var edges [][2]int32
+	for u, m := range sel.mpr {
+		for v := range m {
+			edges = append(edges, [2]int32{int32(u), v})
+		}
+	}
+	return graph.NewEdgeSet(n, edges)
+}
+
 func TestRelayEdgesFormRemoteSpanner(t *testing.T) {
 	// Prop. 5, k=1: the union of MPR links is a (1, 0)-remote-spanner.
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnected(30, 60, rng)
 	sel := SelectMPRs(g, 1)
-	h := sel.RelayEdges(g.N()).Graph()
+	h := relayEdges(sel, g.N()).Graph()
 	if v := spanner.Check(g, h, spanner.NewStretch(1, 0)); v != nil {
 		t.Fatalf("%v", v)
 	}

@@ -11,6 +11,7 @@ import (
 	"remspan/internal/dynamic"
 	"remspan/internal/graph"
 	"remspan/internal/mobility"
+	"remspan/internal/reference"
 	"remspan/internal/testutil"
 )
 
@@ -129,7 +130,7 @@ func TestStoreChurnSemantics(t *testing.T) {
 		if ep.Seq() != prevSeq+1 {
 			t.Fatalf("round %d: epoch %d after %d", round, ep.Seq(), prevSeq)
 		}
-		if !st.h.g.Equal(m.Spanner().Graph()) {
+		if !reference.Equal(st.h.g, m.Spanner().Graph()) {
 			t.Fatalf("round %d: spanner mirror diverged", round)
 		}
 		dirty := map[int32]bool{}

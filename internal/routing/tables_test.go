@@ -7,6 +7,7 @@ import (
 
 	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -170,7 +171,7 @@ func TestTableRouteExactSpannerIsShortest(t *testing.T) {
 	g := randomConnected(35, 70, rng)
 	h := spanner.Exact(g).Graph()
 	tables := BuildTables(g, h)
-	d := graph.AllPairsDistances(g)
+	d := reference.AllPairsDistances(g)
 	for trial := 0; trial < 60; trial++ {
 		s, tt := rng.Intn(g.N()), rng.Intn(g.N())
 		r := TableRoute(tables, g, s, tt)
@@ -194,7 +195,7 @@ func TestQuickTableRouteWithinGuarantee(t *testing.T) {
 		h := res.Graph()
 		st := spanner.LowStretchOf(res.R)
 		tables := BuildTables(g, h)
-		d := graph.AllPairsDistances(g)
+		d := reference.AllPairsDistances(g)
 		for trial := 0; trial < 15; trial++ {
 			s, tt := rng.Intn(g.N()), rng.Intn(g.N())
 			r := TableRoute(tables, g, s, tt)
@@ -224,7 +225,7 @@ func TestTableRouteAgreesWithGreedyOnGuarantee(t *testing.T) {
 	h := spanner.TwoConnecting(g).Graph()
 	st := spanner.NewStretch(2, -1)
 	tables := BuildTables(g, h)
-	d := graph.AllPairsDistances(g)
+	d := reference.AllPairsDistances(g)
 	for trial := 0; trial < 40; trial++ {
 		s, tt := rng.Intn(g.N()), rng.Intn(g.N())
 		a := TableRoute(tables, g, s, tt)

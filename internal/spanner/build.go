@@ -11,8 +11,6 @@
 //   - LowStretch: union of Algorithm 2 MIS trees with
 //     r = ⌈1/ε⌉ + 1 — (1+ε', 1−2ε')-remote-spanners with
 //     ε' = 1/(r−1) ≤ ε (Prop. 1, Th. 1).
-//   - LowStretchGreedy: same stretch via Algorithm 1 greedy trees
-//     (Prop. 2 approximation guarantee per tree).
 //
 // All constructions run on one immutable graph.CSR snapshot taken up
 // front, with one reusable domtree.Scratch per worker, so the per-root
@@ -92,20 +90,6 @@ func LowStretch(g *graph.Graph, eps float64) *Result {
 	r, epsEff := RadiusFor(eps)
 	res := buildParallel(g, func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
 		return domtree.MISCSR(c, s, u, r)
-	})
-	res.R = r
-	res.EpsEff = epsEff
-	return res
-}
-
-// LowStretchGreedy is LowStretch built from Algorithm 1 greedy
-// (r, 1)-dominating trees instead of MIS trees: same stretch guarantee,
-// with the Prop. 2 per-tree approximation bound (at the cost of a
-// log Δ factor in size).
-func LowStretchGreedy(g *graph.Graph, eps float64) *Result {
-	r, epsEff := RadiusFor(eps)
-	res := buildParallel(g, func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
-		return domtree.GreedyCSR(c, s, u, r, 1)
 	})
 	res.R = r
 	res.EpsEff = epsEff

@@ -8,6 +8,7 @@ import (
 	"remspan/internal/domtree"
 	"remspan/internal/gen"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // quickGraph builds a deterministic connected random graph for
@@ -40,7 +41,7 @@ func TestExactOnCycleKeepsEverything(t *testing.T) {
 // Fixture: on a complete graph there are no distance-2 pairs, so the
 // exact remote-spanner is empty — every node sees everyone directly.
 func TestExactOnCompleteGraphIsEmpty(t *testing.T) {
-	g := gen.Complete(12)
+	g := reference.Complete(12)
 	res := Exact(g)
 	if res.Edges() != 0 {
 		t.Fatalf("K12: exact spanner has %d edges, want 0", res.Edges())
@@ -54,7 +55,7 @@ func TestExactOnCompleteGraphIsEmpty(t *testing.T) {
 // are pairwise at distance 2 through the hub; each leaf must select the
 // hub, and the hub selects nothing.
 func TestExactOnStar(t *testing.T) {
-	g := gen.Star(9)
+	g := reference.Star(9)
 	res := Exact(g)
 	// Every leaf's tree is {leaf→hub}; union is the whole star.
 	if res.Edges() != 8 {
@@ -66,7 +67,7 @@ func TestExactOnStar(t *testing.T) {
 // no common neighbor, so every MPR set is the full neighborhood and the
 // exact remote-spanner keeps all 15 edges.
 func TestExactOnPetersen(t *testing.T) {
-	g := gen.Petersen()
+	g := reference.Petersen()
 	res := Exact(g)
 	if res.Edges() != 15 {
 		t.Fatalf("Petersen: %d edges, want 15", res.Edges())

@@ -1,6 +1,7 @@
 package spanner
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -107,6 +108,25 @@ func TestUnionParallelZeroAlloc(t *testing.T) {
 		}
 		for _, procs := range []int{1, 4} {
 			testutil.PinAllocsAt(t, "warm unionParallelCSR "+bb.name, procs, 10, run)
+		}
+	}
+	// Deep radii: on a 20×20 grid, GreedyCSR's root paths run past four
+	// hops, so a walk stack in Tree.AddPath that is not pooled
+	// allocates here, while every shallower case above keeps it on the
+	// stack.
+	grid := graph.NewCSR(gen.Grid(20, 20))
+	gridMarks := graph.NewEdgeMarks(grid)
+	gridSizes := make([]int, grid.N())
+	for _, r := range []int{6, 8} {
+		build := func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
+			return domtree.GreedyCSR(c, s, u, r, 1)
+		}
+		run := func() {
+			gridMarks.Reset()
+			unionParallelCSR(grid, build, gridMarks, gridSizes)
+		}
+		for _, procs := range []int{1, 4} {
+			testutil.PinAllocsAt(t, fmt.Sprintf("warm unionParallelCSR greedy%d on a 20×20 grid", r), procs, 10, run)
 		}
 	}
 }

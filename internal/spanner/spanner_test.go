@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"remspan/internal/domtree"
 	"remspan/internal/gen"
 	"remspan/internal/geom"
 	"remspan/internal/graph"
@@ -97,16 +98,52 @@ func TestLowStretchRationalGuarantee(t *testing.T) {
 	}
 }
 
+// lowStretchGreedy is LowStretch built from Algorithm 1 greedy
+// (r, 1)-dominating trees instead of MIS trees: same stretch guarantee,
+// with the Prop. 2 per-tree approximation bound (at the cost of a
+// log Δ factor in size). No production caller: the tests pin its
+// guarantee, and BenchmarkAblationGreedyVsMIS prices the trade.
+func lowStretchGreedy(g *graph.Graph, eps float64) *Result {
+	r, epsEff := RadiusFor(eps)
+	res := buildParallel(g, func(c graph.View, s *domtree.Scratch, u int) *graph.Tree {
+		return domtree.GreedyCSR(c, s, u, r, 1)
+	})
+	res.R = r
+	res.EpsEff = epsEff
+	return res
+}
+
 func TestLowStretchGreedyGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 10; trial++ {
 		g := randomConnected(15+rng.Intn(30), 40, rng)
-		res := LowStretchGreedy(g, 0.5)
+		res := lowStretchGreedy(g, 0.5)
 		h := res.Graph()
 		if v := Check(g, h, LowStretchOf(res.R)); v != nil {
 			t.Fatalf("trial %d: %v", trial, v)
 		}
 	}
+}
+
+// BenchmarkAblationGreedyVsMIS compares Greedy (Alg. 1) and MIS (Alg. 2)
+// dominating trees for the low-stretch construction: the log Δ
+// approximation guarantee vs the doubling-size guarantee.
+func BenchmarkAblationGreedyVsMIS(b *testing.B) {
+	g := randomUDG(350, 4, 1, rand.New(rand.NewSource(1)))
+	b.Run("greedy-trees", func(b *testing.B) {
+		var edges int
+		for i := 0; i < b.N; i++ {
+			edges = lowStretchGreedy(g, 0.5).Edges()
+		}
+		b.ReportMetric(float64(edges), "edges")
+	})
+	b.Run("mis-trees", func(b *testing.B) {
+		var edges int
+		for i := 0; i < b.N; i++ {
+			edges = LowStretch(g, 0.5).Edges()
+		}
+		b.ReportMetric(float64(edges), "edges")
+	})
 }
 
 func TestRadiusFor(t *testing.T) {

@@ -40,11 +40,11 @@ import (
 // ViewScratch.BFSCSR across generator families by
 // TestStarDecompositionIdentity.
 //
-// Sources are partitioned by graph.BatchOrder into mutually close
-// balls, not by vertex id: a bit-packed sweep costs O(edges × distinct
-// wavefront levels), so 64 scattered sources on a high-diameter graph
-// (the UDG workloads) would forfeit the whole 64× — clustered sources
-// keep the wavefronts coincident.
+// Sources are partitioned by graph.BatchOrderScratch.Order into
+// mutually close balls, not by vertex id: a bit-packed sweep costs
+// O(edges × distinct wavefront levels), so 64 scattered sources on a
+// high-diameter graph (the UDG workloads) would forfeit the whole 64×
+// — clustered sources keep the wavefronts coincident.
 //
 // Check and oracle validation run the two sweeps in deadline lockstep
 // (ViewJudge) and never materialize a distance: a pair (u, v) first

@@ -13,25 +13,31 @@ import (
 // A DistanceOracle is not safe for concurrent use; Clone per goroutine.
 type DistanceOracle struct {
 	o *oracle.Oracle
+	n int
 }
 
 // NewOracle builds an oracle from a graph and a spanner of it.
 func NewOracle(g *Graph, s *Spanner) *DistanceOracle {
-	return &DistanceOracle{o: oracle.New(g.raw(), s.H.raw(), s.Guarantee.internal())}
+	return &DistanceOracle{o: oracle.New(g.raw(), s.H.raw(), s.Guarantee.internal()), n: g.N()}
 }
 
 // Query returns the estimated distance (an upper bound within the
 // spanner's stretch), or -1 when v is unreachable from u in H_u.
-func (d *DistanceOracle) Query(u, v int) int { return d.o.Query(u, v) }
+func (d *DistanceOracle) Query(u, v int) int {
+	checkVertices(d.n, u, v)
+	return d.o.Query(u, v)
+}
 
 // QueryBatch answers one source against many targets with a single
 // traversal.
 func (d *DistanceOracle) QueryBatch(u int, targets []int) []int {
+	checkVertices(d.n, u)
+	checkVertices(d.n, targets...)
 	return d.o.QueryBatch(u, targets)
 }
 
 // Clone returns an independently usable oracle for another goroutine.
-func (d *DistanceOracle) Clone() *DistanceOracle { return &DistanceOracle{o: d.o.Clone()} }
+func (d *DistanceOracle) Clone() *DistanceOracle { return &DistanceOracle{o: d.o.Clone(), n: d.n} }
 
 // Validate exhaustively checks the oracle's two-sided guarantee
 // (d_G ≤ Query ≤ α·d_G + β) over all pairs on the word-parallel

@@ -25,6 +25,16 @@
 //   - greedy link-state routing and multipoint-relay flooding built on
 //     the spanners.
 //
+// # Errors and panics
+//
+//   - A function with an error result reports bad input through it.
+//   - A writer batch (ReplicatedRouter.Update) is checked in full
+//     before any of it is applied.
+//   - An accessor, a function or method that reads or routes between
+//     vertices of a graph it already has, panics on a vertex outside
+//     [0, n), and only with a message that names the vertex and the
+//     range: "remspan: vertex 99 out of range [0, 9)".
+//
 // See DESIGN.md for the paper-to-code map and EXPERIMENTS.md for the
 // reproduced tables and figures.
 package remspan
@@ -57,19 +67,29 @@ func (G *Graph) M() int { return G.g.M() }
 
 // AddEdge inserts the undirected edge {u, v}, reporting whether it was
 // new.
-func (G *Graph) AddEdge(u, v int) bool { return G.g.AddEdge(u, v) }
+func (G *Graph) AddEdge(u, v int) bool {
+	checkVertices(G.N(), u, v)
+	return G.g.AddEdge(u, v)
+}
 
 // HasEdge reports whether {u, v} is an edge.
-func (G *Graph) HasEdge(u, v int) bool { return G.g.HasEdge(u, v) }
+func (G *Graph) HasEdge(u, v int) bool {
+	checkVertices(G.N(), u, v)
+	return G.g.HasEdge(u, v)
+}
 
 // Degree returns the degree of u.
-func (G *Graph) Degree(u int) int { return G.g.Degree(u) }
+func (G *Graph) Degree(u int) int {
+	checkVertices(G.N(), u)
+	return G.g.Degree(u)
+}
 
 // MaxDegree returns the maximum degree.
 func (G *Graph) MaxDegree() int { return G.g.MaxDegree() }
 
 // Neighbors returns the sorted neighbors of u.
 func (G *Graph) Neighbors(u int) []int {
+	checkVertices(G.N(), u)
 	nb := G.g.Neighbors(u)
 	out := make([]int, len(nb))
 	for i, v := range nb {
@@ -94,6 +114,7 @@ func (G *Graph) Clone() *Graph { return &Graph{g: G.g.Clone()} }
 // Distance returns the hop distance between u and v (-1 when
 // disconnected).
 func (G *Graph) Distance(u, v int) int {
+	checkVertices(G.N(), u, v)
 	d := graph.BFS(G.g, u)[v]
 	return int(d)
 }
@@ -106,6 +127,16 @@ func (G *Graph) raw() *graph.Graph { return G.g }
 
 // wrap converts an internal graph.
 func wrap(g *graph.Graph) *Graph { return &Graph{g: g} }
+
+// checkVertices is the accessor check of the package doc: it panics,
+// naming the first offender, unless every v lies in [0, n).
+func checkVertices(n int, vs ...int) {
+	for _, v := range vs {
+		if v < 0 || v >= n {
+			panic(fmt.Sprintf("remspan: vertex %d out of range [0, %d)", v, n))
+		}
+	}
+}
 
 // Stretch is an exact rational stretch bound (α, β) = (AlphaNum/AlphaDen,
 // BetaNum/BetaDen).

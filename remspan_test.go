@@ -2,11 +2,13 @@ package remspan
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
@@ -169,7 +171,7 @@ func TestForwardingTablesFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dh := graph.AllPairsDistances(h.raw())
+	dh := reference.AllPairsDistances(h.raw())
 	for s := 0; s < g.N(); s++ {
 		dhs := graph.BFS(spanner.View(g.raw(), h.raw(), s), s)
 		for tt := 0; tt < g.N(); tt++ {
@@ -454,5 +456,54 @@ func TestLowStretchInvalidEpsErrors(t *testing.T) {
 		if _, derr := RunDistributed(g, AlgoLowStretch, 0, eps); derr == nil {
 			t.Fatalf("RunDistributed accepted eps=%v", eps)
 		}
+	}
+}
+
+// TestAccessorsPanicWithVertexRange pins the accessor rule of the
+// package doc: every facade accessor given a vertex outside [0, n)
+// panics with a remspan: message that names the vertex and the range,
+// not with a bare index error or an internal package's message.
+func TestAccessorsPanicWithVertexRange(t *testing.T) {
+	g := Grid(3, 3)
+	s := Exact(g)
+	ft, err := BuildForwardingTables(g, s.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := NewReplicatedRouter(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracle(g, s)
+	const bad = 99
+	const want = "remspan: vertex 99 out of range [0, 9)"
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Graph.AddEdge", func() { g.AddEdge(0, bad) }},
+		{"Graph.HasEdge", func() { g.HasEdge(bad, 0) }},
+		{"Graph.Degree", func() { g.Degree(bad) }},
+		{"Graph.Neighbors", func() { g.Neighbors(bad) }},
+		{"Graph.Distance", func() { g.Distance(0, bad) }},
+		{"Route", func() { Route(g, s.H, 0, bad) }},
+		{"MultipathRoutes", func() { MultipathRoutes(g, s.H, bad, 0, 2) }},
+		{"DisjointPathDistance", func() { DisjointPathDistance(g, 0, bad, 2) }},
+		{"FloodStats", func() { FloodStats(g, 1, bad) }},
+		{"ForwardingTables.NextHop", func() { ft.NextHop(0, bad) }},
+		{"ForwardingTables.Dist", func() { ft.Dist(bad, 0) }},
+		{"ForwardingTables.RouteTable", func() { ft.RouteTable(0, bad) }},
+		{"ReplicatedRouter.Route", func() { rr.Route(bad, 0) }},
+		{"DistanceOracle.Query", func() { o.Query(0, bad) }},
+		{"DistanceOracle.QueryBatch", func() { o.QueryBatch(0, []int{1, bad}) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("panic %q, want %q", got, want)
+				}
+			}()
+			c.call()
+		})
 	}
 }

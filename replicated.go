@@ -74,6 +74,7 @@ func (rr *ReplicatedRouter) Update(added, removed [][2]int) (applied int, err er
 // "stale-link" or "trapped". lag is how many epochs behind the writer
 // the serving replica was.
 func (rr *ReplicatedRouter) Route(s, t int) (path []int, reason string, lag uint64, ok bool) {
+	checkVertices(rr.n, s, t)
 	o := rr.cl.Route(s, t)
 	if !o.OK {
 		return nil, o.Reason.String(), o.Lag, false

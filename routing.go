@@ -40,16 +40,23 @@ func checkTableSize(g *Graph) error {
 
 // NextHop returns the neighbor s forwards to toward t (-1 when t is
 // unreachable in s's view, s itself when s == t).
-func (ft *ForwardingTables) NextHop(s, t int) int { return int(ft.tables[s].Next[t]) }
+func (ft *ForwardingTables) NextHop(s, t int) int {
+	checkVertices(ft.g.N(), s, t)
+	return int(ft.tables[s].Next[t])
+}
 
 // Dist returns s's believed distance to t in H_s (-1 when unknown).
-func (ft *ForwardingTables) Dist(s, t int) int { return int(ft.tables[s].Dist[t]) }
+func (ft *ForwardingTables) Dist(s, t int) int {
+	checkVertices(ft.g.N(), s, t)
+	return int(ft.tables[s].Dist[t])
+}
 
 // RouteTable forwards a packet hop by hop, each hop consulting its own
 // table. reason is "delivered" on success, else "unreachable",
 // "stale-link" or "trapped" — distinguishing genuinely missing
 // connectivity from stale table state.
 func (ft *ForwardingTables) RouteTable(s, t int) (path []int, reason string, ok bool) {
+	checkVertices(ft.g.N(), s, t)
 	r := routing.TableRoute(ft.tables, ft.g.raw(), s, t)
 	if !r.OK {
 		return nil, r.Reason.String(), false

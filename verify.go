@@ -116,6 +116,7 @@ func MeasureStretch(g, h *Graph) StretchProfile {
 // d^k(s, t): the minimum total length of k internally vertex-disjoint
 // paths (-1 when fewer than k exist).
 func DisjointPathDistance(g *Graph, s, t, k int) int {
+	checkVertices(g.N(), s, t)
 	return flow.KDistance(g.raw(), s, t, k)
 }
 
@@ -123,6 +124,7 @@ func DisjointPathDistance(g *Graph, s, t, k int) int {
 // node knows its own neighbors plus the advertised spanner h (§1). It
 // returns the hop-by-hop path taken.
 func Route(g, h *Graph, s, t int) (path []int, ok bool) {
+	checkVertices(g.N(), s, t)
 	r := routing.GreedyRoute(g.raw(), h.raw(), s, t)
 	if !r.OK {
 		return nil, false
@@ -137,6 +139,7 @@ func Route(g, h *Graph, s, t int) (path []int, ok bool) {
 // MultipathRoutes returns k minimum-total-length internally disjoint
 // s→t routes available in s's augmented view of h.
 func MultipathRoutes(g, h *Graph, s, t, k int) (paths [][]int, totalLen int, ok bool) {
+	checkVertices(g.N(), s, t)
 	res, ok, err := routing.DisjointRoutes(g.raw(), h.raw(), s, t, k)
 	if err != nil || !ok {
 		return nil, 0, false
