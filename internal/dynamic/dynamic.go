@@ -180,7 +180,7 @@ func (m *Maintainer) Graph() *graph.Graph { return m.g }
 
 // Spanner returns the current union-of-trees spanner.
 func (m *Maintainer) Spanner() *graph.EdgeSet {
-	return graph.NewEdgeSet(m.g.N(), slices.Concat(m.trees...))
+	return graph.NewEdgeSet(m.g.N(), m.trees...)
 }
 
 // TreeOf returns root u's stored dominating-tree edges as (child,

@@ -15,7 +15,7 @@ import (
 func LowStretchKConnecting(g *graph.Graph, eps float64, k int) *spanner.Result {
 	low := spanner.LowStretch(g, eps)
 	kc := spanner.KMIS(g, k)
-	low.H = graph.NewEdgeSet(g.N(), append(low.H.Edges(), kc.H.Edges()...))
+	low.H = graph.NewEdgeSet(g.N(), low.H.Edges(), kc.H.Edges())
 	return low
 }
 

@@ -47,6 +47,31 @@ func NewCSR(g *Graph) *CSR {
 	return c
 }
 
+// Relabel returns a snapshot of c in which vertex order[i] becomes
+// vertex i, for a permutation order of 0..n-1. The rows come out
+// sorted without a sort: new ids are visited in ascending order and
+// each is appended to the rows of its neighbours, which the symmetric
+// adjacency makes exactly the relabeled rows.
+func (c *CSR) Relabel(order []int32) *CSR {
+	n := c.N()
+	r := &CSR{offsets: make([]int32, n+1), targets: make([]int32, len(c.targets))}
+	rank := make([]int32, n) // rank[order[i]] == i
+	for i, u := range order {
+		rank[u] = int32(i)
+		r.offsets[i+1] = r.offsets[i] + c.offsets[u+1] - c.offsets[u]
+	}
+	fill := make([]int32, n) // next free slot of each new row
+	copy(fill, r.offsets)
+	for i, u := range order {
+		for _, w := range c.Neighbors(int(u)) {
+			x := rank[w]
+			r.targets[fill[x]] = int32(i)
+			fill[x]++
+		}
+	}
+	return r
+}
+
 // N returns the vertex count.
 func (c *CSR) N() int { return len(c.offsets) - 1 }
 

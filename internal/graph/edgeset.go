@@ -22,21 +22,56 @@ func edgeKey(u, v int32) uint64 {
 	return uint64(u)<<32 | uint64(v)
 }
 
-// NewEdgeSet returns the set of the given edges over n vertices. Pairs
-// may come in either orientation and repeat; self loops are dropped.
-// It panics on an endpoint outside 0..n-1.
-func NewEdgeSet(n int, edges [][2]int32) *EdgeSet {
-	keys := make([]uint64, 0, len(edges))
-	for _, e := range edges {
-		if e[0] < 0 || e[1] < 0 || int(e[0]) >= n || int(e[1]) >= n {
-			panic("graph: edge endpoint out of range")
-		}
-		if e[0] != e[1] {
-			keys = append(keys, edgeKey(e[0], e[1]))
+// NewEdgeSet returns the set of the edges in the given lists over n
+// vertices. Pairs may come in either orientation and repeat; self
+// loops are dropped. It panics on an endpoint outside 0..n-1.
+//
+// The keys are bucketed by their smaller endpoint with a counting
+// sort (one count pass, one prefix sum, one placement pass), which
+// leaves each bucket holding one vertex's few keys; each bucket is
+// then sorted and its duplicates dropped in place. Several lists (the
+// maintainer's per-root trees) are read where they lie, not
+// concatenated first.
+func NewEdgeSet(n int, lists ...[][2]int32) *EdgeSet {
+	// end[u+1] counts, then (prefix sum) end[u] starts, bucket u; the
+	// placement pass advances each end[u] to its bucket's end.
+	end := make([]int, n+1)
+	for _, edges := range lists {
+		for _, e := range edges {
+			if e[0] < 0 || e[1] < 0 || int(e[0]) >= n || int(e[1]) >= n {
+				panic("graph: edge endpoint out of range")
+			}
+			if e[0] != e[1] {
+				end[min(e[0], e[1])+1]++
+			}
 		}
 	}
-	slices.Sort(keys)
-	return &EdgeSet{n: n, keys: slices.Clip(slices.Compact(keys))}
+	for u := 1; u <= n; u++ {
+		end[u] += end[u-1]
+	}
+	keys := make([]uint64, end[n])
+	for _, edges := range lists {
+		for _, e := range edges {
+			if e[0] != e[1] {
+				u := min(e[0], e[1])
+				keys[end[u]] = edgeKey(e[0], e[1])
+				end[u]++
+			}
+		}
+	}
+	out, lo := 0, 0
+	for _, hi := range end[:n] {
+		bucket := keys[lo:hi]
+		slices.Sort(bucket)
+		for i, k := range bucket {
+			if i == 0 || k != bucket[i-1] {
+				keys[out] = k
+				out++
+			}
+		}
+		lo = hi
+	}
+	return &EdgeSet{n: n, keys: keys[:out:out]}
 }
 
 // Len returns the number of edges in the set.

@@ -46,6 +46,15 @@ import (
 // high-diameter graph (the UDG workloads) would forfeit the whole 64×
 // — clustered sources keep the wavefronts coincident.
 //
+// JudgeViews then relabels both inputs by that order: it snapshots G
+// and H with vertex order[i] renamed i (graph.CSR.Relabel, rows
+// sorted), so batch b is the contiguous ids [starts[b], starts[b+1])
+// and the vertices a ball's wavefronts touch sit close together in the
+// mask stripes, instead of scattered by the caller's ids (on the UDG
+// workloads those are random in the plane). Each deadline miss is
+// mapped back through order before it is reduced, so the witness is
+// the same pair in the caller's ids.
+//
 // Check and oracle validation run the two sweeps in deadline lockstep
 // (ViewJudge) and never materialize a distance: a pair (u, v) first
 // visited by the G-sweep at level d satisfies the stretch iff bit u is
@@ -223,14 +232,19 @@ func batchMinSource(order, starts []int32) []int32 {
 }
 
 // checkScan reduces one batch's deadline misses to the
-// lexicographically smallest violating pair.
+// lexicographically smallest violating pair in the caller's ids.
 type checkScan struct {
+	back  []int32 // caller id of each relabeled vertex (the run's order)
 	found uint64
 	minV  [64]int32 // smallest violating v per source bit
 	minDG [64]int32 // d_G at that v
 }
 
+// miss records a deadline miss of relabeled vertex v, mapped back to
+// the caller's id first: the relabeling does not preserve id order,
+// so the smallest relabeled v need not be the smallest caller id.
 func (cs *checkScan) miss(bit int, v int32, dg int32) {
+	v = cs.back[v]
 	b := uint64(1) << uint(bit)
 	if cs.found&b == 0 || v < cs.minV[bit] {
 		cs.found |= b
@@ -270,9 +284,12 @@ type judgeEnv struct {
 	sched.Env[judgeWorker]
 	order graph.BatchOrderScratch
 
-	// Per-run job.
+	// Per-run job: the snapshots relabeled by srcOrder (vertex
+	// srcOrder[i] is i), the identity ids whose [starts[b],
+	// starts[b+1]) are batch b's sources, and srcOrder to map back.
 	cg, ch           *graph.CSR
 	srcOrder, starts []int32
+	ids              []int32
 	minU, thr        []int32
 	// Smallest violating source seen so far: batches whose smallest
 	// source exceeds it cannot improve the lexicographic minimum and
@@ -294,13 +311,12 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 		if int64(e.minU[b]) > e.bestU.Load() {
 			continue
 		}
-		sources := e.srcOrder[e.starts[b]:e.starts[b+1]]
 		jw.cs.found = 0
-		jw.judge.Run(e.cg, e.ch, sources, e.thr, jw.miss)
+		jw.judge.Run(e.cg, e.ch, e.ids[e.starts[b]:e.starts[b+1]], e.thr, jw.miss)
 		if jw.cs.found == 0 {
 			continue
 		}
-		cu, cv, cdg := jw.cs.resolve(sources)
+		cu, cv, cdg := jw.cs.resolve(e.srcOrder[e.starts[b]:e.starts[b+1]])
 		for {
 			cur := e.bestU.Load()
 			if int64(cu) >= cur || e.bestU.CompareAndSwap(cur, int64(cu)) {
@@ -316,9 +332,11 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 }
 
 // JudgeViews runs the deadline-lockstep judge over every
-// ball-clustered 64-source batch on the shard scheduler and returns
-// the lexicographically smallest pair violating the stretch in the
-// augmented views (ok=false when the guarantee holds everywhere).
+// ball-clustered 64-source batch on the shard scheduler, on snapshots
+// of cg and ch relabeled by the ball order, and returns the
+// lexicographically smallest pair violating the stretch in the
+// augmented views, in cg's ids (ok=false when the guarantee holds
+// everywhere). The snapshots belong to the call.
 // Preconditions: ch ⊆ cg (no underestimates to catch — the judge only
 // tests the upper bound) and a WellFormed stretch (monotone
 // thresholds); callers with untrusted inputs must guard and fall back
@@ -339,18 +357,23 @@ func JudgeViews(cg, ch *graph.CSR, st Stretch) (u, v int, dg int32, ok bool) {
 		if jw.miss == nil {
 			jw.miss = jw.cs.miss
 		}
+		jw.cs.back = e.srcOrder
 	}
 	if e.body == nil {
 		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
 	}
-	e.cg, e.ch = cg, ch
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	e.cg, e.ch, e.ids = cg.Relabel(e.srcOrder), ch.Relabel(e.srcOrder), ids
 	e.minU = batchMinSource(e.srcOrder, e.starts)
 	e.thr = StretchThresholds(st, n)
 	e.bestU.Store(int64(n))
 	e.bu, e.bv, e.bdg = -1, -1, 0
 	e.RunHeavy(nb, width, e.body)
 	u, v, dg = e.bu, e.bv, e.bdg
-	e.cg, e.ch, e.srcOrder, e.starts, e.minU, e.thr = nil, nil, nil, nil, nil, nil
+	e.cg, e.ch, e.srcOrder, e.starts, e.ids, e.minU, e.thr = nil, nil, nil, nil, nil, nil, nil
 	return u, v, dg, u >= 0
 }
 
