@@ -8,10 +8,13 @@
 // Queries run one star-seeded BFS over CSR snapshots of H (u's
 // incident edges from G, everything else from H); storage is
 // |E(H)| + Σdeg words instead of the n² of an exact all-pairs table.
-// Validate, the all-pairs self-check, runs on the word-parallel
-// 64-source batch engine (graph.BitScratch + spanner.JudgeViews) at
-// every size: O(n·m/64) word operations instead of the O(n²·m) of
-// re-running a per-pair query BFS.
+// Validate, the all-pairs self-check, first tries the local
+// certificate spanner.CertifyExact when the stretch admits exact
+// distances: it reads each node's 2-ball once. Otherwise, or when the
+// certificate fails, it runs on the word-parallel 64-source batch
+// engine (graph.BitScratch + spanner.JudgeViews): O(n·m/64) word
+// operations instead of the O(n²·m) of re-running a per-pair query
+// BFS.
 package oracle
 
 import (
@@ -90,7 +93,9 @@ func (o *Oracle) QueryBatch(u int, targets []int) []int {
 // the remote-spanner property dictates). Returns the first violating
 // pair in (u, v) lexicographic order, or (-1, -1).
 //
-// It runs 64 sources per sweep on the word-parallel batch engine;
+// With h ⊆ g and a stretch that admits exact distances, a pass of the
+// local certificate spanner.CertifyExact is the answer. Otherwise it
+// runs 64 sources per sweep on the word-parallel batch engine;
 // ValidateScalar is the fallback outside the engine's preconditions.
 func (o *Oracle) Validate() (int, int) {
 	// The batched judge only tests the upper bound against a monotone
@@ -101,6 +106,11 @@ func (o *Oracle) Validate() (int, int) {
 	// by pair.
 	if !o.st.WellFormed() || !o.ch.SubsetOf(o.cg) {
 		return o.ValidateScalar()
+	}
+	// A pass gives d_{H_u}(u, v) ≤ d_G(u, v) for every pair, and exact
+	// distances meet the stretch.
+	if o.st.AdmitsExact() && spanner.CertifyExact(o.cg, o.ch) {
+		return -1, -1
 	}
 	// Adjacent pairs (d_G = 1) can never violate — the star seeding
 	// pins their estimate to exactly 1 and the bound is only claimed

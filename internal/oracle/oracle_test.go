@@ -115,8 +115,8 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestValidateBatchedMatchesScalar(t *testing.T) {
-	// Validate runs the 64-source batch engine; it must return exactly
-	// the scalar reference's witness —
+	// Validate runs the local certificate, then the 64-source batch
+	// engine; it must return exactly the scalar reference's witness —
 	// (-1,-1) on intact oracles, the first (u,v) in lexicographic order
 	// on broken ones.
 	rng := rand.New(rand.NewSource(21))
@@ -139,12 +139,28 @@ func TestValidateBatchedMatchesScalar(t *testing.T) {
 	if su == -1 {
 		t.Fatal("expected a violation witness for the over-claimed stretch")
 	}
+	// Both spanners at every fuzz stretch: the exact one is valid
+	// exactly when the stretch admits exact distances.
+	ex := spanner.Exact(g).Graph()
+	for _, st := range fuzzStretches {
+		for i, o := range []*Oracle{New(g, ex, st), New(g, h, st)} {
+			su, sv := o.ValidateScalar()
+			bu, bv := o.Validate()
+			if su != bu || sv != bv {
+				t.Fatalf("%v oracle %d: witness differs: scalar (%d,%d), batched (%d,%d)", st, i, su, sv, bu, bv)
+			}
+			if i == 0 && (su == -1) != st.AdmitsExact() {
+				t.Fatalf("%v: exact oracle valid = %v, stretch admits exact = %v", st, su == -1, st.AdmitsExact())
+			}
+		}
+	}
 }
 
 // BenchmarkOracleValidate regression-pins the Validate cost: the old
 // implementation re-ran a Query BFS per (u,v) pair — O(n²·m) — and
 // would blow this benchmark up by ~n×; the scalar path is one BFS pair
-// per source, the batched path 64 sources per sweep.
+// per source, the batched path 64 sources per sweep, and the local
+// certificate one read of each node's 2-ball.
 func BenchmarkOracleValidate(b *testing.B) {
 	rng := rand.New(rand.NewSource(22))
 	g := randomConnected(1000, 3000, rng)
@@ -157,6 +173,15 @@ func BenchmarkOracleValidate(b *testing.B) {
 		}
 	})
 	b.Run("bitparallel", func(b *testing.B) {
+		// The engine Validate falls back to, timed directly: on this
+		// exact oracle Validate itself stops at the certificate.
+		for i := 0; i < b.N; i++ {
+			if u, v, _, bad := spanner.JudgeViews(o.cg, o.ch, o.st); bad {
+				b.Fatalf("violation at (%d,%d)", u, v)
+			}
+		}
+	})
+	b.Run("certified", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if u, v := o.Validate(); u != -1 {
 				b.Fatalf("violation at (%d,%d)", u, v)

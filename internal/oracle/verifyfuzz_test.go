@@ -23,10 +23,19 @@ func dropFuzzEdges(g *graph.Graph, frac float64, rng *rand.Rand) *graph.Graph {
 	return h
 }
 
-// FuzzVerifyEquivalence differentially fuzzes the word-parallel
-// Validate against the scalar reference ValidateScalar: on random
-// UDG/ER/grid/star graphs (disconnected variants included) of every
-// size from 0 up, both must return the same first violating pair.
+// fuzzStretches mirrors internal/spanner's fuzz stretches: three that
+// exact distances meet, so the local certificate answers intact
+// oracles, and (1, −1) and (1/2, 1), which exact distances break.
+var fuzzStretches = []spanner.Stretch{
+	spanner.NewStretch(1, 0), spanner.NewStretch(2, -1), spanner.LowStretchOf(4),
+	spanner.NewStretch(1, -1), {AlphaNum: 1, AlphaDen: 2, BetaNum: 1, BetaDen: 1},
+}
+
+// FuzzVerifyEquivalence differentially fuzzes Validate (the local
+// certificate, then the word-parallel engine) against the scalar
+// reference ValidateScalar: on random UDG/ER/grid/star graphs
+// (disconnected variants included) of every size from 0 up, both must
+// return the same first violating pair at every fuzzStretches entry.
 // Check and MeasureProfile have their half in internal/spanner.
 func FuzzVerifyEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(10), uint8(100), uint8(80), int64(1))
@@ -62,11 +71,13 @@ func FuzzVerifyEquivalence(f *testing.F) {
 		}
 		h := dropFuzzEdges(spanner.Exact(g).Graph(), float64(drop)/384, rng)
 
-		o := New(g, h, spanner.NewStretch(1, 0))
-		su, sv := o.ValidateScalar()
-		bu, bv := o.Validate()
-		if su != bu || sv != bv {
-			t.Fatalf("Validate: scalar (%d,%d), batched (%d,%d)", su, sv, bu, bv)
+		for _, st := range fuzzStretches {
+			o := New(g, h, st)
+			su, sv := o.ValidateScalar()
+			bu, bv := o.Validate()
+			if su != bu || sv != bv {
+				t.Fatalf("Validate %v: scalar (%d,%d), batched (%d,%d)", st, su, sv, bu, bv)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package spanner
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"remspan/internal/graph"
@@ -220,5 +221,49 @@ func TestCharacterizationIsEquivalence(t *testing.T) {
 		if isSpanner != induces {
 			t.Fatalf("trial %d: stretch says %v, induced trees say %v", trial, isSpanner, induces)
 		}
+		if certified := CertifyExact(graph.NewCSR(g), graph.NewCSR(h)); certified != induces {
+			t.Fatalf("trial %d: certificate says %v, induced trees say %v", trial, certified, induces)
+		}
+	}
+}
+
+// TestCertifyExactMatchesJudge pins the local certificate against the
+// all-pairs judge at (1, 0): it accepts every exact and k-connecting
+// construction, and on broken spanners and random subgraphs it accepts
+// exactly when JudgeViews finds no deadline miss.
+func TestCertifyExactMatchesJudge(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	fams := verifyFamilies()
+	verdicts := map[bool]int{}
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		g := fams[name]
+		cg := graph.NewCSR(g)
+		for _, k := range []int{1, 2, 3} {
+			if !CertifyExact(cg, graph.NewCSR(KConnecting(g, k).Graph())) {
+				t.Fatalf("%s: certificate rejects KConnecting(%d)", name, k)
+			}
+		}
+		ex := Exact(g).Graph()
+		for trial := 0; trial < 6; trial++ {
+			frac := 0.02 + 0.1*float64(trial)
+			for _, h := range []*graph.Graph{dropEdges(ex, frac, rng), dropEdges(g, frac, rng)} {
+				ch := graph.NewCSR(h)
+				_, _, _, missed := JudgeViews(cg, ch, NewStretch(1, 0))
+				got := CertifyExact(cg, ch)
+				if got == missed {
+					t.Fatalf("%s trial %d (%d of %d edges): certificate %v, judge miss %v",
+						name, trial, h.M(), g.M(), got, missed)
+				}
+				verdicts[got]++
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("random inputs gave one verdict only: %v", verdicts)
 	}
 }

@@ -74,6 +74,14 @@ func (s Stretch) WellFormed() bool {
 	return s.AlphaDen > 0 && s.BetaDen > 0 && s.AlphaNum >= 0
 }
 
+// AdmitsExact reports whether exact distances satisfy the stretch:
+// d ≤ α·d + β for every d_G = d ≥ 2. With α ≥ 1 the slack (α−1)·d + β
+// is smallest at d = 2, so Holds(2, 2) decides. (1, 0), (2, −1) and
+// every LowStretchOf(r) admit them. s must be WellFormed.
+func (s Stretch) AdmitsExact() bool {
+	return s.AlphaNum >= s.AlphaDen && s.Holds(2, 2)
+}
+
 // Check verifies the (α, β)-remote-spanner property of h against g for
 // every ordered pair (u, v): d_{H_u}(u, v) ≤ α·d_G(u, v) + β for
 // non-adjacent u, v (adjacent pairs hold trivially with distance 1).
@@ -81,16 +89,64 @@ func (s Stretch) WellFormed() bool {
 // then min v), or nil — a deterministic witness regardless of worker
 // scheduling.
 //
-// Every input runs on the word-parallel 64-source batch engine
-// (verify_batch.go), parallelized with per-worker scratch over
-// immutable CSR snapshots taken up front. h must be a subgraph of g,
-// as every remote-spanner is (the engine's star decomposition rests on
-// it). Check panics on a stretch that is not WellFormed.
+// When the stretch AdmitsExact, the local certificate CertifyExact
+// runs first and a pass is the answer. Otherwise, and whenever the
+// certificate fails, the word-parallel 64-source batch engine
+// (verify_batch.go) judges every pair, parallelized with per-worker
+// scratch over immutable CSR snapshots, and finds the witness. h must
+// be a subgraph of g, as every remote-spanner is (the engine's star
+// decomposition rests on it). Check panics on a stretch that is not
+// WellFormed.
 func Check(g, h *graph.Graph, st Stretch) *Violation {
 	if !st.WellFormed() {
 		panic(fmt.Sprintf("spanner: stretch %v is not well formed (need positive denominators and α ≥ 0)", st))
 	}
-	return checkBatchedCSR(graph.NewCSR(g), graph.NewCSR(h), st)
+	cg, ch := graph.NewCSR(g), graph.NewCSR(h)
+	if st.AdmitsExact() && CertifyExact(cg, ch) {
+		return nil
+	}
+	return checkBatchedCSR(cg, ch, st)
+}
+
+// CertifyExact is the local certificate of the exact case (Prop. 5
+// with k = 1, Th. 2): it reports whether, for every vertex a, each
+// vertex at G-distance 2 from a is an H-neighbor of some w ∈ N_G(a),
+// so that H_a reaches a's distance-2 ring in two hops. cg and ch share
+// one vertex set.
+//
+// Sound for any h: a pass gives d_{H_a}(a, b) ≤ d_G(a, b) = d for
+// every pair, by induction on d. The star gives d ≤ 1 and the
+// certificate at a gives d = 2. For d ≥ 3, let x precede b by two
+// steps on a shortest a–b path; the certificate at x gives
+// z ∈ N_G(x) with zb ∈ H, and d_G(a, z) ≤ d−1, so
+// d_{H_a}(a, b) ≤ d_{H_a}(a, z) + 1 ≤ d.
+// Exact for h ⊆ g: a (1, 0)-remote-spanner reaches each such b by an
+// H_a path a–w–b, where w ∈ N_G(a) and wb, not incident to a, is an
+// H-edge.
+//
+// It reads each root's 2-ball once, Σ_{w∈N_G(a)} (deg_G(w) + deg_H(w))
+// adjacency entries per root, serially with one stamp array, and stops
+// at the first uncovered vertex.
+func CertifyExact(cg, ch *graph.CSR) bool {
+	stamp := make([]int32, cg.N())
+	for a := range stamp {
+		s := int32(a + 1)
+		stamp[a] = s
+		for _, w := range cg.Neighbors(a) {
+			stamp[w] = s
+			for _, x := range ch.Neighbors(int(w)) {
+				stamp[x] = s
+			}
+		}
+		for _, w := range cg.Neighbors(a) {
+			for _, x := range cg.Neighbors(int(w)) {
+				if stamp[x] != s {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // Profile summarizes observed stretch over all pairs: the maximum of

@@ -281,12 +281,22 @@ func TestCheckRejectsMalformedStretch(t *testing.T) {
 	}
 }
 
-// FuzzVerifyEquivalence differentially fuzzes the word-parallel
-// verification engine against the serial scalar references: on random
-// UDG/ER/grid/star graphs (disconnected variants included) of every
-// size from 0 up, Check must return the same first-violation witness
-// and MeasureProfile a bit-identical profile. oracle.Validate has its
-// own half in internal/oracle.
+// fuzzStretches are the stretches both FuzzVerifyEquivalence targets
+// check: the first three admit exact distances, so the local
+// certificate answers intact spanners; exact distances break (1, −1)
+// at d_G = 2 and (1/2, 1) at d_G ≥ 4, which pins both halves of the
+// AdmitsExact gate.
+var fuzzStretches = []Stretch{
+	NewStretch(1, 0), NewStretch(2, -1), LowStretchOf(4),
+	NewStretch(1, -1), {AlphaNum: 1, AlphaDen: 2, BetaNum: 1, BetaDen: 1},
+}
+
+// FuzzVerifyEquivalence differentially fuzzes Check (the local
+// certificate, then the word-parallel engine) against the serial
+// scalar references: on random UDG/ER/grid/star graphs (disconnected
+// variants included) of every size from 0 up, Check must return the
+// same first-violation witness and MeasureProfile a bit-identical
+// profile. oracle.Validate has its own half in internal/oracle.
 func FuzzVerifyEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint8(10), uint8(100), uint8(80), int64(1))
 	f.Add(uint8(1), uint8(200), uint8(30), uint8(0), int64(2))
@@ -301,7 +311,7 @@ func FuzzVerifyEquivalence(f *testing.F) {
 		g := fuzzVerifyGraph(fam, size, density, rng)
 		h := dropEdges(Exact(g).Graph(), float64(drop)/384, rng)
 		cg, ch := graph.NewCSR(g), graph.NewCSR(h)
-		for _, st := range []Stretch{NewStretch(1, 0), NewStretch(2, -1), LowStretchOf(4)} {
+		for _, st := range fuzzStretches {
 			want, got := checkScalarCSR(cg, ch, st), Check(g, h, st)
 			if (want == nil) != (got == nil) {
 				t.Fatalf("Check %v: scalar %v, batched %v", st, want, got)
@@ -343,12 +353,18 @@ func fuzzVerifyGraph(fam, size, density uint8, rng *rand.Rand) *graph.Graph {
 	}
 }
 
-func benchVerifyInput(b *testing.B, n int) (*graph.CSR, *graph.CSR) {
-	b.Helper()
+// benchVerifyGraphs returns the verify benchmarks' input: a UDG on n
+// points and its exact spanner.
+func benchVerifyGraphs(n int) (g, h *graph.Graph) {
 	rng := rand.New(rand.NewSource(1))
 	pts := geom.UniformBox(n, 2, 16, rng)
-	g := geom.UnitDiskGraph(pts, 1)
-	h := Exact(g).Graph()
+	g = geom.UnitDiskGraph(pts, 1)
+	return g, Exact(g).Graph()
+}
+
+func benchVerifyInput(b *testing.B, n int) (*graph.CSR, *graph.CSR) {
+	b.Helper()
+	g, h := benchVerifyGraphs(n)
 	return graph.NewCSR(g), graph.NewCSR(h)
 }
 
@@ -357,6 +373,18 @@ func BenchmarkCheckScalar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := checkScalarCSR(cg, ch, NewStretch(1, 0)); v != nil {
+			b.Fatal(v)
+		}
+	}
+}
+
+// BenchmarkCheckCertified times public Check on BenchmarkCheckBatched's
+// input: the local certificate passes, so the engine never runs.
+func BenchmarkCheckCertified(b *testing.B) {
+	g, h := benchVerifyGraphs(2000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v := Check(g, h, NewStretch(1, 0)); v != nil {
 			b.Fatal(v)
 		}
 	}

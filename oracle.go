@@ -40,9 +40,11 @@ func (d *DistanceOracle) QueryBatch(u int, targets []int) []int {
 func (d *DistanceOracle) Clone() *DistanceOracle { return &DistanceOracle{o: d.o.Clone(), n: d.n} }
 
 // Validate exhaustively checks the oracle's two-sided guarantee
-// (d_G ≤ Query ≤ α·d_G + β) over all pairs on the word-parallel
-// 64-source verification engine, returning the first violating pair in
-// (u, v) order, or (-1, -1) when the guarantee holds everywhere.
+// (d_G ≤ Query ≤ α·d_G + β) over all pairs, returning the first
+// violating pair in (u, v) order, or (-1, -1) when the guarantee holds
+// everywhere. Like Verify, it tries the local 2-hop certificate first
+// when exact distances meet the stretch, and otherwise runs the
+// word-parallel 64-source verification engine.
 func (d *DistanceOracle) Validate() (int, int) { return d.o.Validate() }
 
 // StorageWords reports the oracle's memory footprint in 4-byte words —

@@ -10,13 +10,17 @@ import (
 
 // Verify checks the (α, β)-remote-spanner property of h against g over
 // all pairs exactly, returning a descriptive error for the violated
-// pair with the smallest (u, v) (nil = the guarantee holds). Every
-// graph runs on the word-parallel 64-source bit-packed BFS engine
-// (see internal/spanner/verify_batch.go), so exhaustive all-pairs
-// verification stays practical at production scale; h must be a
-// subgraph of g, as every remote-spanner is. A stretch that is not
-// well formed is a *StretchError; a spanner whose vertex count differs
-// from g's is an error.
+// pair with the smallest (u, v) (nil = the guarantee holds). When exact
+// distances meet the stretch ((1, 0), (2, −1), every LowStretch
+// guarantee), a local certificate runs first: every augmented view
+// H_u reaching u's distance-2 ring in two hops (the paper's Prop. 5
+// with k = 1) proves the guarantee, reading only each node's 2-ball.
+// Other stretches, and any h that fails the certificate, run on the
+// word-parallel 64-source bit-packed BFS engine (see
+// internal/spanner/verify_batch.go), which also finds the witness; h
+// must be a subgraph of g, as every remote-spanner is. A stretch that
+// is not well formed is a *StretchError; a spanner whose vertex count
+// differs from g's is an error.
 func Verify(g *Graph, h *Graph, st Stretch) error {
 	if !st.internal().WellFormed() {
 		return &StretchError{Stretch: st}
@@ -31,8 +35,9 @@ func Verify(g *Graph, h *Graph, st Stretch) error {
 }
 
 // VerifySpanner checks a constructed spanner against its own declared
-// guarantee (including the k-connecting part, sampled over all pairs —
-// quadratic × flow cost, intended for small graphs).
+// guarantee with Verify (the local certificate first, the word-parallel
+// engine otherwise), plus the k-connecting part, sampled over all
+// pairs — quadratic × flow cost, intended for small graphs.
 func VerifySpanner(g *Graph, s *Spanner) error {
 	if err := Verify(g, s.H, s.Guarantee); err != nil {
 		return err
@@ -99,9 +104,9 @@ type StretchProfile struct {
 	MaxAdditive int
 }
 
-// MeasureStretch computes the observed stretch profile. Like Verify,
-// it runs the 64-source word-parallel engine on every graph (h ⊆ g);
-// the result is bit-identical to a serial scalar sweep.
+// MeasureStretch computes the observed stretch profile. It runs the
+// 64-source word-parallel engine on every graph (h ⊆ g); the result is
+// bit-identical to a serial scalar sweep.
 func MeasureStretch(g, h *Graph) StretchProfile {
 	p := spanner.MeasureProfile(g.raw(), h.raw())
 	return StretchProfile{
