@@ -1,6 +1,8 @@
 package remspan
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 
 	"remspan/internal/gen"
@@ -11,8 +13,12 @@ import (
 // RandomUDG returns the unit-disk graph of a Poisson point process with
 // approximately n nodes on a side×side square (connection radius 1) —
 // the paper's random ad-hoc network model — restricted to its largest
-// connected component. Deterministic in seed.
+// connected component. Deterministic in seed. side must be positive
+// and finite; RandomUDG panics otherwise.
 func RandomUDG(n int, side float64, seed int64) *Graph {
+	if !(side > 0) || math.IsInf(side, 1) {
+		panic(fmt.Sprintf("remspan: RandomUDG needs a positive finite side, got side = %v", side))
+	}
 	rng := rand.New(rand.NewSource(seed))
 	pts := geom.PoissonSquare(float64(n)/(side*side), side, rng)
 	g := geom.UnitDiskGraph(pts, 1.0)

@@ -2,20 +2,25 @@ package domtree
 
 import (
 	"fmt"
-	"slices"
 
 	"remspan/internal/graph"
 )
 
 // Determinism contract: every greedy selection picks the candidate
-// maximizing the current gain, breaking ties by smallest vertex id —
-// i.e. selection order is (gain desc, id asc). The lazy heap preserves
-// this order bit-for-bit: gains only decrease, so when a popped heap
-// entry's recomputed gain equals its key, every other candidate's true
-// gain is bounded by its own key ≤ that key, and equal keys pop in id
-// order. Any change to this tie-break is a breaking change to the
-// constructed edge sets and must update these builders, the reference
-// builders and the equivalence tests together.
+// maximizing the current gain, breaking ties by smallest vertex label —
+// i.e. selection order is (gain desc, label asc); every other order
+// (MISCSR's (dist, label), KMISCSR's smallest label first) is by label
+// too, and rows are scanned in their stored order. A vertex's label is
+// its id unless the scratch carries labels (Scratch.SetLabels): the
+// batch sweep runs on a locality-permuted snapshot labelled by the
+// original ids, whose rows keep the original neighbour order, and
+// gets every tree of the original snapshot back bit-for-bit. The lazy
+// heap preserves this order: gains only decrease, so when a popped
+// heap entry's recomputed gain equals its key, every other candidate's
+// true gain is bounded by its own key ≤ that key, and equal keys pop
+// in label order. Any change to this tie-break is a breaking change to
+// the constructed edge sets and must update these builders, the
+// reference builders and the equivalence tests together.
 
 // KGreedyCSR computes Algorithm 4 DomTreeGdy(2, 0, k) for root u: a
 // k-connecting (2, 0)-dominating tree (a depth-1 star of multipoint
@@ -29,7 +34,7 @@ import (
 //
 // Greedy selection uses the lazy heap (candidate gains only decrease,
 // so a possibly-stale max-heap pops the true argmax after a few
-// refreshes), preserving the (gain desc, id asc) tie-break.
+// refreshes), preserving the (gain desc, label asc) tie-break.
 //
 //remspan:hotpath
 func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
@@ -88,7 +93,7 @@ func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 	h := &s.heap
 	h.reset()
 	for _, x := range nu {
-		h.items = append(h.items, gainItem{id: x, gain: int(trueGain(x))})
+		h.items = append(h.items, gainItem{id: x, key: s.lab(x), gain: trueGain(x)})
 	}
 	h.initHeap()
 
@@ -97,10 +102,11 @@ func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 			panic(fmt.Sprintf("domtree: k-cover stuck at root %d (|S|=%d)", u, remaining))
 		}
 		top := h.pop()
-		fresh := int(trueGain(top.id))
+		fresh := trueGain(top.id)
 		if fresh != top.gain {
 			if fresh > 0 {
-				h.push(gainItem{id: top.id, gain: fresh})
+				top.gain = fresh
+				h.push(top)
 			}
 			continue
 		}
@@ -127,9 +133,9 @@ func KGreedyCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 // MISCSR computes Algorithm 2 DomTreeMIS(r, 1) for root u: an
 // (r, 1)-dominating tree obtained by greedily building a maximal
 // independent set of B_G(u, r) \ B_G(u, 1) in order of increasing
-// distance from u (ties by smallest id), attaching each MIS point via
-// its BFS shortest path. In a unit-ball graph of a metric with doubling
-// dimension p the tree has O(r^{p+1}) edges (Prop. 3).
+// distance from u (ties by smallest label), attaching each MIS point
+// via its BFS shortest path. In a unit-ball graph of a metric with
+// doubling dimension p the tree has O(r^{p+1}) edges (Prop. 3).
 //
 //remspan:hotpath
 func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
@@ -140,14 +146,15 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 	dist, parent, visited := s.bfs.BoundedView(c, u, r)
 	t := s.tree(u)
 
-	// B = vertices with 2 <= dist <= r, processed by (dist, id). Dense
-	// balls (the all-roots sweep on a connected graph) use a
+	// B = vertices with 2 <= dist <= r, processed by (dist, label).
+	// Dense balls (the all-roots sweep on a connected graph) use a
 	// counting-bucket placement — count the ball per distance, then
-	// scan vertex ids in increasing order into the distance segments,
+	// scan the vertices in increasing label into the distance segments,
 	// O(n + |ball|) and comparison-free. Small balls instead sort each
 	// equal-distance run of the BFS order (already grouped by
-	// distance), keeping the per-root cost O(|ball| log |ball|)
-	// independent of n. Both produce the same (dist, id) order.
+	// distance) by label, keeping the per-root cost
+	// O(|ball| log |ball|) independent of n. Both produce the same
+	// (dist, label) order.
 	var b []int32
 	if ballDense := 4*len(visited) >= c.N(); ballDense {
 		counts := s.buf2
@@ -179,9 +186,13 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 			counts[d] = start
 			start += cd
 		}
-		for v := 0; v < c.N(); v++ {
+		for l := int32(0); l < int32(c.N()); l++ {
+			v := l
+			if s.byLabel != nil {
+				v = s.byLabel[l]
+			}
 			if d := dist[v]; d >= 2 {
-				b[counts[d]] = int32(v)
+				b[counts[d]] = v
 				counts[d]++
 			}
 		}
@@ -198,7 +209,7 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 			for j < len(b) && dist[b[j]] == dist[b[i]] {
 				j++
 			}
-			slices.Sort(b[i:j])
+			s.sortByLabel(b[i:j])
 			i = j
 		}
 	}
@@ -227,7 +238,7 @@ func MISCSR(c graph.View, s *Scratch, u, r int) *graph.Tree {
 //
 // Each ring's set cover runs on the lazy heap, avoiding the O(|X|²)
 // candidate rescan of the eager greedy while preserving its
-// (gain desc, id asc) selection order exactly (see the determinism
+// (gain desc, label asc) selection order exactly (see the determinism
 // contract above).
 //
 //remspan:hotpath
@@ -268,8 +279,8 @@ func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
 			continue
 		}
 		// gain(cand) = |B_G(cand, 1) ∩ S_uncovered|.
-		gain := func(cand int32) int {
-			g := 0
+		gain := func(cand int32) int32 {
+			g := int32(0)
 			if inS[cand] == eS {
 				g++
 			}
@@ -283,7 +294,7 @@ func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
 		h := &s.heap
 		h.reset()
 		for _, cand := range x {
-			h.items = append(h.items, gainItem{id: cand, gain: gain(cand)})
+			h.items = append(h.items, gainItem{id: cand, key: s.lab(cand), gain: gain(cand)})
 		}
 		h.initHeap()
 		for remaining > 0 {
@@ -294,7 +305,8 @@ func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
 			fresh := gain(top.id)
 			if fresh != top.gain {
 				if fresh > 0 {
-					h.push(gainItem{id: top.id, gain: fresh})
+					top.gain = fresh
+					h.push(top)
 				}
 				continue
 			}
@@ -321,9 +333,9 @@ func GreedyCSR(c graph.View, s *Scratch, u, r, beta int) *graph.Tree {
 // KMISCSR computes Algorithm 5 DomTreeMIS(2, 1, k) for root u: a
 // k-connecting (2, 1)-dominating tree. It runs k rounds; each round
 // greedily picks an independent set of still-uncovered distance-2
-// vertices (smallest id first) and attaches each pick x through a fresh
-// common neighbor y1 (path u–y1–x) plus up to k−1 further fresh common
-// neighbors as direct children of u. A vertex v leaves S once its
+// vertices (smallest label first) and attaches each pick x through a
+// fresh common neighbor y1 (path u–y1–x) plus up to k−1 further fresh
+// common neighbors as direct children of u. A vertex v leaves S once its
 // common neighborhood with u is exhausted into V(T) or it sees k
 // branch-disjoint tree neighbors within depth 2. In a unit-ball graph
 // of a doubling metric the tree has O(k²) edges (Prop. 7); with k = 2,
@@ -380,7 +392,7 @@ func KMISCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 	}
 
 	for round := 0; round < k && nS > 0; round++ {
-		// X := S (snapshot), processed in increasing id.
+		// X := S (snapshot), processed in increasing label.
 		order := s.buf2[:0]
 		for _, v := range sList {
 			if inS[v] == eS {
@@ -388,7 +400,7 @@ func KMISCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 			}
 		}
 		s.buf2 = order
-		slices.Sort(order)
+		s.sortByLabel(order)
 		inX := s.stampC
 		eX := s.nextEpoch()
 		for _, v := range order {
@@ -396,7 +408,7 @@ func KMISCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 		}
 
 		for nS > 0 {
-			// Pick the smallest-id x in S ∩ X.
+			// Pick the smallest-label x in S ∩ X.
 			x := int32(-1)
 			for _, v := range order {
 				if inX[v] == eX && inS[v] == eS {
@@ -407,8 +419,9 @@ func KMISCSR(c graph.View, s *Scratch, u, k int) *graph.Tree {
 			if x == -1 {
 				break
 			}
-			// Fresh common neighbors of x and u, in increasing id (N(x)
-			// is sorted, matching g.CommonNeighbors order).
+			// Fresh common neighbors of x and u, in increasing label
+			// (N(x) is ascending in label, matching g.CommonNeighbors
+			// order).
 			fresh := s.buf3[:0]
 			for _, y := range c.Neighbors(int(x)) {
 				if isNbr[y] == eN && !t.Contains(int(y)) {

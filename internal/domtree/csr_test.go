@@ -1,6 +1,7 @@
 package domtree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -202,12 +203,14 @@ func TestLazyTrivialCases(t *testing.T) {
 
 // FuzzCSREquivalence decodes an arbitrary byte string into a graph and
 // asserts the production builders match the map-based references on
-// every root. Each byte pair (a, b) adds edge {a%n, b%n}.
+// every root, both on the snapshot and, labelled by the original ids,
+// on the snapshot permuted by the seed's permutation. Each byte pair
+// (a, b) adds edge {a%n, b%n}.
 func FuzzCSREquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 2, 3, 3, 4, 4, 0, 0, 2})
-	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 3, 4})
-	f.Add([]byte{7, 3, 9, 1, 4, 4, 5, 8, 2, 6, 0, 9, 3, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{1, 2, 2, 3, 3, 4, 4, 0, 0, 2}, int64(1))
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 0, 4, 1, 2, 3, 4}, int64(2))
+	f.Add([]byte{7, 3, 9, 1, 4, 4, 5, 8, 2, 6, 0, 9, 3, 3}, int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		const n = 12
 		g := graph.New(n)
 		for i := 0; i+1 < len(data) && i < 64; i += 2 {
@@ -217,15 +220,126 @@ func FuzzCSREquivalence(f *testing.F) {
 			}
 		}
 		c := graph.NewCSR(g)
+		pc, order, rank := permute(c, rand.New(rand.NewSource(seed)))
 		for _, p := range pairs() {
-			s := NewScratch(n)
+			s, ps := NewScratch(n), NewScratch(n)
+			ps.SetLabels(order, rank)
 			for u := 0; u < n; u++ {
 				want := p.ref(g, u)
 				got := p.csr(c, s, u)
 				if !treeEdgesEqual(want, got) {
 					t.Fatalf("%s: mismatch at root %d", p.name, u)
 				}
+				if pt := p.csr(pc, ps, int(rank[u])); !relabeledTreeEqual(got, pt, order) {
+					t.Fatalf("%s: permuted run differs at root %d", p.name, u)
+				}
 			}
 		}
 	})
+}
+
+// permute returns c's vertices in a random order, its inverse, and c
+// permuted by it with every row in c's neighbour order — the snapshot
+// the batch construction builds on.
+func permute(c *graph.CSR, rng *rand.Rand) (p *graph.CSR, order, rank []int32) {
+	n := c.N()
+	order, rank = make([]int32, n), make([]int32, n)
+	for i, u := range rng.Perm(n) {
+		order[i], rank[u] = int32(u), int32(i)
+	}
+	p = new(graph.CSR)
+	c.PermuteInto(p, order, rank)
+	return p, order, rank
+}
+
+// relabeledTreeEqual reports whether got, built on a snapshot permuted
+// by order, becomes want when each of its vertices v is renamed
+// order[v]: the same members and parents, inserted in the same order.
+func relabeledTreeEqual(want, got *graph.Tree, order []int32) bool {
+	wn, gn := want.Nodes(), got.Nodes()
+	if len(wn) != len(gn) {
+		return false
+	}
+	for i, v := range gn {
+		p := got.Parent(int(v))
+		if p >= 0 {
+			p = int(order[p])
+		}
+		if order[v] != wn[i] || want.Parent(int(wn[i])) != p {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLabelsUndoPermutation pins the labels of Scratch.SetLabels in
+// every builder: run on a random permutation of the snapshot with the
+// original ids as labels, each returns the identity run's tree mapped
+// back, members, parents and insertion order. Grids and the UDG give
+// the greedy heaps many equal gains; MISCSR runs on balls of at least
+// n/4 (the dense placement) and smaller ones (the sorted runs), and
+// the test fails unless both occur.
+func TestLabelsUndoPermutation(t *testing.T) {
+	type builder struct {
+		name string
+		r    int // MISCSR's radius; 0 for the others
+		csr  func(c graph.View, s *Scratch, u int) *graph.Tree
+	}
+	var builders []builder
+	for k := 1; k <= 3; k++ {
+		builders = append(builders, builder{fmt.Sprintf("kgreedy-%d", k), 0,
+			func(c graph.View, s *Scratch, u int) *graph.Tree { return KGreedyCSR(c, s, u, k) }})
+	}
+	for k := 1; k <= 2; k++ {
+		builders = append(builders, builder{fmt.Sprintf("kmis-%d", k), 0,
+			func(c graph.View, s *Scratch, u int) *graph.Tree { return KMISCSR(c, s, u, k) }})
+	}
+	for r := 2; r <= 4; r++ {
+		builders = append(builders, builder{fmt.Sprintf("mis-r%d", r), r,
+			func(c graph.View, s *Scratch, u int) *graph.Tree { return MISCSR(c, s, u, r) }})
+	}
+	for r := 2; r <= 3; r++ {
+		for beta := 0; beta <= 1; beta++ {
+			builders = append(builders, builder{fmt.Sprintf("greedy-r%d-b%d", r, beta), 0,
+				func(c graph.View, s *Scratch, u int) *graph.Tree { return GreedyCSR(c, s, u, r, beta) }})
+		}
+	}
+	rng := rand.New(rand.NewSource(26))
+	families := map[string]*graph.Graph{
+		"grid20x20":   gen.Grid(20, 20),
+		"grid8x6":     gen.Grid(8, 6),
+		"hypercube5":  gen.Hypercube(5),
+		"petersen":    reference.Petersen(),
+		"erdos-renyi": gen.ErdosRenyi(60, 0.08, rng),
+		"udg":         randomUDG(250, 8, 1, rng),
+		"ring200":     gen.Ring(200),
+	}
+	dense := map[bool]int{}
+	bfs := graph.NewBFSScratch(400)
+	for name, g := range families {
+		c := graph.NewCSR(g)
+		n := c.N()
+		for trial := 0; trial < 2; trial++ {
+			pc, order, rank := permute(c, rng)
+			for _, b := range builders {
+				s, ps := NewScratch(n), NewScratch(n)
+				ps.SetLabels(order, rank)
+				for u := 0; u < n; u++ {
+					want := b.csr(c, s, u)
+					got := b.csr(pc, ps, int(rank[u]))
+					if !relabeledTreeEqual(want, got, order) {
+						t.Fatalf("%s/%s trial %d: root %d's tree on the permuted snapshot is not its tree relabeled",
+							name, b.name, trial, u)
+					}
+					if b.r > 0 {
+						_, _, ball := bfs.BoundedView(c, u, b.r)
+						dense[4*len(ball) >= n]++
+					}
+				}
+			}
+		}
+	}
+	if dense[true] == 0 || dense[false] == 0 {
+		t.Fatalf("MISCSR ran %d dense and %d sparse balls; both placements must run", dense[true], dense[false])
+	}
 }

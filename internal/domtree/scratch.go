@@ -1,6 +1,8 @@
 package domtree
 
 import (
+	"slices"
+
 	"remspan/internal/graph"
 )
 
@@ -16,7 +18,8 @@ import (
 //     (hits, commonLeft), initialized lazily at stamping time;
 //   - a pooled graph.Tree reset per root in O(previous tree size);
 //   - a graph.BFSScratch for the bounded traversals;
-//   - a reusable max-heap for lazy greedy selection.
+//   - a reusable max-heap for lazy greedy selection;
+//   - optional vertex labels, the tie-break keys (SetLabels).
 //
 // A Scratch is not safe for concurrent use; give each worker its own.
 // The tree returned by a builder is owned by the scratch and valid only
@@ -37,6 +40,10 @@ type Scratch struct {
 
 	heap gainHeap
 
+	label   []int32  // label[v]: v's tie-break key; nil: v itself
+	byLabel []int32  // byLabel[l]: the vertex labelled l
+	keys    []uint64 // sortByLabel's packed (label, vertex) keys
+
 	buf1 []int32
 	buf2 []int32
 	buf3 []int32
@@ -54,6 +61,43 @@ func NewScratch(n int) *Scratch {
 		stampD: make([]uint32, n),
 		cnt1:   make([]int32, n),
 		cnt2:   make([]int32, n),
+	}
+}
+
+// SetLabels makes the builders break every tie by label[v] instead of
+// by v, where byLabel is label's inverse permutation; nil, nil restores
+// id order. Run on a snapshot permuted by order (graph.CSR.PermuteInto,
+// whose rows keep the original neighbour order) with label = order, a
+// builder returns the original snapshot's tree mapped through order:
+// the same members, parents and insertion order.
+func (s *Scratch) SetLabels(label, byLabel []int32) {
+	s.label, s.byLabel = label, byLabel
+}
+
+// lab returns v's label.
+func (s *Scratch) lab(v int32) int32 {
+	if s.label == nil {
+		return v
+	}
+	return s.label[v]
+}
+
+// sortByLabel sorts vs by ascending label. Labelled vertices are
+// sorted as packed (label, vertex) words, so the comparison is a
+// plain integer compare rather than a callback.
+func (s *Scratch) sortByLabel(vs []int32) {
+	if s.label == nil {
+		slices.Sort(vs)
+		return
+	}
+	keys := s.keys[:0]
+	for _, v := range vs {
+		keys = append(keys, uint64(s.label[v])<<32|uint64(v))
+	}
+	s.keys = keys
+	slices.Sort(keys)
+	for i, k := range keys {
+		vs[i] = int32(uint32(k))
 	}
 }
 
@@ -131,16 +175,17 @@ func (s *Scratch) disjointWitnesses(c graph.View, t *graph.Tree, v, maxDepth int
 
 // --- allocation-free max-heap for lazy greedy selection ---
 //
-// Orders by (gain desc, id asc) — exactly the eager greedy's
+// Orders by (gain desc, label asc) — exactly the eager greedy's
 // deterministic tie-break (see the determinism contract in csr.go) —
 // without the interface boxing of container/heap.
 
 type gainItem struct {
 	id   int32
-	gain int
+	key  int32 // the vertex's label
+	gain int32
 }
 
-// gainHeap is a max-heap on (gain, then smaller id first).
+// gainHeap is a max-heap on (gain, then smaller label first).
 type gainHeap struct {
 	items []gainItem
 }
@@ -152,7 +197,7 @@ func (h *gainHeap) less(i, j int) bool {
 	if a.gain != b.gain {
 		return a.gain > b.gain
 	}
-	return a.id < b.id
+	return a.key < b.key
 }
 
 func (h *gainHeap) push(it gainItem) {

@@ -3,9 +3,12 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"remspan/internal/reference"
+	"remspan/internal/testutil"
 )
 
 func TestPointDist(t *testing.T) {
@@ -125,5 +128,26 @@ func TestBallGraphEdges(t *testing.T) {
 	}
 	if math.Abs(es[0].W-0.5) > 1e-12 {
 		t.Fatalf("weight = %v", es[0].W)
+	}
+}
+
+// TestPoissonCountRejectsNonFinite pins the panic on a non-finite mean.
+// A NaN mean (PoissonSquare on a zero side: Inf·0) used to spin the
+// inversion loop forever, so each call runs under a deadline.
+func TestPoissonCountRejectsNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	calls := map[string]func(){
+		"NaN":                  func() { PoissonCount(math.NaN(), rng) },
+		"+Inf":                 func() { PoissonCount(math.Inf(1), rng) },
+		"-Inf":                 func() { PoissonCount(math.Inf(-1), rng) },
+		"PoissonSquare side 0": func() { PoissonSquare(math.Inf(1), 0, rng) },
+	}
+	for name, call := range calls {
+		if msg := testutil.PanicWithin(t, 5*time.Second, call); !strings.HasPrefix(msg, "geom:") || !strings.Contains(msg, "non-finite") {
+			t.Errorf("%s: panic %q, want a geom: message naming a non-finite mean", name, msg)
+		}
+	}
+	if k := PoissonCount(0, rng); k != 0 {
+		t.Fatalf("PoissonCount(0) = %d", k)
 	}
 }

@@ -1,14 +1,20 @@
 package geom
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
 
 // PoissonCount samples a Poisson(lambda) count using inversion for
 // small lambda and a normal approximation beyond (lambda > 500), which
-// is ample for generating point processes.
+// is ample for generating point processes. A non-finite lambda panics:
+// NaN passes both range tests and would spin the inversion loop
+// forever, and +Inf would convert to an arbitrary count.
 func PoissonCount(lambda float64, rng *rand.Rand) int {
+	if math.IsNaN(lambda) || math.IsInf(lambda, 0) {
+		panic(fmt.Sprintf("geom: PoissonCount of a non-finite mean %v", lambda))
+	}
 	if lambda <= 0 {
 		return 0
 	}

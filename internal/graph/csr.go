@@ -1,13 +1,18 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph: one
 // contiguous target array indexed by per-vertex offsets. Traversal-heavy
 // sweeps (all-roots BFS during spanner construction/verification) are
 // memory-bound; CSR removes the per-vertex slice headers and pointer
 // chases of the mutable representation (ablation:
-// BenchmarkAblationCSR).
+// BenchmarkAblationCSR). Every row is sorted by id, except in a
+// PermuteInto snapshot, whose rows are sorted by original id and which
+// only the dominating-tree builders and EdgeMarks read.
 type CSR struct {
 	offsets []int32
 	targets []int32
@@ -72,6 +77,54 @@ func (c *CSR) Relabel(order []int32) *CSR {
 	return r
 }
 
+// BFSOrder writes into order the vertices of c in breadth-first order,
+// each component from its smallest id and each row scanned in its
+// stored order, and into rank the inverse permutation (rank[order[i]]
+// == i); both must have length c.N(). One serial O(n + m) pass, with
+// order as the queue. Consecutive ids of the order are close in the
+// graph, so the balls of consecutive roots share cache lines.
+func (c *CSR) BFSOrder(order, rank []int32) {
+	for i := range rank {
+		rank[i] = -1
+	}
+	head, tail := 0, 0
+	for s := range rank {
+		if rank[s] >= 0 {
+			continue
+		}
+		rank[s], order[tail] = int32(tail), int32(s)
+		tail++
+		for ; head < tail; head++ {
+			for _, w := range c.Neighbors(int(order[head])) {
+				if rank[w] < 0 {
+					rank[w], order[tail] = int32(tail), w
+					tail++
+				}
+			}
+		}
+	}
+}
+
+// PermuteInto makes dst the snapshot of c in which vertex order[i]
+// becomes vertex i, for a permutation order of 0..n-1 with inverse
+// rank. Unlike Relabel, every row keeps c's neighbour order: slot j of
+// row i holds the new id of slot j of c's row order[i], so a row is
+// ascending in original id (order[w]), not in new id. dst's arrays are
+// reused when they are large enough.
+func (c *CSR) PermuteInto(dst *CSR, order, rank []int32) {
+	dst.offsets = slices.Grow(dst.offsets[:0], c.N()+1)[:c.N()+1]
+	dst.targets = slices.Grow(dst.targets[:0], len(c.targets))[:len(c.targets)]
+	k := int32(0)
+	for i, u := range order {
+		for _, w := range c.Neighbors(int(u)) {
+			dst.targets[k] = rank[w]
+			k++
+		}
+		dst.offsets[i+1] = k
+	}
+	dst.offsets[0] = 0
+}
+
 // N returns the vertex count.
 func (c *CSR) N() int { return len(c.offsets) - 1 }
 
@@ -81,7 +134,8 @@ func (c *CSR) M() int { return len(c.targets) / 2 }
 // Degree returns the degree of u.
 func (c *CSR) Degree(u int) int { return int(c.offsets[u+1] - c.offsets[u]) }
 
-// Neighbors returns u's sorted adjacency slice (shared, do not modify).
+// Neighbors returns u's adjacency slice (shared, do not modify),
+// ascending in id — in original id for a PermuteInto snapshot.
 func (c *CSR) Neighbors(u int) []int32 {
 	return c.targets[c.offsets[u]:c.offsets[u+1]]
 }

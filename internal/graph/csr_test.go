@@ -68,6 +68,94 @@ func TestCSRRelabel(t *testing.T) {
 	}
 }
 
+// TestCSRBFSOrder pins CSR.BFSOrder against a queue BFS over the
+// Graph on random graphs with several components: every component is
+// taken from its smallest id, rows are scanned in ascending order, and
+// rank is order's inverse.
+func TestCSRBFSOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 2, 9, 40, 120} {
+		g := New(n)
+		for i := 0; i < n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		var want []int32
+		seen := make([]bool, n)
+		for s := 0; s < n; s++ {
+			if seen[s] {
+				continue
+			}
+			seen[s] = true
+			queue := []int32{int32(s)}
+			for len(queue) > 0 {
+				u := queue[0]
+				queue = queue[1:]
+				want = append(want, u)
+				for _, w := range g.Neighbors(int(u)) {
+					if !seen[w] {
+						seen[w] = true
+						queue = append(queue, w)
+					}
+				}
+			}
+		}
+		order, rank := make([]int32, n), make([]int32, n)
+		NewCSR(g).BFSOrder(order, rank)
+		if !slices.Equal(order, want) {
+			t.Fatalf("n=%d: order %v, want %v", n, order, want)
+		}
+		for i, u := range order {
+			if rank[u] != int32(i) {
+				t.Fatalf("n=%d: rank[%d] = %d, want %d", n, u, rank[u], i)
+			}
+		}
+	}
+}
+
+// TestCSRPermuteInto pins CSR.PermuteInto on random graphs and
+// permutations: row i holds the new ids of order[i]'s neighbours in
+// the original row's order (ascending in original id, unlike Relabel),
+// and one destination reused across smaller and larger snapshots
+// allocates only to grow.
+func TestCSRPermuteInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var dst CSR
+	for _, n := range []int{40, 9, 0, 1, 2, 60} {
+		g := New(n)
+		for i := 0; i < 3*n; i++ {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v {
+				g.AddEdge(u, v)
+			}
+		}
+		order := make([]int32, n)
+		rank := make([]int32, n)
+		for i, u := range rng.Perm(n) {
+			order[i], rank[u] = int32(u), int32(i)
+		}
+		c := NewCSR(g)
+		grows := cap(dst.targets) < len(c.targets) || cap(dst.offsets) < n+1
+		if allocs := testing.AllocsPerRun(1, func() { c.PermuteInto(&dst, order, rank) }); !grows && allocs != 0 {
+			t.Fatalf("n=%d: PermuteInto into a large enough destination allocated %v times", n, allocs)
+		}
+		if dst.N() != n || dst.M() != g.M() {
+			t.Fatalf("n=%d: permuted n=%d m=%d, want m=%d", n, dst.N(), dst.M(), g.M())
+		}
+		for i, u := range order {
+			var want []int32
+			for _, w := range g.Neighbors(int(u)) {
+				want = append(want, rank[w])
+			}
+			if got := dst.Neighbors(i); !slices.Equal(got, want) {
+				t.Fatalf("n=%d: row %d (vertex %d) = %v, want %v", n, i, u, got, want)
+			}
+		}
+	}
+}
+
 func TestCSRBFSMatches(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

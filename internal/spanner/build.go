@@ -13,8 +13,9 @@
 //     ε' = 1/(r−1) ≤ ε (Prop. 1, Th. 1).
 //
 // All constructions run on one immutable graph.CSR snapshot taken up
-// front, with one reusable domtree.Scratch per worker, so the per-root
-// hot loops are allocation-free (DESIGN.md §3). The equivalence tests
+// front and relabeled in BFS order for locality, with one reusable
+// domtree.Scratch per worker, so the per-root hot loops are
+// allocation-free (DESIGN.md §3). The equivalence tests
 // pin every construction against reference.Union over the map-based
 // builders of internal/reference.
 package spanner

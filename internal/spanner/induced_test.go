@@ -203,27 +203,42 @@ func TestNecessityDetectsBrokenSpanner(t *testing.T) {
 
 // Equivalence smoke test: sufficiency (checker passes ⟹ stretch holds)
 // and necessity (stretch holds ⟹ extraction works) on the same
-// instances — the characterization is a genuine iff on our samples.
+// instances — the characterization is a genuine iff on our samples,
+// and both verdicts occur.
 func TestCharacterizationIsEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	verdicts := map[bool]int{}
 	for trial := 0; trial < 12; trial++ {
 		g := randomConnected(12+rng.Intn(15), 30, rng)
-		// Random sub-graph of g as candidate H: keep each edge with
-		// probability 0.8 — sometimes a spanner, sometimes not.
-		h := graph.New(g.N())
+		// Candidate H: on even trials a random sub-graph of g keeping
+		// each edge with probability 0.8, which is rarely a spanner; on
+		// odd trials Exact(g) plus each other edge of g with
+		// probability 1/2, a (1, 0)-remote-spanner by construction.
+		seeded := trial%2 == 1
+		h, keep := graph.New(g.N()), 0.8
+		if seeded {
+			h, keep = Exact(g).Graph(), 0.5
+		}
 		g.EachEdge(func(u, v int) {
-			if rng.Float64() < 0.8 {
+			if rng.Float64() < keep {
 				h.AddEdge(u, v)
 			}
 		})
 		isSpanner := Check(g, h, NewStretch(1, 0)) == nil
 		induces := checkInducedKConn(g, h, 1) == -1
+		if seeded && !isSpanner {
+			t.Fatalf("trial %d: Exact(g) plus edges of g fails the stretch check", trial)
+		}
 		if isSpanner != induces {
 			t.Fatalf("trial %d: stretch says %v, induced trees say %v", trial, isSpanner, induces)
 		}
 		if certified := CertifyExact(graph.NewCSR(g), graph.NewCSR(h)); certified != induces {
 			t.Fatalf("trial %d: certificate says %v, induced trees say %v", trial, certified, induces)
 		}
+		verdicts[isSpanner]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("verdicts %v: both spanners and non-spanners must occur", verdicts)
 	}
 }
 

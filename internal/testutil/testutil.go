@@ -5,7 +5,32 @@ package testutil
 import (
 	"runtime"
 	"testing"
+	"time"
 )
+
+// PanicWithin runs fn on a goroutine and returns the string it panics
+// with. It fails the test when fn returns without panicking, panics
+// with a non-string, or is still running after d, so a call that hangs
+// fails instead of hanging go test (its goroutine is left behind).
+func PanicWithin(t *testing.T, d time.Duration, fn func()) string {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		fn()
+	}()
+	select {
+	case r := <-done:
+		msg, ok := r.(string)
+		if !ok {
+			t.Fatalf("want a panic with a message, got %v", r)
+		}
+		return msg
+	case <-time.After(d):
+		t.Fatalf("call still running after %v", d)
+		return ""
+	}
+}
 
 // PinAllocs pins fn allocation-free: the steady-state zero-alloc
 // contract every warm scratch path in this repo advertises. It fails

@@ -3,13 +3,16 @@ package remspan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"remspan/internal/graph"
 	"remspan/internal/reference"
 	"remspan/internal/spanner"
+	"remspan/internal/testutil"
 )
 
 func TestGraphFacadeBasics(t *testing.T) {
@@ -505,5 +508,20 @@ func TestAccessorsPanicWithVertexRange(t *testing.T) {
 			}()
 			c.call()
 		})
+	}
+}
+
+// TestRandomUDGRejectsBadSide pins RandomUDG's panic on a side that is
+// not positive and finite. Side 0 used to make the Poisson mean NaN and
+// hang the point sampler, so each call runs under a deadline.
+func TestRandomUDGRejectsBadSide(t *testing.T) {
+	for _, side := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		msg := testutil.PanicWithin(t, 5*time.Second, func() { RandomUDG(10, side, 1) })
+		if !strings.HasPrefix(msg, "remspan:") || !strings.Contains(msg, "side") {
+			t.Errorf("RandomUDG(10, %v, 1): panic %q, want a remspan: message naming side", side, msg)
+		}
+	}
+	if g := RandomUDG(50, 4, 1); g.N() == 0 {
+		t.Fatal("RandomUDG(50, 4, 1) is empty")
 	}
 }
