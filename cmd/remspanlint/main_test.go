@@ -251,8 +251,8 @@ func parseWant(text string) ([]*regexp.Regexp, error) {
 }
 
 // TestRepoIsLintClean runs the gate over the whole repository: the
-// annotated hot paths, atomic fields and refcount pairs, deterministic
-// packages and lock sites must all be clean.
+// annotated hot paths and atomic fields, deterministic packages and
+// lock sites must all be clean.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-repo vet is not a -short test")

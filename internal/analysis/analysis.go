@@ -12,8 +12,7 @@
 //
 // The analyzers communicate with the code under inspection through
 // "//remspan:*" comment directives (see directives.go and DESIGN.md
-// §3g): hotpath, coldpath, deterministic, orderok, atomic, refinc,
-// refdec, lockheld.
+// §3g): hotpath, coldpath, deterministic, orderok, atomic, lockheld.
 package analysis
 
 import (

@@ -28,11 +28,6 @@ const (
 	// a sync/atomic type and rejects by-value copies of the enclosing
 	// struct.
 	DirAtomic = "atomic"
-	// DirRefInc / DirRefDec mark the refcount increment / decrement
-	// functions whose inc-before-dec call order rcupub enforces in
-	// every caller that uses both.
-	DirRefInc = "refinc"
-	DirRefDec = "refdec"
 	// DirLockHeld exempts a function from lockpair: it intentionally
 	// returns with the lock held (a lock-handoff API whose release
 	// lives in a documented counterpart).

@@ -1,35 +1,24 @@
-// Package rcupub enforces two invariants of the state the repo shares
+// Package rcupub enforces one invariant of the state the repo shares
 // across goroutines without a lock — replica.Replica's published
-// repState pointer and health flags, and routing.Store's epoch seq —
-// and of the spanner mirror's refcounts: fields holding such state
-// must be genuinely atomic and never sheared by a struct copy, and
-// paired refcount updates must keep their inc-before-dec order
-// (dec-first drops an edge both the old and the new tree hold to
-// zero, so it leaves and re-enters the mirrored spanner).
+// repState pointer and health flags, and routing.Store's epoch seq:
+// fields holding such state must be genuinely atomic and never
+// sheared by a struct copy.
 //
-// Two rules:
-//
-//  1. Atomic-only fields. A struct field annotated //remspan:atomic
-//     must have a sync/atomic type (atomic.Uint64, atomic.Pointer, ...)
-//     — a raw integer "accessed carefully" is exactly the data race
-//     the annotation exists to rule out — and the enclosing struct
-//     must never be copied by value (assignment, argument, return, or
-//     dereference copy), since a copy reads the field non-atomically
-//     and detaches it from the goroutines that update it. The
-//     sync/atomic types embed a vet noCopy marker (since Go 1.19), so
-//     the stock copylocks check already reports an assignment copy
-//     (b := a), a by-value parameter or argument, a return and a range
-//     copy of such a struct. The one shape it skips is a copy of a
-//     dereferenced call result (ep := *st.Epoch()). This rule reports
-//     that shape for a struct from any package that holds a sync/atomic
-//     value inline, annotated or not: the annotations of another
-//     package are invisible here, and the copy tears the slots all the
-//     same.
-//
-//  2. Refcount order. Functions annotated //remspan:refinc and
-//     //remspan:refdec name the package's refcount halves. In any
-//     function calling both, every decrement call must come after the
-//     first increment call.
+// Atomic-only fields. A struct field annotated //remspan:atomic must
+// have a sync/atomic type (atomic.Uint64, atomic.Pointer, ...) — a raw
+// integer "accessed carefully" is exactly the data race the annotation
+// exists to rule out — and the enclosing struct must never be copied
+// by value (assignment, argument, return, or dereference copy), since
+// a copy reads the field non-atomically and detaches it from the
+// goroutines that update it. The sync/atomic types embed a vet noCopy
+// marker (since Go 1.19), so the stock copylocks check already reports
+// an assignment copy (b := a), a by-value parameter or argument, a
+// return and a range copy of such a struct. The one shape it skips is
+// a copy of a dereferenced call result (ep := *st.Epoch()). This rule
+// reports that shape for a struct from any package that holds a
+// sync/atomic value inline, annotated or not: the annotations of
+// another package are invisible here, and the copy tears the slots all
+// the same.
 package rcupub
 
 import (
@@ -42,27 +31,14 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "rcupub",
-	Doc:  "enforce atomic-only, never-copied shared fields and inc-before-dec refcounts",
+	Doc:  "enforce atomic-only, never-copied shared fields",
 	Run:  run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	dirs := analysis.ScanDirectives(pass)
-	checkAtomicFields(pass, dirs)
-	inc, dec := refFuncs(pass, dirs)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkRefOrder(pass, fd, inc, dec)
-		}
-	}
+	checkAtomicFields(pass, analysis.ScanDirectives(pass))
 	return nil, nil
 }
-
-// --- rule 1: //remspan:atomic fields ---
 
 func checkAtomicFields(pass *analysis.Pass, dirs *analysis.Directives) {
 	info := pass.TypesInfo
@@ -208,77 +184,6 @@ func checkCopies(pass *analysis.Pass, guarded map[*types.Named]bool, n ast.Node)
 	case *ast.RangeStmt:
 		if n.Value != nil {
 			report(n.Value, "ranging")
-		}
-	}
-}
-
-// --- rule 2: refcount inc-before-dec ---
-
-// refFuncs collects the function objects annotated refinc / refdec.
-func refFuncs(pass *analysis.Pass, dirs *analysis.Directives) (inc, dec map[*types.Func]bool) {
-	inc = make(map[*types.Func]bool)
-	dec = make(map[*types.Func]bool)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			if dirs.Func(fd, analysis.DirRefInc) {
-				inc[obj] = true
-			}
-			if dirs.Func(fd, analysis.DirRefDec) {
-				dec[obj] = true
-			}
-		}
-	}
-	return inc, dec
-}
-
-func checkRefOrder(pass *analysis.Pass, fd *ast.FuncDecl, inc, dec map[*types.Func]bool) {
-	if len(inc) == 0 || len(dec) == 0 {
-		return
-	}
-	info := pass.TypesInfo
-	firstInc := token.NoPos
-	type decCall struct {
-		pos  token.Pos
-		name string
-	}
-	var decs []decCall
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = info.Uses[fun.Sel].(*types.Func)
-		}
-		if callee == nil {
-			return true
-		}
-		if inc[callee] && (!firstInc.IsValid() || call.Pos() < firstInc) {
-			firstInc = call.Pos()
-		}
-		if dec[callee] {
-			decs = append(decs, decCall{call.Pos(), callee.Name()})
-		}
-		return true
-	})
-	if !firstInc.IsValid() {
-		return
-	}
-	for _, d := range decs {
-		if d.pos < firstInc {
-			pass.Reportf(d.pos, "refcount decrement %s before the increment in the same function: dec-first drops a shared edge to zero", d.name)
 		}
 	}
 }

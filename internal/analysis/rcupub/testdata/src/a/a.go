@@ -55,23 +55,3 @@ func crossPackage(st *b.Store) uint64 {
 func returnsEpoch(st *b.Store) b.Epoch {
 	return *st.Epoch() // want "returning dereferenced call result with sync/atomic fields by value tears its atomic slots"
 }
-
-//remspan:refinc
-func addRef(m map[int]int, k int) { m[k]++ }
-
-//remspan:refdec
-func dropRef(m map[int]int, k int) { m[k]-- }
-
-func incBeforeDec(m map[int]int) {
-	addRef(m, 1)
-	dropRef(m, 2)
-}
-
-func decBeforeInc(m map[int]int) {
-	dropRef(m, 2) // want "refcount decrement dropRef before the increment in the same function"
-	addRef(m, 1)
-}
-
-func decOnly(m map[int]int) {
-	dropRef(m, 2) // teardown paths decrement alone: fine
-}

@@ -189,6 +189,12 @@ func (m *Maintainer) Spanner() *graph.EdgeSet {
 // distributed simulator accounts its traffic over.
 func (m *Maintainer) TreeOf(u int) [][2]int32 { return m.trees[u] }
 
+// Trees returns every root's stored tree edges, indexed by root, as
+// TreeOf does one: shared with the maintainer, read-only, and valid
+// until the next rebuild. The spanner is their union, which the
+// routing store derives from them after every batch.
+func (m *Maintainer) Trees() [][][2]int32 { return m.trees }
+
 // View returns the patched CSRDelta the maintainer's builders read.
 // Shared state: valid for reads between applied changes, never across
 // them.

@@ -162,54 +162,41 @@ func (s *BitScratch) SeedFrontier(i uint, v int, d int32) {
 	st.fro |= b
 }
 
-// Sweep runs the seeded batch to exhaustion over view: vertices first
+// Sweep runs the seeded batch to exhaustion over h: vertices first
 // reached in the initial expansion are recorded at level, the next
 // wave at level+1, and so on.
 //
 //remspan:hotpath
-func (s *BitScratch) Sweep(view View, level int32) {
-	for s.Step(view, level) {
+func (s *BitScratch) Sweep(h *CSR, level int32) {
+	for s.Step(h, level) {
 		level++
 	}
 }
 
-// Step expands the current frontier one level over view, collecting
+// Step expands the current frontier one level over h, collecting
 // arrivals at the given level, and returns whether a frontier remains.
 // Callers that interleave two traversals (the deadline-lockstep judge
 // of spanner verification) drive Step directly; Sweep is the
-// run-to-exhaustion loop. The *CSR fast path avoids an interface call
-// per frontier vertex; any other View traverses generically.
+// run-to-exhaustion loop. Every sweep reads a CSR: its rows are
+// sliced straight from one target array, with no interface call per
+// frontier vertex.
 //
 //remspan:hotpath
-func (s *BitScratch) Step(view View, level int32) bool {
+func (s *BitScratch) Step(h *CSR, level int32) bool {
 	if len(s.cur) == 0 {
 		return false
 	}
 	stripes := s.stripes
 	arr, k := s.arrivals[:cap(s.arrivals)], 0
-	if c, ok := view.(*CSR); ok {
-		for _, u := range s.cur {
-			f := stripes[u].fro
-			stripes[u].fro = 0
-			for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
-				st := &stripes[v]
-				old := st.next
-				st.next = old | f
-				arr[k] = v
-				k += oneIfZero(old)
-			}
-		}
-	} else {
-		for _, u := range s.cur {
-			f := stripes[u].fro
-			stripes[u].fro = 0
-			for _, v := range view.Neighbors(int(u)) {
-				st := &stripes[v]
-				old := st.next
-				st.next = old | f
-				arr[k] = v
-				k += oneIfZero(old)
-			}
+	for _, u := range s.cur {
+		f := stripes[u].fro
+		stripes[u].fro = 0
+		for _, v := range h.targets[h.offsets[u]:h.offsets[u+1]] {
+			st := &stripes[v]
+			old := st.next
+			st.next = old | f
+			arr[k] = v
+			k += oneIfZero(old)
 		}
 	}
 	s.arrivals = arr[:k]
@@ -217,21 +204,21 @@ func (s *BitScratch) Step(view View, level int32) bool {
 	return len(s.cur) > 0
 }
 
-// SweepClaim runs the seeded batch to exhaustion like Sweep, but with
-// sorted-frontier expansion and a claim callback: at each level the
-// frontier is expanded in ascending vertex-id order (sortFrontier's
-// bitmap read-back), and claim(x, v, newBits, level) fires at the
-// moment source bits first arrive at v through the edge (x, v) — x is
-// therefore the smallest-id previous-level neighbor of v carrying
-// those bits, which is exactly the canonical next-hop rule of the
-// batched forwarding-table builder.
+// SweepClaim runs the seeded batch to exhaustion over h like Sweep,
+// but with sorted-frontier expansion and a claim callback: at each
+// level the frontier is expanded in ascending vertex-id order
+// (sortFrontier's bitmap read-back), and claim(x, v, newBits, level)
+// fires at the moment source bits first arrive at v through the edge
+// (x, v) — x is therefore the smallest-id previous-level neighbor of v
+// carrying those bits, which is exactly the canonical next-hop rule of
+// the batched forwarding-table builder.
 // Each (source, vertex) pair is claimed exactly once. The callback
 // runs inside the expansion with x's state hot in cache; it must not
 // call back into this BitScratch.
 //
 //remspan:hotpath
-func (s *BitScratch) SweepClaim(view View, level int32, claim func(x, v int32, newBits uint64, level int32)) {
-	for s.stepClaim(view, level, claim) {
+func (s *BitScratch) SweepClaim(h *CSR, level int32, claim func(x, v int32, newBits uint64, level int32)) {
+	for s.stepClaim(h, level, claim) {
 		level++
 	}
 }
@@ -240,42 +227,25 @@ func (s *BitScratch) SweepClaim(view View, level int32, claim func(x, v int32, n
 // arrival claim callback, with the same branch-free bookkeeping.
 //
 //remspan:hotpath
-func (s *BitScratch) stepClaim(view View, level int32, claim func(x, v int32, newBits uint64, level int32)) bool {
+func (s *BitScratch) stepClaim(h *CSR, level int32, claim func(x, v int32, newBits uint64, level int32)) bool {
 	if len(s.cur) == 0 {
 		return false
 	}
 	s.sortFrontier()
 	stripes := s.stripes
 	arr, k := s.arrivals[:cap(s.arrivals)], 0
-	if c, ok := view.(*CSR); ok {
-		for _, u := range s.cur {
-			f := stripes[u].fro
-			stripes[u].fro = 0
-			for _, v := range c.targets[c.offsets[u]:c.offsets[u+1]] {
-				st := &stripes[v]
-				old := st.next
-				if newly := f &^ (old | st.vis); newly != 0 {
-					claim(u, v, newly, level)
-				}
-				st.next = old | f
-				arr[k] = v
-				k += oneIfZero(old)
+	for _, u := range s.cur {
+		f := stripes[u].fro
+		stripes[u].fro = 0
+		for _, v := range h.targets[h.offsets[u]:h.offsets[u+1]] {
+			st := &stripes[v]
+			old := st.next
+			if newly := f &^ (old | st.vis); newly != 0 {
+				claim(u, v, newly, level)
 			}
-		}
-	} else {
-		for _, u := range s.cur {
-			f := stripes[u].fro
-			stripes[u].fro = 0
-			for _, v := range view.Neighbors(int(u)) {
-				st := &stripes[v]
-				old := st.next
-				if newly := f &^ (old | st.vis); newly != 0 {
-					claim(u, v, newly, level)
-				}
-				st.next = old | f
-				arr[k] = v
-				k += oneIfZero(old)
-			}
+			st.next = old | f
+			arr[k] = v
+			k += oneIfZero(old)
 		}
 	}
 	s.arrivals = arr[:k]
@@ -392,7 +362,7 @@ func (s *BitScratch) collectMasks() {
 	s.cur, s.nxt = nxt[:k], s.cur
 }
 
-// SweepSourcesVisit runs a plain batched BFS over view from the given
+// SweepSourcesVisit runs a plain batched BFS over c from the given
 // sources (1 ≤ len ≤ 64), bit i owning sources[i]. visit, when not nil,
 // is called once per (vertex, new source bits, distance) first-visit
 // event, in level order. On a masks-only scratch no distance rows exist
@@ -402,13 +372,13 @@ func (s *BitScratch) collectMasks() {
 // BitScratch.
 //
 //remspan:hotpath
-func (s *BitScratch) SweepSourcesVisit(view View, sources []int32, visit func(v int32, newBits uint64, level int32)) {
+func (s *BitScratch) SweepSourcesVisit(c *CSR, sources []int32, visit func(v int32, newBits uint64, level int32)) {
 	s.Begin()
 	for i, u := range sources {
 		s.SeedFrontier(uint(i), int(u), 0)
 	}
 	s.SetVisit(visit)
-	s.Sweep(view, 1)
+	s.Sweep(c, 1)
 	s.SetVisit(nil)
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -126,25 +127,6 @@ func min64(n int) int {
 	return 64
 }
 
-func TestBitBFSGenericViewMatchesCSR(t *testing.T) {
-	g := bitFamilies()["grid"]
-	c := NewCSR(g)
-	sc := NewBitScratch(g.N())
-	sg := NewBitScratch(g.N())
-	sc.SweepSourcesVisit(c, sourceRange(0, 64), nil)
-	sg.SweepSourcesVisit(g, sourceRange(0, 64), nil) // *Graph takes the generic View path
-	for v := 0; v < g.N(); v++ {
-		if sc.Visited(v) != sg.Visited(v) {
-			t.Fatalf("visited mask differs at %d", v)
-		}
-		for i := uint(0); i < 64; i++ {
-			if bitDist(sc, i, v) != bitDist(sg, i, v) {
-				t.Fatalf("dist(%d,%d) differs between CSR and generic sweeps", i, v)
-			}
-		}
-	}
-}
-
 // TestBitSweepZeroAlloc pins the steady-state allocation guarantee of
 // SweepSourcesVisit, the sweep MeasureProfile's shard runs: a warm
 // scratch runs batches without allocating, with a nil and a bound
@@ -258,6 +240,107 @@ func TestSweepSourcesMatchesScalar(t *testing.T) {
 					t.Fatalf("%s: dist(%d,%d) = %d, want %d", name, u, v, got, want[v])
 				}
 			}
+		}
+	}
+}
+
+// layeredGraph is a hub joined to a middle level of 100 vertices, each
+// of 100 outer vertices joined to three random middle ones, with ids
+// shuffled: a sweep from the hub or an outer vertex expands the whole
+// middle level at once, a frontier past 64 vertices, and most vertices
+// have several candidate parents one level closer.
+func layeredGraph(rng *rand.Rand) *Graph {
+	const mid, outer = 100, 100
+	id := rng.Perm(1 + mid + outer)
+	g := New(len(id))
+	for i := 1; i <= mid; i++ {
+		g.AddEdge(id[0], id[i])
+	}
+	for j := 0; j < outer; j++ {
+		for k := 0; k < 3; k++ {
+			g.AddEdge(id[1+mid+j], id[1+rng.Intn(mid)])
+		}
+	}
+	return g
+}
+
+// TestSweepClaimMatchesScalar pins SweepClaim's events against scalar
+// BFS from each source: every (source bit, vertex) pair the source
+// reaches, other than the source itself, is claimed exactly once, at
+// its BFS distance, through the smallest-id neighbour one level
+// closer, and nothing else is claimed. The layered graph's sweeps
+// expand frontiers of more than 64 vertices, which sortFrontier reads
+// back from its bitmap; the other families' frontiers are sorted by
+// comparison.
+func TestSweepClaimMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	fams := bitFamilies()
+	fams["layered"] = layeredGraph(rng)
+	type pair struct {
+		bit int
+		v   int32
+	}
+	for name, g := range fams {
+		n := g.N()
+		c := NewCSR(g)
+		s := NewBitScratchMasks(n)
+		sources := make([]int32, min64(n))
+		for i, u := range rng.Perm(n)[:len(sources)] {
+			sources[i] = int32(u)
+		}
+		got := make(map[pair][2]int32) // (x, level) of each claim
+		s.Begin()
+		for i, u := range sources {
+			s.SeedFrontier(uint(i), int(u), 0)
+		}
+		s.SweepClaim(c, 1, func(x, v int32, newBits uint64, level int32) {
+			for b := newBits; b != 0; b &= b - 1 {
+				p := pair{bits.TrailingZeros64(b), v}
+				if _, dup := got[p]; dup {
+					t.Fatalf("%s: bit %d claimed vertex %d twice", name, p.bit, v)
+				}
+				got[p] = [2]int32{x, level}
+			}
+		})
+		want, widest := 0, 0
+		atLevel := make([]bool, n*n) // atLevel[l*n+v]: some source reaches v at level l
+		for i, u := range sources {
+			d := BFS(g, int(u))
+			for v := range d {
+				if d[v] == Unreached {
+					continue
+				}
+				atLevel[int(d[v])*n+v] = true
+				if int32(v) == u {
+					continue
+				}
+				want++
+				x := int32(-1)
+				for _, w := range g.Neighbors(v) {
+					if d[w] == d[v]-1 && (x < 0 || w < x) {
+						x = w
+					}
+				}
+				if c, ok := got[pair{i, int32(v)}]; !ok || c != [2]int32{x, d[v]} {
+					t.Fatalf("%s: bit %d (source %d) at %d: claim %v (seen %v), want (x %d, level %d)",
+						name, i, u, v, c, ok, x, d[v])
+				}
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("%s: %d claims, want %d", name, len(got), want)
+		}
+		for l := 0; l < n; l++ {
+			k := 0
+			for _, at := range atLevel[l*n : (l+1)*n] {
+				if at {
+					k++
+				}
+			}
+			widest = max(widest, k)
+		}
+		if name == "layered" && widest <= 64 {
+			t.Fatalf("layered: widest expanded frontier %d, want > 64", widest)
 		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 // chases of the mutable representation (ablation:
 // BenchmarkAblationCSR). Every row is sorted by id, except in a
 // PermuteInto snapshot, whose rows are sorted by original id and which
-// only the dominating-tree builders and EdgeMarks read.
+// only readers that do not depend on row order take: the
+// dominating-tree builders, EdgeMarks and the word-parallel judge.
 type CSR struct {
 	offsets []int32
 	targets []int32
@@ -52,31 +53,6 @@ func NewCSR(g *Graph) *CSR {
 	return c
 }
 
-// Relabel returns a snapshot of c in which vertex order[i] becomes
-// vertex i, for a permutation order of 0..n-1. The rows come out
-// sorted without a sort: new ids are visited in ascending order and
-// each is appended to the rows of its neighbours, which the symmetric
-// adjacency makes exactly the relabeled rows.
-func (c *CSR) Relabel(order []int32) *CSR {
-	n := c.N()
-	r := &CSR{offsets: make([]int32, n+1), targets: make([]int32, len(c.targets))}
-	rank := make([]int32, n) // rank[order[i]] == i
-	for i, u := range order {
-		rank[u] = int32(i)
-		r.offsets[i+1] = r.offsets[i] + c.offsets[u+1] - c.offsets[u]
-	}
-	fill := make([]int32, n) // next free slot of each new row
-	copy(fill, r.offsets)
-	for i, u := range order {
-		for _, w := range c.Neighbors(int(u)) {
-			x := rank[w]
-			r.targets[fill[x]] = int32(i)
-			fill[x]++
-		}
-	}
-	return r
-}
-
 // BFSOrder writes into order the vertices of c in breadth-first order,
 // each component from its smallest id and each row scanned in its
 // stored order, and into rank the inverse permutation (rank[order[i]]
@@ -107,10 +83,10 @@ func (c *CSR) BFSOrder(order, rank []int32) {
 
 // PermuteInto makes dst the snapshot of c in which vertex order[i]
 // becomes vertex i, for a permutation order of 0..n-1 with inverse
-// rank. Unlike Relabel, every row keeps c's neighbour order: slot j of
-// row i holds the new id of slot j of c's row order[i], so a row is
-// ascending in original id (order[w]), not in new id. dst's arrays are
-// reused when they are large enough.
+// rank. Every row keeps c's neighbour order: slot j of row i holds the
+// new id of slot j of c's row order[i], so a row is ascending in
+// original id (order[w]), not in new id. dst's arrays are reused when
+// they are large enough.
 func (c *CSR) PermuteInto(dst *CSR, order, rank []int32) {
 	dst.offsets = slices.Grow(dst.offsets[:0], c.N()+1)[:c.N()+1]
 	dst.targets = slices.Grow(dst.targets[:0], len(c.targets))[:len(c.targets)]

@@ -33,41 +33,6 @@ func TestCSRMirrorsGraph(t *testing.T) {
 	}
 }
 
-// TestCSRRelabel pins CSR.Relabel on random graphs and permutations:
-// row i of the snapshot holds the new ids of order[i]'s neighbours in
-// ascending order, and the edge count is kept.
-func TestCSRRelabel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 2, 9, 40} {
-		g := New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(u, v)
-			}
-		}
-		order := make([]int32, n)
-		rank := make([]int32, n)
-		for i, u := range rng.Perm(n) {
-			order[i], rank[u] = int32(u), int32(i)
-		}
-		r := NewCSR(g).Relabel(order)
-		if r.N() != n || r.M() != g.M() {
-			t.Fatalf("n=%d: relabeled n=%d m=%d, want m=%d", n, r.N(), r.M(), g.M())
-		}
-		for i, u := range order {
-			var want []int32
-			for _, w := range g.Neighbors(int(u)) {
-				want = append(want, rank[w])
-			}
-			slices.Sort(want)
-			if got := r.Neighbors(i); !slices.Equal(got, want) {
-				t.Fatalf("n=%d: row %d (vertex %d) = %v, want %v", n, i, u, got, want)
-			}
-		}
-	}
-}
-
 // TestCSRBFSOrder pins CSR.BFSOrder against a queue BFS over the
 // Graph on random graphs with several components: every component is
 // taken from its smallest id, rows are scanned in ascending order, and
@@ -117,7 +82,7 @@ func TestCSRBFSOrder(t *testing.T) {
 
 // TestCSRPermuteInto pins CSR.PermuteInto on random graphs and
 // permutations: row i holds the new ids of order[i]'s neighbours in
-// the original row's order (ascending in original id, unlike Relabel),
+// the original row's order (ascending in original id, not new id),
 // and one destination reused across smaller and larger snapshots
 // allocates only to grow.
 func TestCSRPermuteInto(t *testing.T) {

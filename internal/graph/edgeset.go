@@ -2,13 +2,14 @@ package graph
 
 import "slices"
 
-// EdgeSet is the one representation of a spanner H: an immutable set
-// of undirected edges over vertices 0..n-1, held as the sorted,
+// EdgeSet is the one representation of a spanner H: a set of
+// undirected edges over vertices 0..n-1, held as the sorted,
 // duplicate-free canonical keys u<<32 | v with u < v. Membership is a
 // binary search, equality a slice compare, and Edges and Graph are
 // linear passes in key order. EdgeMarks.EdgeSet builds one from the
 // construction's CSR union in one pass; NewEdgeSet builds one from any
-// edge list.
+// edge list, and UnionScratch rebuilds one in place for the holders of
+// a live H.
 type EdgeSet struct {
 	n    int
 	keys []uint64
@@ -25,6 +26,15 @@ func edgeKey(u, v int32) uint64 {
 // NewEdgeSet returns the set of the edges in the given lists over n
 // vertices. Pairs may come in either orientation and repeat; self
 // loops are dropped. It panics on an endpoint outside 0..n-1.
+func NewEdgeSet(n int, lists ...[][2]int32) *EdgeSet {
+	s := new(EdgeSet)
+	s.union(n, make([]int, n+1), lists)
+	return s
+}
+
+// union makes s the set of the edges in lists over n vertices, reusing
+// the capacity of s.keys; end is the counting sort's scratch, n+1
+// zeros.
 //
 // The keys are bucketed by their smaller endpoint with a counting
 // sort (one count pass, one prefix sum, one placement pass), which
@@ -32,10 +42,11 @@ func edgeKey(u, v int32) uint64 {
 // then sorted and its duplicates dropped in place. Several lists (the
 // maintainer's per-root trees) are read where they lie, not
 // concatenated first.
-func NewEdgeSet(n int, lists ...[][2]int32) *EdgeSet {
+//
+//remspan:hotpath
+func (s *EdgeSet) union(n int, end []int, lists [][][2]int32) {
 	// end[u+1] counts, then (prefix sum) end[u] starts, bucket u; the
 	// placement pass advances each end[u] to its bucket's end.
-	end := make([]int, n+1)
 	for _, edges := range lists {
 		for _, e := range edges {
 			if e[0] < 0 || e[1] < 0 || int(e[0]) >= n || int(e[1]) >= n {
@@ -49,7 +60,7 @@ func NewEdgeSet(n int, lists ...[][2]int32) *EdgeSet {
 	for u := 1; u <= n; u++ {
 		end[u] += end[u-1]
 	}
-	keys := make([]uint64, end[n])
+	keys := slices.Grow(s.keys[:0], end[n])[:end[n]]
 	for _, edges := range lists {
 		for _, e := range edges {
 			if e[0] != e[1] {
@@ -71,7 +82,7 @@ func NewEdgeSet(n int, lists ...[][2]int32) *EdgeSet {
 		}
 		lo = hi
 	}
-	return &EdgeSet{n: n, keys: keys[:out:out]}
+	s.n, s.keys = n, keys[:out]
 }
 
 // Len returns the number of edges in the set.
@@ -98,29 +109,76 @@ func (s *EdgeSet) Edges() [][2]int32 {
 	return out
 }
 
-// Graph materializes the set as a Graph on n vertices. Degrees are
-// counted up front and the adjacency lists are carved from one flat
-// backing array; key order keeps every list sorted (row u receives
-// its smaller neighbors while the keys of those neighbors stream by,
-// then its larger ones from its own keys), so there is no per-insert
-// allocation or shifting.
+// csrInto writes the set's adjacency into c, reusing c's arrays.
+// Degrees are counted up front, and key order keeps every row sorted
+// with no sort: row u receives its smaller neighbours while the keys
+// of those neighbours stream by, then its larger ones from its own
+// keys.
+//
+//remspan:hotpath
+func (s *EdgeSet) csrInto(c *CSR) {
+	n := s.n
+	checkEdgeSlots(2 * int64(len(s.keys)))
+	// off[u+1] counts, then (prefix sum) off[u] starts, row u; the fill
+	// advances each off[u] to its row's end, and a shift by one slot
+	// turns the ends back into starts.
+	off := slices.Grow(c.offsets[:0], n+1)[:n+1]
+	clear(off)
+	for _, k := range s.keys {
+		off[k>>32+1]++
+		off[uint32(k)+1]++
+	}
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	targets := slices.Grow(c.targets[:0], 2*len(s.keys))[:2*len(s.keys)]
+	for _, k := range s.keys {
+		u, v := k>>32, uint32(k)
+		targets[off[u]] = int32(v)
+		off[u]++
+		targets[off[v]] = int32(u)
+		off[v]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	c.offsets, c.targets = off, targets
+}
+
+// Graph materializes the set as a Graph on n vertices: the CSR row
+// fill, with every adjacency list carved from its one target array.
 func (s *EdgeSet) Graph() *Graph {
-	deg := make([]int32, s.n)
-	for _, k := range s.keys {
-		deg[k>>32]++
-		deg[uint32(k)]++
-	}
-	flat := make([]int32, 2*len(s.keys))
+	var c CSR
+	s.csrInto(&c)
 	adj := make([][]int32, s.n)
-	off := 0
-	for u, d := range deg {
-		adj[u] = flat[off : off : off+int(d)]
-		off += int(d)
-	}
-	for _, k := range s.keys {
-		u, v := int32(k>>32), int32(uint32(k))
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+	for u := range adj {
+		adj[u] = c.targets[c.offsets[u]:c.offsets[u+1]:c.offsets[u+1]]
 	}
 	return &Graph{adj: adj, m: len(s.keys)}
+}
+
+// UnionScratch derives a spanner H, the union of per-root edge lists,
+// as a CSR with sorted rows, in storage it keeps across calls: the
+// counting sort of NewEdgeSet and the row fill of EdgeSet.Graph, run
+// in place. H is a pure function of the trees, so its holders (the
+// routing store, each replica) derive it again after the trees change
+// instead of patching a copy. A warm scratch allocates nothing. Not
+// safe for concurrent use.
+type UnionScratch struct {
+	set EdgeSet
+	end []int
+	csr CSR
+}
+
+// CSR returns the union of the edges in lists over n vertices, with
+// the conventions of NewEdgeSet (either orientation, repeats and self
+// loops allowed). The snapshot is scratch-owned: read-only, and valid
+// until the next call.
+//
+//remspan:hotpath
+func (u *UnionScratch) CSR(n int, lists ...[][2]int32) *CSR {
+	u.end = slices.Grow(u.end[:0], n+1)[:n+1]
+	clear(u.end)
+	u.set.union(n, u.end, lists)
+	u.set.csrInto(&u.csr)
+	return &u.csr
 }

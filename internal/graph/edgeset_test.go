@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"remspan/internal/testutil"
 )
 
 func TestEdgeSetBasic(t *testing.T) {
@@ -90,4 +92,65 @@ func TestEdgeSetEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("same-size different sets reported equal")
 	}
+}
+
+// randomLists returns up to seven edge lists over n vertices, empty
+// ones included, whose pairs come in both orientations, repeat within
+// and across lists, and include self loops.
+func randomLists(n int, rng *rand.Rand) [][][2]int32 {
+	lists := make([][][2]int32, rng.Intn(8))
+	for i := range lists {
+		if n == 0 || rng.Intn(4) == 0 {
+			continue
+		}
+		for j := rng.Intn(3 * n); j >= 0; j-- {
+			e := [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))}
+			switch k := len(lists[i]); {
+			case k > 0 && rng.Intn(4) == 0: // repeat, reversed
+				e = [2]int32{lists[i][k-1][1], lists[i][k-1][0]}
+			case i > 0 && len(lists[i-1]) > 0 && rng.Intn(4) == 0: // repeat across lists
+				e = lists[i-1][rng.Intn(len(lists[i-1]))]
+			case rng.Intn(8) == 0:
+				e[1] = e[0]
+			}
+			lists[i] = append(lists[i], e)
+		}
+	}
+	return lists
+}
+
+// TestUnionScratchMatchesEdgeSet pins the in-place union against
+// NewEdgeSet(n, lists...).Graph() and against a Graph built edge by
+// edge, on random lists (repeats, both orientations, self loops, empty
+// lists) and on n = 0. One scratch serves every trial, and larger
+// unions precede smaller ones, so a row or key surviving an earlier
+// rebuild fails. Warm, a rebuild allocates nothing.
+func TestUnionScratchMatchesEdgeSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var u UnionScratch
+	for trial, n := range []int{60, 0, 40, 1, 9, 60, 25, 2, 120, 3} {
+		lists := randomLists(n, rng)
+		want := New(n)
+		for _, l := range lists {
+			for _, e := range l {
+				want.AddEdge(int(e[0]), int(e[1]))
+			}
+		}
+		set := NewEdgeSet(n, lists...).Graph()
+		got := u.CSR(n, lists...)
+		if got.N() != n || got.M() != want.M() || set.M() != want.M() {
+			t.Fatalf("trial %d (n=%d): union n=%d m=%d, edge set m=%d, want m=%d",
+				trial, n, got.N(), got.M(), set.M(), want.M())
+		}
+		for v := 0; v < n; v++ {
+			if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) || !slices.Equal(set.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("trial %d (n=%d): row %d: union %v, edge set %v, want %v",
+					trial, n, v, got.Neighbors(v), set.Neighbors(v), want.Neighbors(v))
+			}
+		}
+	}
+	lists := randomLists(120, rng)
+	testutil.PinAllocs(t, "warm union rebuild", 10, func() {
+		u.CSR(120, lists...)
+	})
 }

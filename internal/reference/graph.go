@@ -7,7 +7,7 @@ import (
 )
 
 // Equal reports whether g and h have identical vertex and edge sets.
-func Equal(g, h *graph.Graph) bool {
+func Equal(g, h graph.View) bool {
 	if g.N() != h.N() || g.M() != h.M() {
 		return false
 	}

@@ -24,7 +24,8 @@ func (r *Replica) Crash() {
 	r.state.Store(&repState{})
 	r.mirrorMu.Lock()
 	r.phys = graph.New(r.n)
-	r.mirror = routing.NewSpannerMirror(r.n)
+	clear(r.trees)
+	r.h = nil
 	r.mirrorMu.Unlock()
 }
 

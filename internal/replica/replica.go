@@ -32,9 +32,9 @@ type repState struct {
 // loads the pointer (race-pinned by TestReplicaConcurrentQueries).
 //
 // Degraded-mode routing (RouteDegraded) walks the replica's own
-// incrementally maintained physical-graph and spanner mirrors under a
-// mutex — the rare fallback path when the table tier is too stale —
-// so it never races the protocol thread patching those mirrors.
+// physical-graph mirror and a spanner derived from its shipped trees,
+// under a mutex — the rare fallback path when the table tier is too
+// stale — so it never races the protocol thread patching that state.
 type Replica struct {
 	ID int
 
@@ -52,11 +52,16 @@ type Replica struct {
 	down  atomic.Bool //remspan:atomic
 	stall atomic.Bool //remspan:atomic
 
-	// Degraded-mode view (mirrorMu guards both against the protocol
-	// thread; the table query path never touches them).
+	// Degraded-mode view (mirrorMu guards all of it against the
+	// protocol thread; the table query path never touches it). trees
+	// holds each owner's shipped tree by reference (shipment rows are
+	// immutable); h, their union, is derived into union's storage on
+	// the first degraded route after an apply, which sets it to nil.
 	mirrorMu sync.Mutex
 	phys     *graph.Graph
-	mirror   *routing.SpannerMirror
+	trees    [][][2]int32
+	union    graph.UnionScratch
+	h        *graph.CSR
 
 	// Applies counts successfully applied shipments (tests).
 	Applies int
@@ -72,7 +77,7 @@ func NewReplica(id, n int) *Replica {
 		n:       n,
 		pending: make(map[uint64]*Shipment),
 		phys:    graph.New(n),
-		mirror:  routing.NewSpannerMirror(n),
+		trees:   make([][][2]int32, n),
 	}
 	r.state.Store(&repState{})
 	return r
@@ -149,15 +154,17 @@ func (r *Replica) installFull(sh *Shipment) {
 	for _, e := range sh.Edges {
 		phys.AddEdge(int(e[0]), int(e[1]))
 	}
-	mirror := routing.NewSpannerMirror(r.n)
 	for i := range sh.Rows {
 		row := &sh.Rows[i]
 		tables[row.Owner] = routing.Table{Owner: int(row.Owner), Next: row.Next, Dist: row.Dist}
-		mirror.UpdateTree(int(row.Owner), row.Tree)
 	}
 	r.mirrorMu.Lock()
 	r.phys = phys
-	r.mirror = mirror
+	clear(r.trees)
+	for i := range sh.Rows {
+		r.trees[sh.Rows[i].Owner] = sh.Rows[i].Tree
+	}
+	r.h = nil
 	r.mirrorMu.Unlock()
 	r.applied = sh.Seq
 	r.gapAge = 0
@@ -194,8 +201,9 @@ func (r *Replica) applyDelta(sh *Shipment) {
 		}
 	}
 	for i := range sh.Rows {
-		r.mirror.UpdateTree(int(sh.Rows[i].Owner), sh.Rows[i].Tree)
+		r.trees[sh.Rows[i].Owner] = sh.Rows[i].Tree
 	}
+	r.h = nil
 	r.mirrorMu.Unlock()
 	r.applied = sh.Seq
 	r.Applies++
@@ -250,15 +258,26 @@ func (r *Replica) Route(s, t int, path []int32) (routing.Route, uint64) {
 	return routing.TableRouteInto(st.tables, nil, s, t, path), st.seq
 }
 
+// spanner returns H, the union of the replica's shipped trees, deriving
+// it again when a shipment changed them since the last call: O(n +
+// Σ|T_u|) on a degraded route after an apply, nothing on the protocol
+// path. Callers hold mirrorMu.
+func (r *Replica) spanner() *graph.CSR {
+	if r.h == nil {
+		r.h = r.union.CSR(r.n, r.trees...)
+	}
+	return r.h
+}
+
 // RouteDegraded serves s→t by greedy forwarding on the replica's own
-// physical and spanner mirrors — the fallback when no sufficiently
+// physical mirror and spanner — the fallback when no sufficiently
 // fresh tables exist anywhere. A successful walk is reported with
 // Reason RouteDegraded: a real route, but without the table tier's
 // freshness guarantee. Takes the mirror mutex (rare path; safe
 // against the protocol thread, not lock-free).
 func (r *Replica) RouteDegraded(scr *routing.RouteScratch, s, t int) routing.Route {
 	r.mirrorMu.Lock()
-	rt := scr.GreedyRoute(r.phys, r.mirror.Graph(), s, t)
+	rt := scr.GreedyRoute(r.phys, r.spanner(), s, t)
 	r.mirrorMu.Unlock()
 	if rt.OK {
 		rt.Reason = routing.RouteDegraded

@@ -1,8 +1,10 @@
 package replica
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,9 +83,10 @@ func checkTyped(t *testing.T, o Outcome) {
 
 // TestClusterLockstepNoFaults pins the replication protocol on a
 // perfect network: after every tick each replica has applied exactly
-// the writer's epoch, its tables are bit-identical to the writer's,
-// and its physical mirror matches the writer's graph. Delta traffic
-// must be far below re-shipping full state every epoch.
+// the writer's epoch and the H it derives from its shipped trees is
+// the writer's spanner; at the end its tables are bit-identical to the
+// writer's and its physical mirror matches the writer's graph. Delta
+// traffic must be far below re-shipping full state every epoch.
 func TestClusterLockstepNoFaults(t *testing.T) {
 	fix := newFixtureSpeed(400, 8, 0.003, 0.01, 21)
 	c := NewCluster(fix.st, 4, FaultPlan{Seed: 1})
@@ -94,10 +97,17 @@ func TestClusterLockstepNoFaults(t *testing.T) {
 	}
 	for tick := 0; tick < 30; tick++ {
 		c.Tick(fix.tick())
+		wantH := fix.st.Maintainer().Spanner().Graph()
 		for _, r := range c.Replicas {
 			if r.AppliedSeq() != c.W.Seq() {
 				t.Fatalf("tick %d: replica %d at seq %d, writer at %d",
 					tick, r.ID, r.AppliedSeq(), c.W.Seq())
+			}
+			r.mirrorMu.Lock()
+			h := r.spanner()
+			r.mirrorMu.Unlock()
+			if !reference.Equal(h, wantH) {
+				t.Fatalf("tick %d: replica %d derives an H that is not the writer's spanner", tick, r.ID)
 			}
 		}
 	}
@@ -165,6 +175,118 @@ func TestWriterShipsFullStateAfterOutOfBandRebuild(t *testing.T) {
 			t.Fatalf("replica %d reports seq %d but %d (s, t) entries differ from the writer's tables",
 				r.ID, r.AppliedSeq(), diff)
 		}
+	}
+}
+
+// TestDegradedRouteAfterApply pins the degraded path to the newest
+// trees: a degraded route taken right after a delta, and right after a
+// full shipment, runs on the union of the trees that shipment brought,
+// which is the writer's spanner at that epoch, and routes as greedy
+// forwarding on the writer's graph and spanner does. Every checked
+// apply changes H, so a replica that kept the H it derived for the
+// previous degraded route fails.
+func TestDegradedRouteAfterApply(t *testing.T) {
+	const n = 150
+	fix := newFixture(n, 8, 31)
+	rn := &recordNet{}
+	w := NewWriter(fix.st, rn, 1)
+	w.Bootstrap()
+	r := NewReplica(0, n)
+	r.Apply(rn.got[0])
+	scr := routing.NewRouteScratch(n)
+	var prev *graph.EdgeSet
+	check := func(what string) {
+		t.Helper()
+		m := fix.st.Maintainer()
+		want := m.Spanner()
+		if r.AppliedSeq() != w.Seq() {
+			t.Fatalf("%s: replica at seq %d, writer at %d", what, r.AppliedSeq(), w.Seq())
+		}
+		if prev != nil && want.Equal(prev) {
+			t.Fatalf("%s: the apply did not change the spanner", what)
+		}
+		prev = want
+		for _, p := range [][2]int{{0, n - 1}, {n / 3, 2 * n / 3}, {7, n / 2}} {
+			got := r.RouteDegraded(scr, p[0], p[1])
+			if !reference.Equal(r.h, want.Graph()) {
+				t.Fatalf("%s: degraded route %d→%d ran on an H that is not the writer's spanner", what, p[0], p[1])
+			}
+			ref := routing.GreedyRoute(m.Graph(), graph.NewCSR(want.Graph()), p[0], p[1])
+			if got.OK != ref.OK || !slices.Equal(got.Path, ref.Path) {
+				t.Fatalf("%s: degraded route %d→%d = %v (ok %v), greedy on the writer's state %v (ok %v)",
+					what, p[0], p[1], got.Path, got.OK, ref.Path, ref.OK)
+			}
+		}
+	}
+	check("bootstrap")
+	// changed ticks the writer until its spanner differs from prev,
+	// returning the shipments of those ticks in order.
+	changed := func() []*Shipment {
+		rn.got = rn.got[:0]
+		for tick := 0; tick < 50; tick++ {
+			w.ApplyBatch(fix.tick())
+			if !fix.st.Maintainer().Spanner().Equal(prev) {
+				return rn.got
+			}
+		}
+		t.Fatal("50 ticks left the spanner unchanged")
+		return nil
+	}
+	for i := 0; i < 3; i++ {
+		for _, sh := range changed() {
+			r.Apply(sh)
+		}
+		check(fmt.Sprintf("delta %d", i))
+	}
+	for i := 0; i < 2; i++ {
+		changed() // lost: the replica misses these deltas
+		rn.got = rn.got[:0]
+		w.Resync(0)
+		r.Apply(rn.got[0])
+		check(fmt.Sprintf("full shipment %d", i))
+	}
+}
+
+// TestDegradedRouteConcurrentWithApply runs degraded routes on every
+// replica from several goroutines while the cluster applies churn, so
+// -race sees the derivation of H on the query side against the
+// protocol thread swapping trees in and marking H stale. Every answer
+// must be typed.
+func TestDegradedRouteConcurrentWithApply(t *testing.T) {
+	const n = 150
+	fix := newFixture(n, 8, 32)
+	c := NewCluster(fix.st, 2, FaultPlan{Seed: 16})
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad atomic.Int32
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			scr := routing.NewRouteScratch(n)
+			rng := rand.New(rand.NewSource(int64(id)))
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				r := c.Replicas[rng.Intn(len(c.Replicas))]
+				rt := r.RouteDegraded(scr, rng.Intn(n), rng.Intn(n))
+				if rt.OK && (rt.Reason != routing.RouteDegraded || len(rt.Path) == 0) {
+					bad.Store(1)
+					return
+				}
+			}
+		}(w)
+	}
+	for tick := 0; tick < 30; tick++ {
+		c.Tick(fix.tick())
+	}
+	close(done)
+	wg.Wait()
+	if bad.Load() != 0 {
+		t.Fatal("a concurrent degraded route returned an untyped delivery")
 	}
 }
 

@@ -41,10 +41,10 @@ const (
 )
 
 // OwnerRow is one owner's shipped forwarding state: immutable copies
-// of its Next/Dist rows plus its dominating tree (the replica feeds
-// the tree into its local spanner mirror for degraded-mode routing).
-// Rows are never mutated after assembly, so replicas of any epoch may
-// share them.
+// of its Next/Dist rows plus its dominating tree (the replica keeps
+// the tree by reference and derives its local spanner from the trees
+// for degraded-mode routing). Rows are never mutated after assembly,
+// so replicas of any epoch may share them.
 type OwnerRow struct {
 	Owner int32
 	Next  []int32

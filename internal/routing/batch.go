@@ -123,7 +123,7 @@ func (b *BatchBuilder) claimEdge(x, v int32, newBits uint64, level int32) {
 // fully overwritten).
 //
 //remspan:hotpath
-func (b *BatchBuilder) buildGroup(g, h graph.View, owners []int32, next, dist [][]int32) {
+func (b *BatchBuilder) buildGroup(g graph.View, h *graph.CSR, owners []int32, next, dist [][]int32) {
 	if len(owners) == 0 {
 		return
 	}
@@ -179,7 +179,7 @@ func (b *BatchBuilder) buildGroup(g, h graph.View, owners []int32, next, dist []
 // sweep cost grows with the spread of the group's wavefronts.
 //
 //remspan:hotpath
-func (b *BatchBuilder) BuildInto(g, h graph.View, tables []Table, owners []int32) {
+func (b *BatchBuilder) BuildInto(g graph.View, h *graph.CSR, tables []Table, owners []int32) {
 	for start := 0; start < len(owners); start += 64 {
 		end := start + 64
 		if end > len(owners) {
@@ -202,7 +202,7 @@ func (b *BatchBuilder) BuildInto(g, h graph.View, tables []Table, owners []int32
 // the speedup measured by BenchmarkBuildTablesScalar/Batched — fanning
 // ball-clustered 64-owner groups across a worker pool with one builder
 // per worker.
-func BuildTablesBatched(g, h graph.View) []Table {
+func BuildTablesBatched(g graph.View, h *graph.CSR) []Table {
 	out := NewTables(g.N())
 	BuildTablesBatchedInto(g, h, out)
 	return out
@@ -230,7 +230,8 @@ type tableEnv struct {
 	picked []int32  // the run's owners in ball-clustered order
 
 	// Per-run job.
-	g, h   graph.View
+	g      graph.View
+	h      *graph.CSR
 	tables []Table
 	owners []int32
 
@@ -287,7 +288,7 @@ func (e *tableEnv) cluster(g graph.View, owners []int32) []int32 {
 // every GOMAXPROCS and for any owner subset.
 //
 //remspan:hotpath
-func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32) {
+func (e *tableEnv) build(g graph.View, h *graph.CSR, tables []Table, owners []int32) {
 	owners = e.cluster(g, owners)
 	groups := (len(owners) + 63) / 64
 	if groups == 0 {
@@ -311,7 +312,7 @@ func (e *tableEnv) build(g, h graph.View, tables []Table, owners []int32) {
 
 // BuildTablesBatchedInto is BuildTablesBatched into caller-provided
 // tables (len n, rows pre-sized).
-func BuildTablesBatchedInto(g, h graph.View, tables []Table) {
+func BuildTablesBatchedInto(g graph.View, h *graph.CSR, tables []Table) {
 	e := sharedTableEnv.Acquire()
 	defer sharedTableEnv.Release(e)
 	e.build(g, h, tables, nil)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"remspan/internal/graph"
 	"remspan/internal/reference"
 )
 
@@ -48,7 +49,7 @@ func checkBoundaryTables(t *testing.T, n int) {
 		next[i] = make([]int32, n)
 		dist[i] = make([]int32, n)
 	}
-	b.buildGroup(g, g, owners, next, dist)
+	b.buildGroup(g, graph.NewCSR(g), owners, next, dist)
 
 	ts := NewTableScratch(n)
 	refNext := make([]int32, n)
@@ -87,5 +88,5 @@ func TestBatchHalfWidthOverdriveChecked(t *testing.T) {
 			t.Fatalf("unexpected panic: %v", r)
 		}
 	}()
-	b.buildGroup(big, big, []int32{0}, next, dist)
+	b.buildGroup(big, graph.NewCSR(big), []int32{0}, next, dist)
 }

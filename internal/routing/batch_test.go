@@ -86,7 +86,7 @@ func TestBatchedTablesMatchScalar(t *testing.T) {
 	for name, g := range routingFamilies() {
 		for hname, h := range routingSpanners(g, rng) {
 			want := BuildTables(g, h)
-			got := BuildTablesBatched(g, h)
+			got := BuildTablesBatched(g, graph.NewCSR(h))
 			tablesEqual(t, name+"/"+hname+"/graph", want, got)
 
 			cg, ch := graph.NewCSR(g), graph.NewCSR(h)
@@ -121,7 +121,7 @@ func TestBatchBuilderSubsets(t *testing.T) {
 				tables[u].Dist[v] = -7
 			}
 		}
-		b.BuildInto(g, h, tables, owners)
+		b.BuildInto(g, graph.NewCSR(h), tables, owners)
 		for _, u := range owners {
 			for v := 0; v < n; v++ {
 				if tables[u].Next[v] != want[u].Next[v] || tables[u].Dist[v] != want[u].Dist[v] {
@@ -161,7 +161,7 @@ func FuzzTableEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, family, size, drop uint8) {
 		g, h := fuzzGraphSpanner(seed, family, size, drop)
 		want := BuildTables(g, h)
-		got := BuildTablesBatched(g, h)
+		got := BuildTablesBatched(g, graph.NewCSR(h))
 		tablesEqual(t, "fuzz", want, got)
 	})
 }
@@ -205,7 +205,7 @@ func TestBatchedTablesParallelWorkers(t *testing.T) {
 	g := routingFamilies()["udg"]
 	h := spanner.Exact(g).Graph()
 	want := BuildTables(g, h)
-	got := BuildTablesBatched(g, h)
+	got := BuildTablesBatched(g, graph.NewCSR(h))
 	tablesEqual(t, "parallel", want, got)
 }
 

@@ -4,17 +4,19 @@
 // it routes greedily on its augmented view H_u; the remote-spanner
 // property bounds the resulting route length by α·d_G + β (§1).
 //
-// The forwarding plane has two data paths, both written against the
-// graph.View read interface (mutable Graph, CSR snapshot, or patched
-// CSRDelta) with reusable scratch so hot paths allocate nothing:
+// The forwarding plane has two data paths, both with reusable scratch
+// so hot paths allocate nothing:
 //
 //   - GreedyRoute / RouteScratch: per-hop greedy forwarding, each hop
-//     re-evaluating distances in its own view (the simulation path);
+//     re-evaluating distances in its own view (the simulation path),
+//     over any graph.View (mutable Graph, CSR snapshot, or patched
+//     CSRDelta);
 //   - Table / BatchBuilder / BuildTablesBatched (tables.go, batch.go):
 //     precomputed next-hop tables — the FIB a link-state daemon
-//     installs — built 64 owners per word-parallel sweep, and kept
-//     fresh under churn by the Store (store.go), which rebuilds the
-//     dirty owners' rows in place.
+//     installs — built 64 owners per word-parallel sweep over G as any
+//     graph.View and H as a CSR, and kept fresh under churn by the
+//     Store (store.go), which derives H from the maintainer's trees
+//     and rebuilds the dirty owners' rows in place.
 //
 // The package also provides OLSR-style multipoint-relay flooding and
 // disjoint-path multipath routing with failure injection.

@@ -34,7 +34,7 @@ func TestRoutingPaperBound(t *testing.T) {
 		for bName, build := range spannerBuilders() {
 			h := build(g)
 			tables := BuildTables(g, h)
-			batched := BuildTablesBatched(g, h)
+			batched := BuildTablesBatched(g, graph.NewCSR(h))
 			rs := NewRouteScratch(g.N())
 			for trial := 0; trial < 60; trial++ {
 				s, tt := rng.Intn(g.N()), rng.Intn(g.N())

@@ -5,16 +5,17 @@ import (
 	"sync/atomic"
 
 	"remspan/internal/dynamic"
+	"remspan/internal/graph"
 )
 
 // Store is the forwarding plane of one writer: every owner's table
 // over a dynamic.Maintainer, kept current under churn. ApplyBatch
 // applies a churn batch — the maintainer repairs its trees, the store
-// mirrors the spanner incrementally — rebuilds the dirty-ball owners'
-// Next/Dist rows in place on the word-parallel builder, and advances
-// the epoch seq. The store keeps one table set; a consumer that needs
-// the rows of an epoch after the next batch copies them out first, as
-// replica.Writer does for its shipments.
+// derives the spanner from them again — rebuilds the dirty-ball
+// owners' Next/Dist rows in place on the word-parallel builder, and
+// advances the epoch seq. The store keeps one table set; a consumer
+// that needs the rows of an epoch after the next batch copies them
+// out first, as replica.Writer does for its shipments.
 //
 // Rows are built on the store's own table env (a sched.Env with one
 // builder per worker), on the path the cold build uses: the dirty
@@ -35,10 +36,11 @@ import (
 // distinguished by type from RouteUnreachable. RebuildAll restores
 // global exactness on demand.
 type Store struct {
-	m   *dynamic.Maintainer
-	env tableEnv // the store's own batched-build env (builders per worker); mu serializes its runs
-	h   *SpannerMirror
-	ep  Epoch
+	m     *dynamic.Maintainer
+	env   tableEnv           // the store's own batched-build env (builders per worker); mu serializes its runs
+	union graph.UnionScratch // H's storage, rebuilt from the maintainer's trees
+	h     *graph.CSR         // H, derived after every batch that rebuilt a tree
+	ep    Epoch
 
 	mu sync.Mutex // serializes writers (ApplyBatch, RebuildAll)
 
@@ -70,12 +72,10 @@ func (e *Epoch) Tables() []Table { return e.tables }
 // stay in lockstep.
 func NewStore(m *dynamic.Maintainer) *Store {
 	n := m.Graph().N()
-	st := &Store{m: m, h: NewSpannerMirror(n), dirtyBuf: make([]int32, 0, 256)}
-	for u := 0; u < n; u++ {
-		st.h.UpdateTree(u, m.TreeOf(u))
-	}
+	st := &Store{m: m, dirtyBuf: make([]int32, 0, 256)}
+	st.h = st.union.CSR(n, m.Trees()...)
 	st.ep.tables = NewTables(n)
-	st.env.build(m.View(), st.h.Graph(), st.ep.tables, nil)
+	st.env.build(m.View(), st.h, st.ep.tables, nil)
 	st.ep.seq.Store(1)
 	return st
 }
@@ -95,10 +95,10 @@ func (st *Store) DirtyOwners() []int32 { return st.dirtyBuf }
 func (st *Store) Epoch() *Epoch { return &st.ep }
 
 // ApplyBatch applies one churn batch: the maintainer patches the graph
-// and repairs its trees, the spanner mirror absorbs the changed trees,
-// and the dirty-ball owners' rows are rebuilt in place on the
-// word-parallel builder; the epoch seq then advances. Returns the
-// number of changes that had an effect.
+// and repairs its trees, H is derived from the repaired trees in the
+// store's pooled storage, and the dirty-ball owners' rows are rebuilt
+// in place on the word-parallel builder; the epoch seq then advances.
+// Returns the number of changes that had an effect.
 //
 //remspan:hotpath
 func (st *Store) ApplyBatch(changes []dynamic.Change) int {
@@ -113,10 +113,8 @@ func (st *Store) ApplyBatch(changes []dynamic.Change) int {
 	if len(st.dirtyBuf) == 0 {
 		return applied
 	}
-	for _, r := range st.dirtyBuf {
-		st.h.UpdateTree(int(r), st.m.TreeOf(int(r)))
-	}
-	st.env.build(st.m.View(), st.h.Graph(), st.ep.tables, st.dirtyBuf)
+	st.h = st.union.CSR(st.m.Graph().N(), st.m.Trees()...)
+	st.env.build(st.m.View(), st.h, st.ep.tables, st.dirtyBuf)
 	st.ep.seq.Add(1)
 	return applied
 }
@@ -131,6 +129,6 @@ func (st *Store) RebuildAll() {
 	for u := range st.ep.tables {
 		st.dirtyBuf = append(st.dirtyBuf, int32(u))
 	}
-	st.env.build(st.m.View(), st.h.Graph(), st.ep.tables, nil)
+	st.env.build(st.m.View(), st.h, st.ep.tables, nil)
 	st.ep.seq.Add(1)
 }

@@ -92,12 +92,12 @@ func TestStoreColdStartMatchesScalar(t *testing.T) {
 }
 
 // TestStoreChurnSemantics drives batches through the store and pins
-// the staleness contract after every batch: the spanner mirror tracks
-// the maintainer exactly; every dirty owner's rows are bit-identical
-// to a fresh scalar build on the post-batch graph+spanner; every clean
-// owner's rows equal, value for value, a copy taken before the batch
-// (an in-place rebuild that overwrote a clean row fails here); and
-// RebuildAll restores full bit-identity.
+// the staleness contract after every batch: the store's derived H is
+// the maintainer's spanner exactly; every dirty owner's rows are
+// bit-identical to a fresh scalar build on the post-batch
+// graph+spanner; every clean owner's rows equal, value for value, a
+// copy taken before the batch (an in-place rebuild that overwrote a
+// clean row fails here); and RebuildAll restores full bit-identity.
 func TestStoreChurnSemantics(t *testing.T) {
 	_, st := storeFixture(70, 100, 2)
 	m := st.Maintainer()
@@ -130,14 +130,14 @@ func TestStoreChurnSemantics(t *testing.T) {
 		if ep.Seq() != prevSeq+1 {
 			t.Fatalf("round %d: epoch %d after %d", round, ep.Seq(), prevSeq)
 		}
-		if !reference.Equal(st.h.g, m.Spanner().Graph()) {
-			t.Fatalf("round %d: spanner mirror diverged", round)
+		if !reference.Equal(st.h, m.Spanner().Graph()) {
+			t.Fatalf("round %d: derived H differs from the maintainer's spanner", round)
 		}
 		dirty := map[int32]bool{}
 		for _, u := range m.DirtyRoots() {
 			dirty[u] = true
 		}
-		hh := st.h.g
+		hh := st.h
 		for u := 0; u < m.Graph().N(); u++ {
 			want, from := prev[u], "the pre-batch copy"
 			if dirty[int32(u)] {
@@ -245,7 +245,7 @@ func TestStorePublishWidths(t *testing.T) {
 						}
 						continue
 					}
-					scratch.BuildTableInto(m.Graph(), st.h.g, u, next, dist)
+					scratch.BuildTableInto(m.Graph(), st.h, u, next, dist)
 					if tab.Owner != u || !slices.Equal(tab.Next, next) || !slices.Equal(tab.Dist, dist) {
 						t.Fatalf("%s: dirty owner %d differs from the scalar build", ctx, u)
 					}

@@ -264,7 +264,7 @@ func TestBuildTableDeepPath(t *testing.T) {
 	// Batched, subset form: one owner, full-depth sweep.
 	all := make([]Table, n)
 	all[0] = Table{Next: make([]int32, n), Dist: make([]int32, n)}
-	NewBatchBuilder(n).BuildInto(g, h, all, []int32{0})
+	NewBatchBuilder(n).BuildInto(g, graph.NewCSR(h), all, []int32{0})
 	for v := 0; v < n; v++ {
 		if all[0].Next[v] != tab.Next[v] || all[0].Dist[v] != tab.Dist[v] {
 			t.Fatalf("batched deep path diverges at %d", v)

@@ -27,7 +27,7 @@ func tableProcs(extra ...int) []int {
 // GOMAXPROCS procs.
 func batchedAt(procs int, g, h *graph.Graph) []Table {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	return BuildTablesBatched(g, h)
+	return BuildTablesBatched(g, graph.NewCSR(h))
 }
 
 // TestBatchedTablesWidthDeterminism pins the table-construction fan-out
@@ -64,7 +64,7 @@ func TestBatchedTablesWidthSweepUDG(t *testing.T) {
 // grown, repeat builds touch no heap.
 func TestBatchedTablesWidthZeroAlloc(t *testing.T) {
 	g := routingFamilies()["udg"]
-	h := spanner.Exact(g).Graph()
+	h := graph.NewCSR(spanner.Exact(g).Graph())
 	tables := NewTables(g.N())
 	for _, procs := range []int{1, 4} {
 		testutil.PinAllocsAt(t, "warm batched table fan-out", procs, 5, func() {

@@ -3,6 +3,7 @@ package spanner
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,12 +47,14 @@ import (
 // high-diameter graph (the UDG workloads) would forfeit the whole 64×
 // — clustered sources keep the wavefronts coincident.
 //
-// JudgeViews then relabels both inputs by that order: it snapshots G
-// and H with vertex order[i] renamed i (graph.CSR.Relabel, rows
-// sorted), so batch b is the contiguous ids [starts[b], starts[b+1])
-// and the vertices a ball's wavefronts touch sit close together in the
-// mask stripes, instead of scattered by the caller's ids (on the UDG
-// workloads those are random in the plane). Each deadline miss is
+// JudgeViews then relabels both inputs by that order: it permutes G
+// and H with vertex order[i] renamed i (graph.CSR.PermuteInto, into
+// storage the pooled env keeps), so batch b is the contiguous ids
+// [starts[b], starts[b+1]) and the vertices a ball's wavefronts touch
+// sit close together in the mask stripes, instead of scattered by the
+// caller's ids (on the UDG workloads those are random in the plane).
+// The copies' rows keep the caller's neighbour order; the judge reads
+// masks only, so no result depends on row order. Each deadline miss is
 // mapped back through order before it is reduced, so the witness is
 // the same pair in the caller's ids.
 //
@@ -284,12 +287,16 @@ type judgeEnv struct {
 	sched.Env[judgeWorker]
 	order graph.BatchOrderScratch
 
-	// Per-run job: the snapshots relabeled by srcOrder (vertex
-	// srcOrder[i] is i), the identity ids whose [starts[b],
-	// starts[b+1]) are batch b's sources, and srcOrder to map back.
-	cg, ch           *graph.CSR
+	// The snapshots relabeled by the run's ball order (vertex
+	// srcOrder[i] is i), the order's inverse, and the identity ids
+	// whose [starts[b], starts[b+1]) are batch b's sources: storage
+	// kept across runs, grown to the largest graph judged.
+	cg, ch graph.CSR
+	rank   []int32
+	ids    []int32
+
+	// Per-run job: srcOrder maps relabeled ids back.
 	srcOrder, starts []int32
-	ids              []int32
 	minU, thr        []int32
 	// Smallest violating source seen so far: batches whose smallest
 	// source exceeds it cannot improve the lexicographic minimum and
@@ -312,7 +319,7 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 			continue
 		}
 		jw.cs.found = 0
-		jw.judge.Run(e.cg, e.ch, e.ids[e.starts[b]:e.starts[b+1]], e.thr, jw.miss)
+		jw.judge.Run(&e.cg, &e.ch, e.ids[e.starts[b]:e.starts[b+1]], e.thr, jw.miss)
 		if jw.cs.found == 0 {
 			continue
 		}
@@ -332,11 +339,11 @@ func (e *judgeEnv) shard(w, lo, hi int) {
 }
 
 // JudgeViews runs the deadline-lockstep judge over every
-// ball-clustered 64-source batch on the shard scheduler, on snapshots
+// ball-clustered 64-source batch on the shard scheduler, on copies
 // of cg and ch relabeled by the ball order, and returns the
 // lexicographically smallest pair violating the stretch in the
 // augmented views, in cg's ids (ok=false when the guarantee holds
-// everywhere). The snapshots belong to the call.
+// everywhere). The copies live in the pooled env.
 // Preconditions: ch ⊆ cg (no underestimates to catch — the judge only
 // tests the upper bound) and a WellFormed stretch (monotone
 // thresholds); callers with untrusted inputs must guard and fall back
@@ -362,18 +369,22 @@ func JudgeViews(cg, ch *graph.CSR, st Stretch) (u, v int, dg int32, ok bool) {
 	if e.body == nil {
 		e.body = e.shard //remspan:coldpath one-time method-value binding, cached across runs
 	}
-	ids := make([]int32, n)
-	for i := range ids {
-		ids[i] = int32(i)
+	for i := len(e.ids); i < n; i++ {
+		e.ids = append(e.ids, int32(i))
 	}
-	e.cg, e.ch, e.ids = cg.Relabel(e.srcOrder), ch.Relabel(e.srcOrder), ids
+	e.rank = slices.Grow(e.rank[:0], n)[:n]
+	for i, u := range e.srcOrder {
+		e.rank[u] = int32(i)
+	}
+	cg.PermuteInto(&e.cg, e.srcOrder, e.rank)
+	ch.PermuteInto(&e.ch, e.srcOrder, e.rank)
 	e.minU = batchMinSource(e.srcOrder, e.starts)
 	e.thr = StretchThresholds(st, n)
 	e.bestU.Store(int64(n))
 	e.bu, e.bv, e.bdg = -1, -1, 0
 	e.RunHeavy(nb, width, e.body)
 	u, v, dg = e.bu, e.bv, e.bdg
-	e.cg, e.ch, e.srcOrder, e.starts, e.ids, e.minU, e.thr = nil, nil, nil, nil, nil, nil, nil
+	e.srcOrder, e.starts, e.minU, e.thr = nil, nil, nil, nil
 	return u, v, dg, u >= 0
 }
 

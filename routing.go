@@ -3,6 +3,7 @@ package remspan
 import (
 	"fmt"
 
+	"remspan/internal/graph"
 	"remspan/internal/routing"
 )
 
@@ -16,7 +17,8 @@ type ForwardingTables struct {
 }
 
 // BuildForwardingTables computes every router's table over the
-// advertised spanner h (h ⊆ g). The table set is n² entries, and the
+// advertised spanner h (h ⊆ g), which the engine sweeps as one CSR
+// snapshot taken here. The table set is n² entries, and the
 // engine packs vertex ids into 16 bits, so it returns an error, before
 // building anything, for a graph past 65,535 vertices, and for an h
 // whose vertex count differs from g's.
@@ -27,7 +29,7 @@ func BuildForwardingTables(g, h *Graph) (*ForwardingTables, error) {
 	if h.N() != g.N() {
 		return nil, fmt.Errorf("remspan: spanner has %d vertices, graph has %d", h.N(), g.N())
 	}
-	return &ForwardingTables{g: g, tables: routing.BuildTablesBatched(g.raw(), h.raw())}, nil
+	return &ForwardingTables{g: g, tables: routing.BuildTablesBatched(g.raw(), graph.NewCSR(h.raw()))}, nil
 }
 
 // checkTableSize rejects a graph too large for the table engine.
