@@ -83,9 +83,10 @@ func FullLinkStateCost(g *Graph) (messages, words int64) {
 
 // FloodStats compares OLSR-style multipoint-relay flooding (relays from
 // Algorithm 4 with coverage k) against blind flooding from the given
-// source: retransmission counts and nodes covered.
+// source: retransmission counts and nodes covered. It panics if k < 1.
 func FloodStats(g *Graph, k, source int) (mprTx, blindTx, covered int) {
 	checkVertices(g.N(), source)
+	checkArg(k >= 1, "FloodStats needs k >= 1, got k = %d", k)
 	sel := routing.SelectMPRs(g.raw(), k)
 	m := routing.MPRFlood(g.raw(), sel, source, nil)
 	b := routing.BlindFlood(g.raw(), source, nil)

@@ -27,12 +27,11 @@ type Result struct {
 }
 
 // Engine is the RemSpan traffic accountant over one
-// dynamic.Maintainer. The maintainer owns the topology (mutable mirror
-// plus patched CSRDelta), the per-root trees and the dirty-root
-// repair; the engine turns what the maintainer did into protocol
-// traffic. A fresh engine runs the full protocol (Run); a live network
-// then feeds it topology diffs (Reflood) and only the dirty roots
-// recompute and re-advertise.
+// dynamic.Maintainer. The maintainer owns the topology (one patched
+// CSRDelta), the per-root trees and the dirty-root repair; the engine
+// turns what the maintainer did into protocol traffic. A fresh engine
+// runs the full protocol (Run); a live network then feeds it topology
+// diffs (Reflood) and only the dirty roots recompute and re-advertise.
 //
 // Traffic is not counted by materializing messages: synchronous
 // flooding with duplicate suppression is fully determined by the ball
@@ -72,12 +71,13 @@ func (e *Engine) start() bool {
 	}
 	e.m = dynamic.New(e.clone, e.radius, e.build)
 	e.clone = nil
-	e.bfs = graph.NewBFSScratch(e.m.Graph().N())
+	e.bfs = graph.NewBFSScratch(e.m.View().N())
 	return true
 }
 
-// Graph returns the engine's current topology (do not mutate directly —
-// feed changes through Reflood).
+// Graph returns the engine's topology: before the first Run or Reflood
+// the engine's own copy (do not mutate it), afterwards a caller-owned
+// snapshot built in O(n + m) on every call.
 func (e *Engine) Graph() *graph.Graph {
 	if e.m == nil {
 		return e.clone
@@ -109,7 +109,7 @@ func (e *Engine) Run() *Result {
 	if !e.start() {
 		e.m.RebuildAll()
 	}
-	n := e.m.Graph().N()
+	n := e.m.View().N()
 	res := &Result{
 		Rounds:    2*e.radius + 1,
 		H:         e.m.Spanner(),

@@ -210,7 +210,7 @@ func FuzzDistsimEquivalence(f *testing.F) {
 // randomBatch draws size changes over e's graph: edge toggles and, one
 // time in eight, a vertex failure.
 func randomBatch(e *Engine, rng *rand.Rand, size int) []dynamic.Change {
-	n := e.Graph().N()
+	n := e.m.View().N()
 	batch := make([]dynamic.Change, 0, size)
 	for len(batch) < size {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -218,7 +218,7 @@ func randomBatch(e *Engine, rng *rand.Rand, size int) []dynamic.Change {
 			continue
 		}
 		kind := dynamic.AddEdge
-		if e.Graph().HasEdge(u, v) {
+		if e.m.View().HasEdge(u, v) {
 			kind = dynamic.RemoveEdge
 		}
 		if rng.Intn(8) == 0 {
@@ -247,7 +247,7 @@ func TestRefloodMatchesMaintainer(t *testing.T) {
 					continue
 				}
 				kind := dynamic.AddEdge
-				if e.Graph().HasEdge(u, v) {
+				if e.m.View().HasEdge(u, v) {
 					kind = dynamic.RemoveEdge
 				}
 				if rng.Intn(8) == 0 {
@@ -439,7 +439,7 @@ func TestRefloodLossyConvergence(t *testing.T) {
 					continue
 				}
 				kind := dynamic.AddEdge
-				if e.Graph().HasEdge(u, v) {
+				if e.m.View().HasEdge(u, v) {
 					kind = dynamic.RemoveEdge
 				}
 				batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})

@@ -24,7 +24,7 @@ func TestLiveRunPinnedToMaintainer(t *testing.T) {
 		if m == nil {
 			// Ground truth starts from the engine's initial topology:
 			// rewind the tick's changes to recover it.
-			g := e.Graph().Clone()
+			g := e.Graph()
 			undo(g, changes)
 			m = dynamic.New(g, cfg.Radius, dynamic.TreeBuilder(cfg.Build))
 		}

@@ -157,7 +157,7 @@ func benchChurn(b *testing.B, g *graph.Graph, bb BuilderSpec, pairs [][2]int, mo
 				p := pairs[next]
 				next++
 				kind := AddEdge
-				if m.Graph().HasEdge(p[0], p[1]) {
+				if m.View().HasEdge(p[0], p[1]) {
 					kind = RemoveEdge
 				}
 				batch[j] = Change{Kind: kind, U: p[0], V: p[1]}
@@ -168,12 +168,12 @@ func benchChurn(b *testing.B, g *graph.Graph, bb BuilderSpec, pairs [][2]int, mo
 		for i := 0; i < b.N; i++ {
 			p := pairs[rng.Intn(len(pairs))]
 			kind := AddEdge
-			if m.Graph().HasEdge(p[0], p[1]) {
+			if m.View().HasEdge(p[0], p[1]) {
 				kind = RemoveEdge
 			}
 			applyOne(m, kind, p[0], p[1])
 			if mode == "snapshot" {
-				snapshotSink = graph.NewCSR(m.Graph())
+				snapshotSink = graph.NewCSR(m.View())
 			}
 			changes++
 		}

@@ -8,10 +8,10 @@
 // bench_test.go).
 //
 // Tree rebuilds run on the same builder code path as the batch
-// constructions, via the graph.View read interface: the maintainer
-// keeps a graph.CSRDelta — a CSR snapshot patched in place as edges
-// change — so a change costs O(deg) row edits plus |dirty| bounded
-// rebuilds, with no O(n+m) re-snapshot anywhere on the path. Per-change
+// constructions, via the graph.View read interface: the maintainer's
+// one copy of G is a graph.CSRDelta — a CSR snapshot patched in place
+// as edges change — so a change costs O(deg) row edits plus |dirty|
+// bounded rebuilds, with no O(n+m) re-snapshot on the path. Per-change
 // work is therefore a function of the locality radius and the local
 // degree, not of the graph, and on large graphs with localized churn
 // the maintainer sustains throughput independent of n (measured by
@@ -101,8 +101,7 @@ type Change struct {
 
 // Maintainer keeps the union-of-trees spanner of a mutable graph.
 type Maintainer struct {
-	g      *graph.Graph    // mutable mirror (dirty-set sweeps, API reads)
-	delta  *graph.CSRDelta // patched snapshot the builders read
+	delta  *graph.CSRDelta // G: the patched snapshot the sweeps and builders read
 	build  TreeBuilder
 	radius int          // locality radius R of the tree construction
 	trees  [][][2]int32 // per-root tree edges as (child, parent) pairs
@@ -124,8 +123,8 @@ type rebuildWorker struct {
 	scratch *domtree.Scratch
 }
 
-// New computes the initial spanner over a clone of g. radius is the
-// construction's locality radius R = r−1+β (1 for Algorithm 4, 2 for
+// New computes the initial spanner over a CSR snapshot of g. radius is
+// the construction's locality radius R = r−1+β (1 for Algorithm 4, 2 for
 // Algorithm 5 with β=1, r for Algorithm 2). It panics if the builder
 // emits a tree deeper than radius (see Rebuild).
 func New(g *graph.Graph, radius int, build TreeBuilder) *Maintainer {
@@ -133,13 +132,12 @@ func New(g *graph.Graph, radius int, build TreeBuilder) *Maintainer {
 		panic("dynamic: radius must be >= 1")
 	}
 	m := &Maintainer{
-		g:      g.Clone(),
+		delta:  graph.NewCSRDelta(graph.NewCSR(g)),
 		build:  build,
 		radius: radius,
 		trees:  make([][][2]int32, g.N()),
 		dirty:  graph.NewBFSScratch(g.N()),
 	}
-	m.delta = graph.NewCSRDelta(graph.NewCSR(m.g))
 	m.RebuildAll()
 	return m
 }
@@ -174,13 +172,14 @@ func (m *Maintainer) storeTree(u int, t *graph.Tree) bool {
 	return changed || len(buf) != len(old)
 }
 
-// Graph returns the maintained graph (do not mutate directly — use
-// ApplyBatch or Apply).
-func (m *Maintainer) Graph() *graph.Graph { return m.g }
+// Graph returns a caller-owned snapshot of the maintained graph, built
+// in O(n + m) on every call: for readers off the change path (full
+// resyncs, checks). View serves the rest.
+func (m *Maintainer) Graph() *graph.Graph { return graph.FromView(m.delta) }
 
 // Spanner returns the current union-of-trees spanner.
 func (m *Maintainer) Spanner() *graph.EdgeSet {
-	return graph.NewEdgeSet(m.g.N(), m.trees...)
+	return graph.NewEdgeSet(m.delta.N(), m.trees...)
 }
 
 // TreeOf returns root u's stored dominating-tree edges as (child,
@@ -195,10 +194,10 @@ func (m *Maintainer) TreeOf(u int) [][2]int32 { return m.trees[u] }
 // routing store derives from them after every batch.
 func (m *Maintainer) Trees() [][][2]int32 { return m.trees }
 
-// View returns the patched CSRDelta the maintainer's builders read.
-// Shared state: valid for reads between applied changes, never across
-// them.
-func (m *Maintainer) View() graph.View { return m.delta }
+// View returns the maintained graph itself, the CSRDelta the sweeps
+// and builders read. Shared state: read it between applied changes,
+// never across them; change it only through Apply or ApplyBatch.
+func (m *Maintainer) View() *graph.CSRDelta { return m.delta }
 
 // DirtyRoots returns the sorted dirty-root union of the most recent
 // Apply or ApplyBatch — the roots whose trees the change can have
@@ -222,36 +221,31 @@ func (m *Maintainer) Touched() []int32 { return m.touched }
 // affect results).
 func (m *Maintainer) TreesRebuilt() int64 { return m.rebuilt }
 
-// applyChange applies one topology change to the mutable mirror g and
-// the patched delta in lockstep, accumulating every root whose radius-R
-// tree input the change touches into the dirty union and every vertex
-// whose neighbor list it changes into touched. Reports whether the
-// change had any effect. Dirty sweeps run on the state the locality
-// argument needs: post-change for insertions (new vertices become
-// reachable through the edge), pre-change for deletions (roots that
-// could reach the edge before it vanished).
+// applyChange patches one topology change into the delta, accumulating
+// every root whose radius-R tree input the change touches into the
+// dirty union and every vertex whose neighbor list it changes into
+// touched. Reports whether the change had any effect. Edge changes
+// sweep B(u,R) ∪ B(v,R) after the patch: the union is the same with or
+// without {u, v}, since a shortest path to u through the edge ends with
+// it and its prefix reaches v within R−1 (pinned by
+// TestEdgeDirtySweepIgnoresPatchOrder). A vertex failure sweeps first:
+// x is isolated afterwards.
 //
 //remspan:hotpath
 func (m *Maintainer) applyChange(ch Change) bool {
-	g, dirty, radius := m.g, m.dirty, m.radius
+	g, dirty, radius := m.delta, m.dirty, m.radius
 	switch ch.Kind {
 	case AddEdge:
 		if !g.AddEdge(ch.U, ch.V) {
 			return false
 		}
-		m.delta.AddEdge(ch.U, ch.V)
-		dirty.UnionBounded(g, ch.U, radius)
-		dirty.UnionBounded(g, ch.V, radius)
 	case RemoveEdge:
-		if !g.HasEdge(ch.U, ch.V) {
+		if !g.RemoveEdge(ch.U, ch.V) {
 			return false
 		}
-		dirty.UnionBounded(g, ch.U, radius)
-		dirty.UnionBounded(g, ch.V, radius)
-		g.RemoveEdge(ch.U, ch.V)
-		m.delta.RemoveEdge(ch.U, ch.V)
 	case FailVertex:
 		x := ch.U
+		g.CheckVertex(x)
 		nbrs := g.Neighbors(x)
 		if len(nbrs) == 0 {
 			return false
@@ -267,19 +261,20 @@ func (m *Maintainer) applyChange(ch Change) bool {
 			v := int(nbrs[len(nbrs)-1])
 			m.touched = append(m.touched, int32(v))
 			g.RemoveEdge(x, v)
-			m.delta.RemoveEdge(x, v)
 			nbrs = g.Neighbors(x)
 		}
 		return true
 	default:
 		panic("dynamic: unknown change kind")
 	}
+	dirty.UnionBounded(g, ch.U, radius)
+	dirty.UnionBounded(g, ch.V, radius)
 	m.touched = append(m.touched, int32(ch.U), int32(ch.V))
 	return true
 }
 
-// Apply applies the changes in order to the graph and the patched
-// delta without rebuilding any tree, and returns the number that had
+// Apply patches the changes in order into the graph without
+// rebuilding any tree, and returns the number that had
 // an effect. Afterwards DirtyRoots holds the union of their dirty sets
 // and Touched the vertices whose neighbor lists changed; the caller
 // rebuilds (a subset of) the dirty roots with Rebuild.
@@ -331,7 +326,7 @@ func (m *Maintainer) Rebuild(roots []int32) []int32 {
 	}
 	for _, rw := range m.env.Slots(width) {
 		if rw.scratch == nil {
-			rw.scratch = domtree.NewScratch(m.g.N()) //remspan:coldpath worker scratch warm-up, reused across batches
+			rw.scratch = domtree.NewScratch(m.delta.N()) //remspan:coldpath worker scratch warm-up, reused across batches
 		}
 	}
 	if m.rebuildBody == nil {
@@ -357,7 +352,7 @@ func (m *Maintainer) Rebuild(roots []int32) []int32 {
 // RebuildAll rebuilds every root's tree against the current graph, on
 // the same sharded path as Rebuild.
 func (m *Maintainer) RebuildAll() {
-	roots := make([]int32, m.g.N())
+	roots := make([]int32, m.delta.N())
 	for u := range roots {
 		roots[u] = int32(u)
 	}

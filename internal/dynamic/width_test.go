@@ -11,7 +11,7 @@ import (
 
 // treesOf copies every stored tree of m.
 func treesOf(m *Maintainer) [][][2]int32 {
-	out := make([][][2]int32, m.Graph().N())
+	out := make([][][2]int32, m.View().N())
 	for u := range out {
 		out[u] = slices.Clone(m.TreeOf(u))
 	}

@@ -38,7 +38,7 @@ func Churn(cfg Config) (*stats.Table, error) {
 				continue
 			}
 			kind := dynamic.AddEdge
-			if m.Graph().HasEdge(u, v) {
+			if m.View().HasEdge(u, v) {
 				kind = dynamic.RemoveEdge
 			}
 			batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})
@@ -49,13 +49,14 @@ func Churn(cfg Config) (*stats.Table, error) {
 
 	// Equivalence with full recomputation on the final graph.
 	var full [][2]int32
-	csr := graph.NewCSR(m.Graph())
-	scratch := domtree.NewScratch(m.Graph().N())
-	for u := 0; u < m.Graph().N(); u++ {
+	final := m.Graph()
+	csr := graph.NewCSR(final)
+	scratch := domtree.NewScratch(final.N())
+	for u := 0; u < final.N(); u++ {
 		full = append(full, build(csr, scratch, u).Edges()...)
 	}
-	same := m.Spanner().Equal(graph.NewEdgeSet(m.Graph().N(), full))
-	viol := spanner.Check(m.Graph(), m.Spanner().Graph(), spanner.NewStretch(1, 0))
+	same := m.Spanner().Equal(graph.NewEdgeSet(final.N(), full))
+	viol := spanner.Check(final, m.Spanner().Graph(), spanner.NewStretch(1, 0))
 
 	t := stats.NewTable("Incremental remote-spanner maintenance under edge churn",
 		"metric", "value", "verdict")

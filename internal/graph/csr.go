@@ -37,8 +37,9 @@ func checkEdgeSlots(slots int64) {
 	}
 }
 
-// NewCSR snapshots g. The snapshot does not observe later mutations.
-func NewCSR(g *Graph) *CSR {
+// NewCSR snapshots g, any View, in O(n + m). The snapshot does not
+// observe later mutations.
+func NewCSR(g View) *CSR {
 	n := g.N()
 	checkEdgeSlots(2 * int64(g.M()))
 	c := &CSR{

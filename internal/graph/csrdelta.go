@@ -56,7 +56,9 @@ func (d *CSRDelta) Degree(u int) int { return len(d.row(u)) }
 // valid until the next patch touching u).
 func (d *CSRDelta) Neighbors(u int) []int32 { return d.row(u) }
 
-func (d *CSRDelta) check(u int) {
+// CheckVertex panics unless 0 <= u < N(). Neighbors and Degree skip
+// it: every builder's inner loop calls them.
+func (d *CSRDelta) CheckVertex(u int) {
 	if u < 0 || u >= d.base.N() {
 		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", u, d.base.N()))
 	}
@@ -64,8 +66,8 @@ func (d *CSRDelta) check(u int) {
 
 // HasEdge reports whether {u, v} is currently an edge.
 func (d *CSRDelta) HasEdge(u, v int) bool {
-	d.check(u)
-	d.check(v)
+	d.CheckVertex(u)
+	d.CheckVertex(v)
 	if u == v {
 		return false
 	}
@@ -90,8 +92,8 @@ func (d *CSRDelta) own(u int) []int32 {
 // AddEdge patches the undirected edge {u, v} in, reporting whether it
 // was new. Self loops are rejected.
 func (d *CSRDelta) AddEdge(u, v int) bool {
-	d.check(u)
-	d.check(v)
+	d.CheckVertex(u)
+	d.CheckVertex(v)
 	if u == v || d.HasEdge(u, v) {
 		return false
 	}
@@ -106,8 +108,8 @@ func (d *CSRDelta) AddEdge(u, v int) bool {
 // RemoveEdge patches the undirected edge {u, v} out, reporting whether
 // it was present.
 func (d *CSRDelta) RemoveEdge(u, v int) bool {
-	d.check(u)
-	d.check(v)
+	d.CheckVertex(u)
+	d.CheckVertex(v)
 	if u == v || !d.HasEdge(u, v) {
 		return false
 	}

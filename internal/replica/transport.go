@@ -29,7 +29,7 @@ type Cluster struct {
 // (so with a clean plan every replica starts in lockstep at the
 // store's current epoch).
 func NewCluster(st *routing.Store, nrep int, plan FaultPlan) *Cluster {
-	n := st.Maintainer().Graph().N()
+	n := st.Maintainer().View().N()
 	reps := make([]*Replica, nrep)
 	for i := range reps {
 		reps[i] = NewReplica(i, n)

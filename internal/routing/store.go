@@ -71,7 +71,7 @@ func (e *Epoch) Tables() []Table { return e.tables }
 // Store.ApplyBatch, not the maintainer directly, so tables and spanner
 // stay in lockstep.
 func NewStore(m *dynamic.Maintainer) *Store {
-	n := m.Graph().N()
+	n := m.View().N()
 	st := &Store{m: m, dirtyBuf: make([]int32, 0, 256)}
 	st.h = st.union.CSR(n, m.Trees()...)
 	st.ep.tables = NewTables(n)
@@ -113,7 +113,7 @@ func (st *Store) ApplyBatch(changes []dynamic.Change) int {
 	if len(st.dirtyBuf) == 0 {
 		return applied
 	}
-	st.h = st.union.CSR(st.m.Graph().N(), st.m.Trees()...)
+	st.h = st.union.CSR(st.m.View().N(), st.m.Trees()...)
 	st.env.build(st.m.View(), st.h, st.ep.tables, st.dirtyBuf)
 	st.ep.seq.Add(1)
 	return applied

@@ -102,10 +102,11 @@ func TestStoreChurnSemantics(t *testing.T) {
 	_, st := storeFixture(70, 100, 2)
 	m := st.Maintainer()
 	rng := rand.New(rand.NewSource(3))
-	pool := churnPool(m.Graph().N(), 60, rng)
-	scratch := NewTableScratch(m.Graph().N())
-	next := make([]int32, m.Graph().N())
-	dist := make([]int32, m.Graph().N())
+	g := m.View()
+	pool := churnPool(g.N(), 60, rng)
+	scratch := NewTableScratch(g.N())
+	next := make([]int32, g.N())
+	dist := make([]int32, g.N())
 
 	for round := 0; round < 12; round++ {
 		prevSeq := st.Epoch().Seq()
@@ -114,7 +115,7 @@ func TestStoreChurnSemantics(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			p := pool[rng.Intn(len(pool))]
 			kind := dynamic.AddEdge
-			if m.Graph().HasEdge(p[0], p[1]) {
+			if g.HasEdge(p[0], p[1]) {
 				kind = dynamic.RemoveEdge
 			}
 			batch = append(batch, dynamic.Change{Kind: kind, U: p[0], V: p[1]})
@@ -138,10 +139,10 @@ func TestStoreChurnSemantics(t *testing.T) {
 			dirty[u] = true
 		}
 		hh := st.h
-		for u := 0; u < m.Graph().N(); u++ {
+		for u := 0; u < g.N(); u++ {
 			want, from := prev[u], "the pre-batch copy"
 			if dirty[int32(u)] {
-				scratch.BuildTableInto(m.Graph(), hh, u, next, dist)
+				scratch.BuildTableInto(g, hh, u, next, dist)
 				want, from = Table{Owner: u, Next: next, Dist: dist}, "a fresh scalar build"
 			}
 			tab := ep.Tables()[u]
@@ -237,6 +238,10 @@ func TestStorePublishWidths(t *testing.T) {
 				for _, u := range owners {
 					dirty[u] = true
 				}
+				// The reference reads the maintainer's graph and spanner,
+				// not the store's derived H, so an H derived from the
+				// wrong trees fails here.
+				g, h := m.View(), graph.NewCSR(m.Spanner().Graph())
 				for u := 0; u < n; u++ {
 					tab := ep.Tables()[u]
 					if !dirty[u] {
@@ -245,7 +250,7 @@ func TestStorePublishWidths(t *testing.T) {
 						}
 						continue
 					}
-					scratch.BuildTableInto(m.Graph(), st.h, u, next, dist)
+					scratch.BuildTableInto(g, h, u, next, dist)
 					if tab.Owner != u || !slices.Equal(tab.Next, next) || !slices.Equal(tab.Dist, dist) {
 						t.Fatalf("%s: dirty owner %d differs from the scalar build", ctx, u)
 					}

@@ -34,6 +34,11 @@
 //     vertices of a graph it already has, panics on a vertex outside
 //     [0, n), and only with a message that names the vertex and the
 //     range: "remspan: vertex 99 out of range [0, 9)".
+//   - A generator or construction without an error result panics on
+//     an argument outside its domain (a negative vertex count, k < 1,
+//     an edge endpoint outside [0, n)), and only with a "remspan:"
+//     message that names the argument: "remspan: Ring needs n >= 0,
+//     got n = -3".
 //
 // See DESIGN.md for the paper-to-code map and EXPERIMENTS.md for the
 // reproduced tables and figures.
@@ -52,12 +57,23 @@ type Graph struct {
 	g *graph.Graph
 }
 
-// NewGraph returns an empty graph on n vertices.
-func NewGraph(n int) *Graph { return &Graph{g: graph.New(n)} }
+// NewGraph returns an empty graph on n vertices. It panics if n is
+// negative.
+func NewGraph(n int) *Graph {
+	checkArg(n >= 0, "NewGraph needs n >= 0, got n = %d", n)
+	return &Graph{g: graph.New(n)}
+}
 
 // FromEdges builds a graph on n vertices from an edge list; duplicates
-// and self loops are ignored.
-func FromEdges(n int, edges [][2]int) *Graph { return &Graph{g: graph.FromEdges(n, edges)} }
+// and self loops are ignored. It panics if n is negative or an
+// endpoint lies outside [0, n).
+func FromEdges(n int, edges [][2]int) *Graph {
+	checkArg(n >= 0, "FromEdges needs n >= 0, got n = %d", n)
+	for _, e := range edges {
+		checkVertices(n, e[0], e[1])
+	}
+	return &Graph{g: graph.FromEdges(n, edges)}
+}
 
 // N returns the vertex count.
 func (G *Graph) N() int { return G.g.N() }
@@ -130,6 +146,14 @@ func wrap(g *graph.Graph) *Graph { return &Graph{g: g} }
 
 // checkVertices is the accessor check of the package doc: it panics,
 // naming the first offender, unless every v lies in [0, n).
+// checkArg panics with a "remspan: " message built from format and
+// args unless ok: the guard of an argument outside its domain.
+func checkArg(ok bool, format string, args ...any) {
+	if !ok {
+		panic("remspan: " + fmt.Sprintf(format, args...))
+	}
+}
+
 func checkVertices(n int, vs ...int) {
 	for _, v := range vs {
 		if v < 0 || v >= n {
@@ -206,8 +230,9 @@ func Exact(g *Graph) *Spanner {
 
 // KConnecting returns a k-connecting (1, 0)-remote-spanner (Th. 2): for
 // every pair and every k' ≤ k, the minimum total length of k' disjoint
-// paths is preserved in the augmented views.
+// paths is preserved in the augmented views. It panics if k < 1.
 func KConnecting(g *Graph, k int) *Spanner {
+	checkArg(k >= 1, "KConnecting needs k >= 1, got k = %d", k)
 	res := spanner.KConnecting(g.raw(), k)
 	return &Spanner{
 		H:           wrap(res.Graph()),

@@ -525,3 +525,42 @@ func TestRandomUDGRejectsBadSide(t *testing.T) {
 		t.Fatal("RandomUDG(50, 4, 1) is empty")
 	}
 }
+
+// TestArgumentPanicsNameTheArgument pins the argument rule of the
+// package doc: a generator or construction given an argument outside
+// its domain panics with a remspan: message naming it, not with a
+// runtime error or an internal package's message. Hypercube is probed
+// only where its guard stops it before it allocates 2^d vertices.
+func TestArgumentPanicsNameTheArgument(t *testing.T) {
+	g := Grid(3, 3)
+	for _, c := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"NewGraph(-1)", func() { NewGraph(-1) }, "remspan: NewGraph needs n >= 0, got n = -1"},
+		{"FromEdges(-1)", func() { FromEdges(-1, nil) }, "remspan: FromEdges needs n >= 0, got n = -1"},
+		{"FromEdges(2, {0, 5})", func() { FromEdges(2, [][2]int{{0, 5}}) }, "remspan: vertex 5 out of range [0, 2)"},
+		{"Grid(-1, 2)", func() { Grid(-1, 2) }, "remspan: Grid needs w, h >= 0, got w = -1, h = 2"},
+		{"Grid(-1, -2)", func() { Grid(-1, -2) }, "remspan: Grid needs w, h >= 0, got w = -1, h = -2"},
+		{"Ring(-3)", func() { Ring(-3) }, "remspan: Ring needs n >= 0, got n = -3"},
+		{"ErdosRenyi(-1)", func() { ErdosRenyi(-1, 0.5, 1) }, "remspan: ErdosRenyi needs n >= 0, got n = -1"},
+		{"RandomUDG(-5)", func() { RandomUDG(-5, 4, 1) }, "remspan: RandomUDG needs n >= 0, got n = -5"},
+		{"RandomUBG(-1, 2)", func() { RandomUBG(-1, 2, 1, 1) }, "remspan: RandomUBG needs n, dim >= 0, got n = -1, dim = 2"},
+		{"RandomUBG(5, -1)", func() { RandomUBG(5, -1, 1, 1) }, "remspan: RandomUBG needs n, dim >= 0, got n = 5, dim = -1"},
+		{"Hypercube(-1)", func() { Hypercube(-1) }, "remspan: Hypercube needs 0 <= d <= 30, got d = -1"},
+		{"Hypercube(31)", func() { Hypercube(31) }, "remspan: Hypercube needs 0 <= d <= 30, got d = 31"},
+		{"Hypercube(64)", func() { Hypercube(64) }, "remspan: Hypercube needs 0 <= d <= 30, got d = 64"},
+		{"RandomConnected(-1, 0)", func() { RandomConnected(-1, 0, 1) }, "remspan: RandomConnected needs n >= 0, got n = -1"},
+		{"RandomConnected(0, 5)", func() { RandomConnected(0, 5, 1) }, "remspan: RandomConnected needs n >= 1 to add edges, got n = 0, extraEdges = 5"},
+		{"KConnecting(g, 0)", func() { KConnecting(g, 0) }, "remspan: KConnecting needs k >= 1, got k = 0"},
+		{"FloodStats(g, 0, 0)", func() { FloodStats(g, 0, 0) }, "remspan: FloodStats needs k >= 1, got k = 0"},
+	} {
+		if got := testutil.PanicWithin(t, 5*time.Second, c.call); got != c.want {
+			t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+		}
+	}
+	if NewGraph(0).N() != 0 || Ring(0).N() != 0 || Hypercube(0).N() != 1 || RandomConnected(0, 0, 1).N() != 0 {
+		t.Fatal("a zero-size argument was rejected")
+	}
+}
