@@ -240,7 +240,7 @@ func BenchmarkAblationScratch(b *testing.B) {
 // whether the change had an effect.
 func toggleEdge(m *dynamic.Maintainer, u, v int) bool {
 	kind := dynamic.AddEdge
-	if m.View().HasEdge(u, v) {
+	if reference.HasEdge(m.View(), u, v) {
 		kind = dynamic.RemoveEdge
 	}
 	one := [1]dynamic.Change{{Kind: kind, U: u, V: v}}
@@ -291,7 +291,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 					continue
 				}
 				kind := dynamic.AddEdge
-				if m.View().HasEdge(u, v) {
+				if reference.HasEdge(m.View(), u, v) {
 					kind = dynamic.RemoveEdge
 				}
 				batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})

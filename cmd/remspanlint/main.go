@@ -1,6 +1,6 @@
 // Command remspanlint is the repo's invariant checker: a vet tool
 // that runs the internal/analysis suite (hotalloc, rcupub, detrand,
-// hotcall, lockpair) under the go command:
+// lockpair) under the go command:
 //
 //	go vet -vettool=$(which remspanlint) ./...
 //
@@ -9,7 +9,10 @@
 // file describing the unit: source files, the import map and
 // export-data locations for every dependency. This mirrors the
 // golang.org/x/tools unitchecker protocol, reimplemented on the
-// standard library because the module cache has no x/tools.
+// standard library because the module cache has no x/tools. Every
+// analyzer checks one package at a time, so a dependency unit
+// (VetxOnly) only writes an empty vetx file for the go command to
+// cache.
 // Diagnostics print to stderr as file:line:col: message (analyzer);
 // the exit status is 2 when anything is reported.
 package main
@@ -32,9 +35,7 @@ import (
 
 	"remspan/internal/analysis"
 	"remspan/internal/analysis/detrand"
-	"remspan/internal/analysis/facts"
 	"remspan/internal/analysis/hotalloc"
-	"remspan/internal/analysis/hotcall"
 	"remspan/internal/analysis/lockpair"
 	"remspan/internal/analysis/rcupub"
 )
@@ -43,7 +44,6 @@ var analyzers = []*analysis.Analyzer{
 	hotalloc.Analyzer,
 	rcupub.Analyzer,
 	detrand.Analyzer,
-	hotcall.Analyzer,
 	lockpair.Analyzer,
 }
 
@@ -55,9 +55,9 @@ func main() {
 	for _, a := range args {
 		// The go command fingerprints vet tools by running `tool
 		// -V=full` and uses the whole `name version fingerprint` line
-		// as the cache key for diagnostics and vetx facts, so the
-		// fingerprint embeds a hash of this very binary: rebuilding
-		// the tool invalidates cached results.
+		// as the cache key for diagnostics, so the fingerprint embeds
+		// a hash of this very binary: rebuilding the tool invalidates
+		// cached results.
 		if a == "-V=full" || a == "--V=full" {
 			fmt.Printf("remspanlint version remspan-suite-2-%s\n", selfID())
 			return
@@ -114,18 +114,10 @@ type diag struct {
 	d        analysis.Diagnostic
 }
 
-// runAll applies the suite to one type-checked package. deps maps each
-// dependency's import path to its decoded fact envelope; exports
-// collects the blobs this package's fact-exporting analyzers produce.
-// When factsOnly is set the package is a dependency unit: only
-// fact-exporting analyzers run, and their diagnostics (already
-// reported when the dependency itself was the target) are discarded.
-func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, deps map[string]facts.Envelope, exports facts.Envelope, factsOnly bool) []diag {
+// runAll applies the suite to one type-checked package.
+func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info) []diag {
 	var out []diag
 	for _, a := range analyzers {
-		if factsOnly && !a.ExportsFacts {
-			continue
-		}
 		name := a.Name
 		pass := &analysis.Pass{
 			Analyzer:  a,
@@ -136,19 +128,10 @@ func runAll(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *ty
 			Report: func(d analysis.Diagnostic) {
 				out = append(out, diag{analyzer: name, d: d})
 			},
-			ImportFacts: func(path string) []byte {
-				return deps[path][name]
-			},
-			ExportFacts: func(data []byte) {
-				exports[name] = data
-			},
 		}
 		if _, err := a.Run(pass); err != nil {
 			log.Fatalf("analyzer %s: %v", a.Name, err)
 		}
-	}
-	if factsOnly {
-		return nil
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].d.Pos < out[j].d.Pos })
 	return out
@@ -176,9 +159,8 @@ type vetConfig struct {
 
 	SucceedOnTypecheckFailure bool
 
-	VetxOnly    bool
-	VetxOutput  string
-	PackageVetx map[string]string
+	VetxOnly   bool
+	VetxOutput string
 }
 
 func unitCheck(cfgFile string) {
@@ -191,12 +173,11 @@ func unitCheck(cfgFile string) {
 		log.Fatalf("parsing %s: %v", cfgFile, err)
 	}
 
-	// The go command caches the vetx artifact and requires it to exist
-	// even on failure paths, so every early return below writes one.
-	// Standard-library units export no facts for this suite, so their
-	// artifact is always empty.
-	if cfg.isStdUnit() {
-		writeVetx(cfg.VetxOutput, nil)
+	// No analyzer exports anything, so the vetx artifact is empty. The
+	// go command caches it, which spares rerunning the tool on a
+	// dependency unit; such a unit needs nothing else.
+	writeVetx(cfg.VetxOutput)
+	if cfg.VetxOnly {
 		return
 	}
 
@@ -205,8 +186,7 @@ func unitCheck(cfgFile string) {
 	for _, name := range cfg.GoFiles {
 		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
-			if cfg.SucceedOnTypecheckFailure || cfg.VetxOnly {
-				writeVetx(cfg.VetxOutput, nil)
+			if cfg.SucceedOnTypecheckFailure {
 				return
 			}
 			log.Fatal(err)
@@ -225,32 +205,13 @@ func unitCheck(cfgFile string) {
 	info := analysis.NewInfo()
 	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
 	if err != nil {
-		if cfg.SucceedOnTypecheckFailure || cfg.VetxOnly {
-			writeVetx(cfg.VetxOutput, nil)
+		if cfg.SucceedOnTypecheckFailure {
 			return
 		}
 		log.Fatalf("typechecking %s: %v", cfg.ImportPath, err)
 	}
 
-	// PackageVetx lists the fact files of every dependency unit the go
-	// command has already scheduled; decode them up front so analyzers
-	// can look facts up by import path.
-	deps := make(map[string]facts.Envelope, len(cfg.PackageVetx))
-	for path, file := range cfg.PackageVetx {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			log.Fatalf("reading facts of %s: %v", path, err)
-		}
-		env, err := facts.DecodeEnvelope(data)
-		if err != nil {
-			log.Fatalf("facts of %s: %v", path, err)
-		}
-		deps[path] = env
-	}
-
-	exports := facts.Envelope{}
-	diags := runAll(fset, files, pkg, info, deps, exports, cfg.VetxOnly)
-	writeVetx(cfg.VetxOutput, exports)
+	diags := runAll(fset, files, pkg, info)
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", fset.Position(d.d.Pos), d.d.Message, d.analyzer)
 	}
@@ -259,32 +220,13 @@ func unitCheck(cfgFile string) {
 	}
 }
 
-// isStdUnit reports whether the unit under analysis is itself a
-// standard-library package. cmd/go's Standard map covers only the
-// unit's *dependencies*, never the unit itself, so the unit's own
-// origin is judged by whether its sources live under GOROOT.
-func (cfg *vetConfig) isStdUnit() bool {
-	if cfg.Standard[cfg.ImportPath] {
-		return true
-	}
-	goroot := runtime.GOROOT()
-	if goroot == "" || len(cfg.GoFiles) == 0 {
-		return false
-	}
-	return strings.HasPrefix(cfg.GoFiles[0], goroot+string(os.PathSeparator))
-}
-
-// writeVetx persists one unit's fact envelope where the go command
-// expects its vetx artifact.
-func writeVetx(path string, env facts.Envelope) {
+// writeVetx writes the empty vetx artifact where the go command
+// expects it.
+func writeVetx(path string) {
 	if path == "" {
 		return
 	}
-	data, err := facts.EncodeEnvelope(env)
-	if err != nil {
-		log.Fatalf("encoding facts: %v", err)
-	}
-	if err := os.WriteFile(path, data, 0o666); err != nil {
+	if err := os.WriteFile(path, nil, 0o666); err != nil {
 		log.Fatal(err)
 	}
 }

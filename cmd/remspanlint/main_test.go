@@ -21,21 +21,24 @@ import (
 func buildLint(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "remspanlint")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	cmd.Env = append(os.Environ(), "GOWORK=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
+	if out, err := goCmd(".", "build", "-o", bin, "."); err != nil {
 		t.Fatalf("building remspanlint: %v\n%s", err, out)
 	}
 	return bin
 }
 
-// vet runs `go vet -vettool=bin ./...` in dir and returns its combined
-// output; the exit status is left to the caller's reading of it.
-func vet(bin, dir string) ([]byte, error) {
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+// goCmd runs the go command in dir and returns its combined output.
+func goCmd(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), "GOWORK=off")
 	return cmd.CombinedOutput()
+}
+
+// vet runs `go vet -vettool=bin ./...` in dir and returns its combined
+// output; the exit status is left to the caller's reading of it.
+func vet(bin, dir string) ([]byte, error) {
+	return goCmd(dir, "vet", "-vettool="+bin, "./...")
 }
 
 // sourceFiles opens every go.mod and .go file of the module at root,
@@ -112,10 +115,12 @@ func (k lineKey) String() string { return fmt.Sprintf("%s:%d", k.file, k.line) }
 // file relative to the directory vet ran in.
 var diagLine = regexp.MustCompile(`^(.+?\.go):(\d+):\d+: (.*) \((\w+)\)$`)
 
-// TestCorpora runs every analyzer of the suite over its golden corpus,
-// the module in internal/analysis/<name>/testdata/src/a, through `go
-// vet -vettool` with the real vet protocol: vet.cfg units, export
-// data, and facts threaded between packages in vetx files. A corpus
+// TestCorpora runs every analyzer of the suite (hotalloc, rcupub,
+// detrand and lockpair) over its golden corpus, the module in
+// internal/analysis/<name>/testdata/src/a, through `go vet -vettool`
+// with the real vet protocol: vet.cfg units and export data, with an
+// empty vetx file per unit, since no analyzer reads another package's
+// results. A corpus
 // marks each expected diagnostic with a `// want "regexp"` comment on
 // its line. Every diagnostic must be matched by a want on its line,
 // and every want must match a diagnostic; an analyzer with no corpus

@@ -38,6 +38,9 @@ const (
 // RunDistributed executes the protocol on g. k parameterizes
 // AlgoKConnecting; eps parameterizes AlgoLowStretch.
 func RunDistributed(g *Graph, algo Algorithm, k int, eps float64) (*DistributedResult, error) {
+	if err := nilArg("RunDistributed", "g", g == nil); err != nil {
+		return nil, err
+	}
 	var radius int
 	var build distsim.TreeBuilder
 	switch algo {
@@ -78,6 +81,7 @@ func RunDistributed(g *Graph, algo Algorithm, k int, eps float64) (*DistributedR
 // of classic full link-state routing on g, for comparison with
 // DistributedResult.
 func FullLinkStateCost(g *Graph) (messages, words int64) {
+	checkArg(g != nil, "FullLinkStateCost needs a non-nil g")
 	return distsim.FullLinkState(g.raw())
 }
 
@@ -85,6 +89,7 @@ func FullLinkStateCost(g *Graph) (messages, words int64) {
 // Algorithm 4 with coverage k) against blind flooding from the given
 // source: retransmission counts and nodes covered. It panics if k < 1.
 func FloodStats(g *Graph, k, source int) (mprTx, blindTx, covered int) {
+	checkArg(g != nil, "FloodStats needs a non-nil g")
 	checkVertices(g.N(), source)
 	checkArg(k >= 1, "FloodStats needs k >= 1, got k = %d", k)
 	sel := routing.SelectMPRs(g.raw(), k)

@@ -6,7 +6,9 @@
 // its shapes field-for-field, making a future swap mechanical).
 //
 // An Analyzer inspects one type-checked package through a Pass and
-// reports Diagnostics. The one driver is cmd/remspanlint, a `go vet
+// reports Diagnostics; it reads nothing of any other package but its
+// export data. The suite is four analyzers: hotalloc, rcupub, detrand
+// and lockpair. The one driver is cmd/remspanlint, a `go vet
 // -vettool` unitchecker; its TestCorpora runs each analyzer's golden
 // corpus (testdata/src/a, with `// want` comments) through go vet.
 //
@@ -37,15 +39,6 @@ type Analyzer struct {
 	// the driver) or an error for an internal failure — an
 	// error fails the whole lint run, it is not a diagnostic.
 	Run func(pass *Pass) (interface{}, error)
-
-	// ExportsFacts marks an analyzer that summarizes each package into
-	// a fact blob (via Pass.ExportFacts) consumed when analyzing its
-	// dependents. The driver runs fact-exporting analyzers on
-	// dependency packages too — with diagnostics discarded — so
-	// summaries exist before any dependent is checked; the blobs
-	// round-trip through the vetx files the go command threads between
-	// units.
-	ExportsFacts bool
 }
 
 func (a *Analyzer) String() string { return a.Name }
@@ -63,17 +56,6 @@ type Pass struct {
 	// Report delivers one finding. The driver installs it; analyzers
 	// call it (or the Reportf helper) any number of times.
 	Report func(Diagnostic)
-
-	// ImportFacts returns the fact blob this pass's analyzer exported
-	// for the named dependency package, or nil when the dependency has
-	// none (stdlib and other out-of-module packages are never
-	// summarized, so their absence is normal, not an error).
-	ImportFacts func(path string) []byte
-
-	// ExportFacts delivers this package's fact blob for the pass's
-	// analyzer to the driver, which persists it for dependent units in
-	// the unit's vetx file.
-	ExportFacts func(data []byte)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -36,7 +36,6 @@
 package hotalloc
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -58,47 +57,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil || !dirs.Func(fd, analysis.DirHotpath) {
 				continue
 			}
-			for _, s := range Check(pass, dirs, fd).Sites {
-				pass.Reportf(s.Pos, "%s", s.Msg)
-			}
+			check(pass, dirs, fd)
 		}
 	}
 	return nil, nil
-}
-
-// Site is one allocating construct found in a function body.
-type Site struct {
-	Pos token.Pos
-	Msg string
-}
-
-// Result is the outcome of checking one function body: the allocating
-// constructs outside //remspan:coldpath subtrees, plus the coldpath
-// spans themselves. hotalloc reports the sites of hotpath-annotated
-// functions; the interprocedural hotcall analyzer calls Check on every
-// function to summarize transitive allocation behavior, and uses Cold
-// to drop call edges that sit inside exempted subtrees.
-type Result struct {
-	Sites []Site
-	cold  []span
-}
-
-// Cold reports whether pos falls inside a coldpath-exempted statement
-// subtree of the checked function.
-func (r *Result) Cold(pos token.Pos) bool {
-	for _, s := range r.cold {
-		if s.pos <= pos && pos < s.end {
-			return true
-		}
-	}
-	return false
 }
 
 type span struct{ pos, end token.Pos }
 
 type checker struct {
 	pass            *analysis.Pass
-	res             *Result
 	cold            []span // //remspan:coldpath statement subtrees
 	lits            []*ast.FuncLit
 	decl            *ast.FuncDecl
@@ -109,14 +77,11 @@ type checker struct {
 	escapedVar      map[*types.Var]bool         // lit var used other than as callee
 }
 
-// Check collects the allocating constructs of fd's body (nested
-// function literals included) without reporting them; the caller
-// decides what a site means — a diagnostic for hotalloc, a dirty
-// transitive summary for hotcall.
-func Check(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDecl) *Result {
+// check reports the allocating constructs of fd's body, nested
+// function literals included, outside //remspan:coldpath subtrees.
+func check(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDecl) {
 	c := &checker{
 		pass:            pass,
-		res:             &Result{},
 		decl:            fd,
 		allowedAppend:   make(map[*ast.CallExpr]bool),
 		calledSelectors: make(map[*ast.SelectorExpr]bool),
@@ -201,8 +166,6 @@ func Check(pass *analysis.Pass, dirs *analysis.Directives, fd *ast.FuncDecl) *Re
 		c.node(n)
 		return true
 	})
-	c.res.cold = c.cold
-	return c.res
 }
 
 // isSelfAppend reports the amortized reuse idioms
@@ -231,7 +194,7 @@ func (c *checker) report(pos token.Pos, format string, args ...interface{}) {
 	if c.inCold(pos) {
 		return
 	}
-	c.res.Sites = append(c.res.Sites, Site{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	c.pass.Reportf(pos, format, args...)
 }
 
 func (c *checker) typeOf(e ast.Expr) types.Type {

@@ -218,7 +218,7 @@ func randomBatch(e *Engine, rng *rand.Rand, size int) []dynamic.Change {
 			continue
 		}
 		kind := dynamic.AddEdge
-		if e.m.View().HasEdge(u, v) {
+		if reference.HasEdge(e.m.View(), u, v) {
 			kind = dynamic.RemoveEdge
 		}
 		if rng.Intn(8) == 0 {
@@ -230,15 +230,16 @@ func randomBatch(e *Engine, rng *rand.Rand, size int) []dynamic.Change {
 }
 
 // TestRefloodMatchesMaintainer drives the engine through random change
-// batches and pins every intermediate spanner — and every per-root
-// tree — against dynamic.Maintainer ground truth.
+// batches and, at every step, pins its graph against the test's own
+// copy of G, patched with every change, and its spanner and every
+// per-root tree against a fresh dynamic.Maintainer over that copy.
 func TestRefloodMatchesMaintainer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, spec := range dynamic.Builders() {
 		g := randomConnected(40, 70, rng)
 		e := NewEngine(g, spec.Radius, TreeBuilder(spec.Build))
 		e.Run()
-		m := dynamic.New(g, spec.Radius, spec.Build)
+		want := g.Clone()
 		for step := 0; step < 12; step++ {
 			batch := make([]dynamic.Change, 0, 6)
 			for len(batch) < cap(batch) {
@@ -247,7 +248,7 @@ func TestRefloodMatchesMaintainer(t *testing.T) {
 					continue
 				}
 				kind := dynamic.AddEdge
-				if e.m.View().HasEdge(u, v) {
+				if want.HasEdge(u, v) {
 					kind = dynamic.RemoveEdge
 				}
 				if rng.Intn(8) == 0 {
@@ -255,14 +256,27 @@ func TestRefloodMatchesMaintainer(t *testing.T) {
 				}
 				batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})
 			}
+			for _, c := range batch {
+				switch c.Kind {
+				case dynamic.AddEdge:
+					want.AddEdge(c.U, c.V)
+				case dynamic.RemoveEdge:
+					want.RemoveEdge(c.U, c.V)
+				case dynamic.FailVertex:
+					want = want.RemoveVertex(c.U)
+				}
+			}
 			st := e.Reflood(batch)
-			m.ApplyBatch(batch)
-			if !edgeSetsEqual(e.Spanner(), m.Spanner()) {
-				t.Fatalf("%s step %d: engine spanner diverged from maintainer", spec.Name, step)
+			if !reference.Equal(want, e.Graph()) {
+				t.Fatalf("%s step %d: engine graph diverged from the patched copy", spec.Name, step)
+			}
+			fresh := dynamic.New(want, spec.Radius, spec.Build)
+			if !edgeSetsEqual(e.Spanner(), fresh.Spanner()) {
+				t.Fatalf("%s step %d: engine spanner differs from a fresh maintainer's", spec.Name, step)
 			}
 			for u := 0; u < g.N(); u++ {
-				if !slices.Equal(e.m.TreeOf(u), m.TreeOf(u)) {
-					t.Fatalf("%s step %d root %d: tree differs from the maintainer's", spec.Name, step, u)
+				if !slices.Equal(e.m.TreeOf(u), fresh.TreeOf(u)) {
+					t.Fatalf("%s step %d root %d: tree differs from a fresh maintainer's", spec.Name, step, u)
 				}
 			}
 			if st.Applied > 0 && st.DirtyRoots == 0 {
@@ -439,7 +453,7 @@ func TestRefloodLossyConvergence(t *testing.T) {
 					continue
 				}
 				kind := dynamic.AddEdge
-				if e.m.View().HasEdge(u, v) {
+				if reference.HasEdge(e.m.View(), u, v) {
 					kind = dynamic.RemoveEdge
 				}
 				batch = append(batch, dynamic.Change{Kind: kind, U: u, V: v})

@@ -9,6 +9,7 @@ import (
 
 	"remspan/internal/geom"
 	"remspan/internal/graph"
+	"remspan/internal/reference"
 )
 
 // churnUDG is the churn workload graph: the largest component of a
@@ -157,7 +158,7 @@ func benchChurn(b *testing.B, g *graph.Graph, bb BuilderSpec, pairs [][2]int, mo
 				p := pairs[next]
 				next++
 				kind := AddEdge
-				if m.View().HasEdge(p[0], p[1]) {
+				if reference.HasEdge(m.View(), p[0], p[1]) {
 					kind = RemoveEdge
 				}
 				batch[j] = Change{Kind: kind, U: p[0], V: p[1]}
@@ -168,7 +169,7 @@ func benchChurn(b *testing.B, g *graph.Graph, bb BuilderSpec, pairs [][2]int, mo
 		for i := 0; i < b.N; i++ {
 			p := pairs[rng.Intn(len(pairs))]
 			kind := AddEdge
-			if m.View().HasEdge(p[0], p[1]) {
+			if reference.HasEdge(m.View(), p[0], p[1]) {
 				kind = RemoveEdge
 			}
 			applyOne(m, kind, p[0], p[1])

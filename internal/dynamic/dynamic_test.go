@@ -546,7 +546,7 @@ func churnBatch(m *Maintainer, rng *rand.Rand, size int) []Change {
 			continue
 		}
 		kind := AddEdge
-		if m.View().HasEdge(u, v) && rng.Intn(2) == 0 {
+		if reference.HasEdge(m.View(), u, v) && rng.Intn(2) == 0 {
 			kind = RemoveEdge
 		}
 		batch = append(batch, Change{Kind: kind, U: u, V: v})
@@ -706,7 +706,7 @@ func TestTouchedIsChangedNeighborLists(t *testing.T) {
 		iso++
 	}
 	y := (x + 1) % g.N()
-	for view.HasEdge(x, y) || y == x {
+	for reference.HasEdge(view, x, y) || y == x {
 		y = (y + 1) % g.N()
 	}
 	noop := []Change{

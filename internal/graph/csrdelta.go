@@ -64,13 +64,8 @@ func (d *CSRDelta) CheckVertex(u int) {
 	}
 }
 
-// HasEdge reports whether {u, v} is currently an edge.
-func (d *CSRDelta) HasEdge(u, v int) bool {
-	d.CheckVertex(u)
-	d.CheckVertex(v)
-	if u == v {
-		return false
-	}
+// inRow reports whether v is in u's row; the caller range-checks both.
+func (d *CSRDelta) inRow(u, v int) bool {
 	_, ok := slices.BinarySearch(d.row(u), int32(v))
 	return ok
 }
@@ -94,7 +89,7 @@ func (d *CSRDelta) own(u int) []int32 {
 func (d *CSRDelta) AddEdge(u, v int) bool {
 	d.CheckVertex(u)
 	d.CheckVertex(v)
-	if u == v || d.HasEdge(u, v) {
+	if u == v || d.inRow(u, v) {
 		return false
 	}
 	ru, _ := insertSorted(d.own(u), int32(v))
@@ -110,7 +105,7 @@ func (d *CSRDelta) AddEdge(u, v int) bool {
 func (d *CSRDelta) RemoveEdge(u, v int) bool {
 	d.CheckVertex(u)
 	d.CheckVertex(v)
-	if u == v || !d.HasEdge(u, v) {
+	if u == v || !d.inRow(u, v) {
 		return false
 	}
 	d.over[u] = removeSorted(d.own(u), int32(v))

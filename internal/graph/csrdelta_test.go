@@ -39,7 +39,7 @@ func TestCSRDeltaMatchesFreshCSR(t *testing.T) {
 	for step := 0; step < 400; step++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if g.HasEdge(u, v) {
-			if !d.RemoveEdge(u, v) || d.HasEdge(u, v) {
+			if !d.RemoveEdge(u, v) || d.inRow(u, v) {
 				t.Fatalf("step %d: remove {%d,%d} failed", step, u, v)
 			}
 			g.RemoveEdge(u, v)

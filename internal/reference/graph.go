@@ -2,9 +2,18 @@ package reference
 
 import (
 	"fmt"
+	"slices"
 
 	"remspan/internal/graph"
 )
+
+// HasEdge reports whether {u, w} is an edge of g by a binary search of
+// u's sorted row: the edge probe of a view that has none, such as the
+// maintainer's graph.CSRDelta.
+func HasEdge(g graph.View, u, w int) bool {
+	_, ok := slices.BinarySearch(g.Neighbors(u), int32(w))
+	return ok && u != w
+}
 
 // Equal reports whether g and h have identical vertex and edge sets.
 func Equal(g, h graph.View) bool {

@@ -115,7 +115,7 @@ func TestStoreChurnSemantics(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(5); i++ {
 			p := pool[rng.Intn(len(pool))]
 			kind := dynamic.AddEdge
-			if g.HasEdge(p[0], p[1]) {
+			if reference.HasEdge(g, p[0], p[1]) {
 				kind = dynamic.RemoveEdge
 			}
 			batch = append(batch, dynamic.Change{Kind: kind, U: p[0], V: p[1]})

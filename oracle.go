@@ -18,6 +18,8 @@ type DistanceOracle struct {
 
 // NewOracle builds an oracle from a graph and a spanner of it.
 func NewOracle(g *Graph, s *Spanner) *DistanceOracle {
+	checkArg(g != nil, "NewOracle needs a non-nil g")
+	checkArg(s != nil, "NewOracle needs a non-nil s")
 	return &DistanceOracle{o: oracle.New(g.raw(), s.H.raw(), s.Guarantee.internal()), n: g.N()}
 }
 

@@ -39,6 +39,10 @@
 //     an edge endpoint outside [0, n)), and only with a "remspan:"
 //     message that names the argument: "remspan: Ring needs n >= 0,
 //     got n = -3".
+//   - Every function given a *Graph or *Spanner checks it first: a nil
+//     one is an error naming the argument when the function has an
+//     error result, and otherwise a panic with the same message:
+//     "remspan: Exact needs a non-nil g".
 //
 // See DESIGN.md for the paper-to-code map and EXPERIMENTS.md for the
 // reproduced tables and figures.
@@ -144,8 +148,6 @@ func (G *Graph) raw() *graph.Graph { return G.g }
 // wrap converts an internal graph.
 func wrap(g *graph.Graph) *Graph { return &Graph{g: g} }
 
-// checkVertices is the accessor check of the package doc: it panics,
-// naming the first offender, unless every v lies in [0, n).
 // checkArg panics with a "remspan: " message built from format and
 // args unless ok: the guard of an argument outside its domain.
 func checkArg(ok bool, format string, args ...any) {
@@ -154,6 +156,17 @@ func checkArg(ok bool, format string, args ...any) {
 	}
 }
 
+// nilArg is the nil guard of a function with an error result: an error
+// naming fn's argument arg when isNil, else nil.
+func nilArg(fn, arg string, isNil bool) error {
+	if !isNil {
+		return nil
+	}
+	return fmt.Errorf("remspan: %s needs a non-nil %s", fn, arg)
+}
+
+// checkVertices is the accessor check of the package doc: it panics,
+// naming the first offender, unless every v lies in [0, n).
 func checkVertices(n int, vs ...int) {
 	for _, v := range vs {
 		if v < 0 || v >= n {
@@ -217,6 +230,7 @@ func (s *Spanner) Edges() int { return s.H.M() }
 // is the union of greedy multipoint-relay selections and is within
 // 2(1+log Δ) of the optimal (1,0)-remote-spanner (Th. 2).
 func Exact(g *Graph) *Spanner {
+	checkArg(g != nil, "Exact needs a non-nil g")
 	res := spanner.Exact(g.raw())
 	return &Spanner{
 		H:           wrap(res.Graph()),
@@ -232,6 +246,7 @@ func Exact(g *Graph) *Spanner {
 // every pair and every k' ≤ k, the minimum total length of k' disjoint
 // paths is preserved in the augmented views. It panics if k < 1.
 func KConnecting(g *Graph, k int) *Spanner {
+	checkArg(g != nil, "KConnecting needs a non-nil g")
 	checkArg(k >= 1, "KConnecting needs k >= 1, got k = %d", k)
 	res := spanner.KConnecting(g.raw(), k)
 	return &Spanner{
@@ -247,6 +262,7 @@ func KConnecting(g *Graph, k int) *Spanner {
 // TwoConnecting returns a 2-connecting (2, −1)-remote-spanner (Th. 3)
 // with O(n) edges on unit-ball graphs of doubling metrics.
 func TwoConnecting(g *Graph) *Spanner {
+	checkArg(g != nil, "TwoConnecting needs a non-nil g")
 	res := spanner.TwoConnecting(g.raw())
 	return &Spanner{
 		H:           wrap(res.Graph()),
@@ -265,6 +281,9 @@ func TwoConnecting(g *Graph) *Spanner {
 // internal builders keep panicking on invalid radii, which after this
 // validation can only mean package-internal misuse).
 func LowStretch(g *Graph, eps float64) (*Spanner, error) {
+	if err := nilArg("LowStretch", "g", g == nil); err != nil {
+		return nil, err
+	}
 	if eps <= 0 || eps > 1 {
 		return nil, fmt.Errorf("remspan: need 0 < eps <= 1, got %v", eps)
 	}
@@ -288,6 +307,9 @@ func radiusFor(eps float64) (int, float64) { return spanner.RadiusFor(eps) }
 // its edges as (child, parent) pairs. greedy selects Algorithm 1
 // (greedy set cover, β ∈ {0, 1}) over Algorithm 2 (MIS, β = 1).
 func DominatingTree(g *Graph, u, r, beta int, greedy bool) ([][2]int, error) {
+	if err := nilArg("DominatingTree", "g", g == nil); err != nil {
+		return nil, err
+	}
 	if u < 0 || u >= g.N() {
 		return nil, fmt.Errorf("remspan: dominating tree root %d outside [0, %d)", u, g.N())
 	}

@@ -533,6 +533,7 @@ func TestRandomUDGRejectsBadSide(t *testing.T) {
 // only where its guard stops it before it allocates 2^d vertices.
 func TestArgumentPanicsNameTheArgument(t *testing.T) {
 	g := Grid(3, 3)
+	s := Exact(g)
 	for _, c := range []struct {
 		name string
 		call func()
@@ -555,6 +556,20 @@ func TestArgumentPanicsNameTheArgument(t *testing.T) {
 		{"RandomConnected(0, 5)", func() { RandomConnected(0, 5, 1) }, "remspan: RandomConnected needs n >= 1 to add edges, got n = 0, extraEdges = 5"},
 		{"KConnecting(g, 0)", func() { KConnecting(g, 0) }, "remspan: KConnecting needs k >= 1, got k = 0"},
 		{"FloodStats(g, 0, 0)", func() { FloodStats(g, 0, 0) }, "remspan: FloodStats needs k >= 1, got k = 0"},
+		{"Exact(nil)", func() { Exact(nil) }, "remspan: Exact needs a non-nil g"},
+		{"KConnecting(nil, 1)", func() { KConnecting(nil, 1) }, "remspan: KConnecting needs a non-nil g"},
+		{"TwoConnecting(nil)", func() { TwoConnecting(nil) }, "remspan: TwoConnecting needs a non-nil g"},
+		{"NewOracle(nil, s)", func() { NewOracle(nil, s) }, "remspan: NewOracle needs a non-nil g"},
+		{"NewOracle(g, nil)", func() { NewOracle(g, nil) }, "remspan: NewOracle needs a non-nil s"},
+		{"FullLinkStateCost(nil)", func() { FullLinkStateCost(nil) }, "remspan: FullLinkStateCost needs a non-nil g"},
+		{"FloodStats(nil, 1, 0)", func() { FloodStats(nil, 1, 0) }, "remspan: FloodStats needs a non-nil g"},
+		{"MeasureStretch(nil, h)", func() { MeasureStretch(nil, s.H) }, "remspan: MeasureStretch needs a non-nil g"},
+		{"MeasureStretch(g, nil)", func() { MeasureStretch(g, nil) }, "remspan: MeasureStretch needs a non-nil h"},
+		{"DisjointPathDistance(nil)", func() { DisjointPathDistance(nil, 0, 1, 1) }, "remspan: DisjointPathDistance needs a non-nil g"},
+		{"Route(nil, h)", func() { Route(nil, s.H, 0, 1) }, "remspan: Route needs a non-nil g"},
+		{"Route(g, nil)", func() { Route(g, nil, 0, 1) }, "remspan: Route needs a non-nil h"},
+		{"MultipathRoutes(nil, h)", func() { MultipathRoutes(nil, s.H, 0, 1, 1) }, "remspan: MultipathRoutes needs a non-nil g"},
+		{"MultipathRoutes(g, nil)", func() { MultipathRoutes(g, nil, 0, 1, 1) }, "remspan: MultipathRoutes needs a non-nil h"},
 	} {
 		if got := testutil.PanicWithin(t, 5*time.Second, c.call); got != c.want {
 			t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
@@ -562,5 +577,36 @@ func TestArgumentPanicsNameTheArgument(t *testing.T) {
 	}
 	if NewGraph(0).N() != 0 || Ring(0).N() != 0 || Hypercube(0).N() != 1 || RandomConnected(0, 0, 1).N() != 0 {
 		t.Fatal("a zero-size argument was rejected")
+	}
+}
+
+// TestNilArgumentErrorsNameTheArgument pins the nil rule of the package
+// doc for the functions with an error result: a nil graph or spanner is
+// an error naming the argument, not a nil dereference.
+func TestNilArgumentErrorsNameTheArgument(t *testing.T) {
+	g := Grid(3, 3)
+	s := Exact(g)
+	st := IntStretch(1, 0)
+	for _, c := range []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"RunDistributed(nil)", func() error { _, err := RunDistributed(nil, AlgoExact, 1, 0); return err }, "remspan: RunDistributed needs a non-nil g"},
+		{"LowStretch(nil)", func() error { _, err := LowStretch(nil, 0.5); return err }, "remspan: LowStretch needs a non-nil g"},
+		{"DominatingTree(nil)", func() error { _, err := DominatingTree(nil, 0, 2, 1, true); return err }, "remspan: DominatingTree needs a non-nil g"},
+		{"NewReplicatedRouter(nil)", func() error { _, err := NewReplicatedRouter(nil, 1); return err }, "remspan: NewReplicatedRouter needs a non-nil g"},
+		{"BuildForwardingTables(nil, h)", func() error { _, err := BuildForwardingTables(nil, s.H); return err }, "remspan: BuildForwardingTables needs a non-nil g"},
+		{"BuildForwardingTables(g, nil)", func() error { _, err := BuildForwardingTables(g, nil); return err }, "remspan: BuildForwardingTables needs a non-nil h"},
+		{"Verify(nil, h)", func() error { return Verify(nil, s.H, st) }, "remspan: Verify needs a non-nil g"},
+		{"Verify(g, nil)", func() error { return Verify(g, nil, st) }, "remspan: Verify needs a non-nil h"},
+		{"VerifySpanner(nil, s)", func() error { return VerifySpanner(nil, s) }, "remspan: VerifySpanner needs a non-nil g"},
+		{"VerifySpanner(g, nil)", func() error { return VerifySpanner(g, nil) }, "remspan: VerifySpanner needs a non-nil s"},
+		{"VerifyKConnecting(nil, h)", func() error { return VerifyKConnecting(nil, s.H, 1, st, nil) }, "remspan: VerifyKConnecting needs a non-nil g"},
+		{"VerifyKConnecting(g, nil)", func() error { return VerifyKConnecting(g, nil, 1, st, nil) }, "remspan: VerifyKConnecting needs a non-nil h"},
+	} {
+		if err := c.call(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
 }

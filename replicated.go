@@ -31,6 +31,9 @@ type ReplicatedRouter struct {
 // reference. Like BuildForwardingTables, it returns an error, before
 // building anything, for a graph past 65,535 vertices.
 func NewReplicatedRouter(g *Graph, replicas int) (*ReplicatedRouter, error) {
+	if err := nilArg("NewReplicatedRouter", "g", g == nil); err != nil {
+		return nil, err
+	}
 	if replicas < 1 {
 		return nil, fmt.Errorf("remspan: need at least one replica, got %d", replicas)
 	}

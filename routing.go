@@ -23,11 +23,11 @@ type ForwardingTables struct {
 // building anything, for a graph past 65,535 vertices, and for an h
 // whose vertex count differs from g's.
 func BuildForwardingTables(g, h *Graph) (*ForwardingTables, error) {
-	if err := checkTableSize(g); err != nil {
+	if err := sameVertices("BuildForwardingTables", g, h); err != nil {
 		return nil, err
 	}
-	if h.N() != g.N() {
-		return nil, fmt.Errorf("remspan: spanner has %d vertices, graph has %d", h.N(), g.N())
+	if err := checkTableSize(g); err != nil {
+		return nil, err
 	}
 	return &ForwardingTables{g: g, tables: routing.BuildTablesBatched(g.raw(), graph.NewCSR(h.raw()))}, nil
 }

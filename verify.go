@@ -1,6 +1,7 @@
 package remspan
 
 import (
+	"cmp"
 	"fmt"
 
 	"remspan/internal/flow"
@@ -22,11 +23,11 @@ import (
 // is not well formed is a *StretchError; a spanner whose vertex count
 // differs from g's is an error.
 func Verify(g *Graph, h *Graph, st Stretch) error {
+	if err := sameVertices("Verify", g, h); err != nil {
+		return err
+	}
 	if !st.internal().WellFormed() {
 		return &StretchError{Stretch: st}
-	}
-	if err := sameVertices(g, h); err != nil {
-		return err
 	}
 	if v := spanner.Check(g.raw(), h.raw(), st.internal()); v != nil {
 		return fmt.Errorf("remspan: %w", error(v))
@@ -39,6 +40,9 @@ func Verify(g *Graph, h *Graph, st Stretch) error {
 // engine otherwise), plus the k-connecting part, sampled over all
 // pairs — quadratic × flow cost, intended for small graphs.
 func VerifySpanner(g *Graph, s *Spanner) error {
+	if err := cmp.Or(nilArg("VerifySpanner", "g", g == nil), nilArg("VerifySpanner", "s", s == nil)); err != nil {
+		return err
+	}
 	if err := Verify(g, s.H, s.Guarantee); err != nil {
 		return err
 	}
@@ -55,11 +59,11 @@ func VerifySpanner(g *Graph, s *Spanner) error {
 // formed is a *StretchError; a vertex-count mismatch, k < 1 or a pair
 // outside [0, n) is an error.
 func VerifyKConnecting(g, h *Graph, k int, st Stretch, pairs [][2]int) error {
+	if err := sameVertices("VerifyKConnecting", g, h); err != nil {
+		return err
+	}
 	if !st.internal().WellFormed() {
 		return &StretchError{Stretch: st}
-	}
-	if err := sameVertices(g, h); err != nil {
-		return err
 	}
 	if k < 1 {
 		return fmt.Errorf("remspan: k-connecting verification needs k >= 1, got k = %d", k)
@@ -87,8 +91,12 @@ func (e *StretchError) Error() string {
 	return fmt.Sprintf("remspan: stretch %v is not well formed (need positive denominators and α ≥ 0)", e.Stretch)
 }
 
-// sameVertices rejects a spanner that is not on g's vertex set.
-func sameVertices(g, h *Graph) error {
+// sameVertices rejects a nil g or h, naming it as an argument of fn,
+// and a spanner that is not on g's vertex set.
+func sameVertices(fn string, g, h *Graph) error {
+	if err := cmp.Or(nilArg(fn, "g", g == nil), nilArg(fn, "h", h == nil)); err != nil {
+		return err
+	}
 	if h.N() != g.N() {
 		return fmt.Errorf("remspan: spanner has %d vertices, graph has %d", h.N(), g.N())
 	}
@@ -108,6 +116,8 @@ type StretchProfile struct {
 // 64-source word-parallel engine on every graph (h ⊆ g); the result is
 // bit-identical to a serial scalar sweep.
 func MeasureStretch(g, h *Graph) StretchProfile {
+	checkArg(g != nil, "MeasureStretch needs a non-nil g")
+	checkArg(h != nil, "MeasureStretch needs a non-nil h")
 	p := spanner.MeasureProfile(g.raw(), h.raw())
 	return StretchProfile{
 		Pairs:       p.Pairs,
@@ -121,6 +131,7 @@ func MeasureStretch(g, h *Graph) StretchProfile {
 // d^k(s, t): the minimum total length of k internally vertex-disjoint
 // paths (-1 when fewer than k exist).
 func DisjointPathDistance(g *Graph, s, t, k int) int {
+	checkArg(g != nil, "DisjointPathDistance needs a non-nil g")
 	checkVertices(g.N(), s, t)
 	return flow.KDistance(g.raw(), s, t, k)
 }
@@ -129,6 +140,8 @@ func DisjointPathDistance(g *Graph, s, t, k int) int {
 // node knows its own neighbors plus the advertised spanner h (§1). It
 // returns the hop-by-hop path taken.
 func Route(g, h *Graph, s, t int) (path []int, ok bool) {
+	checkArg(g != nil, "Route needs a non-nil g")
+	checkArg(h != nil, "Route needs a non-nil h")
 	checkVertices(g.N(), s, t)
 	r := routing.GreedyRoute(g.raw(), h.raw(), s, t)
 	if !r.OK {
@@ -144,6 +157,8 @@ func Route(g, h *Graph, s, t int) (path []int, ok bool) {
 // MultipathRoutes returns k minimum-total-length internally disjoint
 // s→t routes available in s's augmented view of h.
 func MultipathRoutes(g, h *Graph, s, t, k int) (paths [][]int, totalLen int, ok bool) {
+	checkArg(g != nil, "MultipathRoutes needs a non-nil g")
+	checkArg(h != nil, "MultipathRoutes needs a non-nil h")
 	checkVertices(g.N(), s, t)
 	res, ok, err := routing.DisjointRoutes(g.raw(), h.raw(), s, t, k)
 	if err != nil || !ok {
