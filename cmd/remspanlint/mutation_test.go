@@ -19,8 +19,8 @@ import (
 // which checks catch it. The rows below are the ones that decide which
 // analyzers the suite keeps: the allocation rows the zero-alloc pins
 // catch on their own (6, 7, 9, 10), each kept analyzer's unique catch
-// (14, 17, 20, 36) and the maintainer row only an independent copy of
-// G catches (35).
+// (14, 17, 20, 36) and the maintainer rows only an independent copy of
+// G catches (35, and 37 on the live path).
 type mutationRow struct {
 	id   int
 	file string // relative to the module root
@@ -156,7 +156,8 @@ var mutationRows = []mutationRow{
 `,
 		new: `	case AddEdge:
 		if ch.U > ch.V {
-			m.touched = append(m.touched, int32(ch.U), int32(ch.V))
+			m.touched.Add(int32(ch.U))
+			m.touched.Add(int32(ch.V))
 			return true
 		}
 		if !g.AddEdge(ch.U, ch.V) {
@@ -165,6 +166,29 @@ var mutationRows = []mutationRow{
 			"remspan/internal/dynamic": {"TestApplyBatchMatchesFull"},
 			"remspan/internal/expt":    {"TestChurnE"},
 			"remspan/internal/distsim": {"TestRefloodMatchesMaintainer"},
+		},
+	},
+	{
+		// Row 35 mirrored: applyChange drops an AddEdge with U < V, the
+		// orientation of every pair the mobility tracker emits, so the
+		// live pins see it too.
+		id:   37,
+		file: "internal/dynamic/dynamic.go",
+		old: `	case AddEdge:
+		if !g.AddEdge(ch.U, ch.V) {
+`,
+		new: `	case AddEdge:
+		if ch.U < ch.V {
+			m.touched.Add(int32(ch.U))
+			m.touched.Add(int32(ch.V))
+			return true
+		}
+		if !g.AddEdge(ch.U, ch.V) {
+`,
+		fail: map[string][]string{
+			"remspan/internal/dynamic": {"TestApplyBatchMatchesFull", "TestChurnEquivalenceAllBuilders"},
+			"remspan/internal/expt":    {"TestChurnE", "TestLiveNetworkE"},
+			"remspan/internal/distsim": {"TestRefloodMatchesMaintainer", "TestLiveRunPinnedToMaintainer"},
 		},
 	},
 	{

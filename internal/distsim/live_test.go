@@ -4,13 +4,17 @@ import (
 	"testing"
 
 	"remspan/internal/dynamic"
+	"remspan/internal/graph"
+	"remspan/internal/reference"
 	"remspan/internal/spanner"
 )
 
-// TestLiveRunPinnedToMaintainer is the acceptance pin of the live
-// driver: every mobility tick's spanner must be bit-identical to
-// dynamic.Maintainer ground truth fed the same change stream, and in
-// particular remain a valid (1,0)-remote-spanner of the live topology.
+// TestLiveRunPinnedToMaintainer is the acceptance pin of LiveRun. The
+// test keeps its own copy of G, patched with every tick's change batch,
+// and at every tick the engine's graph must equal that copy and its
+// spanner must be bit-identical to a fresh dynamic.Maintainer built
+// over it, and in particular remain a valid (1,0)-remote-spanner of
+// the live topology.
 func TestLiveRunPinnedToMaintainer(t *testing.T) {
 	cfg := LiveConfig{
 		N: 300, Degree: 8,
@@ -18,23 +22,33 @@ func TestLiveRunPinnedToMaintainer(t *testing.T) {
 		Ticks: 25, Seed: 5,
 		Radius: 1, Build: kgreedyCSR(1),
 	}
-	var m *dynamic.Maintainer
+	var want *graph.Graph
 	checked := 0
 	rep, err := LiveRun(cfg, func(tick int, changes []dynamic.Change, e *Engine) {
-		if m == nil {
-			// Ground truth starts from the engine's initial topology:
+		if want == nil {
+			// The copy starts from the engine's initial topology:
 			// rewind the tick's changes to recover it.
-			g := e.Graph()
-			undo(g, changes)
-			m = dynamic.New(g, cfg.Radius, dynamic.TreeBuilder(cfg.Build))
+			want = e.Graph()
+			undo(want, changes)
 		}
-		m.ApplyBatch(changes)
-		if !edgeSetsEqual(e.Spanner(), m.Spanner()) {
-			t.Fatalf("tick %d: live spanner diverged from maintainer ground truth", tick)
+		for _, ch := range changes {
+			switch ch.Kind {
+			case dynamic.AddEdge:
+				want.AddEdge(ch.U, ch.V)
+			case dynamic.RemoveEdge:
+				want.RemoveEdge(ch.U, ch.V)
+			}
+		}
+		if !reference.Equal(want, e.Graph()) {
+			t.Fatalf("tick %d: engine graph diverged from the patched copy", tick)
+		}
+		fresh := dynamic.New(want, cfg.Radius, dynamic.TreeBuilder(cfg.Build))
+		if !edgeSetsEqual(e.Spanner(), fresh.Spanner()) {
+			t.Fatalf("tick %d: live spanner differs from a fresh maintainer's", tick)
 		}
 		if tick%8 == 0 {
 			h := e.Spanner().Graph()
-			if v := spanner.Check(e.Graph(), h, spanner.NewStretch(1, 0)); v != nil {
+			if v := spanner.Check(want, h, spanner.NewStretch(1, 0)); v != nil {
 				t.Fatalf("tick %d: live spanner violates (1,0): %v", tick, v)
 			}
 		}

@@ -33,7 +33,6 @@ package dynamic
 
 import (
 	"fmt"
-	"slices"
 
 	"remspan/internal/domtree"
 	"remspan/internal/graph"
@@ -106,8 +105,9 @@ type Maintainer struct {
 	radius int          // locality radius R of the tree construction
 	trees  [][][2]int32 // per-root tree edges as (child, parent) pairs
 
-	dirty   *graph.BFSScratch // bounded sweeps + dirty-union accumulator
-	touched []int32           // vertices whose neighbor list the last Apply changed
+	dirty   *graph.BFSScratch // the bounded sweeps of the dirty balls
+	union   graph.VertexSet   // the last Apply's dirty-root union
+	touched graph.VertexSet   // vertices whose neighbor list the last Apply changed
 	changed []int32           // roots whose stored tree the last Rebuild changed
 	flags   []bool            // per-index changed flags of a Rebuild
 	rebuilt int64             // cumulative trees rebuilt (ablation metric)
@@ -202,16 +202,16 @@ func (m *Maintainer) View() *graph.CSRDelta { return m.delta }
 // DirtyRoots returns the sorted dirty-root union of the most recent
 // Apply or ApplyBatch — the roots whose trees the change can have
 // invalidated, and exactly the roots ApplyBatch rebuilds. The slice is
-// scratch-owned and valid until the next applied batch. Downstream incremental consumers (the routing.Store's
+// maintainer-owned and valid until the next applied batch. Downstream incremental consumers (the routing.Store's
 // dirty-owner table rebuild) key their own repairs off this set.
-func (m *Maintainer) DirtyRoots() []int32 { return m.dirty.UnionSorted() }
+func (m *Maintainer) DirtyRoots() []int32 { return m.union.Sorted() }
 
 // Touched returns the sorted vertices whose neighbor list the most
 // recent Apply or ApplyBatch changed: both endpoints of every
 // effective edge change, and a failed vertex together with every
 // former neighbor. Empty when the batch had no effect. The slice is
 // maintainer-owned and valid until the next applied batch.
-func (m *Maintainer) Touched() []int32 { return m.touched }
+func (m *Maintainer) Touched() []int32 { return m.touched.Sorted() }
 
 // TreesRebuilt returns the cumulative number of tree constructions
 // (including the initial build). The dirty-root set is accumulated in
@@ -233,7 +233,7 @@ func (m *Maintainer) TreesRebuilt() int64 { return m.rebuilt }
 //
 //remspan:hotpath
 func (m *Maintainer) applyChange(ch Change) bool {
-	g, dirty, radius := m.delta, m.dirty, m.radius
+	g, radius := m.delta, m.radius
 	switch ch.Kind {
 	case AddEdge:
 		if !g.AddEdge(ch.U, ch.V) {
@@ -255,11 +255,11 @@ func (m *Maintainer) applyChange(ch Change) bool {
 		// so B(v,R) ⊆ B(x,R+1); conversely any w at distance R+1 from x
 		// reaches x through some neighbor v with d(w,v) = R, so the two
 		// sets are equal (pinned by TestFailVertexDirtySweepEqualsUnion).
-		dirty.UnionBounded(g, x, radius+1)
-		m.touched = append(m.touched, int32(x))
+		m.sweep(x, radius+1)
+		m.touched.Add(int32(x))
 		for len(nbrs) > 0 {
 			v := int(nbrs[len(nbrs)-1])
-			m.touched = append(m.touched, int32(v))
+			m.touched.Add(int32(v))
 			g.RemoveEdge(x, v)
 			nbrs = g.Neighbors(x)
 		}
@@ -267,10 +267,22 @@ func (m *Maintainer) applyChange(ch Change) bool {
 	default:
 		panic("dynamic: unknown change kind")
 	}
-	dirty.UnionBounded(g, ch.U, radius)
-	dirty.UnionBounded(g, ch.V, radius)
-	m.touched = append(m.touched, int32(ch.U), int32(ch.V))
+	m.sweep(ch.U, radius)
+	m.sweep(ch.V, radius)
+	m.touched.Add(int32(ch.U))
+	m.touched.Add(int32(ch.V))
 	return true
+}
+
+// sweep adds every vertex within maxDist of src in G to the dirty-root
+// union.
+//
+//remspan:hotpath
+func (m *Maintainer) sweep(src, maxDist int) {
+	_, _, visited := m.dirty.BoundedView(m.delta, src, maxDist)
+	for _, w := range visited {
+		m.union.Add(w)
+	}
 }
 
 // Apply patches the changes in order into the graph without
@@ -281,16 +293,14 @@ func (m *Maintainer) applyChange(ch Change) bool {
 //
 //remspan:hotpath
 func (m *Maintainer) Apply(changes []Change) int {
-	m.dirty.ResetUnion()
-	m.touched = m.touched[:0]
+	m.union.Reset(m.delta.N())
+	m.touched.Reset(m.delta.N())
 	applied := 0
 	for _, ch := range changes {
 		if m.applyChange(ch) {
 			applied++
 		}
 	}
-	slices.Sort(m.touched)
-	m.touched = slices.Compact(m.touched)
 	return applied
 }
 

@@ -1,7 +1,5 @@
 package graph
 
-import "slices"
-
 // Unreached marks vertices not reached by a traversal.
 const Unreached = int32(-1)
 
@@ -62,14 +60,6 @@ type BFSScratch struct {
 	dist   []int32
 	parent []int32
 	queue  []int32 // the last run's reached vertices: what the next run resets
-
-	// Epoch-stamped accumulator for unions of bounded sweeps (the dirty
-	// sets of incremental maintenance): membership is "stamp equals the
-	// current epoch", so starting a new union is O(1) and accumulation
-	// allocates nothing once the buffers are warm.
-	unionMark  []uint32
-	unionEpoch uint32
-	unionList  []int32
 }
 
 // NewBFSScratch returns scratch space for graphs with up to n vertices.
@@ -122,44 +112,4 @@ func (s *BFSScratch) BoundedView(c View, src, maxDist int) (dist, parent, visite
 		}
 	}
 	return s.dist, s.parent, s.queue
-}
-
-// ResetUnion starts a new (empty) accumulated union of bounded sweeps.
-func (s *BFSScratch) ResetUnion() {
-	if s.unionMark == nil {
-		s.unionMark = make([]uint32, len(s.dist)) //remspan:coldpath lazy first-use init of the union stamp array
-	}
-	// Epoch wrap: re-zero at a boundary where no live epochs exist (the
-	// same scheme as domtree.Scratch).
-	if s.unionEpoch >= 1<<31 {
-		for i := range s.unionMark {
-			s.unionMark[i] = 0
-		}
-		s.unionEpoch = 0
-	}
-	s.unionEpoch++
-	s.unionList = s.unionList[:0]
-}
-
-// UnionBounded runs a bounded BFS from src over v and adds every reached
-// vertex to the union accumulated since the last ResetUnion.
-//
-//remspan:hotpath
-func (s *BFSScratch) UnionBounded(v View, src, maxDist int) {
-	_, _, visited := s.BoundedView(v, src, maxDist)
-	e := s.unionEpoch
-	for _, w := range visited {
-		if s.unionMark[w] != e {
-			s.unionMark[w] = e
-			s.unionList = append(s.unionList, w)
-		}
-	}
-}
-
-// UnionSorted returns the accumulated union sorted ascending — a
-// deterministic order regardless of how the sweeps interleaved. The
-// slice is scratch-owned and valid until the next ResetUnion.
-func (s *BFSScratch) UnionSorted() []int32 {
-	slices.Sort(s.unionList)
-	return s.unionList
 }

@@ -51,7 +51,7 @@ type BitScratch struct {
 	arrivals []int32 // vertices with next != 0 during one expansion, capacity n+1
 	touched  []int32 // vertices with visited != 0 this batch, capacity n+1
 
-	frontier []uint64 // id-ordering bitmap of SweepClaim's frontier (lazy, all zero between levels)
+	frontier VertexSet // id-ordering set of SweepClaim's frontier
 
 	// visit, when set (SweepSourcesVisit), streams first-visit events.
 	// On a masks-only scratch that skips the O(n·64) row-write traffic
@@ -106,9 +106,9 @@ func oneIfZero(x uint64) int {
 }
 
 // Begin starts a new batch, clearing only what the previous batch
-// touched. (next and frontier are self-cleaning over a completed
-// sweep, but seeded batches may be abandoned before sweeping, so the
-// whole stripe is re-zeroed here.)
+// touched. (next is self-cleaning over a completed sweep, but seeded
+// batches may be abandoned before sweeping, so the whole stripe is
+// re-zeroed here.)
 //
 //remspan:hotpath
 func (s *BitScratch) Begin() {
@@ -254,12 +254,10 @@ func (s *BitScratch) stepClaim(h *CSR, level int32, claim func(x, v int32, newBi
 }
 
 // sortFrontier sorts s.cur ascending: a comparison sort for short
-// frontiers, and for long ones an id-ordered read-back from a frontier
-// bitmap — one bit set per frontier vertex, then the words between the
-// smallest and the largest id scanned and cleared — so a level costs
-// one pass over the frontier plus one over its id span/64 words. The
-// bitmap is sized once, so sorted sweeps stay allocation-free when
-// warm, and it is all zero again when the read-back ends.
+// frontiers, and for long ones the id-ordered read-back of a VertexSet
+// of the frontier, so a level costs one pass over the frontier plus
+// one over its id span/64 words. The set keeps its buffers, so sorted
+// sweeps stay allocation-free when warm.
 //
 //remspan:hotpath
 func (s *BitScratch) sortFrontier() {
@@ -268,24 +266,11 @@ func (s *BitScratch) sortFrontier() {
 		slices.Sort(a)
 		return
 	}
-	//remspan:coldpath one-time frontier bitmap grow to the scratch size
-	if len(s.frontier) < (len(s.stripes)+63)/64 {
-		s.frontier = make([]uint64, (len(s.stripes)+63)/64)
-	}
-	fb := s.frontier
-	lo, hi := a[0], a[0]
+	s.frontier.Reset(len(s.stripes))
 	for _, v := range a {
-		fb[v>>6] |= 1 << uint(v&63)
-		lo, hi = min(lo, v), max(hi, v)
+		s.frontier.Add(v)
 	}
-	k := 0
-	for w := lo >> 6; w <= hi>>6; w++ {
-		for b := fb[w]; b != 0; b &= b - 1 {
-			a[k] = w<<6 | int32(bits.TrailingZeros64(b))
-			k++
-		}
-		fb[w] = 0
-	}
+	copy(a, s.frontier.Sorted())
 }
 
 // SetVisit installs (nil clears) the streaming first-visit callback

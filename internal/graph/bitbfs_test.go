@@ -270,7 +270,7 @@ func layeredGraph(rng *rand.Rand) *Graph {
 // its BFS distance, through the smallest-id neighbour one level
 // closer, and nothing else is claimed. The layered graph's sweeps
 // expand frontiers of more than 64 vertices, which sortFrontier reads
-// back from its bitmap; the other families' frontiers are sorted by
+// back from its VertexSet; the other families' frontiers are sorted by
 // comparison.
 func TestSweepClaimMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

@@ -1,66 +1,137 @@
 package mobility
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
-	"remspan/internal/geom"
 	"remspan/internal/reference"
 	"remspan/internal/testutil"
 )
 
+// trackerProcs returns the GOMAXPROCS values a tracker width test
+// sweeps: serial, minimal parallel, a prime that never divides the
+// shard count evenly, and the host width.
+func trackerProcs() []int {
+	ps := []int{1, 2, 7}
+	if p := runtime.GOMAXPROCS(0); !slices.Contains(ps, p) {
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+// fannedOutTracker returns a tracker over a fleet of several shards, so
+// that its ticks fan out above GOMAXPROCS 1, at mean degree 8.
+func fannedOutTracker(seed int64, minSpeed, maxSpeed float64) (*Waypoint, *Tracker) {
+	const n = 2*shardNodes + shardNodes/2 // three shards, the last one short
+	side := math.Sqrt(math.Pi * n / 8)
+	w := NewWaypoint(n, side, minSpeed, maxSpeed, rand.New(rand.NewSource(seed)))
+	return w, NewTracker(w, 1.0)
+}
+
+// checkLexSorted fails unless every pair of d has u < v and the pairs
+// ascend lexicographically, as Tick promises.
+func checkLexSorted(t *testing.T, what string, d [][2]int32) {
+	t.Helper()
+	for i, p := range d {
+		if p[0] >= p[1] {
+			t.Fatalf("%s: pair %d = %v does not have u < v", what, i, p)
+		}
+		if i > 0 && (d[i-1][0] > p[0] || d[i-1][0] == p[0] && d[i-1][1] >= p[1]) {
+			t.Fatalf("%s: pair %d = %v follows %v out of order", what, i, p, d[i-1])
+		}
+	}
+}
+
 // TestTrackerMatchesUnitDiskGraph: after every tick the tracker's
 // adjacency must equal the from-scratch unit-disk graph of the current
-// positions.
+// positions, on a small fleet (one shard) and on a fanned-out one at
+// every swept width.
 func TestTrackerMatchesUnitDiskGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	w := NewWaypoint(200, 8, 0.05, 0.3, rng)
-	tr := NewTracker(w, 1.0)
-	for tick := 0; tick < 15; tick++ {
-		tr.Tick()
-		want := geom.UnitDiskGraph(w.Positions(), 1.0)
-		if got := tr.Graph(); !reference.Equal(got, want) {
-			t.Fatalf("tick %d: tracker adjacency diverged (m=%d want %d)",
-				tick, got.M(), want.M())
+	check := func(name string, w *Waypoint, tr *Tracker, ticks int) {
+		for tick := 0; tick < ticks; tick++ {
+			added, removed := tr.Tick()
+			checkLexSorted(t, fmt.Sprintf("%s tick %d added", name, tick), added)
+			checkLexSorted(t, fmt.Sprintf("%s tick %d removed", name, tick), removed)
+			want := w.Graph(1.0)
+			if got := tr.Graph(); !reference.Equal(got, want) {
+				t.Fatalf("%s tick %d: tracker adjacency diverged (m=%d want %d)",
+					name, tick, got.M(), want.M())
+			}
 		}
+	}
+	w := NewWaypoint(200, 8, 0.05, 0.3, rand.New(rand.NewSource(1)))
+	check("n=200", w, NewTracker(w, 1.0), 15)
+	for _, procs := range trackerProcs() {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			w, tr := fannedOutTracker(1, 0.05, 0.3)
+			check(fmt.Sprintf("n=%d GOMAXPROCS=%d", w.N(), procs), w, tr, 8)
+		}()
 	}
 }
 
 // TestTrackerDiffsReplay: applying the emitted diffs to the initial
-// graph must reproduce the current graph exactly.
+// graph must reproduce the current graph exactly, and every width must
+// emit the same diff stream as GOMAXPROCS 1.
 func TestTrackerDiffsReplay(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	w := NewWaypoint(150, 7, 0.05, 0.25, rng)
-	tr := NewTracker(w, 1.0)
-	g := tr.Graph()
-	for tick := 0; tick < 20; tick++ {
-		added, removed := tr.Tick()
-		for _, p := range removed {
-			if !g.RemoveEdge(int(p[0]), int(p[1])) {
-				t.Fatalf("tick %d: removed edge {%d,%d} was absent", tick, p[0], p[1])
+	replay := func(name string, tr *Tracker, ticks int) [][][2]int32 {
+		var stream [][][2]int32
+		g := tr.Graph()
+		for tick := 0; tick < ticks; tick++ {
+			added, removed := tr.Tick()
+			for _, p := range removed {
+				if !g.RemoveEdge(int(p[0]), int(p[1])) {
+					t.Fatalf("%s tick %d: removed edge {%d,%d} was absent", name, tick, p[0], p[1])
+				}
 			}
-		}
-		for _, p := range added {
-			if !g.AddEdge(int(p[0]), int(p[1])) {
-				t.Fatalf("tick %d: added edge {%d,%d} already present", tick, p[0], p[1])
+			for _, p := range added {
+				if !g.AddEdge(int(p[0]), int(p[1])) {
+					t.Fatalf("%s tick %d: added edge {%d,%d} already present", name, tick, p[0], p[1])
+				}
 			}
+			stream = append(stream, slices.Clone(added), slices.Clone(removed))
 		}
+		if !reference.Equal(g, tr.Graph()) {
+			t.Fatalf("%s: replayed diffs diverged from tracker graph", name)
+		}
+		return stream
 	}
-	if !reference.Equal(g, tr.Graph()) {
-		t.Fatal("replayed diffs diverged from tracker graph")
+	w := NewWaypoint(150, 7, 0.05, 0.25, rand.New(rand.NewSource(2)))
+	replay("n=150", NewTracker(w, 1.0), 20)
+	var want [][][2]int32
+	for _, procs := range trackerProcs() {
+		got := func() [][][2]int32 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, tr := fannedOutTracker(2, 0.05, 0.25)
+			return replay(fmt.Sprintf("fanned out GOMAXPROCS=%d", procs), tr, 12)
+		}()
+		if want == nil {
+			want = got
+			continue
+		}
+		for i := range want {
+			if !slices.Equal(want[i], got[i]) {
+				t.Fatalf("GOMAXPROCS=%d: diff %d of the stream differs from GOMAXPROCS=1", procs, i)
+			}
+		}
 	}
 }
 
 // TestTrackerSteadyStateAllocs: warm ticks must not allocate — the
-// tracker is on the live simulation's per-tick hot path.
+// tracker is on the live simulation's per-tick hot path — serially and
+// with the shards fanned out.
 func TestTrackerSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	w := NewWaypoint(300, 10, 0.02, 0.1, rng)
-	tr := NewTracker(w, 1.0)
+	_, tr := fannedOutTracker(3, 0.02, 0.1)
 	for i := 0; i < 50; i++ { // reach the buffer high-water mark
 		tr.Tick()
 	}
-	testutil.PinAllocs(t, "steady-state tick", 30, func() { tr.Tick() })
+	for _, procs := range []int{1, 2} {
+		testutil.PinAllocsAt(t, "steady-state tick", procs, 20, func() { tr.Tick() })
+	}
 }
 
 // TestTrackerZeroNodes: an empty fleet must be a valid degenerate
@@ -109,8 +180,7 @@ func TestTrackerSingleCell(t *testing.T) {
 				t.Fatalf("tick %d: corrupt diff — added present edge {%d,%d}", tick, p[0], p[1])
 			}
 		}
-		want := geom.UnitDiskGraph(w.Positions(), 1.0)
-		if !reference.Equal(tr.Graph(), want) {
+		if !reference.Equal(tr.Graph(), w.Graph(1.0)) {
 			t.Fatalf("tick %d: one-cell adjacency diverged", tick)
 		}
 	}
@@ -134,13 +204,11 @@ func TestTrackerCellBoundaryPositions(t *testing.T) {
 	// 5×5 lattice at integer coordinates: every point is on a cell
 	// corner; (4,4) sits on the square's far corner (clamped bucket).
 	w := NewWaypoint(25, side, 0, 0, rng) // zero speed: positions frozen
-	pts := w.Positions()
 	for i := 0; i < 25; i++ {
-		pts[i][0] = float64(i % 5)
-		pts[i][1] = float64(i / 5)
+		w.pos[i] = [2]float64{float64(i % 5), float64(i / 5)}
 	}
 	tr := NewTracker(w, 1.0)
-	want := geom.UnitDiskGraph(pts, 1.0)
+	want := w.Graph(1.0)
 	if got := tr.Graph(); !reference.Equal(got, want) {
 		t.Fatalf("boundary lattice adjacency wrong: m=%d want %d (axis neighbors at distance exactly 1)",
 			got.M(), want.M())
@@ -162,4 +230,25 @@ func TestTrackerCellBoundaryPositions(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { tr.Tick() }); allocs > 0 {
 		t.Fatalf("boundary tick allocates %.1f times", allocs)
 	}
+}
+
+// BenchmarkTrackerTick times one warm tick at the flood-50k workload's
+// geometry: n = 50k, mean degree 8, speeds 0.01–0.05 per tick,
+// connection radius 1. Run it with -cpu 1,2 to read the shard fan-out's
+// scaling.
+func BenchmarkTrackerTick(b *testing.B) {
+	const n = 50000
+	w := NewWaypoint(n, math.Sqrt(math.Pi*n/8), 0.01, 0.05, rand.New(rand.NewSource(1)))
+	tr := NewTracker(w, 1.0)
+	for i := 0; i < 5; i++ {
+		tr.Tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	changes := 0
+	for i := 0; i < b.N; i++ {
+		added, removed := tr.Tick()
+		changes += len(added) + len(removed)
+	}
+	b.ReportMetric(float64(changes)/float64(b.N), "changes/op")
 }

@@ -15,14 +15,16 @@ import (
 
 // Waypoint is the classic random-waypoint mobility model on a square:
 // every node picks a uniform destination and speed, walks there in
-// straight ticks, then picks a new one.
+// straight ticks, then picks a new one. Positions and destinations are
+// flat arrays, one [2]float64 per node, so a sweep over the fleet reads
+// contiguous memory.
 type Waypoint struct {
 	side     float64
 	minSpeed float64 // distance per tick
 	maxSpeed float64
 	rng      *rand.Rand
-	pos      []geom.Point
-	dst      []geom.Point
+	pos      [][2]float64
+	dst      [][2]float64
 	speed    []float64
 }
 
@@ -37,9 +39,13 @@ func NewWaypoint(n int, side, minSpeed, maxSpeed float64, rng *rand.Rand) *Waypo
 		minSpeed: minSpeed,
 		maxSpeed: maxSpeed,
 		rng:      rng,
-		pos:      geom.UniformBox(n, 2, side, rng),
-		dst:      make([]geom.Point, n),
+		pos:      make([][2]float64, n),
+		dst:      make([][2]float64, n),
 		speed:    make([]float64, n),
+	}
+	for i := range w.pos { // the draws of geom.UniformBox(n, 2, side, rng)
+		w.pos[i][0] = rng.Float64() * side
+		w.pos[i][1] = rng.Float64() * side
 	}
 	for i := range w.dst {
 		w.retarget(i)
@@ -47,12 +53,10 @@ func NewWaypoint(n int, side, minSpeed, maxSpeed float64, rng *rand.Rand) *Waypo
 	return w
 }
 
+// retarget draws node i's next destination and speed.
+//
+//remspan:hotpath
 func (w *Waypoint) retarget(i int) {
-	// Write destinations in place: Step runs every tick on the live
-	// simulation hot path and must not allocate a Point per node.
-	if w.dst[i] == nil {
-		w.dst[i] = make(geom.Point, 2)
-	}
 	w.dst[i][0] = w.rng.Float64() * w.side
 	w.dst[i][1] = w.rng.Float64() * w.side
 	w.speed[i] = w.minSpeed + w.rng.Float64()*(w.maxSpeed-w.minSpeed)
@@ -61,20 +65,18 @@ func (w *Waypoint) retarget(i int) {
 // N returns the node count.
 func (w *Waypoint) N() int { return len(w.pos) }
 
-// Positions returns the current node positions (shared slice — do not
-// modify).
-func (w *Waypoint) Positions() []geom.Point { return w.pos }
-
 // Step advances every node one tick toward its waypoint, retargeting
 // on arrival. Positions are updated in place — zero allocations per
 // tick (pinned by TestTrackerSteadyStateAllocs).
+//
+//remspan:hotpath
 func (w *Waypoint) Step() {
-	for i, p := range w.pos {
-		d := w.dst[i]
+	for i := range w.pos {
+		p, d := &w.pos[i], w.dst[i]
 		dx, dy := d[0]-p[0], d[1]-p[1]
 		dist := math.Hypot(dx, dy)
 		if dist <= w.speed[i] {
-			p[0], p[1] = d[0], d[1]
+			*p = d
 			w.retarget(i)
 			continue
 		}
@@ -87,5 +89,9 @@ func (w *Waypoint) Step() {
 // Graph returns the unit-disk graph of the current positions with the
 // given connection radius.
 func (w *Waypoint) Graph(radius float64) *graph.Graph {
-	return geom.UnitDiskGraph(w.pos, radius)
+	pts := make([]geom.Point, len(w.pos))
+	for i := range w.pos {
+		pts[i] = w.pos[i][:]
+	}
+	return geom.UnitDiskGraph(pts, radius)
 }

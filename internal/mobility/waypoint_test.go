@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"remspan/internal/reference"
@@ -13,7 +14,7 @@ func TestWaypointStaysInBox(t *testing.T) {
 	w := NewWaypoint(50, 3, 0.05, 0.2, rng)
 	for step := 0; step < 200; step++ {
 		w.Step()
-		for _, p := range w.Positions() {
+		for _, p := range w.pos {
 			if p[0] < 0 || p[0] > 3 || p[1] < 0 || p[1] > 3 {
 				t.Fatalf("step %d: point %v left the box", step, p)
 			}
@@ -27,7 +28,7 @@ func TestWaypointSpeedBound(t *testing.T) {
 	prev := clonePoints(w)
 	for step := 0; step < 50; step++ {
 		w.Step()
-		for i, p := range w.Positions() {
+		for i, p := range w.pos {
 			d := math.Hypot(p[0]-prev[i][0], p[1]-prev[i][1])
 			if d > 0.1+1e-9 {
 				t.Fatalf("node %d moved %v > max speed", i, d)
@@ -45,7 +46,7 @@ func TestWaypointActuallyMoves(t *testing.T) {
 		w.Step()
 	}
 	moved := 0
-	for i, p := range w.Positions() {
+	for i, p := range w.pos {
 		if math.Hypot(p[0]-start[i][0], p[1]-start[i][1]) > 0.01 {
 			moved++
 		}
@@ -76,7 +77,7 @@ func TestWaypointZeroSpeed(t *testing.T) {
 	w := NewWaypoint(10, 2, 0, 0, rng)
 	start := clonePoints(w)
 	w.Step()
-	for i, p := range w.Positions() {
+	for i, p := range w.pos {
 		if p[0] != start[i][0] || p[1] != start[i][1] {
 			t.Fatal("zero-speed node moved")
 		}
@@ -92,10 +93,4 @@ func TestWaypointBadSpeedsPanic(t *testing.T) {
 	NewWaypoint(5, 1, 0.5, 0.1, rand.New(rand.NewSource(6)))
 }
 
-func clonePoints(w *Waypoint) [][2]float64 {
-	out := make([][2]float64, w.N())
-	for i, p := range w.Positions() {
-		out[i] = [2]float64{p[0], p[1]}
-	}
-	return out
-}
+func clonePoints(w *Waypoint) [][2]float64 { return slices.Clone(w.pos) }
